@@ -14,10 +14,11 @@ namespace tabby::corpus {
 // The chain edge is always created first, so the stable DFS dives straight
 // down the hops and finds the one real chain while the per-level fans pile
 // up behind it; an exhaustive finish must then drain hops × (aliases +
-// call_fans) dead-end frames, each pinning a copy of its path. Interfaces
-// make the fan nearly free to *build* (one abstract declaration shared by
-// every hop, ALIAS edges carry no properties) while costing the *search*
-// a full frame per level — the asymmetry the fixture exists to exercise.
+// call_fans) dead-end frames, each a fixed-size record plus its trigger
+// condition. Interfaces make the fan nearly free to *build* (one abstract
+// declaration shared by every hop, ALIAS edges carry no properties) while
+// costing the *search* a frame per branch per level — the asymmetry the
+// fixture exists to exercise.
 jar::Archive fanout_stress_archive(const FanoutStressSpec& spec) {
   jir::ProgramBuilder pb;
   pb.with_core_classes();

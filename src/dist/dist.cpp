@@ -450,15 +450,20 @@ class Coordinator {
     for (Worker& w : workers_) {
       if (!w.alive) continue;
       int status = 0;
-      // Workers _exit on EOF almost instantly; SIGKILL is the backstop for
-      // one wedged mid-write.
-      for (int i = 0; i < 100; ++i) {
+      // Workers _exit on EOF almost instantly, so poll with a doubling
+      // backoff (50 us up to 5 ms, 500 ms in all); SIGKILL is the backstop
+      // for one wedged mid-write.
+      std::chrono::microseconds backoff{50}, waited{0};
+      while (true) {
         pid_t got = ::waitpid(w.pid, &status, WNOHANG);
         if (got == w.pid || got < 0) {
           w.alive = false;
           break;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        if (waited >= std::chrono::milliseconds(500)) break;
+        std::this_thread::sleep_for(backoff);
+        waited += backoff;
+        backoff = std::min(backoff * 2, std::chrono::microseconds{5000});
       }
       if (w.alive) {
         ::kill(w.pid, SIGKILL);

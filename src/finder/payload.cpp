@@ -387,15 +387,20 @@ PayloadResult synthesize_payload(const jir::Program& program, const graph::Graph
   return synthesize_payload(program, AliasView(cpg), chain);
 }
 
-AutoVerifyResult auto_verify(const jir::Program& program, const AliasView& aliases,
+AutoVerifyResult auto_verify(const jir::Hierarchy& hierarchy, const AliasView& aliases,
                              const GadgetChain& chain, const runtime::VmOptions& vm_options) {
+  const jir::Program& program = hierarchy.program();
   AutoVerifyResult result;
   result.payload = synthesize_payload(program, aliases, chain);
-  jir::Hierarchy hierarchy(program);
   runtime::Interpreter vm(program, hierarchy, vm_options);
   result.execution = vm.deserialize(runtime::instantiate(result.payload.recipe));
   result.effective = result.execution.attack_succeeded(chain.sink_signature());
   return result;
+}
+
+AutoVerifyResult auto_verify(const jir::Program& program, const AliasView& aliases,
+                             const GadgetChain& chain, const runtime::VmOptions& vm_options) {
+  return auto_verify(jir::Hierarchy(program), aliases, chain, vm_options);
 }
 
 AutoVerifyResult auto_verify(const jir::Program& program, const graph::GraphDb& cpg,

@@ -20,6 +20,7 @@
 #include "cpg/schema.hpp"
 #include "finder/finder.hpp"
 #include "graph/frozen.hpp"
+#include "jir/hierarchy.hpp"
 #include "jir/model.hpp"
 #include "runtime/objectgraph.hpp"
 #include "runtime/vm.hpp"
@@ -69,6 +70,11 @@ struct AutoVerifyResult {
 /// chain's sink fired with its Trigger_Condition satisfied. `vm_options`
 /// carries the per-chain step/depth/allocation/wall-clock budgets.
 AutoVerifyResult auto_verify(const jir::Program& program, const AliasView& aliases,
+                             const GadgetChain& chain, const runtime::VmOptions& vm_options = {});
+/// The same over `hierarchy.program()`, replaying against a caller-built
+/// hierarchy, so verifying many chains builds it once rather than per chain.
+/// The hierarchy is only read; concurrent calls may share it.
+AutoVerifyResult auto_verify(const jir::Hierarchy& hierarchy, const AliasView& aliases,
                              const GadgetChain& chain, const runtime::VmOptions& vm_options = {});
 AutoVerifyResult auto_verify(const jir::Program& program, const graph::GraphDb& cpg,
                              const GadgetChain& chain);

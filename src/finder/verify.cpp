@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "jir/hierarchy.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
 #include "util/digest.hpp"
@@ -216,6 +217,12 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
     todo.push_back(i);
   }
 
+  // One class hierarchy for every replay, built only when some chain missed
+  // the cache and before the fork below, so forked verifiers inherit it.
+  // Every shard reads it concurrently; its methods are const.
+  std::optional<jir::Hierarchy> hierarchy;
+  if (!todo.empty()) hierarchy.emplace(program);
+
   // Re-validate one chain under its own VM budgets. Runs on a pool thread
   // (in-process mode) or inside a forked verifier (--verify-workers).
   auto run_one = [&](std::size_t chain_index) -> ChainVerdict {
@@ -231,7 +238,7 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
     vm.max_steps = options.max_steps_per_chain;
     vm.max_call_depth = options.max_call_depth;
     vm.deadline = options.deadline;
-    return classify(auto_verify(program, aliases, chains[chain_index], vm));
+    return classify(auto_verify(*hierarchy, aliases, chains[chain_index], vm));
   };
 
   if (!todo.empty() && options.dist.workers > 0) {

@@ -2,18 +2,25 @@
 // tabby-path-finder plugs into: a pluggable Expander produces the next
 // steps (optionally rewriting a per-branch state — Tabby threads the
 // Trigger_Condition through here), and an Evaluator decides inclusion and
-// pruning (Algorithm 3). The engine is an explicit-stack DFS.
+// pruning (Algorithm 3). The engine is an explicit-stack DFS whose pending
+// branches are fixed-size records {node, edge, depth, state}: their
+// ancestors live once, in the single current Path, which is rewound to a
+// branch's depth when the branch is popped. NODE_PATH uniqueness is an
+// on-path bitmap maintained by the same rewind.
 //
 // Resource governance (docs/ROBUSTNESS.md): the run is bounded three ways —
 // expansions (TraversalLimits::max_expansions), wall clock (::deadline) and
 // frontier bytes (::max_frontier_bytes). The byte bound covers the DFS
-// stack, the store a pathological alias/CALL fan-out actually blows up:
-// when a push would cross the cap, the engine first *spills* nothing (a
-// result is handed to the caller the moment it is found, so completed paths
-// never sit in the frontier) and then *prunes* the lowest-priority branches
-// — shallowest first, in deterministic stack order — until the child fits.
-// Pruning only drops unexplored subtrees, so results found under a byte cap
-// are always a prefix-respecting subset of the unbounded run's results.
+// stack, the store a pathological alias/CALL fan-out actually grows: one
+// record plus its state bytes per pending branch, so depth × fan-out
+// records. The current path is bounded by the evaluator's prune depth and
+// stays uncharged. When a push would cross the cap, the engine first
+// *spills* nothing (a result is handed to the caller the moment it is
+// found, so completed paths never sit in the frontier) and then *prunes*
+// the lowest-priority branches — shallowest first, in deterministic stack
+// order — until the child fits. Pruning only drops unexplored subtrees, so
+// results found under a byte cap are always a prefix-respecting subset of
+// the unbounded run's results.
 #pragma once
 
 #include <cstdint>
@@ -34,26 +41,6 @@ struct Path {
   NodeId start() const { return nodes.front(); }
   NodeId end() const { return nodes.back(); }
   std::size_t length() const { return edges.size(); }  // Neo4j semantics: edge count
-
-  bool contains_node(NodeId id) const {
-    for (NodeId n : nodes) {
-      if (n == id) return true;
-    }
-    return false;
-  }
-
-  Path extended(EdgeId via, NodeId to) const {
-    Path next = *this;
-    next.edges.push_back(via);
-    next.nodes.push_back(to);
-    return next;
-  }
-
-  /// Heap bytes held by this path's two vectors (the per-frame cost the
-  /// frontier byte budget accounts).
-  std::size_t heap_bytes() const {
-    return nodes.capacity() * sizeof(NodeId) + edges.capacity() * sizeof(EdgeId);
-  }
 };
 
 enum class Evaluation : std::uint8_t {
@@ -104,11 +91,13 @@ struct TraversalLimits {
   /// Traverser::deadline_expired() — results found so far are kept.
   util::Deadline deadline;
   std::size_t deadline_stride = 64;
-  /// Byte cap on the DFS frontier (stack frames: path vectors + per-branch
-  /// state). SIZE_MAX = ungoverned. Crossing the cap prunes shallowest
-  /// branches first; see Traverser::frontier_pruned(). The cap must be a
-  /// value derived deterministically (per-shard slice), never a live shared
-  /// counter, so runs are bit-identical at any worker count.
+  /// Byte cap on the DFS frontier: one fixed-size record plus the state's
+  /// heap bytes per pending branch (the shared current path is bounded by
+  /// the search depth and not charged). SIZE_MAX = ungoverned. Crossing the
+  /// cap prunes shallowest branches first; see Traverser::frontier_pruned().
+  /// The cap must be a value derived deterministically (per-shard slice),
+  /// never a live shared counter, so runs are bit-identical at any worker
+  /// count.
   std::size_t max_frontier_bytes = SIZE_MAX;
   /// Optional process-level ledger mirroring the frontier bytes (telemetry
   /// and stage-boundary checkpoints; never consulted for prune decisions).
@@ -129,8 +118,8 @@ class Traverser {
   using EvalFn = std::function<Evaluation(const DB&, const Path&, const State&)>;
   /// Streaming result sink: invoked in DFS discovery order, exactly when
   /// the accumulating run() would have appended. Taking the result by value
-  /// lets the caller keep it in a compact form and lets the engine release
-  /// the path bytes immediately (the "spill" half of the byte governance).
+  /// lets the caller keep it in a compact form (the "spill" half of the byte
+  /// governance: results never accumulate in the engine).
   using ResultFn = std::function<void(TraversalResult<State>)>;
   /// Heap bytes of one per-branch state, for the frontier byte accounting.
   /// Defaults to zero extra (sizeof(State) is already in the frame cost).
@@ -171,16 +160,27 @@ class Traverser {
       return;
     }
 
+    // One pending branch: follow `edge` to `node`, giving a path of `depth`
+    // edges. Its ancestors are not stored: whenever the frame is popped they
+    // are the first `depth` nodes of `path`, since DFS pops it only after the
+    // subtrees of its later-pushed siblings, none of which rewinds past them.
     struct Frame {
-      Path path;
+      NodeId node;
+      EdgeId edge;
+      std::size_t depth;
       State state;
     };
     auto frame_cost = [this](const Frame& f) {
-      std::size_t cost = sizeof(Frame) + f.path.heap_bytes();
+      std::size_t cost = sizeof(Frame);
       if (state_bytes_) cost += state_bytes_(f.state);
       return cost;
     };
+    // Pending branches live in stack[bottom, size()); the pruned prefix below
+    // `bottom` is erased only once it outgrows the live part, so dropping
+    // shallowest-first costs O(1) amortized per branch, not a shift of the
+    // whole stack.
     std::vector<Frame> stack;
+    std::size_t bottom = 0;
     // Releases whatever is still charged on every exit path (early returns
     // on budgets/deadlines leave a live frontier behind).
     struct ChargeGuard {
@@ -191,38 +191,47 @@ class Traverser {
       }
     } guard{this};
 
-    Frame root;
-    root.path.nodes.push_back(start);
-    root.state = std::move(initial);
+    Frame root{start, kNoEdge, 0, std::move(initial)};
     charge(frame_cost(root));
     stack.push_back(std::move(root));
 
-    std::vector<bool> visited_global(db_.node_capacity(), false);
+    // The popped branch's full path, shared by every pending branch below it.
+    Path path;
+    // NodePath: the nodes on `path`, cleared on rewind. NodeGlobal: every
+    // node visited so far, never cleared. None: unused.
+    std::vector<bool> marked(uniqueness_ == Uniqueness::None ? 0 : db_.node_capacity(), false);
 
-    while (!stack.empty()) {
+    while (stack.size() > bottom) {
       Frame frame = std::move(stack.back());
       stack.pop_back();
       release(frame_cost(frame));
 
-      if (uniqueness_ == Uniqueness::NodeGlobal) {
-        NodeId end = frame.path.end();
-        if (frame.path.length() > 0 && visited_global[end]) continue;
-        visited_global[end] = true;
-      }
+      if (uniqueness_ == Uniqueness::NodeGlobal && frame.depth > 0 && marked[frame.node]) continue;
 
-      Evaluation verdict = evaluate_(db_, frame.path, frame.state);
+      // Rewind to the branch's parent, then step onto the branch.
+      while (path.nodes.size() > frame.depth) {
+        if (uniqueness_ == Uniqueness::NodePath) marked[path.nodes.back()] = false;
+        path.nodes.pop_back();
+      }
+      if (frame.depth > 0) {
+        path.edges.resize(frame.depth - 1);
+        path.edges.push_back(frame.edge);
+      }
+      path.nodes.push_back(frame.node);
+      if (uniqueness_ != Uniqueness::None) marked[frame.node] = true;
+
+      Evaluation verdict = evaluate_(db_, path, frame.state);
       if (includes(verdict)) {
+        // The result gets its own copy of the path (the "spill": completed
+        // paths never sit in the frontier); the shared path stays in use.
         bool done = ++results_ >= limits_.max_results;
         if (done || !continues(verdict)) {
-          // Last use of the frame: move it into the emit (the "spill" — the
-          // path's bytes leave the engine the instant the result exists).
-          emit(TraversalResult<State>{std::move(frame.path), std::move(frame.state)});
+          emit(TraversalResult<State>{path, std::move(frame.state)});
           if (done) return;
           continue;
         }
-        // Include-and-continue: expansion below still needs the frame, so
-        // the emit gets a copy.
-        emit(TraversalResult<State>{frame.path, frame.state});
+        // Include-and-continue: expansion below still needs the state.
+        emit(TraversalResult<State>{path, frame.state});
       }
       if (!continues(verdict)) continue;
 
@@ -236,14 +245,11 @@ class Traverser {
         return;
       }
 
-      std::vector<Step<State>> steps = expand_(db_, frame.path, frame.state);
+      std::vector<Step<State>> steps = expand_(db_, path, frame.state);
       // Push in reverse so the first step is explored first (stable DFS).
       for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-        if (uniqueness_ == Uniqueness::NodePath && frame.path.contains_node(it->next)) continue;
-        if (uniqueness_ == Uniqueness::NodeGlobal && visited_global[it->next]) continue;
-        Frame child;
-        child.path = frame.path.extended(it->edge, it->next);
-        child.state = std::move(it->state);
+        if (uniqueness_ != Uniqueness::None && marked[it->next]) continue;
+        Frame child{it->next, it->edge, frame.depth + 1, std::move(it->state)};
         std::size_t cost = frame_cost(child);
         if (frontier_bytes_ + cost > limits_.max_frontier_bytes) {
           // Over the byte cap: prune shallowest-first. The stack front holds
@@ -252,11 +258,18 @@ class Traverser {
           // current (deepest) branch keeps making progress. Deterministic:
           // stack order is a pure function of the traversal so far.
           std::size_t drop = 0, freed = 0;
-          while (drop < stack.size() && frontier_bytes_ - freed + cost > limits_.max_frontier_bytes) {
-            freed += frame_cost(stack[drop++]);
+          while (bottom + drop < stack.size() &&
+                 frontier_bytes_ - freed + cost > limits_.max_frontier_bytes) {
+            Frame& pruned = stack[bottom + drop++];
+            freed += frame_cost(pruned);
+            pruned.state = State{};  // free the state's heap bytes now
           }
           if (drop > 0) {
-            stack.erase(stack.begin(), stack.begin() + static_cast<std::ptrdiff_t>(drop));
+            bottom += drop;
+            if (2 * bottom >= stack.size()) {
+              stack.erase(stack.begin(), stack.begin() + static_cast<std::ptrdiff_t>(bottom));
+              bottom = 0;
+            }
             release(freed);
             frontier_pruned_ += drop;
           }

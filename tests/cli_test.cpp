@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "cli/cli.hpp"
+#include "support/find_output.hpp"
 #include "support/json_lite.hpp"
 
 namespace tabby::cli {
@@ -342,12 +343,7 @@ TEST_F(CliFixture, TracingAndMetricsDoNotPerturbOutputs) {
   CliRun find_traced = run({"find", path("BeanShell1.tjar"), "--trace", path("trace2.json")});
   ASSERT_EQ(find_plain.code, 0);
   ASSERT_EQ(find_traced.code, 0);
-  auto strip_timing = [](const std::string& text) {
-    std::size_t cut = text.find(" s search");
-    std::size_t comma = text.rfind(", ", cut);
-    return text.substr(0, comma) + text.substr(cut + 9);
-  };
-  EXPECT_EQ(strip_timing(find_plain.out), strip_timing(find_traced.out));
+  EXPECT_EQ(testsupport::strip_timing(find_plain.out), testsupport::strip_timing(find_traced.out));
 }
 
 TEST_F(CliFixture, MetricsCountersReportCacheTraffic) {

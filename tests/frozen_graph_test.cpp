@@ -26,6 +26,7 @@
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/pipeline.hpp"
+#include "support/find_output.hpp"
 #include "support/random_graph.hpp"
 #include "util/digest.hpp"
 #include "util/memory_budget.hpp"
@@ -78,6 +79,7 @@ graph::GraphDb kitchen_sink_graph() {
 /// removals force the freeze to renumber node/edge ids densely, the part of
 /// the mapping most worth fuzzing.
 using testsupport::random_graph;
+using testsupport::strip_timing;
 
 /// Asserts every accessor of `fg` agrees with `db`, modulo the documented
 /// dense renumbering (live elements in ascending id order).
@@ -481,11 +483,11 @@ TEST_F(FrozenCacheFixture, CliFindIsByteIdenticalFrozenVsStore) {
   CliRun frozen = run({"find", jar_, "--frozen"});
   CliRun store = run({"find", jar_, "--no-frozen"});
   ASSERT_EQ(frozen.code, store.code);
-  EXPECT_EQ(frozen.out, store.out);
+  EXPECT_EQ(strip_timing(frozen.out), strip_timing(store.out));
   ASSERT_FALSE(frozen.out.empty());
 
   CliRun jobs = run({"find", jar_, "--frozen", "--jobs", "4"});
-  EXPECT_EQ(jobs.out, store.out);
+  EXPECT_EQ(strip_timing(jobs.out), strip_timing(store.out));
 
   CliRun query_frozen =
       run({"query", jar_, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE", "--frozen"});

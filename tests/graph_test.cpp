@@ -3,7 +3,11 @@
 // Expander/Evaluator engine with all uniqueness modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/serialize.hpp"
@@ -317,6 +321,142 @@ TEST(Traversal, StressRandomGraphTerminates) {
   Traverser<int> t(db, forward_expand(), evaluate, Uniqueness::NodePath, limits);
   t.run(0, 0);
   SUCCEED();  // termination is the assertion
+}
+
+// --- Traversal against a recursive reference DFS ----------------------------
+//
+// The engine keeps one shared path that it rewinds per popped branch, plus an
+// on-path bitmap for NODE_PATH. The reference below uses neither: it recurses
+// and checks NODE_PATH by scanning the path.
+
+using Hash = std::uint64_t;
+
+/// Seeded random multigraph with self-loops, parallel edges and cycles.
+GraphDb random_digraph(std::uint64_t seed) {
+  util::Rng rng(seed);
+  GraphDb db;
+  std::size_t n = 4 + rng.next_below(12);
+  for (std::size_t i = 0; i < n; ++i) db.add_node("N");
+  std::size_t m = n * (1 + rng.next_below(3));
+  for (std::size_t i = 0; i < m; ++i) db.add_edge(rng.next_below(n), rng.next_below(n), "E");
+  return db;
+}
+
+Hash path_hash(const Path& path) {
+  Hash h = 1469598103934665603ull;
+  for (NodeId n : path.nodes) h = (h ^ n) * 1099511628211ull;
+  for (EdgeId e : path.edges) h = (h ^ (e + 7)) * 1099511628211ull;
+  return h;
+}
+
+constexpr std::size_t kReferenceDepth = 6;
+
+/// Both callbacks read the whole path, so a wrongly rewound path changes the
+/// steps, the verdicts and the threaded states.
+Traverser<Hash>::ExpandFn hashing_expand() {
+  return [](const GraphDb& db, const Path& path, const Hash& state) {
+    std::vector<Step<Hash>> steps;
+    for (EdgeId e : db.out_edges(path.end())) {
+      if ((path_hash(path) + e) % 7 == 0) continue;
+      steps.push_back(Step<Hash>{e, db.edge(e).to, state * 31 + e + path.length()});
+    }
+    return steps;
+  };
+}
+
+Evaluation hashing_evaluate(const GraphDb&, const Path& path, const Hash& state) {
+  Hash h = path_hash(path) ^ state;
+  if (path.length() >= kReferenceDepth) {
+    return h % 2 == 0 ? Evaluation::IncludeAndPrune : Evaluation::ExcludeAndPrune;
+  }
+  switch (h % 8) {
+    case 0: return Evaluation::IncludeAndPrune;
+    case 1: return Evaluation::IncludeAndContinue;
+    case 2: return Evaluation::ExcludeAndPrune;
+    default: return Evaluation::ExcludeAndContinue;
+  }
+}
+
+struct ReferenceDfs {
+  const GraphDb& db;
+  Uniqueness uniqueness;
+  std::vector<TraversalResult<Hash>> results;
+  std::vector<std::size_t> found_after;  // expansions taken before each result
+  std::size_t expansions = 0;
+  std::vector<bool> visited;
+
+  void visit(Path& path, Hash state) {
+    visited[path.end()] = true;
+    Evaluation verdict = hashing_evaluate(db, path, state);
+    if (includes(verdict)) {
+      results.push_back(TraversalResult<Hash>{path, state});
+      found_after.push_back(expansions);
+    }
+    if (!continues(verdict)) return;
+    ++expansions;
+    for (Step<Hash>& step : hashing_expand()(db, path, state)) {
+      bool on_path = std::find(path.nodes.begin(), path.nodes.end(), step.next) != path.nodes.end();
+      if (uniqueness == Uniqueness::NodePath && on_path) continue;
+      if (uniqueness == Uniqueness::NodeGlobal && visited[step.next]) continue;
+      path.nodes.push_back(step.next);
+      path.edges.push_back(step.edge);
+      visit(path, step.state);
+      path.nodes.pop_back();
+      path.edges.pop_back();
+    }
+  }
+};
+
+void expect_same_results(const std::vector<TraversalResult<Hash>>& got,
+                         const std::vector<TraversalResult<Hash>>& want, std::size_t count,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), count) << label;
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(got[i].path.nodes, want[i].path.nodes) << label << ", result " << i;
+    EXPECT_EQ(got[i].path.edges, want[i].path.edges) << label << ", result " << i;
+    EXPECT_EQ(got[i].state, want[i].state) << label << ", result " << i;
+  }
+}
+
+TEST(Traversal, MatchesRecursiveReferenceOnRandomGraphs) {
+  std::size_t compared = 0, continued = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    GraphDb db = random_digraph(seed);
+    for (Uniqueness uniqueness : {Uniqueness::NodePath, Uniqueness::NodeGlobal, Uniqueness::None}) {
+      std::string label = "seed " + std::to_string(seed) + ", uniqueness " +
+                          std::to_string(static_cast<int>(uniqueness));
+      ReferenceDfs ref{db, uniqueness, {}, {}, 0, std::vector<bool>(db.node_capacity(), false)};
+      Path root;
+      root.nodes.push_back(0);
+      ref.visit(root, seed);
+
+      Traverser<Hash> full(db, hashing_expand(), hashing_evaluate, uniqueness);
+      expect_same_results(full.run(0, seed), ref.results, ref.results.size(), label);
+      EXPECT_EQ(full.expansions(), ref.expansions) << label;
+      compared += ref.results.size();
+      for (const auto& r : ref.results) {
+        if (hashing_evaluate(db, r.path, r.state) == Evaluation::IncludeAndContinue) ++continued;
+      }
+
+      // Limits cut the same run short: a prefix of the reference results.
+      TraversalLimits few_results;
+      few_results.max_results = ref.results.size() / 2 + 1;
+      Traverser<Hash> capped(db, hashing_expand(), hashing_evaluate, uniqueness, few_results);
+      expect_same_results(capped.run(0, seed), ref.results,
+                          std::min(ref.results.size(), few_results.max_results), label + ", max_results");
+
+      TraversalLimits few_expansions;
+      few_expansions.max_expansions = ref.expansions / 2;
+      Traverser<Hash> budgeted(db, hashing_expand(), hashing_evaluate, uniqueness, few_expansions);
+      std::size_t within = static_cast<std::size_t>(
+          std::count_if(ref.found_after.begin(), ref.found_after.end(),
+                        [&](std::size_t n) { return n <= few_expansions.max_expansions; }));
+      expect_same_results(budgeted.run(0, seed), ref.results, within, label + ", max_expansions");
+    }
+  }
+  // The seeds must actually exercise deep results and include-and-continue.
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(continued, 100u);
 }
 
 }  // namespace

@@ -16,11 +16,13 @@
 #include "corpus/components.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/pipeline.hpp"
+#include "support/find_output.hpp"
 
 namespace tabby {
 namespace {
 
 namespace fs = std::filesystem;
+using testsupport::strip_timing;
 
 struct CliRun {
   int code = 0;
@@ -172,7 +174,7 @@ TEST_F(MalformedCorpusFixture, SurvivingChainsAreIdenticalAtAnyJobCount) {
   CliRun parallel = run_cli_capture({"find", clean_path_, flipped, cut, "--jobs", "4"});
   EXPECT_EQ(serial.code, 3);
   EXPECT_EQ(parallel.code, 3);
-  EXPECT_EQ(serial.out, parallel.out);
+  EXPECT_EQ(strip_timing(serial.out), strip_timing(parallel.out));
   EXPECT_EQ(serial.err, parallel.err);
 }
 

@@ -131,6 +131,30 @@ TEST(MemoryGovernance, GovernedSearchIsBitIdenticalAtAnyJobCount) {
   }
 }
 
+TEST(MemoryGovernance, UngovernedFrontierGrowsLinearlyWithDepth) {
+  // A pending branch is a fixed-size record and the ancestors live once, in
+  // the current path, so doubling the chain length at most doubles the
+  // frontier (depth x fan-out records). A path copy per pending branch
+  // would grow it by depth^2 x fan-out path elements, more than 3x here.
+  finder::FinderReport shallow = search(0);
+  finder::FinderReport deep = [] {
+    corpus::FanoutStressSpec spec;
+    spec.hops = 24;
+    spec.aliases = 200;
+    spec.call_fans = 4;
+    cpg::Cpg cpg = cpg::build_cpg(
+        jar::link({corpus::jdk_base_archive(), corpus::fanout_stress_archive(spec)}), {});
+    finder::FinderOptions options;
+    options.max_depth = 28;
+    return finder::GadgetChainFinder(cpg.db, options).find_all();
+  }();
+  EXPECT_EQ(shallow.expansions, 2471u);
+  EXPECT_EQ(deep.expansions, 4931u);
+  ASSERT_GT(shallow.peak_frontier_bytes, 0u);
+  EXPECT_LE(deep.peak_frontier_bytes * 10, shallow.peak_frontier_bytes * 22)
+      << shallow.peak_frontier_bytes << " -> " << deep.peak_frontier_bytes << " bytes";
+}
+
 TEST(MemoryGovernance, ProcessLedgerDrainsToZero) {
   util::MemoryBudget root(512u * 1024 * 1024);
   finder::FinderReport report = search(64 * 1024, nullptr, &root);

@@ -19,10 +19,13 @@
 #include "jar/archive.hpp"
 #include "serve/json.hpp"
 #include "serve/serve.hpp"
+#include "support/find_output.hpp"
 #include "util/failpoint.hpp"
 
 namespace tabby {
 namespace {
+
+using testsupport::strip_timing;
 
 namespace fs = std::filesystem;
 
@@ -39,19 +42,6 @@ CliRun run_cli_capture(std::vector<std::string> args) {
   result.out = out.str();
   result.err = err.str();
   return result;
-}
-
-/// Drops the wall-clock header line ("N gadget chain(s), T s search") —
-/// the only non-deterministic bytes in `tabby find` output.
-std::string strip_timing(const std::string& text) {
-  std::istringstream lines(text);
-  std::string line, kept;
-  while (std::getline(lines, line)) {
-    if (line.find(" s search") != std::string::npos) continue;
-    kept += line;
-    kept += '\n';
-  }
-  return kept;
 }
 
 class ServeFixture : public ::testing::Test {

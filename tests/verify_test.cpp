@@ -32,12 +32,15 @@
 #include "jar/archive.hpp"
 #include "serve/json.hpp"
 #include "serve/serve.hpp"
+#include "support/find_output.hpp"
 #include "util/deadline.hpp"
 #include "util/failpoint.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tabby {
 namespace {
+
+using testsupport::strip_timing;
 
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
@@ -361,19 +364,6 @@ CliRun run_cli_capture(std::vector<std::string> args) {
   result.out = out.str();
   result.err = err.str();
   return result;
-}
-
-/// Drops the wall-clock header line — the only non-deterministic bytes in
-/// `tabby find` output.
-std::string strip_timing(const std::string& text) {
-  std::istringstream lines(text);
-  std::string line, kept;
-  while (std::getline(lines, line)) {
-    if (line.find(" s search") != std::string::npos) continue;
-    kept += line;
-    kept += '\n';
-  }
-  return kept;
 }
 
 class VerifyCliFixture : public VerifyFixture {
