@@ -7,6 +7,7 @@
 //   - Trigger_Condition checking: rejecting uncontrollable sink arguments,
 //   - bidirectional ALIAS traversal: the permissive published-plugin mode.
 #include <cstdio>
+#include <cstdlib>
 
 #include "corpus/components.hpp"
 #include "cpg/builder.hpp"
@@ -82,9 +83,10 @@ int main() {
                        "exhausted", "time(s)"});
     for (const Variant& variant : variants()) {
       util::Stopwatch watch;
-      cpg::Cpg cpg = cpg::build_cpg(program, variant.cpg);
-      finder::GadgetChainFinder finder(cpg.db, variant.finder);
-      finder::FinderReport report = finder.find_all();
+      auto cpg = graph::FrozenGraph::freeze(cpg::build_cpg(program, variant.cpg).db);
+      if (!cpg.ok()) std::abort();
+      finder::FinderReport report =
+          finder::GadgetChainFinder(cpg.value(), variant.finder).find_all();
       double seconds = watch.elapsed_seconds();
       evalkit::Classification c = evalkit::classify(report.chains, component.truths);
       table.add_row({variant.name, std::to_string(c.result), std::to_string(c.fake),

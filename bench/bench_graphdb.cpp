@@ -4,6 +4,8 @@
 // Table X search times.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "corpus/components.hpp"
 #include "corpus/noise.hpp"
 #include "cpg/builder.hpp"
@@ -17,7 +19,7 @@ using namespace tabby;
 
 namespace {
 
-graph::GraphDb random_graph(std::size_t nodes, std::size_t edges, bool with_index) {
+graph::GraphDb random_graph(std::size_t nodes, std::size_t edges) {
   graph::GraphDb db;
   util::Rng rng(99);
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -28,8 +30,14 @@ graph::GraphDb random_graph(std::size_t nodes, std::size_t edges, bool with_inde
   for (std::size_t i = 0; i < edges; ++i) {
     db.add_edge(rng.next_below(nodes), rng.next_below(nodes), "CALL");
   }
-  if (with_index) db.create_index("Method", "NAME");
   return db;
+}
+
+/// Freezes a benchmark graph; a failure aborts the run.
+graph::FrozenGraph freeze(const graph::GraphDb& db) {
+  auto frozen = graph::FrozenGraph::freeze(db);
+  if (!frozen.ok()) std::abort();
+  return std::move(frozen.value());
 }
 
 void BM_NodeInsert(benchmark::State& state) {
@@ -60,17 +68,8 @@ void BM_EdgeInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeInsert)->Arg(10000);
 
-void BM_IndexedLookup(benchmark::State& state) {
-  graph::GraphDb db = random_graph(20000, 0, true);
-  for (auto _ : state) {
-    auto hits = db.find_nodes("Method", "NAME", graph::Value{std::string("m17")});
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_IndexedLookup);
-
 void BM_LabelScanLookup(benchmark::State& state) {
-  graph::GraphDb db = random_graph(20000, 0, false);
+  graph::GraphDb db = random_graph(20000, 0);
   for (auto _ : state) {
     auto hits = db.find_nodes("Method", "NAME", graph::Value{std::string("m17")});
     benchmark::DoNotOptimize(hits);
@@ -79,7 +78,7 @@ void BM_LabelScanLookup(benchmark::State& state) {
 BENCHMARK(BM_LabelScanLookup);
 
 void BM_TraversalDepth4(benchmark::State& state) {
-  graph::GraphDb db = random_graph(2000, 8000, false);
+  graph::GraphDb db = random_graph(2000, 8000);
   auto expand = [](const graph::GraphDb& g, const graph::Path& path, const int& s) {
     std::vector<graph::Step<int>> steps;
     for (graph::EdgeId e : g.out_edges(path.end())) {
@@ -102,7 +101,7 @@ void BM_TraversalDepth4(benchmark::State& state) {
 BENCHMARK(BM_TraversalDepth4);
 
 void BM_SerializeRoundTrip(benchmark::State& state) {
-  graph::GraphDb db = random_graph(5000, 20000, false);
+  graph::GraphDb db = random_graph(5000, 20000);
   for (auto _ : state) {
     auto bytes = graph::serialize(db);
     auto loaded = graph::deserialize(bytes);
@@ -113,10 +112,10 @@ BENCHMARK(BM_SerializeRoundTrip);
 
 void BM_CypherVarLengthQuery(benchmark::State& state) {
   corpus::Component component = corpus::build_component("commons-collections(3.2.1)");
-  cpg::Cpg cpg = cpg::build_cpg(component.link());
+  graph::FrozenGraph cpg = freeze(cpg::build_cpg(component.link()).db);
   for (auto _ : state) {
     auto result = cypher::run_query(
-        cpg.db,
+        cpg,
         "MATCH (m:Method {IS_SOURCE: true})-[:CALL*1..6]->(s:Method {IS_SINK: true}) "
         "RETURN m.SIGNATURE LIMIT 50");
     benchmark::DoNotOptimize(result.ok());
@@ -138,23 +137,20 @@ BENCHMARK(BM_CpgBuild)->Arg(100)->Arg(500);
 
 void BM_GadgetChainSearch(benchmark::State& state) {
   corpus::Component component = corpus::build_component("commons-collections(3.2.1)");
-  cpg::Cpg cpg = cpg::build_cpg(component.link());
+  graph::FrozenGraph cpg = freeze(cpg::build_cpg(component.link()).db);
   for (auto _ : state) {
-    finder::GadgetChainFinder finder(cpg.db);
+    finder::GadgetChainFinder finder(cpg);
     finder::FinderReport report = finder.find_all();
     benchmark::DoNotOptimize(report.chains.size());
   }
 }
 BENCHMARK(BM_GadgetChainSearch);
 
-// --- Frozen CSR vs mutable store (docs/GRAPH.md) ---------------------------
+// --- Frozen CSR (docs/GRAPH.md) ----------------------------------------------
 //
 // The finder's hot loop is "typed in-edges of the frontier node plus a
-// property read per step" — hash-map property lookups and a string compare
-// per edge on the store, contiguous typed segments and columnar reads on the
-// frozen snapshot. These pairs measure the identical access pattern over
-// both representations. Acceptance bars: the frozen typed traversal sustains
-// >= 1.5x the store's items/s, and attaching a frozen frame (the warm-start
+// property read per step" — contiguous typed segments and columnar reads on
+// the frozen graph. Acceptance bar: attaching a frozen frame (the warm-start
 // path) costs a small fraction of graph::deserialize.
 
 /// A CALL/ALIAS-typed graph with the finder's property shape: PP int-lists
@@ -177,34 +173,8 @@ graph::GraphDb finder_shaped_graph(std::size_t nodes, std::size_t edges) {
   return db;
 }
 
-void BM_TypedTraversalStore(benchmark::State& state) {
-  graph::GraphDb db = finder_shaped_graph(4000, 32000);
-  std::size_t visited = 0;
-  for (auto _ : state) {
-    std::int64_t acc = 0;
-    visited = 0;
-    for (graph::NodeId n = 0; n < db.node_capacity(); ++n) {
-      for (graph::EdgeId e : db.in_edges(n)) {
-        const graph::Edge& edge = db.edge(e);
-        if (edge.type != "CALL") continue;
-        const graph::Value* pp = edge.prop("POLLUTED_POSITION");
-        if (const auto* list = pp ? std::get_if<std::vector<std::int64_t>>(pp) : nullptr) {
-          acc += list->front();
-        }
-        acc += db.node(edge.from).prop_bool("IS_SOURCE") ? 1 : 0;
-        ++visited;
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(visited));
-}
-BENCHMARK(BM_TypedTraversalStore);
-
 void BM_TypedTraversalFrozen(benchmark::State& state) {
-  graph::GraphDb db = finder_shaped_graph(4000, 32000);
-  auto frozen_result = graph::FrozenGraph::freeze(db);
-  graph::FrozenGraph fg = std::move(frozen_result.value());
+  graph::FrozenGraph fg = freeze(finder_shaped_graph(4000, 32000));
   auto call = fg.edge_type_id("CALL");
   const graph::FrozenColumn* pp = fg.edge_column("POLLUTED_POSITION");
   const graph::FrozenColumn* source = fg.node_column("IS_SOURCE");
@@ -230,9 +200,7 @@ BENCHMARK(BM_TypedTraversalFrozen);
 void BM_FrozenTraversalDepth4(benchmark::State& state) {
   // The exact BM_TraversalDepth4 workload over the frozen CSR (random_graph
   // is single-typed, so untyped CSR order matches insertion order).
-  graph::GraphDb db = random_graph(2000, 8000, false);
-  auto frozen_result = graph::FrozenGraph::freeze(db);
-  graph::FrozenGraph fg = std::move(frozen_result.value());
+  graph::FrozenGraph fg = freeze(random_graph(2000, 8000));
   auto expand = [](const graph::FrozenGraph& g, const graph::Path& path, const int& s) {
     std::vector<graph::Step<int>> steps;
     graph::AdjacencyView view = g.out_edges_view(path.end());
@@ -280,9 +248,7 @@ void BM_FrozenAttach(benchmark::State& state) {
   // Warm-start cost, frozen path: full structural validation + zero-copy
   // span setup over an existing frame (what load_frozen's mmap pays, minus
   // the page faults).
-  graph::GraphDb db = finder_shaped_graph(4000, 32000);
-  auto frozen_result = graph::FrozenGraph::freeze(db);
-  graph::FrozenGraph fg = std::move(frozen_result.value());
+  graph::FrozenGraph fg = freeze(finder_shaped_graph(4000, 32000));
   std::vector<std::byte> frame(fg.frame().begin(), fg.frame().end());
   for (auto _ : state) {
     auto attached = graph::FrozenGraph::from_bytes(frame);
@@ -324,7 +290,7 @@ graph::GraphDb planner_adversarial_graph() {
   return db;
 }
 
-void bench_query(benchmark::State& state, const graph::GraphDb& db, const char* query,
+void bench_query(benchmark::State& state, const graph::FrozenGraph& db, const char* query,
                  bool use_planner) {
   cypher::QueryOptions options;
   options.use_planner = use_planner;
@@ -341,53 +307,34 @@ constexpr const char* kSelectiveEndQuery =
     "MATCH (a:Method)-[:CALL]->(b:Method) WHERE b.ID = 17 RETURN a.ID";
 
 void BM_QueryUnboundStartNaive(benchmark::State& state) {
-  graph::GraphDb db = planner_adversarial_graph();
-  bench_query(state, db, kUnboundStartQuery, false);
+  bench_query(state, freeze(planner_adversarial_graph()), kUnboundStartQuery, false);
 }
 BENCHMARK(BM_QueryUnboundStartNaive);
 
 void BM_QueryUnboundStartPlanned(benchmark::State& state) {
-  graph::GraphDb db = planner_adversarial_graph();
-  bench_query(state, db, kUnboundStartQuery, true);
+  bench_query(state, freeze(planner_adversarial_graph()), kUnboundStartQuery, true);
 }
 BENCHMARK(BM_QueryUnboundStartPlanned);
 
 void BM_QueryLongPathNaive(benchmark::State& state) {
-  graph::GraphDb db = planner_adversarial_graph();
-  bench_query(state, db, kLongPathQuery, false);
+  bench_query(state, freeze(planner_adversarial_graph()), kLongPathQuery, false);
 }
 BENCHMARK(BM_QueryLongPathNaive);
 
 void BM_QueryLongPathPlanned(benchmark::State& state) {
-  graph::GraphDb db = planner_adversarial_graph();
-  bench_query(state, db, kLongPathQuery, true);
+  bench_query(state, freeze(planner_adversarial_graph()), kLongPathQuery, true);
 }
 BENCHMARK(BM_QueryLongPathPlanned);
 
 void BM_QuerySelectiveEndNaive(benchmark::State& state) {
-  graph::GraphDb db = planner_adversarial_graph();
-  bench_query(state, db, kSelectiveEndQuery, false);
+  bench_query(state, freeze(planner_adversarial_graph()), kSelectiveEndQuery, false);
 }
 BENCHMARK(BM_QuerySelectiveEndNaive);
 
 void BM_QuerySelectiveEndPlanned(benchmark::State& state) {
-  graph::GraphDb db = planner_adversarial_graph();
-  bench_query(state, db, kSelectiveEndQuery, true);
+  bench_query(state, freeze(planner_adversarial_graph()), kSelectiveEndQuery, true);
 }
 BENCHMARK(BM_QuerySelectiveEndPlanned);
-
-void BM_FrozenGadgetChainSearch(benchmark::State& state) {
-  corpus::Component component = corpus::build_component("commons-collections(3.2.1)");
-  cpg::Cpg cpg = cpg::build_cpg(component.link());
-  auto frozen_result = graph::FrozenGraph::freeze(cpg.db);
-  graph::FrozenGraph fg = std::move(frozen_result.value());
-  for (auto _ : state) {
-    finder::GadgetChainFinder finder(fg);
-    finder::FinderReport report = finder.find_all();
-    benchmark::DoNotOptimize(report.chains.size());
-  }
-}
-BENCHMARK(BM_FrozenGadgetChainSearch);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 // development-environment scenes, and dumps the Spring JNDI chains of
 // Table XI found by the traversal.
 #include <cstdio>
+#include <cstdlib>
 
 #include "corpus/scenes.hpp"
 #include "cpg/builder.hpp"
@@ -38,9 +39,10 @@ int main() {
   // --- Table XI: the Spring JNDI chains ------------------------------------
   std::printf("Table XI — JNDI gadget chains found in the Spring scene\n\n");
   corpus::Scene spring = corpus::build_scene("Spring");
-  cpg::Cpg cpg = cpg::build_cpg(spring.link());
-  finder::GadgetChainFinder finder(cpg.db);
-  for (const finder::GadgetChain& chain : finder.find_all().chains) {
+  auto cpg = graph::FrozenGraph::freeze(cpg::build_cpg(spring.link()).db);
+  if (!cpg.ok()) std::abort();
+  finder::FinderReport report = finder::GadgetChainFinder(cpg.value()).find_all();
+  for (const finder::GadgetChain& chain : report.chains) {
     if (chain.sink_signature() != "javax.naming.Context#lookup/1") continue;
     bool springframework = false;
     for (const std::string& sig : chain.signatures) {

@@ -164,12 +164,11 @@ int main() {
     }
     std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
     auto snapshot = cache.load_snapshot(key);
-    cpg::create_standard_indexes(snapshot->db);
     return snapshot->stats;
   };
   // The frozen warm start: mmap the CSR frame, verify the snapshot header +
-  // embedded store checksum, and skip the node/edge decode and the index
-  // rebuild entirely (the frame ships sorted typed segments ready to query).
+  // embedded store checksum, and skip the node/edge decode entirely (the
+  // frame ships sorted typed segments ready to query).
   volatile std::size_t frozen_nodes = 0;  // keep the mmap'd graph observable
   auto run_warm_frozen = [&](cache::AnalysisCache& cache) {
     std::vector<std::uint64_t> digests{jdk_digest};
@@ -222,7 +221,7 @@ int main() {
                        "decode + link + analysis + CPG + snapshot publish"});
   cache_table.add_row({"warm", util::format_double(warm_median, 4),
                        util::format_double(cache_speedup, 2) + "x",
-                       "digest + snapshot load + index rebuild"});
+                       "digest + snapshot load + graph decode"});
   cache_table.add_row({"warm+frozen", util::format_double(frozen_median, 4),
                        util::format_double(frozen_speedup, 2) + "x",
                        "digest + frame mmap + store verify (no graph decode)"});
@@ -249,11 +248,8 @@ int main() {
     for (const fs::path& file : jar_files) classpath.push_back(file.string());
 
     auto one_shot_request = [&] {
-      pipeline::Options options;
-      options.use_frozen = true;
-      auto outcome = pipeline::run(classpath, options);
-      graph::FrozenGraph& frame = outcome.value().frozen.value();
-      return finder::GadgetChainFinder(frame).find_all().chains.size();
+      auto outcome = pipeline::run(classpath, pipeline::Options{});
+      return finder::GadgetChainFinder(outcome.value().frozen).find_all().chains.size();
     };
 
     pipeline::Engine engine;

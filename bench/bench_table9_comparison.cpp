@@ -6,6 +6,7 @@
 // run that exhausted its budget (the paper's non-terminating cells).
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 
 #include "corpus/components.hpp"
 #include "cpg/builder.hpp"
@@ -101,10 +102,11 @@ int main() {
     fakes_ok += outcome.fakes_refuted;
 
     // Verification throughput over the reported (not ground-truth) chains.
-    cpg::Cpg cpg = cpg::build_cpg(program, {});
+    auto cpg = graph::FrozenGraph::freeze(cpg::build_cpg(program, {}).db);
+    if (!cpg.ok()) std::abort();
     std::vector<finder::GadgetChain> chains =
-        finder::GadgetChainFinder(cpg.db, {}).find_all().chains;
-    finder::AliasView aliases(cpg.db);
+        finder::GadgetChainFinder(cpg.value(), {}).find_all().chains;
+    finder::AliasView aliases(cpg.value());
     auto start = std::chrono::steady_clock::now();
     finder::VerifyReport verified =
         finder::verify_chains(program, aliases, chains, finder::VerifyOptions{});

@@ -39,7 +39,12 @@ int main(int argc, char** argv) {
   // supported embedding surface; pipeline::run remains as the one-shot
   // compatibility wrapper).
   pipeline::Engine engine;
-  pipeline::AnalysisPtr analysis = engine.open(program);
+  auto opened = engine.open(program);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "error: %s\n", opened.error().to_string().c_str());
+    return 1;
+  }
+  const pipeline::AnalysisPtr& analysis = opened.value();
   const cpg::CpgStats& stats = analysis->outcome().stats;
   std::printf("CPG: %zu classes, %zu methods, %zu edges, %zu sinks, %zu call sites pruned\n\n",
               stats.class_nodes, stats.method_nodes, stats.relationship_edges,

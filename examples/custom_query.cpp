@@ -19,7 +19,12 @@ int main(int argc, char** argv) {
   // processes; here the session lives inside one.)
   pipeline::Engine engine;
   pipeline::ExecContext ctx;
-  pipeline::AnalysisPtr analysis = engine.open(program, ctx);
+  auto opened = engine.open(program, ctx);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "error: %s\n", opened.error().to_string().c_str());
+    return 1;
+  }
+  const pipeline::AnalysisPtr& analysis = opened.value();
   const cpg::CpgStats& stats = analysis->outcome().stats;
   std::printf("CPG for %s: %zu classes, %zu methods, %zu edges\n\n", component.name.c_str(),
               stats.class_nodes, stats.method_nodes, stats.relationship_edges);

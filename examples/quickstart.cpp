@@ -71,7 +71,12 @@ int main() {
   // keeps resident. One Engine per process, one Analysis per program.
   pipeline::Engine engine;
   pipeline::ExecContext ctx;
-  pipeline::AnalysisPtr analysis = engine.open(core_program, ctx);
+  auto opened = engine.open(core_program, ctx);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "error: %s\n", opened.error().to_string().c_str());
+    return 1;
+  }
+  const pipeline::AnalysisPtr& analysis = opened.value();
   const pipeline::Outcome& outcome = analysis->outcome();
   std::printf("CPG: %zu class nodes, %zu method nodes, %zu edges (%zu CALL, %zu ALIAS)\n",
               outcome.stats.class_nodes, outcome.stats.method_nodes,
@@ -82,7 +87,7 @@ int main() {
               outcome.stats.pruned_call_sites);
 
   // Find gadget chains (§III-D): Analysis::find carries the whole finder
-  // orchestration (depth, deadlines, frozen/store dispatch) in one call.
+  // orchestration (depth, deadlines, frontier budget) in one call.
   pipeline::FindResult found = analysis->find(ctx);
   std::printf("Found %zu gadget chain(s):\n\n", found.report.chains.size());
   for (const finder::GadgetChain& chain : found.report.chains) {

@@ -10,6 +10,7 @@
 #include "cpg/builder.hpp"
 #include "cpg/schema.hpp"
 #include "finder/finder.hpp"
+#include "graph/frozen.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "jir/builder.hpp"
@@ -65,18 +66,31 @@ int main(int argc, char** argv) {
   std::printf("URLDNS CPG: %zu classes, %zu methods, %zu edges\n", cpg.stats.class_nodes,
               cpg.stats.method_nodes, cpg.stats.relationship_edges);
 
+  // Persist the CPG the way Tabby keeps its Neo4j store around for re-query.
+  const char* path = argc > 1 ? argv[1] : "/tmp/urldns.tgdb";
+  bool saved = graph::save(cpg.db, path).ok();
+
+  // Every read goes through the frozen CSR copy of the graph.
+  auto frozen = graph::FrozenGraph::freeze(cpg.db);
+  if (!frozen.ok()) {
+    std::fprintf(stderr, "graph freeze failed: %s\n", frozen.error().message.c_str());
+    return 1;
+  }
+  const graph::FrozenGraph& frame = frozen.value();
+
   // Show the ALIAS neighbourhood of Object.hashCode (Figure 4's key edge).
-  auto hits = cpg.db.find_nodes(std::string(cpg::kMethodLabel), std::string(cpg::kPropSignature),
-                                graph::Value{std::string("java.lang.Object#hashCode/0")});
-  if (!hits.empty()) {
+  auto hits = frame.find_nodes(cpg::kMethodLabel, cpg::kPropSignature,
+                               graph::Value{std::string("java.lang.Object#hashCode/0")});
+  auto alias = frame.edge_type_id(cpg::kAliasEdge);
+  if (!hits.empty() && alias.has_value()) {
     std::printf("\noverrides linked to java.lang.Object#hashCode/0 by ALIAS edges:\n");
-    for (graph::EdgeId eid : cpg.db.in_edges_typed(hits[0], cpg::kAliasEdge)) {
-      const graph::Node& n = cpg.db.node(cpg.db.edge(eid).from);
-      std::printf("  %s\n", n.prop_string(std::string(cpg::kPropSignature)).c_str());
+    graph::AdjacencyView overrides = frame.in_edges_typed_view(hits[0], *alias);
+    for (std::uint32_t node : overrides.nbr) {
+      std::printf("  %s\n", std::string(frame.node_prop_string(node, cpg::kPropSignature)).c_str());
     }
   }
 
-  finder::GadgetChainFinder finder(cpg.db);
+  finder::GadgetChainFinder finder(frame);
   finder::FinderReport report = finder.find_all();
   std::printf("\n%zu gadget chain(s) found in %.3f s:\n\n", report.chains.size(),
               report.search_seconds);
@@ -84,11 +98,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", chain.to_string().c_str());
   }
 
-  // Persist the CPG the way Tabby keeps its Neo4j store around for re-query.
-  const char* path = argc > 1 ? argv[1] : "/tmp/urldns.tgdb";
-  if (graph::save(cpg.db, path).ok()) {
-    std::printf("graph store written to %s (reload with graph::load)\n\n", path);
-  }
+  if (saved) std::printf("graph store written to %s (reload with graph::load)\n\n", path);
 
   // VM verification: HashMap{key = URL{host, handler}}.
   runtime::ObjectGraphSpec spec;

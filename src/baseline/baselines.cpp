@@ -1,6 +1,7 @@
 #include "baseline/baselines.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "analysis/domain.hpp"
@@ -122,8 +123,9 @@ BaselineReport run_serianalyzer(const jir::Program& program, const SerianalyzerO
   finder_options.max_results_per_sink = options.max_results;
   finder_options.max_expansions = options.max_expansions;
 
-  finder::GadgetChainFinder finder(cpg.db, finder_options);
-  finder::FinderReport raw = finder.find_all();
+  auto frozen = graph::FrozenGraph::freeze(cpg.db);
+  if (!frozen.ok()) throw std::runtime_error("graph freeze failed: " + frozen.error().message);
+  finder::FinderReport raw = finder::GadgetChainFinder(frozen.value(), finder_options).find_all();
   // Non-termination model: either the expansion budget drained, or the raw
   // chain count saturated the per-sink result cap (the tool "would have"
   // kept emitting paths far past any acceptable runtime).

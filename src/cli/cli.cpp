@@ -62,7 +62,6 @@ struct Args {
   int verify_workers = 0;  // verify post-pass worker processes (0 = in-process shards)
   int max_resident = 0;  // `serve`: LRU entry cap for resident analyses (0 = bytes only)
   bool verify = false;
-  bool frozen = true;  // find/query: use the frozen CSR snapshot (docs/GRAPH.md)
   bool with_jdk = true;
   bool metrics = false;
   bool strict = false;  // promote degradation to failure (FailurePolicy::kStrict)
@@ -110,11 +109,6 @@ constexpr FlagSpec kFlags[] = {
      .min = 0},
     {.name = "--max-resident", .kind = FlagSpec::Kind::Count, .count = &Args::max_resident, .min = 1},
     {.name = "--verify", .kind = FlagSpec::Kind::Switch, .toggle = &Args::verify},
-    {.name = "--frozen", .kind = FlagSpec::Kind::Switch, .toggle = &Args::frozen},
-    {.name = "--no-frozen",
-     .kind = FlagSpec::Kind::Switch,
-     .toggle = &Args::frozen,
-     .switch_value = false},
     {.name = "--no-jdk",
      .kind = FlagSpec::Kind::Switch,
      .toggle = &Args::with_jdk,
@@ -244,7 +238,7 @@ int usage(std::ostream& err) {
          "  tabby gen <component-or-scene> --out DIR\n"
          "  tabby analyze JAR... [--store FILE] [--cache DIR] [--no-jdk] [--jobs N]\n"
          "  tabby find JAR... [--depth N] [--verify] [--verify-workers N] [--cache DIR]\n"
-         "                    [--no-frozen] [--jobs N] [--workers N]\n"
+         "                    [--jobs N] [--workers N]\n"
          "  tabby query JAR... \"MATCH ... RETURN ...\" [--cache DIR] [--no-jdk] [--jobs N]\n"
          "  tabby query --store FILE \"MATCH ... RETURN ...\" [--explain] [--no-plan]\n"
          "  tabby cache DIR [--prune]\n"
@@ -277,17 +271,12 @@ int usage(std::ostream& err) {
          "                instead of killing the run. Verdicts are\n"
          "                byte-identical at any N.\n"
          "  --cache DIR   incremental analysis cache: per-archive fragments plus\n"
-         "                whole-classpath CPG snapshots, keyed by content digests.\n"
-         "                A warm run on an unchanged classpath skips recomputation\n"
-         "                and produces identical output.\n"
-         "  --frozen / --no-frozen\n"
-         "                find/query: run the search over the frozen CSR graph\n"
-         "                snapshot (default on; see docs/GRAPH.md). With --cache\n"
-         "                the frame is persisted next to the snapshot and warm\n"
-         "                runs mmap it zero-copy, skipping the graph decode.\n"
-         "                Output is byte-identical either way (including under\n"
-         "                --verify); a corrupt cached frame falls back to the\n"
-         "                graph store.\n"
+         "                whole-classpath CPG snapshots and their frozen CSR\n"
+         "                graphs (docs/GRAPH.md), keyed by content digests. A\n"
+         "                warm run on an unchanged classpath maps the frozen\n"
+         "                graph zero-copy, skips recomputation and produces\n"
+         "                identical output; a corrupt cached graph is rebuilt\n"
+         "                from the snapshot.\n"
          "  --trace FILE  write a Chrome trace-event JSON of the run (open in\n"
          "                chrome://tracing or https://ui.perfetto.dev; one track\n"
          "                per worker thread). Does not change any output.\n"
@@ -356,7 +345,6 @@ pipeline::EngineOptions engine_options(const Args& args) {
   options.memory_budget_bytes = static_cast<std::size_t>(args.budgets.mem.value_or(0));
   options.max_resident = static_cast<std::size_t>(args.max_resident);
   options.with_jdk = args.with_jdk;
-  options.use_frozen = args.frozen;
   return options;
 }
 
@@ -467,7 +455,6 @@ int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
   pipeline::Engine engine(engine_options(args));
   pipeline::OpenOptions oopts;
   oopts.need_graph_bytes = !args.store.empty();
-  oopts.use_frozen = false;  // analyze reports stats / store bytes; no CSR freeze
   auto result =
       engine.open({args.positional.begin() + 1, args.positional.end()}, exec_context(args), oopts);
   if (!result.ok()) {
@@ -502,9 +489,6 @@ int cmd_find(const Args& args, std::ostream& out, std::ostream& err) {
   pipeline::ExecContext ctx = exec_context(args);
   pipeline::OpenOptions oopts;
   oopts.need_program = args.verify;
-  // The verify post-pass reads alias adjacency through finder::AliasView, so
-  // --verify composes with either representation — no store pin needed.
-  oopts.use_frozen = args.frozen;
   auto result = engine.open({args.positional.begin() + 1, args.positional.end()}, ctx, oopts);
   if (!result.ok()) {
     err << "error: " << result.error().to_string() << "\n";
@@ -515,8 +499,8 @@ int cmd_find(const Args& args, std::ostream& out, std::ostream& err) {
   report_outcome(outcome, out, err);
 
   // One call is the whole finder orchestration the CLI used to hand-roll:
-  // depth, deadline folding, frontier pool, frozen/store dispatch, and a
-  // DegradationReport that already merges the finder's partial view.
+  // depth, deadline folding, frontier pool, and a DegradationReport that
+  // already merges the finder's partial view.
   pipeline::FindResult found = analysis.find(ctx);
   const finder::FinderReport& report = found.report;
 
@@ -592,25 +576,33 @@ int cmd_query(const Args& args, std::ostream& out, std::ostream& err) {
   std::string query_text = args.positional.back();
   if (!args.store.empty()) {
     // Direct store mode never runs the pipeline: load the serialized graph,
-    // query it, done. (The engine is for classpath-keyed analyses.)
-    auto loaded = graph::load(args.store);
-    if (!loaded.ok()) {
-      err << "error: " << loaded.error().to_string() << "\n";
+    // freeze it, query the frame, done. (The engine is for classpath-keyed
+    // analyses.) The frame's stats section is the store's cardinality, so
+    // the plan is the one the pipeline's frame would get.
+    std::unique_ptr<util::MemoryBudget> budget = make_budget(args);
+    util::Result<graph::FrozenGraph> frozen = [&]() -> util::Result<graph::FrozenGraph> {
+      auto loaded = graph::load(args.store);
+      if (!loaded.ok()) return loaded.error();
+      auto frame = graph::FrozenGraph::freeze(loaded.value(), 0, budget.get());
+      if (!frame.ok()) return util::Error{"graph freeze failed: " + frame.error().message};
+      return frame;
+    }();
+    if (!frozen.ok()) {
+      err << "error: " << frozen.error().to_string() << "\n";
       return 1;
     }
     std::unique_ptr<util::ThreadPool> pool = pipeline::make_pool(args.jobs);
-    std::unique_ptr<util::MemoryBudget> budget = make_budget(args);
     cypher::QueryOptions qopts;
     qopts.use_planner = args.plan;
     qopts.executor = pool.get();
     qopts.memory = budget.get();
-    auto query_result = cypher::run_query(loaded.value(), query_text, qopts);
+    auto query_result = cypher::run_query(frozen.value(), query_text, qopts);
     if (!query_result.ok()) {
       err << "query error: " << query_result.error().to_string() << "\n";
       return 1;
     }
     if (args.explain) out << query_result.value().plan;
-    out << query_result.value().to_string(loaded.value()) << "("
+    out << query_result.value().to_string(frozen.value()) << "("
         << query_result.value().rows.size() << " row(s))\n";
     return 0;
   }
@@ -620,18 +612,14 @@ int cmd_query(const Args& args, std::ostream& out, std::ostream& err) {
   }
   pipeline::Engine engine(engine_options(args));
   pipeline::ExecContext ctx = exec_context(args);
-  pipeline::OpenOptions oopts;
-  oopts.use_frozen = args.frozen;
-  auto result = engine.open({args.positional.begin() + 1, args.positional.end() - 1}, ctx, oopts);
+  auto result = engine.open({args.positional.begin() + 1, args.positional.end() - 1}, ctx);
   if (!result.ok()) {
     err << "error: " << result.error().to_string() << "\n";
     return 1;
   }
   const pipeline::Analysis& analysis = *result.value();
   report_outcome(analysis.outcome(), out, err);
-  // Queries print byte-identically over either representation (and with or
-  // without the planner); the frozen path just reads sorted CSR segments
-  // instead of adjacency vectors.
+  // Queries print byte-identically with or without the planner.
   auto query_result = analysis.query(query_text, ctx);
   if (!query_result.ok()) {
     err << "query error: " << query_result.error().to_string() << "\n";
@@ -659,8 +647,8 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// The request fields shared by every client op: phase budgets, policy and
-/// representation, translated from the same flags the one-shot commands use.
+/// The request fields shared by every client op: phase budgets and policy,
+/// translated from the same flags the one-shot commands use.
 serve::Json client_request_base(const Args& args) {
   serve::Json request = serve::Json::object();
   if (args.budgets.run.has_value()) {
@@ -675,7 +663,6 @@ serve::Json client_request_base(const Args& args) {
   std::uint64_t pool = args.budgets.finder_mem.value_or(args.budgets.mem.value_or(0));
   if (pool != 0) request.set("frontier_pool", pool);
   if (args.strict) request.set("strict", true);
-  if (!args.frozen) request.set("use_frozen", false);
   if (args.workers > 0) request.set("workers", static_cast<std::int64_t>(args.workers));
   if (args.verify) request.set("verify", true);
   if (args.verify_workers > 0) {

@@ -34,14 +34,12 @@ struct CpgOptions {
   /// "incomplete handling of Java polymorphism" the paper attributes to
   /// GadgetInspector (§IV-F). Used by the baseline tools.
   bool alias_superclass_only = false;
-  /// Create the (label, property) indexes the finder and Cypher layer use.
-  bool create_indexes = true;
   /// Jar/archive name recorded on class nodes (provenance).
   std::string jar_name;
 
   /// When set (and offering >1 worker), the side-effect-free stages fan out
   /// across it: controllability summaries (SCC waves), per-method call/alias
-  /// payloads, and index back-fills. Graph mutation stays serial in the
+  /// payloads. Graph mutation stays serial in the
   /// historical order, so the built CPG is bit-identical at any worker
   /// count — including to a run with no executor at all. Borrowed, not
   /// owned; must outlive build_cpg().
@@ -87,12 +85,6 @@ struct Cpg {
 
 /// Builds the full CPG for a linked program.
 Cpg build_cpg(const jir::Program& program, const CpgOptions& options = {});
-
-/// (Re)creates the standard CPG indexes on a GraphDb — the exact set
-/// build_cpg installs when `create_indexes` is on. Needed after a graph
-/// store or cache-snapshot load: persistence stores data, not index
-/// structures (like a fresh Neo4j store after import).
-void create_standard_indexes(graph::GraphDb& db, util::Executor* executor = nullptr);
 
 /// Stable digest of every CpgOptions field that can change the built graph
 /// (flags, jar name, analysis options, sink/source registries). Part of the

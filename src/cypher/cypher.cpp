@@ -1,5 +1,5 @@
 // Evaluation of parsed queries (AST in ast.hpp, parser in parser.cpp,
-// planner in planner.cpp) over either graph representation.
+// planner in planner.cpp) over the frozen CPG.
 //
 // Two execution modes share one enumerator:
 //   - naive: left-to-right pattern matching, the reference semantics;
@@ -29,59 +29,22 @@ namespace tabby::cypher {
 
 namespace {
 
-using graph::Edge;
 using graph::EdgeId;
-using graph::GraphDb;
+using graph::FrozenGraph;
 using graph::NodeId;
 using graph::Value;
 using util::Error;
 using util::Result;
 
-// --- Representation adapters -------------------------------------------------
-// The executor below is generic over the graph representation (mutable
-// GraphDb or frozen CSR). These overloads are the full surface it needs;
-// each pair must agree on both result *and* iteration order — the frozen
-// side enumerates ascending dense ids / ascending edge indexes, which is
-// exactly the live-element order the GraphDb side iterates.
-
-std::string_view db_label(const GraphDb& db, NodeId id) { return db.node(id).label; }
-std::string_view db_label(const graph::FrozenGraph& db, NodeId id) { return db.label(id); }
-
-std::optional<Value> db_prop(const GraphDb& db, NodeId id, const std::string& key) {
-  const Value* v = db.node(id).prop(key);
-  if (v == nullptr) return std::nullopt;
-  return *v;
-}
-std::optional<Value> db_prop(const graph::FrozenGraph& db, NodeId id, const std::string& key) {
-  return db.node_prop(id, key);
-}
-
-std::string db_edge_type(const GraphDb& db, EdgeId id) { return db.edge(id).type; }
-std::string db_edge_type(const graph::FrozenGraph& db, EdgeId id) {
-  return std::string(db.edge_type_name(db.edge_type(id)));
-}
-
-template <typename Fn>
-void db_scan_nodes(const GraphDb& db, Fn&& fn) {
-  db.for_each_node([&](const graph::Node& node) { fn(node.id); });
-}
-template <typename Fn>
-void db_scan_nodes(const graph::FrozenGraph& db, Fn&& fn) {
-  for (NodeId id = 0; id < db.node_count(); ++id) fn(id);
-}
+// --- Adjacency ---------------------------------------------------------------
+// Untyped patterns visit a node's edges in insertion order (ascending edge
+// index); typed patterns read the node's typed CSR slice, which ascends the
+// same way.
 
 /// Visits out-edges in insertion order, filtered to `type` when non-empty;
 /// fn(edge, neighbor).
 template <typename Fn>
-void db_for_each_out(const GraphDb& db, NodeId n, const std::string& type, Fn&& fn) {
-  for (EdgeId eid : db.out_edges(n)) {
-    const Edge& e = db.edge(eid);
-    if (!type.empty() && e.type != type) continue;
-    fn(eid, e.to);
-  }
-}
-template <typename Fn>
-void db_for_each_out(const graph::FrozenGraph& db, NodeId n, const std::string& type, Fn&& fn) {
+void for_each_out(const FrozenGraph& db, NodeId n, const std::string& type, Fn&& fn) {
   if (type.empty()) {
     db.for_each_out_ordered(n, [&](std::uint32_t e, std::uint32_t nbr) {
       fn(EdgeId{e}, NodeId{nbr});
@@ -95,15 +58,7 @@ void db_for_each_out(const graph::FrozenGraph& db, NodeId n, const std::string& 
 }
 
 template <typename Fn>
-void db_for_each_in(const GraphDb& db, NodeId n, const std::string& type, Fn&& fn) {
-  for (EdgeId eid : db.in_edges(n)) {
-    const Edge& e = db.edge(eid);
-    if (!type.empty() && e.type != type) continue;
-    fn(eid, e.from);
-  }
-}
-template <typename Fn>
-void db_for_each_in(const graph::FrozenGraph& db, NodeId n, const std::string& type, Fn&& fn) {
+void for_each_in(const FrozenGraph& db, NodeId n, const std::string& type, Fn&& fn) {
   if (type.empty()) {
     db.for_each_in_ordered(n, [&](std::uint32_t e, std::uint32_t nbr) {
       fn(EdgeId{e}, NodeId{nbr});
@@ -118,18 +73,16 @@ void db_for_each_in(const graph::FrozenGraph& db, NodeId n, const std::string& t
 
 // --- Shared predicates -------------------------------------------------------
 
-template <typename DB>
-bool node_satisfies(const DB& db, NodeId id, const NodePattern& pattern) {
-  if (!pattern.label.empty() && db_label(db, id) != pattern.label) return false;
+bool node_satisfies(const FrozenGraph& db, NodeId id, const NodePattern& pattern) {
+  if (!pattern.label.empty() && db.label(id) != pattern.label) return false;
   for (const auto& [key, value] : pattern.props) {
-    std::optional<Value> actual = db_prop(db, id, key);
+    std::optional<Value> actual = db.node_prop(id, key);
     if (!actual.has_value() || !graph::value_equals(*actual, value)) return false;
   }
   return true;
 }
 
-template <typename DB>
-std::vector<NodeId> candidate_nodes(const DB& db, const NodePattern& pattern) {
+std::vector<NodeId> candidate_nodes(const FrozenGraph& db, const NodePattern& pattern) {
   if (!pattern.label.empty() && !pattern.props.empty()) {
     std::vector<NodeId> hits = db.find_nodes(pattern.label, pattern.props[0].first,
                                              pattern.props[0].second);
@@ -146,9 +99,9 @@ std::vector<NodeId> candidate_nodes(const DB& db, const NodePattern& pattern) {
     }
     return out;
   }
-  db_scan_nodes(db, [&](NodeId id) {
+  for (NodeId id = 0; id < db.node_count(); ++id) {
     if (node_satisfies(db, id, pattern)) out.push_back(id);
-  });
+  }
   return out;
 }
 
@@ -195,12 +148,12 @@ bool compare_values(const Value& lhs, CmpKind op, const Value& rhs) {
 
 /// True when node `v` satisfies every condition the plan pushed to pattern
 /// position `j` (the exact checks emission would apply later).
-template <typename DB>
-bool passes_pushed(const DB& db, const Query& query, const Plan& plan, std::size_t j, NodeId v) {
+bool passes_pushed(const FrozenGraph& db, const Query& query, const Plan& plan, std::size_t j,
+                   NodeId v) {
   if (j >= plan.pushed.size()) return true;  // planning disabled: nothing pushed
   for (std::size_t c : plan.pushed[j]) {
     const Condition& cond = query.where[c];
-    std::optional<Value> actual = db_prop(db, v, cond.key);
+    std::optional<Value> actual = db.node_prop(v, cond.key);
     if (!actual.has_value() || !compare_values(*actual, cond.op, cond.literal)) return false;
   }
   return true;
@@ -259,18 +212,17 @@ struct FilterSet {
 /// them. Large levels fan out across the executor in fixed chunks; the
 /// serial OR-merge of chunk bitsets is commutative, so the result is
 /// identical at any concurrency.
-template <typename DB>
-Bitset backward_step(const DB& db, const Bitset& cur, const RelPattern& rel, std::size_t capacity,
-                     util::Executor* executor) {
+Bitset backward_step(const FrozenGraph& db, const Bitset& cur, const RelPattern& rel,
+                     std::size_t capacity, util::Executor* executor) {
   std::vector<NodeId> members;
   cur.for_each([&](NodeId v) { members.push_back(v); });
 
   auto expand_into = [&](NodeId v, Bitset& out) {
     if (rel.direction >= 0) {
-      db_for_each_in(db, v, rel.type, [&](EdgeId, NodeId u) { out.set(u); });
+      for_each_in(db, v, rel.type, [&](EdgeId, NodeId u) { out.set(u); });
     }
     if (rel.direction <= 0) {
-      db_for_each_out(db, v, rel.type, [&](EdgeId, NodeId u) { out.set(u); });
+      for_each_out(db, v, rel.type, [&](EdgeId, NodeId u) { out.set(u); });
     }
   };
 
@@ -292,8 +244,7 @@ Bitset backward_step(const DB& db, const Bitset& cur, const RelPattern& rel, std
   return out;
 }
 
-template <typename DB>
-FilterSet build_filters(const DB& db, const Query& query, const Plan& plan,
+FilterSet build_filters(const FrozenGraph& db, const Query& query, const Plan& plan,
                         const QueryOptions& options) {
   FilterSet filters;
   if (!plan.reverse || plan.always_empty) return filters;
@@ -352,10 +303,9 @@ FilterSet build_filters(const DB& db, const Query& query, const Plan& plan,
 
 // --- Executor ----------------------------------------------------------------
 
-template <typename DB>
 class Executor {
  public:
-  Executor(const DB& db, const Query& query, const Plan& plan, const FilterSet& filters,
+  Executor(const FrozenGraph& db, const Query& query, const Plan& plan, const FilterSet& filters,
            util::MemoryBudget* memory)
       : db_(db), query_(query), plan_(plan), filters_(filters), memory_(memory) {}
 
@@ -434,8 +384,8 @@ class Executor {
       path.nodes.pop_back();
     };
 
-    if (rel.direction >= 0) db_for_each_out(db_, frontier, rel.type, try_edge);
-    if (rel.direction <= 0) db_for_each_in(db_, frontier, rel.type, try_edge);
+    if (rel.direction >= 0) for_each_out(db_, frontier, rel.type, try_edge);
+    if (rel.direction <= 0) for_each_in(db_, frontier, rel.type, try_edge);
   }
 
   void emit(const graph::Path& path, QueryResult& result) {
@@ -448,7 +398,7 @@ class Executor {
     for (const Condition& condition : query_.where) {
       auto it = bindings.find(condition.var);
       if (it == bindings.end() || it->second.kind != Binding::Kind::Node) return;
-      std::optional<Value> actual = db_prop(db_, it->second.node, condition.key);
+      std::optional<Value> actual = db_.node_prop(it->second.node, condition.key);
       if (!actual.has_value() || !compare_values(*actual, condition.op, condition.literal)) {
         return;
       }
@@ -463,7 +413,7 @@ class Executor {
       if (item.key.empty()) {
         row.push_back(it->second);
       } else if (it->second.kind == Binding::Kind::Node) {
-        std::optional<Value> v = db_prop(db_, it->second.node, item.key);
+        std::optional<Value> v = db_.node_prop(it->second.node, item.key);
         row.push_back(Binding::of_scalar(v.has_value() ? *v : Value{}));
       } else {
         row.push_back(Binding::of_scalar(Value{}));
@@ -522,7 +472,7 @@ class Executor {
     }
   }
 
-  const DB& db_;
+  const FrozenGraph& db_;
   const Query& query_;
   const Plan& plan_;
   const FilterSet& filters_;
@@ -534,21 +484,19 @@ class Executor {
 
 // --- Rendering ---------------------------------------------------------------
 
-template <typename DB>
-std::string render_node(const DB& db, NodeId id) {
+std::string render_node(const FrozenGraph& db, NodeId id) {
   auto text_prop = [&](const char* key) -> std::string {
-    std::optional<Value> v = db_prop(db, id, key);
+    std::optional<Value> v = db.node_prop(id, key);
     const std::string* s = v.has_value() ? std::get_if<std::string>(&v.value()) : nullptr;
     return s != nullptr ? *s : std::string{};
   };
   std::string best = text_prop("SIGNATURE");
   if (best.empty()) best = text_prop("NAME");
   if (best.empty()) best = "#" + std::to_string(id);
-  return "(" + std::string(db_label(db, id)) + " " + best + ")";
+  return "(" + std::string(db.label(id)) + " " + best + ")";
 }
 
-template <typename DB>
-std::string result_to_string(const QueryResult& result, const DB& db) {
+std::string result_to_string(const QueryResult& result, const FrozenGraph& db) {
   std::string out = util::join(result.columns, " | ") + "\n";
   for (const auto& row : result.rows) {
     std::vector<std::string> cells;
@@ -558,7 +506,7 @@ std::string result_to_string(const QueryResult& result, const DB& db) {
           cells.push_back(render_node(db, binding.node));
           break;
         case Binding::Kind::Relationship:
-          cells.push_back("[" + db_edge_type(db, binding.edge) + "]");
+          cells.push_back("[" + std::string(db.edge_type_name(db.edge_type(binding.edge))) + "]");
           break;
         case Binding::Kind::Path: {
           std::string text;
@@ -581,19 +529,13 @@ std::string result_to_string(const QueryResult& result, const DB& db) {
 
 // --- Entry point -------------------------------------------------------------
 
-StatsView make_stats_view(const GraphDb& db, graph::CardinalityStats& storage) {
-  storage = db.cardinality();  // O(distinct names): exact and always available
-  return StatsView{db.node_count(), db.edge_count(), &storage};
-}
-StatsView make_stats_view(const graph::FrozenGraph& db, graph::CardinalityStats& storage) {
-  (void)storage;
+StatsView make_stats_view(const FrozenGraph& db) {
   const auto& stats = db.stats();
   return StatsView{db.node_count(), db.edge_count(),
                    stats.has_value() ? &stats.value() : nullptr};
 }
 
-template <typename DB>
-util::Result<QueryResult> run_query_impl(const DB& db, std::string_view query_text,
+util::Result<QueryResult> run_query_impl(const FrozenGraph& db, std::string_view query_text,
                                          const QueryOptions& options) {
   // Fault seam for the chaos harness: evaluation faults surface as the
   // structured error a malformed plan would produce, never as a crash.
@@ -613,8 +555,7 @@ util::Result<QueryResult> run_query_impl(const DB& db, std::string_view query_te
       plan.reason = "failpoint: injected planner failure, fell back to naive evaluation";
       obs::counter_add("cypher.plan.fallback");
     } else {
-      graph::CardinalityStats storage;
-      plan = plan_query(query.value(), make_stats_view(db, storage));
+      plan = plan_query(query.value(), make_stats_view(db));
       filters = build_filters(db, query.value(), plan, options);
       obs::counter_add(plan.mode == Plan::Mode::Planned ? "cypher.plan.planned"
                                                         : "cypher.plan.naive");
@@ -626,7 +567,7 @@ util::Result<QueryResult> run_query_impl(const DB& db, std::string_view query_te
     plan.reason = "planning disabled (--no-plan)";
   }
 
-  Executor<DB> executor(db, query.value(), plan, filters, options.memory);
+  Executor executor(db, query.value(), plan, filters, options.memory);
   QueryResult result = executor.run();
   result.plan = plan.to_string(query.value());
   if (executor.starts_pruned() > 0) {
@@ -640,21 +581,8 @@ util::Result<QueryResult> run_query_impl(const DB& db, std::string_view query_te
 
 }  // namespace
 
-std::string QueryResult::to_string(const GraphDb& db) const {
-  return result_to_string(*this, db);
-}
-
 std::string QueryResult::to_string(const graph::FrozenGraph& db) const {
   return result_to_string(*this, db);
-}
-
-util::Result<QueryResult> run_query(const graph::GraphDb& db, std::string_view query_text) {
-  return run_query_impl(db, query_text, QueryOptions{});
-}
-
-util::Result<QueryResult> run_query(const graph::GraphDb& db, std::string_view query_text,
-                                    const QueryOptions& options) {
-  return run_query_impl(db, query_text, options);
 }
 
 util::Result<QueryResult> run_query(const graph::FrozenGraph& db, std::string_view query_text) {

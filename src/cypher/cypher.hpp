@@ -8,8 +8,8 @@
 //   RETURN a, b.KEY, p [LIMIT n]
 //
 // Relationship patterns support both directions (-[..]->, <-[..]-, -[..]-),
-// optional types, and variable-length ranges (*, *n, *n..m, *..m). Node
-// inline property maps use index-accelerated lookup when possible.
+// optional types, and variable-length ranges (*, *n, *n..m, *..m). Queries
+// run over the frozen CPG (graph::FrozenGraph).
 #pragma once
 
 #include <string>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "graph/frozen.hpp"
-#include "graph/graph.hpp"
 #include "graph/traversal.hpp"
 #include "util/result.hpp"
 
@@ -66,7 +65,6 @@ struct QueryResult {
   std::string plan;
 
   /// Human-readable rendering (nodes print their NAME/SIGNATURE property).
-  std::string to_string(const graph::GraphDb& db) const;
   std::string to_string(const graph::FrozenGraph& db) const;
 };
 
@@ -89,15 +87,8 @@ struct QueryOptions {
 };
 
 /// Parses and executes a query. Malformed queries report Error with a
-/// byte offset; execution itself cannot fail.
-util::Result<QueryResult> run_query(const graph::GraphDb& db, std::string_view query);
-util::Result<QueryResult> run_query(const graph::GraphDb& db, std::string_view query,
-                                    const QueryOptions& options);
-
-/// Frozen-CSR evaluation: identical semantics and row order. Typed patterns
-/// scan sorted edge segments; untyped patterns replay insertion order, so
-/// every query prints byte-identically against either representation of the
-/// same graph.
+/// byte offset; execution itself cannot fail. Typed patterns scan sorted CSR
+/// segments; untyped patterns replay edge insertion order.
 util::Result<QueryResult> run_query(const graph::FrozenGraph& db, std::string_view query);
 util::Result<QueryResult> run_query(const graph::FrozenGraph& db, std::string_view query,
                                     const QueryOptions& options);

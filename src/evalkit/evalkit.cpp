@@ -1,6 +1,7 @@
 #include "evalkit/evalkit.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "baseline/baselines.hpp"
 #include "cpg/builder.hpp"
@@ -18,14 +19,24 @@ std::string_view tool_name(Tool tool) {
   return "?";
 }
 
+namespace {
+
+/// The program's CPG, frozen for the finder.
+graph::FrozenGraph frozen_cpg(const jir::Program& program) {
+  auto frozen = graph::FrozenGraph::freeze(cpg::build_cpg(program).db);
+  if (!frozen.ok()) throw std::runtime_error("graph freeze failed: " + frozen.error().message);
+  return std::move(frozen.value());
+}
+
+}  // namespace
+
 ToolRun run_tool(Tool tool, const jir::Program& program, const std::string& package_filter) {
   ToolRun run;
   util::Stopwatch watch;
   switch (tool) {
     case Tool::Tabby: {
-      cpg::Cpg cpg = cpg::build_cpg(program);
-      finder::GadgetChainFinder finder(cpg.db);
-      finder::FinderReport report = finder.find_all();
+      graph::FrozenGraph cpg = frozen_cpg(program);
+      finder::FinderReport report = finder::GadgetChainFinder(cpg).find_all();
       run.chains = std::move(report.chains);
       run.exploded = report.budget_exhausted;
       break;
@@ -158,11 +169,9 @@ SceneRow evaluate_scene(const corpus::Scene& scene) {
   row.jar_count = scene.jar_count();
   row.code_mb = static_cast<double>(scene.total_bytes()) / (1024.0 * 1024.0);
 
-  jir::Program program = scene.link();
-  cpg::Cpg cpg = cpg::build_cpg(program);
+  graph::FrozenGraph cpg = frozen_cpg(scene.link());
   util::Stopwatch watch;
-  finder::GadgetChainFinder finder(cpg.db);
-  finder::FinderReport report = finder.find_all();
+  finder::FinderReport report = finder::GadgetChainFinder(cpg).find_all();
   row.search_seconds = watch.elapsed_seconds();
 
   Classification c = classify(report.chains, scene.truths);

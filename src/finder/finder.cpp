@@ -17,9 +17,7 @@ namespace tabby::finder {
 
 namespace {
 
-using graph::Edge;
 using graph::EdgeId;
-using graph::GraphDb;
 using graph::NodeId;
 using graph::Path;
 
@@ -31,8 +29,8 @@ struct TcState {
 };
 
 /// Formula 4: TC_next = { PP[x] | x in TC }. Fails (nullopt) when any
-/// required position is uncontrollable. Takes a span so the frozen path can
-/// feed int-list pool slices without materializing a vector.
+/// required position is uncontrollable. Takes a span so int-list pool
+/// slices feed it without materializing a vector.
 std::optional<TcState> traverse_tc(const TcState& tc, std::span<const std::int64_t> pp) {
   TcState next;
   for (std::int64_t x : tc.positions) {
@@ -45,11 +43,6 @@ std::optional<TcState> traverse_tc(const TcState& tc, std::span<const std::int64
   next.positions.erase(std::unique(next.positions.begin(), next.positions.end()),
                        next.positions.end());
   return next;
-}
-
-const std::vector<std::int64_t>* edge_pp(const Edge& e) {
-  const graph::Value* v = e.prop(std::string(cpg::kPropPollutedPosition));
-  return v != nullptr ? std::get_if<std::vector<std::int64_t>>(v) : nullptr;
 }
 
 /// Strict decimal u64 parse for the dist wire codec (ids/counters travel as
@@ -124,11 +117,8 @@ std::string GadgetChain::key() const {
   return out;
 }
 
-GadgetChainFinder::GadgetChainFinder(const graph::GraphDb& cpg, FinderOptions options)
-    : db_(&cpg), options_(options) {}
-
 GadgetChainFinder::GadgetChainFinder(const graph::FrozenGraph& cpg, FinderOptions options)
-    : frozen_(&cpg), options_(options) {}
+    : cpg_(&cpg), options_(options) {}
 
 FinderReport GadgetChainFinder::find_all() {
   obs::Span span("finder.find_all");
@@ -136,14 +126,9 @@ FinderReport GadgetChainFinder::find_all() {
   FinderReport report;
   std::unordered_set<std::string> seen;
 
-  // Both representations yield the sink set in ascending id order after the
-  // sort (frozen ids are the dense renumbering of the same ascending scan),
-  // so shard order — and the merge below — is representation-independent.
+  // Shards run in ascending sink id order, and so does the merge below.
   std::vector<NodeId> sinks =
-      db_ != nullptr
-          ? db_->find_nodes(std::string(cpg::kMethodLabel), std::string(cpg::kPropIsSink),
-                            graph::Value{true})
-          : frozen_->find_nodes(cpg::kMethodLabel, cpg::kPropIsSink, graph::Value{true});
+      cpg_->find_nodes(cpg::kMethodLabel, cpg::kPropIsSink, graph::Value{true});
   std::sort(sinks.begin(), sinks.end());
   report.sinks_considered = sinks.size();
 
@@ -152,9 +137,6 @@ FinderReport GadgetChainFinder::find_all() {
   // fan out across the executor. The merge below walks sinks in ascending id
   // order with the same first-wins dedup the serial loop applied, making the
   // report identical at any worker count.
-  auto is_source = [](const graph::Node& n) {
-    return n.prop_bool(std::string(cpg::kPropIsSource));
-  };
   // Each shard's byte slice is a pure function of the pool and the sink
   // count, so prune decisions are identical at any worker count.
   const std::size_t cap = shard_cap(sinks.size());
@@ -170,8 +152,7 @@ FinderReport GadgetChainFinder::find_all() {
     util::run_indexed(options_.executor, sinks.size(), [&](std::size_t i) {
       obs::Span sink_span("finder.sink");
       sink_span.attr("sink", static_cast<std::uint64_t>(sinks[i]));
-      searches[i] = db_ != nullptr ? search_sink(sinks[i], is_source, cap)
-                                   : search_sink_frozen(sinks[i], cap);
+      searches[i] = search_sink(sinks[i], cap);
       sink_span.attr("chains", static_cast<std::uint64_t>(searches[i].chains.size()));
       sink_span.attr("expansions", static_cast<std::uint64_t>(searches[i].expansions));
       obs::counter_add("finder.sinks_searched");
@@ -190,10 +171,7 @@ FinderReport GadgetChainFinder::find_all() {
     report.spilled_paths += search.spilled;
     report.peak_frontier_bytes = std::max(report.peak_frontier_bytes, search.peak_bytes);
     if (search.partial()) {
-      std::string signature =
-          db_ != nullptr
-              ? db_->node(sinks[i]).prop_string(std::string(cpg::kPropSignature))
-              : std::string(frozen_->node_prop_string(sinks[i], cpg::kPropSignature));
+      std::string signature(cpg_->node_prop_string(sinks[i], cpg::kPropSignature));
       report.partial_sinks.push_back(PartialSink{sinks[i], std::move(signature),
                                                  search.expansions, search.reason(),
                                                  std::move(search.worker_error)});
@@ -223,22 +201,17 @@ FinderReport GadgetChainFinder::find_all() {
 }
 
 std::vector<GadgetChain> GadgetChainFinder::find_from_sink(graph::NodeId sink) {
-  if (db_ == nullptr) {
-    SinkSearch search = search_sink_frozen(sink, shard_cap(1));
-    last_expansions_ = search.expansions;
-    last_exhausted_ = search.exhausted;
-    last_partial_ = search.partial();
-    return std::move(search.chains);
-  }
-  return find_from_sink(sink, [](const graph::Node& n) {
-    return n.prop_bool(std::string(cpg::kPropIsSource));
-  });
+  // A single-sink search owns the whole pool.
+  SinkSearch search = search_sink(sink, shard_cap(1));
+  last_expansions_ = search.expansions;
+  last_exhausted_ = search.exhausted;
+  last_partial_ = search.partial();
+  return std::move(search.chains);
 }
 
 std::vector<GadgetChain> GadgetChainFinder::find_from_sink(
-    graph::NodeId sink, const std::function<bool(const graph::Node&)>& is_source) {
-  // A single-sink search owns the whole pool.
-  SinkSearch search = search_sink(sink, is_source, shard_cap(1));
+    graph::NodeId sink, const std::function<bool(graph::NodeId)>& is_source) {
+  SinkSearch search = search_sink(sink, shard_cap(1), &is_source);
   last_expansions_ = search.expansions;
   last_exhausted_ = search.exhausted;
   last_partial_ = search.partial();
@@ -311,16 +284,11 @@ void GadgetChainFinder::run_sinks_dist(const std::vector<graph::NodeId>& sinks,
                                        std::size_t frontier_cap,
                                        std::vector<SinkSearch>& searches,
                                        dist::DistStats& stats) const {
-  auto is_source = [](const graph::Node& n) {
-    return n.prop_bool(std::string(cpg::kPropIsSource));
-  };
   // Runs inside the forked worker: single-threaded const search over the
   // inherited (copy-on-write / shared-mmap) graph, result serialized onto
   // the worker's socket. No executor, no tracer — neither survives a fork.
   dist::ShardFn fn = [&](std::size_t i) {
-    SinkSearch search = db_ != nullptr ? search_sink(sinks[i], is_source, frontier_cap)
-                                       : search_sink_frozen(sinks[i], frontier_cap);
-    return encode_sink_search(search);
+    return encode_sink_search(search_sink(sinks[i], frontier_cap));
   };
   dist::DistReport dist_report = dist::run_shards(sinks.size(), fn, options_.dist);
   stats = dist_report.stats;
@@ -343,113 +311,9 @@ std::size_t GadgetChainFinder::shard_cap(std::size_t sink_count) const {
 }
 
 GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
-    graph::NodeId sink, const std::function<bool(const graph::Node&)>& is_source,
-    std::size_t frontier_cap) const {
-  const graph::Node& sink_node = db_->node(sink);
-  std::string sink_type = sink_node.prop_string(std::string(cpg::kPropSinkType));
-
-  // Initial TC from the sink node annotation; default {0}.
-  TcState initial;
-  if (const graph::Value* tc = sink_node.prop(std::string(cpg::kPropTriggerCondition))) {
-    if (const auto* xs = std::get_if<std::vector<std::int64_t>>(tc)) initial.positions = *xs;
-  }
-  if (initial.positions.empty()) initial.positions = {0};
-
-  // Algorithm 2: expand backwards over incoming CALL edges (to callers) and
-  // forwards over outgoing ALIAS edges (to the overridden declaration whose
-  // call sites dispatch here).
-  auto expand = [this](const GraphDb& db, const Path& path,
-                       const TcState& tc) -> std::vector<graph::Step<TcState>> {
-    std::vector<graph::Step<TcState>> steps;
-    NodeId frontier = path.end();
-
-    for (EdgeId eid : db.in_edges(frontier)) {
-      const Edge& e = db.edge(eid);
-      if (e.type != cpg::kCallEdge) continue;
-      if (options_.check_trigger_conditions) {
-        const std::vector<std::int64_t>* pp = edge_pp(e);
-        if (pp == nullptr) continue;
-        std::optional<TcState> next = traverse_tc(tc, *pp);
-        if (!next) continue;  // uncontrollable along this call: reject edge
-        steps.push_back(graph::Step<TcState>{eid, e.from, std::move(*next)});
-      } else {
-        steps.push_back(graph::Step<TcState>{eid, e.from, tc});
-      }
-    }
-    if (options_.use_alias_edges) {
-      // Forward only (override -> overridden declaration): callers invoke
-      // the declared supertype method, so walking up the alias chain exposes
-      // their CALL edges. Walking ALIAS edges in reverse would fabricate
-      // dispatches between sibling overrides and is deliberately excluded.
-      for (EdgeId eid : db.out_edges(frontier)) {
-        const Edge& e = db.edge(eid);
-        if (e.type != cpg::kAliasEdge) continue;
-        steps.push_back(graph::Step<TcState>{eid, e.to, tc});  // TC passes unchanged
-      }
-      if (options_.alias_bidirectional) {
-        for (EdgeId eid : db.in_edges(frontier)) {
-          const Edge& e = db.edge(eid);
-          if (e.type != cpg::kAliasEdge) continue;
-          steps.push_back(graph::Step<TcState>{eid, e.from, tc});
-        }
-      }
-    }
-    return steps;
-  };
-
-  // Algorithm 3: include when the frontier is a source; prune at max depth.
-  auto evaluate = [this, &is_source](const GraphDb& db, const Path& path,
-                                     const TcState&) -> graph::Evaluation {
-    if (path.length() > 0 && is_source(db.node(path.end()))) {
-      return graph::Evaluation::IncludeAndPrune;
-    }
-    if (static_cast<int>(path.length()) >= options_.max_depth) {
-      return graph::Evaluation::ExcludeAndPrune;
-    }
-    return graph::Evaluation::ExcludeAndContinue;
-  };
-
-  graph::TraversalLimits limits;
-  limits.max_results = options_.max_results_per_sink;
-  limits.max_expansions = options_.max_expansions;
-  limits.deadline = options_.deadline;
-  limits.max_frontier_bytes = frontier_cap;
-  limits.memory = options_.memory;
-
-  graph::Traverser<TcState> traverser(
-      *db_, expand, evaluate, graph::Uniqueness::NodePath, limits,
-      [](const TcState& tc) { return tc.positions.capacity() * sizeof(std::int64_t); });
-
-  SinkSearch search;
-  const bool governed = frontier_cap != SIZE_MAX;
-  // Stream results out of the traversal: each accepted path is converted to
-  // a compact GadgetChain on the spot ("spilled"), so completed paths never
-  // count against the frontier byte cap.
-  traverser.run(sink, std::move(initial),
-                [&](graph::TraversalResult<TcState> result) {
-                  GadgetChain chain;
-                  chain.sink_type = sink_type;
-                  // Paths run sink -> source; chains are reported source-first.
-                  chain.nodes.assign(result.path.nodes.rbegin(), result.path.nodes.rend());
-                  for (NodeId n : chain.nodes) {
-                    chain.signatures.push_back(
-                        db_->node(n).prop_string(std::string(cpg::kPropSignature)));
-                  }
-                  search.chains.push_back(std::move(chain));
-                  if (governed) ++search.spilled;
-                });
-  search.expansions = traverser.expansions();
-  search.exhausted = traverser.exhausted_budget();
-  search.deadline_expired = traverser.deadline_expired();
-  search.frontier_pruned = traverser.frontier_pruned();
-  search.bytes_charged = traverser.frontier_bytes_charged();
-  search.peak_bytes = traverser.peak_frontier_bytes();
-  return search;
-}
-
-GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink_frozen(
-    graph::NodeId sink, std::size_t frontier_cap) const {
-  const graph::FrozenGraph& g = *frozen_;
+    graph::NodeId sink, std::size_t frontier_cap,
+    const std::function<bool(graph::NodeId)>* is_source) const {
+  const graph::FrozenGraph& g = *cpg_;
   // Resolve every column and type id once per shard; the hot loop then only
   // touches flat arrays.
   const graph::FrozenColumn* sig_col = g.node_column(cpg::kPropSignature);
@@ -461,7 +325,7 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink_frozen(
   const std::optional<std::uint16_t> alias_type = g.edge_type_id(cpg::kAliasEdge);
 
   // Column reads that stay exact when a key's column degraded to Mixed
-  // (heterogeneous fuzz graphs): same result as the GraphDb accessors.
+  // (heterogeneous fuzz graphs).
   auto col_string = [](const graph::FrozenColumn* col, std::uint64_t i) -> std::string {
     if (col == nullptr) return {};
     if (col->kind() == graph::FrozenColumnKind::Str) return std::string(col->get_string(i));
@@ -485,9 +349,10 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink_frozen(
   }
   if (initial.positions.empty()) initial.positions = {0};
 
-  // Algorithm 2 over typed CSR slices. Step order matches search_sink's
-  // filtered insertion-order scans exactly: a typed slice ascends by dense
-  // edge index, which is the live-edge emission order GraphDb iterates.
+  // Algorithm 2: expand backwards over incoming CALL edges (to callers) and
+  // forwards over outgoing ALIAS edges (to the overridden declaration whose
+  // call sites dispatch here). A typed slice ascends by edge index, the
+  // builder's insertion order.
   auto expand = [&, this](const graph::FrozenGraph& db, const Path& path,
                           const TcState& tc) -> std::vector<graph::Step<TcState>> {
     std::vector<graph::Step<TcState>> steps;
@@ -518,6 +383,10 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink_frozen(
       }
     }
     if (options_.use_alias_edges && alias_type.has_value()) {
+      // Forward only (override -> overridden declaration): callers invoke
+      // the declared supertype method, so walking up the alias chain exposes
+      // their CALL edges. Walking ALIAS edges in reverse would fabricate
+      // dispatches between sibling overrides and is deliberately excluded.
       graph::AdjacencyView aliases = db.out_edges_typed_view(frontier, *alias_type);
       for (std::size_t k = 0; k < aliases.size(); ++k) {
         steps.push_back(graph::Step<TcState>{aliases.edge[k], aliases.nbr[k], tc});
@@ -532,11 +401,15 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink_frozen(
     return steps;
   };
 
-  // Algorithm 3, with IS_SOURCE read straight off the column bitmap.
+  // Algorithm 3: include when the frontier is a source (IS_SOURCE read
+  // straight off the column bitmap); prune at max depth.
   auto evaluate = [&, this](const graph::FrozenGraph&, const Path& path,
                             const TcState&) -> graph::Evaluation {
-    if (path.length() > 0 && source_col != nullptr && source_col->get_bool(path.end())) {
-      return graph::Evaluation::IncludeAndPrune;
+    if (path.length() > 0) {
+      NodeId n = path.end();
+      bool source = is_source != nullptr ? (*is_source)(n)
+                                         : source_col != nullptr && source_col->get_bool(n);
+      if (source) return graph::Evaluation::IncludeAndPrune;
     }
     if (static_cast<int>(path.length()) >= options_.max_depth) {
       return graph::Evaluation::ExcludeAndPrune;
@@ -557,10 +430,14 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink_frozen(
 
   SinkSearch search;
   const bool governed = frontier_cap != SIZE_MAX;
+  // Stream results out of the traversal: each accepted path is converted to
+  // a compact GadgetChain on the spot ("spilled"), so completed paths never
+  // count against the frontier byte cap.
   traverser.run(sink, std::move(initial),
                 [&](graph::TraversalResult<TcState> result) {
                   GadgetChain chain;
                   chain.sink_type = sink_type;
+                  // Paths run sink -> source; chains are reported source-first.
                   chain.nodes.assign(result.path.nodes.rbegin(), result.path.nodes.rend());
                   for (NodeId n : chain.nodes) {
                     chain.signatures.push_back(col_string(sig_col, n));

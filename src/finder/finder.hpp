@@ -13,7 +13,6 @@
 
 #include "dist/dist.hpp"
 #include "graph/frozen.hpp"
-#include "graph/graph.hpp"
 #include "graph/traversal.hpp"
 #include "util/deadline.hpp"
 #include "util/memory_budget.hpp"
@@ -154,12 +153,8 @@ struct FinderReport {
 
 class GadgetChainFinder {
  public:
-  explicit GadgetChainFinder(const graph::GraphDb& cpg, FinderOptions options = {});
-
-  /// Frozen-CSR variant: the identical search over graph::FrozenGraph.
-  /// Expansion enumerates typed adjacency segments whose within-type order
-  /// equals GraphDb's insertion-order iteration, so the report — chains,
-  /// order, dedup — is byte-identical to the store-backed finder.
+  /// Searches the frozen CPG. Expansion reads typed CSR adjacency slices,
+  /// whose within-type order is the builder's edge insertion order.
   explicit GadgetChainFinder(const graph::FrozenGraph& cpg, FinderOptions options = {});
 
   /// Search from every sink node in the CPG; chains are deduplicated by
@@ -171,10 +166,10 @@ class GadgetChainFinder {
 
   /// Custom search: user-supplied source predicate (the RQ4 workflow —
   /// "check for the existence of a gadget chain between any source and sink
-  /// according to their needs"). Store-backed finders only: the predicate
-  /// sees graph::Node, which a frozen finder has no way to materialize.
+  /// according to their needs"). The predicate is asked about each frontier
+  /// node in place of its IS_SOURCE flag.
   std::vector<GadgetChain> find_from_sink(graph::NodeId sink,
-                                          const std::function<bool(const graph::Node&)>& is_source);
+                                          const std::function<bool(graph::NodeId)>& is_source);
 
   const FinderOptions& options() const { return options_; }
   std::size_t last_expansions() const { return last_expansions_; }
@@ -204,16 +199,13 @@ class GadgetChainFinder {
     }
   };
 
-  /// `frontier_cap` is this shard's deterministic byte slice (SIZE_MAX =
-  /// ungoverned).
-  SinkSearch search_sink(graph::NodeId sink,
-                         const std::function<bool(const graph::Node&)>& is_source,
-                         std::size_t frontier_cap) const;
-
-  /// The same traversal over the frozen CSR: CALL/ALIAS expansion reads
-  /// typed adjacency slices and columnar properties (IS_SOURCE bitmap,
+  /// Algorithms 2-3 from one sink: CALL/ALIAS expansion reads typed
+  /// adjacency slices and columnar properties (IS_SOURCE bitmap,
   /// Polluted_Position int-list pool) resolved once per sink shard.
-  SinkSearch search_sink_frozen(graph::NodeId sink, std::size_t frontier_cap) const;
+  /// `frontier_cap` is this shard's deterministic byte slice (SIZE_MAX =
+  /// ungoverned); a non-null `is_source` replaces the IS_SOURCE column.
+  SinkSearch search_sink(graph::NodeId sink, std::size_t frontier_cap,
+                         const std::function<bool(graph::NodeId)>* is_source = nullptr) const;
 
   /// The deterministic pool split: pool / sinks, floored so a huge sink
   /// count cannot starve every shard to zero.
@@ -231,9 +223,7 @@ class GadgetChainFinder {
   void run_sinks_dist(const std::vector<graph::NodeId>& sinks, std::size_t frontier_cap,
                       std::vector<SinkSearch>& searches, dist::DistStats& stats) const;
 
-  // Exactly one representation is set; every query dispatches on db_.
-  const graph::GraphDb* db_ = nullptr;
-  const graph::FrozenGraph* frozen_ = nullptr;
+  const graph::FrozenGraph* cpg_;
   FinderOptions options_;
   std::size_t last_expansions_ = 0;
   bool last_exhausted_ = false;

@@ -368,9 +368,8 @@ class Synthesizer {
 }  // namespace
 
 bool AliasView::alias(graph::NodeId from, graph::NodeId to) const {
-  if (db_ != nullptr) return db_->find_edge(from, to, cpg::kAliasEdge).has_value();
-  if (frozen_ == nullptr || !alias_type_) return false;
-  graph::AdjacencyView out = frozen_->out_edges_typed_view(from, *alias_type_);
+  if (!alias_type_) return false;
+  graph::AdjacencyView out = cpg_->out_edges_typed_view(from, *alias_type_);
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out.nbr[i] == to) return true;
   }
@@ -380,11 +379,6 @@ bool AliasView::alias(graph::NodeId from, graph::NodeId to) const {
 PayloadResult synthesize_payload(const jir::Program& program, const AliasView& aliases,
                                  const GadgetChain& chain) {
   return Synthesizer(program, aliases, chain).run();
-}
-
-PayloadResult synthesize_payload(const jir::Program& program, const graph::GraphDb& cpg,
-                                 const GadgetChain& chain) {
-  return synthesize_payload(program, AliasView(cpg), chain);
 }
 
 AutoVerifyResult auto_verify(const jir::Hierarchy& hierarchy, const AliasView& aliases,
@@ -401,11 +395,6 @@ AutoVerifyResult auto_verify(const jir::Hierarchy& hierarchy, const AliasView& a
 AutoVerifyResult auto_verify(const jir::Program& program, const AliasView& aliases,
                              const GadgetChain& chain, const runtime::VmOptions& vm_options) {
   return auto_verify(jir::Hierarchy(program), aliases, chain, vm_options);
-}
-
-AutoVerifyResult auto_verify(const jir::Program& program, const graph::GraphDb& cpg,
-                             const GadgetChain& chain) {
-  return auto_verify(program, AliasView(cpg), chain);
 }
 
 }  // namespace tabby::finder

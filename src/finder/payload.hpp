@@ -28,21 +28,17 @@
 namespace tabby::finder {
 
 /// The one graph question payload synthesis asks — "is hop a→b an ALIAS
-/// dispatch edge?" — abstracted over the two graph representations, so
-/// verification composes with `--frozen`: a chain found over the frozen CSR
-/// is verified against that same snapshot, with node ids meaning the same
-/// thing on both sides.
+/// dispatch edge?" — answered from the frozen CPG the chain was found in,
+/// so chain node ids index the same graph.
 class AliasView {
  public:
-  explicit AliasView(const graph::GraphDb& db) : db_(&db) {}
-  explicit AliasView(const graph::FrozenGraph& frozen)
-      : frozen_(&frozen), alias_type_(frozen.edge_type_id(cpg::kAliasEdge)) {}
+  explicit AliasView(const graph::FrozenGraph& cpg)
+      : cpg_(&cpg), alias_type_(cpg.edge_type_id(cpg::kAliasEdge)) {}
 
   bool alias(graph::NodeId from, graph::NodeId to) const;
 
  private:
-  const graph::GraphDb* db_ = nullptr;
-  const graph::FrozenGraph* frozen_ = nullptr;
+  const graph::FrozenGraph* cpg_;
   std::optional<std::uint16_t> alias_type_;
 };
 
@@ -56,8 +52,6 @@ struct PayloadResult {
 };
 
 PayloadResult synthesize_payload(const jir::Program& program, const AliasView& aliases,
-                                 const GadgetChain& chain);
-PayloadResult synthesize_payload(const jir::Program& program, const graph::GraphDb& cpg,
                                  const GadgetChain& chain);
 
 struct AutoVerifyResult {
@@ -76,7 +70,5 @@ AutoVerifyResult auto_verify(const jir::Program& program, const AliasView& alias
 /// The hierarchy is only read; concurrent calls may share it.
 AutoVerifyResult auto_verify(const jir::Hierarchy& hierarchy, const AliasView& aliases,
                              const GadgetChain& chain, const runtime::VmOptions& vm_options = {});
-AutoVerifyResult auto_verify(const jir::Program& program, const graph::GraphDb& cpg,
-                             const GadgetChain& chain);
 
 }  // namespace tabby::finder

@@ -1,7 +1,7 @@
-// FrozenGraph: a build-once, immutable CSR freeze of a constructed CPG —
-// the read-optimized counterpart of the mutable GraphDb (docs/GRAPH.md).
-// The mutable store stays the build-time representation; the traversal hot
-// path (finder shards, cypher evaluation, Traverser) reads this instead:
+// FrozenGraph: a build-once, immutable CSR freeze of a constructed CPG
+// (docs/GRAPH.md). The mutable GraphDb is only what the builder writes and
+// the store codec reads; every reader (finder shards, cypher evaluation,
+// verify) reads this:
 //
 //   - adjacency is two CSR layouts (out/in): one offset array per direction
 //     plus three parallel flat arrays (neighbor, dense edge index, interned
@@ -22,7 +22,7 @@
 // attaches views into them, so save() is a plain write and a warm start
 // maps the file and re-attaches zero-copy. Validation is fail-closed: a
 // truncated, bit-flipped or version-skewed frame is a structured error,
-// never UB — callers fall back to the store decode.
+// never UB — a cache caller re-freezes from the store decode.
 //
 // Memory governance: an owned or mapped frame charges its byte size to the
 // optional MemoryBudget for its lifetime (eviction = destruction = unmap).
@@ -291,8 +291,8 @@ class FrozenGraph {
 
   // --- Scans (cypher candidate enumeration) --------------------------------
 
-  /// Ascending dense ids — the order GraphDb's by_label/index buckets hold
-  /// after a deserialize + create_standard_indexes round trip.
+  /// Ascending dense ids — the order of GraphDb's label buckets after a
+  /// deserialize round trip.
   std::vector<NodeId> nodes_with_label(std::string_view label) const;
   /// Equality scan matching GraphDb::find_nodes semantics (value_equals).
   std::vector<NodeId> find_nodes(std::string_view label, std::string_view key,

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/failpoint.hpp"
-#include "util/thread_pool.hpp"
-
 namespace tabby::graph {
 
 void GraphDb::reserve(std::size_t nodes, std::size_t edges) {
@@ -26,7 +23,6 @@ NodeId GraphDb::add_node(std::string label, PropertyMap props) {
   in_.emplace_back();
   by_label_[nodes_.back().label].push_back(id);
   ++live_nodes_;
-  index_insert(nodes_.back());
   return id;
 }
 
@@ -51,15 +47,7 @@ EdgeId GraphDb::add_edge(NodeId from, NodeId to, std::string type, PropertyMap p
 
 void GraphDb::set_node_prop(NodeId id, const std::string& key, Value value) {
   if (!node_alive(id)) throw std::out_of_range("set_node_prop: no such node");
-  Node& n = nodes_[id];
-  index_erase_key(n, key);
-  n.props[key] = std::move(value);
-  // Re-insert just this key into its index, if one exists.
-  auto it = indexes_.find(index_name(n.label, key));
-  if (it != indexes_.end()) {
-    std::string vk = index_key(n.props[key]);
-    if (!vk.empty()) it->second[vk].push_back(id);
-  }
+  nodes_[id].props[key] = std::move(value);
 }
 
 void GraphDb::set_edge_prop(EdgeId id, const std::string& key, Value value) {
@@ -88,7 +76,6 @@ void GraphDb::remove_node(NodeId id) {
   incident.insert(incident.end(), in_[id].begin(), in_[id].end());
   for (EdgeId e : incident) remove_edge(e);
   Node& n = nodes_[id];
-  for (const auto& [key, value] : n.props) index_erase_key(n, key);
   auto& bucket = by_label_[n.label];
   bucket.erase(std::remove(bucket.begin(), bucket.end(), id), bucket.end());
   n.alive = false;
@@ -156,77 +143,12 @@ void GraphDb::for_each_edge(const std::function<void(const Edge&)>& fn) const {
   }
 }
 
-void GraphDb::create_index(const std::string& label, const std::string& key) {
-  std::string name = index_name(label, key);
-  if (indexes_.count(name) != 0) return;
-  auto& index = indexes_[name];
-  backfill_index(label, key, index);
-}
-
-void GraphDb::backfill_index(const std::string& label, const std::string& key,
-                             std::unordered_map<std::string, std::vector<NodeId>>& index) const {
-  auto bucket = by_label_.find(label);
-  if (bucket == by_label_.end()) return;
-  // Worst case every node maps to a distinct key (NAME/SIGNATURE indexes do);
-  // reserving up front avoids the rehash ladder during bulk loads.
-  index.reserve(bucket->second.size());
-  for (NodeId id : bucket->second) {
-    const Value* v = nodes_[id].prop(key);
-    if (v == nullptr) continue;
-    std::string vk = index_key(*v);
-    if (vk.empty()) continue;
-    index.try_emplace(std::move(vk)).first->second.push_back(id);
-  }
-}
-
-bool GraphDb::has_index(const std::string& label, const std::string& key) const {
-  return indexes_.count(index_name(label, key)) != 0;
-}
-
-void GraphDb::create_indexes(const std::vector<std::pair<std::string, std::string>>& specs,
-                             util::Executor* executor) {
-  // The `graph.index.rebuild` failpoint models a back-fill fault (a bad
-  // allocation mid-rebuild, an inconsistent store). The throw is the real
-  // failure mode: callers reach this via the pipeline facade, whose
-  // catch-all turns stray exceptions into structured errors.
-  if (util::failpoint::poll("graph.index.rebuild")) {
-    throw std::runtime_error("failpoint: injected index rebuild failure");
-  }
-  // Back-fill each index into a local map first (pure reads of the node
-  // store), then install serially in spec order. Skips already-existing
-  // indexes like create_index() does.
-  std::vector<std::unordered_map<std::string, std::vector<NodeId>>> built(specs.size());
-  std::vector<bool> fresh(specs.size(), false);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    fresh[i] = indexes_.count(index_name(specs[i].first, specs[i].second)) == 0;
-  }
-  util::run_indexed(executor, specs.size(), [&](std::size_t i) {
-    if (!fresh[i]) return;
-    backfill_index(specs[i].first, specs[i].second, built[i]);
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (fresh[i]) indexes_.emplace(index_name(specs[i].first, specs[i].second), std::move(built[i]));
-  }
-}
-
 std::vector<NodeId> GraphDb::find_nodes(const std::string& label, const std::string& key,
                                         const Value& value) const {
-  auto it = indexes_.find(index_name(label, key));
-  if (it != indexes_.end()) {
-    std::string vk = index_key(value);
-    auto hit = it->second.find(vk);
-    if (hit == it->second.end()) return {};
-    // Filter tombstones lazily (removed nodes may linger in the bucket).
-    std::vector<NodeId> result;
-    for (NodeId id : hit->second) {
-      if (node_alive(id) && value_equals(*nodes_[id].prop(key), value)) result.push_back(id);
-    }
-    return result;
-  }
-  // Fallback: label scan.
   std::vector<NodeId> result;
-  for (NodeId id : nodes_with_label(label)) {
-    if (!node_alive(id)) continue;
+  auto bucket = by_label_.find(label);
+  if (bucket == by_label_.end()) return result;
+  for (NodeId id : bucket->second) {
     const Value* v = nodes_[id].prop(key);
     if (v != nullptr && value_equals(*v, value)) result.push_back(id);
   }
@@ -276,26 +198,6 @@ CardinalityStats GraphDb::cardinality() const {
   std::sort(s.labels.begin(), s.labels.end());
   std::sort(s.edge_types.begin(), s.edge_types.end());
   return s;
-}
-
-void GraphDb::index_insert(const Node& n) {
-  for (const auto& [key, value] : n.props) {
-    auto it = indexes_.find(index_name(n.label, key));
-    if (it == indexes_.end()) continue;
-    std::string vk = index_key(value);
-    if (!vk.empty()) it->second[vk].push_back(n.id);
-  }
-}
-
-void GraphDb::index_erase_key(const Node& n, const std::string& key) {
-  auto it = indexes_.find(index_name(n.label, key));
-  if (it == indexes_.end()) return;
-  const Value* v = n.prop(key);
-  if (v == nullptr) return;
-  auto bucket = it->second.find(index_key(*v));
-  if (bucket == it->second.end()) return;
-  auto& ids = bucket->second;
-  ids.erase(std::remove(ids.begin(), ids.end(), n.id), ids.end());
 }
 
 }  // namespace tabby::graph

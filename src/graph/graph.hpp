@@ -1,8 +1,8 @@
 // Embedded property-graph store: the repository's Neo4j substitute.
 // Supports labeled nodes, typed directed edges, arbitrary properties,
-// label scans, (label, property) equality indexes, edge removal (the PCG
-// pruning operation), and binary persistence. Single-threaded by design —
-// the pipeline builds one graph per analysis run.
+// label scans, edge removal (the PCG pruning operation), and binary
+// persistence. Single-threaded by design — the pipeline builds one graph per
+// analysis run, freezes it (graph/frozen.hpp) and reads only the frozen copy.
 #pragma once
 
 #include <cstdint>
@@ -13,10 +13,6 @@
 #include <vector>
 
 #include "graph/value.hpp"
-
-namespace tabby::util {
-class Executor;
-}
 
 namespace tabby::graph {
 
@@ -111,7 +107,7 @@ class GraphDb {
   NodeId add_node(std::string label, PropertyMap props = {});
   EdgeId add_edge(NodeId from, NodeId to, std::string type, PropertyMap props = {});
 
-  /// Set/overwrite a node property, keeping indexes in sync.
+  /// Set/overwrite a node property.
   void set_node_prop(NodeId id, const std::string& key, Value value);
   void set_edge_prop(EdgeId id, const std::string& key, Value value);
 
@@ -148,22 +144,7 @@ class GraphDb {
   void for_each_node(const std::function<void(const Node&)>& fn) const;
   void for_each_edge(const std::function<void(const Edge&)>& fn) const;
 
-  // --- Indexing -------------------------------------------------------------
-
-  /// Create an equality index on (label, property). Existing nodes are
-  /// back-filled; future mutations keep it current. Idempotent.
-  void create_index(const std::string& label, const std::string& key);
-  bool has_index(const std::string& label, const std::string& key) const;
-
-  /// Creates several indexes at once. Each back-fill only reads the node
-  /// store, so with an executor the per-index scans fan out across workers;
-  /// the finished maps are installed serially in spec order, leaving the
-  /// database in exactly the state repeated create_index() calls produce.
-  void create_indexes(const std::vector<std::pair<std::string, std::string>>& specs,
-                      util::Executor* executor = nullptr);
-
-  /// Index-accelerated equality lookup; falls back to a label scan when no
-  /// index exists.
+  /// Equality lookup: a scan of `label`'s nodes in insertion order.
   std::vector<NodeId> find_nodes(const std::string& label, const std::string& key,
                                  const Value& value) const;
 
@@ -176,16 +157,6 @@ class GraphDb {
   CardinalityStats cardinality() const;
 
  private:
-  std::string index_name(const std::string& label, const std::string& key) const {
-    return label + "" + key;
-  }
-  void index_insert(const Node& n);
-  void index_erase_key(const Node& n, const std::string& key);
-  /// Scans `label`'s nodes once and fills `index` (value key -> ids);
-  /// shared back-fill for create_index and create_indexes.
-  void backfill_index(const std::string& label, const std::string& key,
-                      std::unordered_map<std::string, std::vector<NodeId>>& index) const;
-
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_;
@@ -194,8 +165,6 @@ class GraphDb {
   // Live-edge tally per type, maintained by add_edge/remove_edge so
   // cardinality() never scans the edge store.
   std::unordered_map<std::string, std::uint64_t> type_counts_;
-  // (label \x01 key) -> value index-key -> node ids
-  std::unordered_map<std::string, std::unordered_map<std::string, std::vector<NodeId>>> indexes_;
   std::size_t live_nodes_ = 0;
   std::size_t live_edges_ = 0;
 };

@@ -97,11 +97,8 @@ inline bool is_null(const Value& v) { return std::holds_alternative<std::monosta
 
 std::string to_string(const Value& v);
 
-/// Loose scalar equality used by index lookups and Cypher `=`: exact variant
+/// Loose scalar equality used by find_nodes and Cypher `=`: exact variant
 /// match except bool/int which compare numerically.
 bool value_equals(const Value& a, const Value& b);
-
-/// Stable text key for indexing; lists are not indexable and yield "".
-std::string index_key(const Value& v);
 
 }  // namespace tabby::graph

@@ -159,6 +159,10 @@ void Tracer::record_counter(const char* name, std::uint64_t delta) {
 
 void Tracer::name_current_thread(std::string name) {
   ThreadBuffer& buffer = local_buffer();
+  // flush() and enable() read the name from other threads under the
+  // registry mutex; a pool worker names itself at startup, unordered
+  // against either, so the write takes the same lock.
+  std::lock_guard<std::mutex> lock(registry().mutex);
   buffer.name = std::move(name);
   buffer.named = true;
 }

@@ -10,8 +10,8 @@
 //            digest-folded key the snapshot cache uses). Opening a classpath
 //            a second time returns the already-resident Analysis without
 //            touching a single archive byte.
-//   Analysis one resident classpath: the pipeline Outcome (frozen CSR frame
-//            and/or graph store, stats, optional linked program) plus
+//   Analysis one resident classpath: the pipeline Outcome (frozen CSR frame,
+//            stats, optional linked program and store bytes) plus
 //            find()/query() entry points that reproduce the CLI's
 //            orchestration byte for byte. Handles are shared_ptr: an Analysis
 //            evicted from the engine's LRU stays valid for requests already
@@ -130,10 +130,6 @@ struct OpenOptions {
   bool need_program = false;
   /// Populate Outcome::graph_bytes (the exact `--store` serialization).
   bool need_graph_bytes = false;
-  /// Override the engine-level use_frozen default for this open. Every
-  /// request — including find --verify, whose alias probes go through
-  /// finder::AliasView — produces byte-identical output either way.
-  std::optional<bool> use_frozen;
   /// Admission control: when true (the serving default), an open that cannot
   /// fit in the engine's bounded budget — even after evicting idle LRU
   /// analyses — fails with a structured over-capacity error. When false (the
@@ -159,9 +155,6 @@ struct EngineOptions {
   std::size_t max_resident = 0;
   /// Prefix the simulated JDK archive to every classpath.
   bool with_jdk = true;
-  /// Default representation for opens: freeze (or mmap) the immutable CSR.
-  /// The serving default is on; OpenOptions::use_frozen overrides per open.
-  bool use_frozen = true;
   /// Invoked (under the engine lock) for every eviction, LRU or explicit:
   /// fingerprint + resident bytes released. The `tabby serve` daemon counts
   /// these as serve.evictions.
@@ -174,8 +167,6 @@ struct EngineOptions {
 struct FindResult {
   finder::FinderReport report;
   DegradationReport degradation;
-  /// True when the search ran over the frozen CSR representation.
-  bool used_frozen = false;
   /// The verify post-pass (ExecContext::verify): one verdict per chain, in
   /// chain order. Untouched (and `verified` false) when verify was off or
   /// the analysis holds no linked program.
@@ -190,27 +181,27 @@ class Engine;
 class Analysis {
  public:
   /// The pipeline outcome backing this analysis (stats, warnings,
-  /// degradation, frozen frame / graph store).
+  /// degradation, frozen frame).
   const Outcome& outcome() const { return outcome_; }
   /// Classpath fingerprint (the cache snapshot key); 0 for in-memory opens.
   std::uint64_t fingerprint() const { return fingerprint_; }
-  /// Bytes this analysis holds resident (frozen frame + store bytes + graph
-  /// estimate) — the unit of the engine's admission control.
+  /// Bytes this analysis holds resident (frozen frame + kept store bytes +
+  /// program estimate) — the unit of the engine's admission control.
   std::size_t resident_bytes() const { return resident_bytes_; }
 
   /// Gadget-chain search with the CLI's exact orchestration: depth,
-  /// deadline folding, deterministic frontier-pool split, frozen/store
-  /// dispatch. Fills FindResult::degradation (open-phase units + the
-  /// finder's partial_sinks/frontier_pruned) for every caller.
+  /// deadline folding, deterministic frontier-pool split. Fills
+  /// FindResult::degradation (open-phase units + the finder's
+  /// partial_sinks/frontier_pruned) for every caller.
   FindResult find(const ExecContext& ctx) const;
 
-  /// Cypher query over the resident representation (frozen when present).
-  /// Row content and order are byte-identical to the one-shot CLI.
+  /// Cypher query over the resident frozen graph. Row content and order are
+  /// byte-identical to the one-shot CLI.
   util::Result<cypher::QueryResult> query(std::string_view text,
                                           const ExecContext& ctx) const;
 
-  /// Renders a query result against this analysis' representation — the
-  /// exact bytes `tabby query` prints (rows + "(N row(s))" trailer).
+  /// Renders a query result against this analysis' graph — the exact bytes
+  /// `tabby query` prints (rows + "(N row(s))" trailer).
   std::string render(const cypher::QueryResult& result) const;
 
  private:
@@ -278,9 +269,10 @@ class Engine {
 
   /// In-memory variant for embedding callers that already hold a linked
   /// program (the examples): builds the CPG on the engine's pool and wraps
-  /// it in a non-resident Analysis (no fingerprint, no LRU entry).
-  AnalysisPtr open(const jir::Program& program, const ExecContext& ctx = {},
-                   const OpenOptions& opts = {});
+  /// it in a non-resident Analysis (no fingerprint, no LRU entry). Fails
+  /// only when the CPG cannot be frozen.
+  util::Result<AnalysisPtr> open(const jir::Program& program, const ExecContext& ctx = {},
+                                 const OpenOptions& opts = {});
 
   /// Evicts one analysis by fingerprint (true when something was resident).
   bool evict(std::uint64_t fingerprint);

@@ -33,41 +33,44 @@ util::Status absorb_build_cut(const cpg::Cpg& cpg, FailurePolicy policy, Outcome
   return util::Status::ok_status();
 }
 
-/// Freezes the built (or decoded) CPG into the immutable CSR when
-/// Options::use_frozen asks for it. Fail-soft: a freeze failure (a graph too
-/// large for the dense id space, an injected graph.freeze fault) leaves the
-/// store-backed db in charge with a warning — never a run failure.
-void freeze_outcome(const Options& options, std::uint64_t content_key, Outcome& outcome) {
-  if (!options.use_frozen) return;
+/// Freezes `db` into outcome.frozen, the graph every reader queries. A
+/// failed freeze (a graph too large for the dense id space, an injected
+/// graph.freeze fault) leaves nothing to read, so it is a run error.
+util::Status freeze_into(const graph::GraphDb& db, std::uint64_t content_key,
+                         const Options& options, Outcome& outcome) {
   obs::Span span("graph.freeze");
-  auto frozen = graph::FrozenGraph::freeze(outcome.db, content_key, options.memory);
+  auto frozen = graph::FrozenGraph::freeze(db, content_key, options.memory);
   if (!frozen.ok()) {
     obs::counter_add("graph.freeze_failures");
-    outcome.warnings.push_back("graph freeze failed: " + frozen.error().message +
-                               " (continuing with the store-backed graph)");
-    return;
+    return util::Error{"graph freeze failed: " + frozen.error().message};
   }
   if (span.active()) {
     span.attr("nodes", static_cast<std::uint64_t>(frozen.value().node_count()));
     span.attr("bytes", static_cast<std::uint64_t>(frozen.value().frame().size()));
   }
   outcome.frozen = std::move(frozen.value());
+  return util::Status::ok_status();
 }
 
-/// Cold back half shared by both run() overloads: build the CPG and, when
-/// asked, the store bytes.
+/// A deadline that fires before the build leaves an empty CPG; freezing it
+/// keeps find and query valid on the degraded outcome.
+util::Status freeze_empty(const Options& options, Outcome& outcome) {
+  return freeze_into(graph::GraphDb{}, /*content_key=*/0, options, outcome);
+}
+
+/// Cold back half shared by both run() overloads: build the CPG, serialize
+/// it when asked and freeze it. The builder's graph is dropped on return.
 util::Status build_into(const jir::Program& program, const Options& options,
-                        cpg::CpgOptions cpg_options, Outcome& outcome) {
+                        const cpg::CpgOptions& cpg_options, Outcome& outcome) {
   cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
   util::Status cut = absorb_build_cut(cpg, options.policy, outcome);
   if (!cut.ok()) return cut;
-  outcome.db = std::move(cpg.db);
   outcome.stats = cpg.stats;
   if (options.need_graph_bytes) {
     TABBY_SPAN("graph.serialize");
-    outcome.graph_bytes = graph::serialize(outcome.db);
+    outcome.graph_bytes = graph::serialize(cpg.db);
   }
-  return util::Status::ok_status();
+  return freeze_into(cpg.db, /*content_key=*/0, options, outcome);
 }
 
 /// Renders the unit label for a partially-salvaged archive: which classes
@@ -75,6 +78,16 @@ util::Status build_into(const jir::Program& program, const Options& options,
 std::string salvage_unit(const std::string& path, const jar::DecodeDegradation& degradation) {
   return path + " [kept " + std::to_string(degradation.classes_kept) + "/" +
          std::to_string(degradation.classes_kept + degradation.classes_dropped) + " classes]";
+}
+
+/// Publishes the outcome's frame next to its snapshot; a failed write only
+/// costs the next run its warm frozen start.
+void publish_frozen(cache::AnalysisCache& cache, std::uint64_t key, Outcome& outcome) {
+  auto stored = cache.store_frozen(key, outcome.frozen);
+  if (!stored.ok()) {
+    outcome.warnings.push_back(stored.error().to_string() +
+                               " (continuing without frozen snapshot)");
+  }
 }
 
 util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const Options& options) {
@@ -102,12 +115,13 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
     if (run_deadline.expired()) {
       if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
       outcome.degradation.deadline_hit = true;
+      util::Status frozen = freeze_empty(options, outcome);
+      if (!frozen.ok()) return frozen.error();
       if (options.need_program) outcome.program = std::move(program.value());
       return outcome;
     }
     util::Status built = build_into(program.value(), options, cpg_options, outcome);
     if (!built.ok()) return built.error();
-    freeze_outcome(options, /*content_key=*/0, outcome);
     if (options.need_program) outcome.program = std::move(program.value());
     return outcome;
   }
@@ -153,10 +167,11 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   // The sibling .tsnp stays the source of truth — a frozen hit still
   // requires it intact (stats + the exact store bytes), but lets
   // load_snapshot skip the expensive graph decode. A corrupt frame is a
-  // structured degradation, then the store path proceeds as if no frame
-  // existed; a frame without an intact snapshot is an orphan and is ignored.
+  // structured degradation: the store is decoded and re-frozen below as if
+  // no frame existed; a frame without an intact snapshot is an orphan and is
+  // ignored.
   std::optional<graph::FrozenGraph> warm_frozen;
-  if (options.use_frozen) {
+  {
     std::string corrupt_reason;
     auto frozen = cache.load_frozen(key, &corrupt_reason);
     if (frozen.has_value() && !frozen->stats().has_value()) {
@@ -243,6 +258,8 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
       if (run_deadline.expired()) {
         if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
         outcome.degradation.deadline_hit = true;
+        util::Status frozen = freeze_empty(options, outcome);
+        if (!frozen.ok()) return frozen.error();
         if (options.need_program) outcome.program = std::move(program);
         outcome.cache_line = cache.stats().to_line();
         return outcome;
@@ -250,11 +267,11 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
       cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
       util::Status cut = absorb_build_cut(cpg, options.policy, outcome);
       if (!cut.ok()) return cut.error();
-      outcome.db = std::move(cpg.db);
       outcome.stats = cpg.stats;
+      std::vector<std::byte> graph_bytes;
       {
         TABBY_SPAN("graph.serialize");
-        outcome.graph_bytes = graph::serialize(outcome.db);
+        graph_bytes = graph::serialize(cpg.db);
       }
       bool snapshot_published = false;
       if (outcome.degradation.degraded()) {
@@ -263,7 +280,7 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
         // must not warm-start from the holes.
         outcome.warnings.push_back("snapshot not published (degraded run)");
       } else {
-        auto stored = cache.store_snapshot(key, outcome.stats, outcome.graph_bytes);
+        auto stored = cache.store_snapshot(key, outcome.stats, graph_bytes);
         if (!stored.ok()) {
           outcome.warnings.push_back(stored.error().to_string() +
                                      " (continuing without snapshot)");
@@ -274,45 +291,28 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
       // Freeze after the store publish so the frame is only ever published
       // next to its intact snapshot (a companion-less .tfzn is an orphan the
       // warm path would ignore anyway).
-      freeze_outcome(options, key, outcome);
-      if (outcome.frozen.has_value() && snapshot_published) {
-        auto stored_frozen = cache.store_frozen(key, *outcome.frozen);
-        if (!stored_frozen.ok()) {
-          outcome.warnings.push_back(stored_frozen.error().to_string() +
-                                     " (continuing without frozen snapshot)");
-        }
-      }
+      util::Status frozen = freeze_into(cpg.db, key, options, outcome);
+      if (!frozen.ok()) return frozen.error();
+      if (snapshot_published) publish_frozen(cache, key, outcome);
+      if (options.need_graph_bytes) outcome.graph_bytes = std::move(graph_bytes);
     }
     if (options.need_program) outcome.program = std::move(program);
   }
   if (snapshot.has_value()) {
     outcome.stats = snapshot->stats;
-    outcome.graph_bytes = std::move(snapshot->graph_bytes);
     outcome.warm = true;
     if (warm_frozen.has_value()) {
       // Frozen warm start: the mmapped frame is the graph; the store decode
-      // was skipped (db stays empty) unless load_snapshot decoded anyway.
-      outcome.frozen = std::move(warm_frozen);
-      outcome.db_skipped = !snapshot->db_decoded;
+      // was skipped.
+      outcome.frozen = std::move(*warm_frozen);
+    } else {
+      // The frame was absent, stale or corrupt: re-freeze from the decoded
+      // store and republish so the cache self-heals.
+      util::Status frozen = freeze_into(snapshot->db, key, options, outcome);
+      if (!frozen.ok()) return frozen.error();
+      publish_frozen(cache, key, outcome);
     }
-    if (snapshot->db_decoded) {
-      outcome.db = std::move(snapshot->db);
-      // Persistence stores data, not index structures; recreate the standard
-      // set so lookups behave exactly as on a freshly built CPG.
-      cpg::create_standard_indexes(outcome.db, options.executor);
-      if (options.use_frozen && !outcome.frozen.has_value()) {
-        // Frozen requested but the frame was absent or corrupt: re-freeze
-        // from the decoded store and republish so the cache self-heals.
-        freeze_outcome(options, key, outcome);
-        if (outcome.frozen.has_value()) {
-          auto stored_frozen = cache.store_frozen(key, *outcome.frozen);
-          if (!stored_frozen.ok()) {
-            outcome.warnings.push_back(stored_frozen.error().to_string() +
-                                       " (continuing without frozen snapshot)");
-          }
-        }
-      }
-    }
+    if (options.need_graph_bytes) outcome.graph_bytes = std::move(snapshot->graph_bytes);
   }
   outcome.cache_line = cache.stats().to_line();
   return outcome;
@@ -438,20 +438,19 @@ util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Optio
   }
 }
 
-Outcome run(const jir::Program& program, const Options& options) {
+util::Result<Outcome> run(const jir::Program& program, const Options& options) {
   obs::Span span("pipeline.run");
   cpg::CpgOptions cpg_options = options.cpg;
   cpg_options.executor = options.executor;
   cpg_options.deadline = options.deadline.tightened(cpg_options.deadline);
   if (cpg_options.memory == nullptr) cpg_options.memory = options.memory;
   Outcome outcome;
-  // This overload cannot return an error, so a deadline cut is always
-  // absorbed as degradation regardless of policy.
+  // A deadline cut is always absorbed as degradation regardless of policy.
   Options absorbing = options;
   absorbing.policy = FailurePolicy::kQuarantine;
-  (void)build_into(program, absorbing, cpg_options, outcome);
+  util::Status built = build_into(program, absorbing, cpg_options, outcome);
+  if (!built.ok()) return built.error();
   if (options.need_program) outcome.program = program;
-  freeze_outcome(options, /*content_key=*/0, outcome);
   return outcome;
 }
 

@@ -1,8 +1,8 @@
 // The one-shot pipeline facade: everything between "a classpath of .tjar
 // files" and "a queryable CPG" behind one call — archive decode (parallel),
 // classpath linking, the incremental cache's warm/cold logic, CPG
-// construction and snapshot publishing — without re-implementing it from the
-// module-level APIs.
+// construction, the freeze into the read-only CSR graph and snapshot
+// publishing — without re-implementing it from the module-level APIs.
 //
 // run() is the COMPATIBILITY surface: one invocation, one Outcome, caller
 // owns the pool/budget plumbing. New embedding code should prefer the
@@ -36,7 +36,6 @@
 #include "cache/cache.hpp"
 #include "cpg/builder.hpp"
 #include "graph/frozen.hpp"
-#include "graph/graph.hpp"
 #include "jir/model.hpp"
 #include "util/deadline.hpp"
 #include "util/memory_budget.hpp"
@@ -107,20 +106,8 @@ struct Options {
   /// Keep the linked jir::Program in the Outcome (needed for find --verify
   /// and the runtime VM; costs the link step even on a snapshot hit).
   bool need_program = false;
-  /// Populate Outcome::graph_bytes (the exact `--store` serialization) even
-  /// when no cache is in play. Cache runs always have them (snapshots embed
-  /// the store bytes).
+  /// Keep Outcome::graph_bytes (the exact `--store` serialization).
   bool need_graph_bytes = false;
-  /// Also freeze the CPG into an immutable CSR snapshot (Outcome::frozen),
-  /// the representation the finder and cypher hot paths prefer (see
-  /// docs/GRAPH.md). Cache runs publish the frame next to the snapshot
-  /// (snapshots/<key>.tfzn); a warm start mmaps it zero-copy and skips the
-  /// graph-store decode entirely (Outcome::db_skipped). Fail-soft both ways:
-  /// a freeze failure or a corrupt cached frame degrades to the store-backed
-  /// graph with a warning, never a run failure. Off by default at the
-  /// library level — every query result is byte-identical either way, so
-  /// existing embedders see no change; the CLI enables it (--frozen).
-  bool use_frozen = false;
   /// Worker pool for the parallel stages; nullptr = serial. Borrowed, must
   /// outlive run(). (make_pool() builds one from a --jobs-style count.)
   util::Executor* executor = nullptr;
@@ -153,20 +140,20 @@ struct Options {
 /// The CPG for one pipeline invocation, however it was obtained (cold build
 /// or cache snapshot) — the library-level equivalent of one analyze/find/
 /// query front half.
+///
+/// The builder's mutable graph::GraphDb never leaves the run: it is frozen
+/// into `frozen` (docs/GRAPH.md), serialized when a cache or `--store` needs
+/// the bytes, and dropped. Cache runs publish the frame next to the snapshot
+/// (snapshots/<key>.tfzn); a warm start maps it zero-copy and skips the
+/// graph-store decode. A corrupt cached frame is re-frozen from the store
+/// and republished with a warning; a freeze that fails is a run error.
 struct Outcome {
-  graph::GraphDb db;
+  /// The CPG every reader (finder, Cypher, verify) queries. Always a valid
+  /// frame — an empty graph when a deadline cut the run before the build.
+  graph::FrozenGraph frozen;
   cpg::CpgStats stats;
-  /// The frozen CSR snapshot, when Options::use_frozen was set and the
-  /// freeze (or the cached-frame mmap) succeeded. Traversal, finder and
-  /// cypher results against it are byte-identical to store-backed runs on
-  /// `db`; absence just means the run degraded to the store representation.
-  std::optional<graph::FrozenGraph> frozen;
-  /// True when a warm frozen start skipped deserializing the graph store:
-  /// `db` is empty and `frozen` holds the graph (db_skipped implies frozen
-  /// is present; graph_bytes still carry the verified store blob).
-  bool db_skipped = false;
-  /// graph::serialize(db), the exact bytes `--store` writes. Present on
-  /// every cache run and whenever Options::need_graph_bytes was set.
+  /// graph::serialize of the CPG, the exact bytes `--store` writes. Kept
+  /// only when Options::need_graph_bytes was set.
   std::vector<std::byte> graph_bytes;
   /// The linked program, when Options::need_program was set.
   std::optional<jir::Program> program;
@@ -210,7 +197,9 @@ util::Result<jir::Program> load_program(const std::vector<std::string>& paths, b
 util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options);
 
 /// In-memory variant: build the CPG for an already-linked program (no
-/// archives, no cache). The path examples and embedding libraries use.
-Outcome run(const jir::Program& program, const Options& options);
+/// archives, no cache). The path examples and embedding libraries use. A
+/// deadline cut is always absorbed as degradation; the only error is a
+/// failed freeze.
+util::Result<Outcome> run(const jir::Program& program, const Options& options);
 
 }  // namespace tabby::pipeline

@@ -281,7 +281,6 @@ util::Result<pipeline::AnalysisPtr> Daemon::open_for(const Json& request,
     return util::Error{"usage"};
   }
   opts.require_admission = true;
-  if (request.has("use_frozen")) opts.use_frozen = request.flag("use_frozen");
   auto analysis = engine_->open(classpath, ctx, opts);
   if (!analysis.ok()) {
     error_out = pipeline::is_over_capacity(analysis.error())
@@ -315,7 +314,6 @@ Json Daemon::op_open(const Json& request) {
   response.set("sources", static_cast<std::uint64_t>(outcome.stats.source_methods));
   response.set("sinks", static_cast<std::uint64_t>(outcome.stats.sink_methods));
   response.set("pruned", static_cast<std::uint64_t>(outcome.stats.pruned_call_sites));
-  response.set("frozen", outcome.frozen.has_value());
   response.set("degraded", outcome.degradation.degraded());
   if (!outcome.cache_line.empty()) response.set("cache_line", outcome.cache_line);
   Json warnings = Json::array();
@@ -360,7 +358,6 @@ Json Daemon::op_find(const Json& request) {
   response.set("fingerprint", hex64(analysis.value()->fingerprint()));
   response.set("chains", static_cast<std::uint64_t>(result.report.chains.size()));
   response.set("partial", static_cast<std::uint64_t>(result.report.partial_sinks.size()));
-  response.set("used_frozen", result.used_frozen);
   response.set("degraded", result.degradation.degraded());
   response.set("text", std::move(text));
   if (result.verified) {

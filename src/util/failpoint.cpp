@@ -23,8 +23,7 @@ constexpr const char* kSites[] = {
     "dist.worker.hang",        // dispatched worker goes silent (heartbeat miss)
     "fs.read",                 // any file read feeding the pipeline
     "graph.deserialize",       // graph store / snapshot blob decode
-    "graph.freeze",            // building the frozen CSR snapshot
-    "graph.index.rebuild",     // (re)creating label/property indexes
+    "graph.freeze",            // building the frozen CSR graph (fatal: nothing to read)
     "jar.decode",              // TJAR archive decode
     "pool.task",               // ThreadPool parallel_for task body
     "runtime.step",            // one interpreter step (verify VM infrastructure fault)

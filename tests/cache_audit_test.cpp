@@ -47,10 +47,15 @@ void flip_byte(const fs::path& path, std::size_t offset) {
   file.put(static_cast<char>(byte ^ 0x5a));
 }
 
-std::vector<fs::path> files_in(const fs::path& dir) {
+/// Files in `dir`, optionally only those with `extension`.
+std::vector<fs::path> files_in(const fs::path& dir, const std::string& extension = "") {
   std::vector<fs::path> files;
   if (!fs::exists(dir)) return files;
-  for (const auto& entry : fs::directory_iterator(dir)) files.push_back(entry.path());
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (extension.empty() || entry.path().extension() == extension) {
+      files.push_back(entry.path());
+    }
+  }
   return files;
 }
 
@@ -64,19 +69,23 @@ class CacheAuditFixture : public ::testing::Test {
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("BeanShell1").jar, jar1_).ok());
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("Rome").jar, jar2_).ok());
     cache_ = (dir_ / "cache").string();
-    // Warm the cache: two fragments and one whole-classpath snapshot.
+    // Warm the cache: two fragments, one whole-classpath snapshot and the
+    // frozen frame published next to it.
     CliRun cold = run({"analyze", jar1_, jar2_, "--cache", cache_});
     ASSERT_EQ(cold.code, 0) << cold.err;
     fragments_ = files_in(fs::path(cache_) / "fragments");
-    snapshots_ = files_in(fs::path(cache_) / "snapshots");
+    snapshots_ = files_in(fs::path(cache_) / "snapshots", ".tsnp");
+    frames_ = files_in(fs::path(cache_) / "snapshots", ".tfzn");
     ASSERT_EQ(fragments_.size(), 2u);
     ASSERT_EQ(snapshots_.size(), 1u);
+    ASSERT_EQ(frames_.size(), 1u);
+    ASSERT_EQ(files_in(fs::path(cache_) / "snapshots").size(), 2u);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
   fs::path dir_;
   std::string jar1_, jar2_, cache_;
-  std::vector<fs::path> fragments_, snapshots_;
+  std::vector<fs::path> fragments_, snapshots_, frames_;
 };
 
 TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
@@ -85,6 +94,7 @@ TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
   EXPECT_TRUE(report.value().clean());
   EXPECT_EQ(report.value().fragments_checked, 2u);
   EXPECT_EQ(report.value().snapshots_checked, 1u);
+  EXPECT_EQ(report.value().frozen_checked, 1u);
   EXPECT_EQ(report.value().reclaimable_bytes, 0u);
 
   CliRun cli = run({"cache", cache_});
@@ -137,6 +147,7 @@ TEST_F(CacheAuditFixture, PruneHealsAndOnlyThePrunedFragmentRebuilds) {
   EXPECT_NE(pruned.out.find("reclaimed"), std::string::npos) << pruned.out;
   EXPECT_FALSE(fs::exists(fragments_[0]));
   EXPECT_FALSE(fs::exists(snapshots_[0]));
+  EXPECT_FALSE(fs::exists(frames_[0])) << "the frame outlived its snapshot";
   EXPECT_TRUE(fs::exists(fragments_[1])) << "prune touched an intact entry";
 
   // The next run self-heals: the surviving fragment warm-starts, only the
@@ -151,6 +162,7 @@ TEST_F(CacheAuditFixture, PruneHealsAndOnlyThePrunedFragmentRebuilds) {
   EXPECT_TRUE(report.value().clean()) << report.value().to_string();
   EXPECT_EQ(report.value().fragments_checked, 2u);
   EXPECT_EQ(report.value().snapshots_checked, 1u);
+  EXPECT_EQ(report.value().frozen_checked, 1u);
 }
 
 TEST_F(CacheAuditFixture, VerdictFramesRoundTripAndRejectKeyMismatches) {

@@ -150,8 +150,9 @@ TEST_F(ChaosFixture, SweepEverySiteNeverCrashesAndStaysStructured) {
 
 TEST_F(ChaosFixture, QueryWorkloadSweepStaysStructured) {
   // The query workload reaches two sites the find sweep does not sit on the
-  // far side of: cypher.eval (the evaluator entry) and graph.index.rebuild
-  // (index creation for the freshly built CPG).
+  // far side of: cypher.eval (the evaluator entry) and cypher.plan. A
+  // graph.freeze fault leaves no graph to query, so it is a structured
+  // fatal error.
   const std::string query = "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE";
   CliRun clean = run_cli_capture({"query", jar_path_, query});
   ASSERT_EQ(clean.code, 0) << clean.err;
@@ -180,11 +181,14 @@ TEST_F(ChaosFixture, QueryWorkloadSweepStaysStructured) {
       EXPECT_EQ(r.code, 0) << "cypher.plan fault did not degrade to naive\n" << r.err;
       EXPECT_EQ(r.out, clean.out) << "cypher.plan fault changed the answer";
     }
+    if (site == "graph.freeze") {
+      EXPECT_EQ(r.code, 1) << "graph.freeze fault was not fatal\n" << r.err;
+      EXPECT_NE(r.err.find("error: graph freeze failed"), std::string::npos) << r.err;
+    }
   }
   EXPECT_TRUE(sites_that_fired.count("cypher.eval") == 1) << "cypher.eval never fired";
   EXPECT_TRUE(sites_that_fired.count("cypher.plan") == 1) << "cypher.plan never fired";
-  EXPECT_TRUE(sites_that_fired.count("graph.index.rebuild") == 1)
-      << "graph.index.rebuild never fired";
+  EXPECT_TRUE(sites_that_fired.count("graph.freeze") == 1) << "graph.freeze never fired";
 
   // Injection over: the same query answers cleanly again.
   CliRun recovered = run_cli_capture({"query", jar_path_, query});

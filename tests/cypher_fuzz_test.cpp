@@ -2,17 +2,13 @@
 //
 // The planner's contract is absolute: for every query, planned execution
 // produces output *byte-identical* to the naive evaluator — same rows, same
-// order — on both graph representations, at any job count. This harness
-// generates seeded random graphs (tests/support/random_graph.hpp) and seeded
-// random queries over the same label/type/key vocabulary, then runs each
-// query through a 4-way oracle:
-//
-//      {naive, planned} x {GraphDb, FrozenGraph}
-//
-// plus a planned run with a thread pool and a memory budget attached (the
-// prepass parallelizes; results must not change). Any mismatch prints the
-// graph seed, query seed, and query text — rerunning with those two seeds
-// reproduces the case exactly.
+// order — at any job count. This harness generates seeded random graphs
+// (tests/support/random_graph.hpp), freezes them, and runs seeded random
+// queries over the same label/type/key vocabulary through naive and planned
+// evaluation, plus a planned run with a thread pool and a memory budget
+// attached (the prepass parallelizes; results must not change). Any mismatch
+// prints the graph seed, query seed, and query text — rerunning with those
+// two seeds reproduces the case exactly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,7 +16,7 @@
 
 #include "cypher/cypher.hpp"
 #include "graph/frozen.hpp"
-#include "graph/graph.hpp"
+#include "support/freeze.hpp"
 #include "support/random_graph.hpp"
 #include "util/memory_budget.hpp"
 #include "util/rng.hpp"
@@ -119,8 +115,8 @@ struct Rendered {
   std::string text;
 };
 
-template <typename DB>
-Rendered run_one(const DB& db, const std::string& query, const cypher::QueryOptions& options) {
+Rendered run_one(const graph::FrozenGraph& db, const std::string& query,
+                 const cypher::QueryOptions& options) {
   Rendered out;
   auto result = cypher::run_query(db, query, options);
   if (!result.ok()) {
@@ -132,11 +128,10 @@ Rendered run_one(const DB& db, const std::string& query, const cypher::QueryOpti
   return out;
 }
 
-/// The 4-way (plus parallel/metered) oracle for one (graph, query) pair.
-/// Returns false after recording a failure so callers can stop early.
-bool check_case(const graph::GraphDb& db, const graph::FrozenGraph& frozen,
-                const std::string& query, std::uint64_t graph_seed, std::uint64_t query_seed,
-                util::Executor* pool) {
+/// The naive/planned (plus parallel/metered) oracle for one (graph, query)
+/// pair. Returns false after recording a failure so callers can stop early.
+bool check_case(const graph::FrozenGraph& db, const std::string& query, std::uint64_t graph_seed,
+                std::uint64_t query_seed, util::Executor* pool) {
   std::string ctx = "graph_seed=" + std::to_string(graph_seed) +
                     " query_seed=" + std::to_string(query_seed) + "\nquery: " + query;
 
@@ -154,11 +149,8 @@ bool check_case(const graph::GraphDb& db, const graph::FrozenGraph& frozen,
     Rendered result;
   };
   Variant variants[] = {
-      {"planned/GraphDb", run_one(db, query, planned)},
-      {"naive/Frozen", run_one(frozen, query, naive)},
-      {"planned/Frozen", run_one(frozen, query, planned)},
-      {"planned+jobs+budget/GraphDb", run_one(db, query, planned_parallel)},
-      {"planned+jobs+budget/Frozen", run_one(frozen, query, planned_parallel)},
+      {"planned", run_one(db, query, planned)},
+      {"planned+jobs+budget", run_one(db, query, planned_parallel)},
   };
   for (const Variant& v : variants) {
     EXPECT_EQ(reference.ok, v.result.ok) << ctx << "\nvariant: " << v.name;
@@ -176,19 +168,17 @@ bool check_case(const graph::GraphDb& db, const graph::FrozenGraph& frozen,
 
 // 60 graphs x 4 queries = 240 differential cases per run, every one checked
 // across all variants — comfortably past the 200-case CI floor.
-TEST(CypherFuzz, PlannedMatchesNaiveOnBothRepresentationsAtAnyJobCount) {
+TEST(CypherFuzz, PlannedMatchesNaiveAtAnyJobCount) {
   util::ThreadPool pool(4);
   std::size_t cases = 0;
   for (std::uint64_t graph_seed = 1; graph_seed <= 60; ++graph_seed) {
-    graph::GraphDb db = testsupport::random_graph(graph_seed);
-    auto frozen = graph::FrozenGraph::freeze(db);
-    ASSERT_TRUE(frozen.ok()) << frozen.error().message;
+    graph::FrozenGraph db = testing::freeze(testsupport::random_graph(graph_seed));
     for (std::uint64_t q = 0; q < 4; ++q) {
       std::uint64_t query_seed = graph_seed * 1000 + q;
       util::Rng rng(query_seed);
       std::string query = random_query(rng);
       ++cases;
-      if (!check_case(db, frozen.value(), query, graph_seed, query_seed, &pool)) {
+      if (!check_case(db, query, graph_seed, query_seed, &pool)) {
         return;  // context already printed; stop at the first mismatch
       }
     }
@@ -201,15 +191,14 @@ TEST(CypherFuzz, PlannedMatchesNaiveOnBothRepresentationsAtAnyJobCount) {
 // must still be byte-identical — stats change plans, never answers.
 TEST(CypherFuzz, StatsLessFrozenFramePlansDifferentlyButAnswersIdentically) {
   for (std::uint64_t graph_seed = 1; graph_seed <= 12; ++graph_seed) {
-    graph::GraphDb db = testsupport::random_graph(graph_seed);
-    auto bare = graph::FrozenGraph::freeze(db, 0, nullptr, /*with_stats=*/false);
-    ASSERT_TRUE(bare.ok()) << bare.error().message;
-    ASSERT_FALSE(bare.value().stats().has_value());
+    graph::FrozenGraph bare =
+        testing::freeze(testsupport::random_graph(graph_seed), 0, nullptr, /*with_stats=*/false);
+    ASSERT_FALSE(bare.stats().has_value());
     for (std::uint64_t q = 0; q < 4; ++q) {
       std::uint64_t query_seed = graph_seed * 1000 + q;
       util::Rng rng(query_seed);
       std::string query = random_query(rng);
-      if (!check_case(db, bare.value(), query, graph_seed, query_seed, nullptr)) return;
+      if (!check_case(bare, query, graph_seed, query_seed, nullptr)) return;
     }
   }
 }
@@ -239,12 +228,10 @@ TEST(CypherFuzz, DirectedAdversarialPatterns) {
   };
   util::ThreadPool pool(3);
   for (std::uint64_t graph_seed = 1; graph_seed <= 10; ++graph_seed) {
-    graph::GraphDb db = testsupport::random_graph(graph_seed);
-    auto frozen = graph::FrozenGraph::freeze(db);
-    ASSERT_TRUE(frozen.ok()) << frozen.error().message;
+    graph::FrozenGraph db = testing::freeze(testsupport::random_graph(graph_seed));
     std::uint64_t qi = 0;
     for (const char* query : queries) {
-      if (!check_case(db, frozen.value(), query, graph_seed, /*query_seed=*/qi++, &pool)) return;
+      if (!check_case(db, query, graph_seed, /*query_seed=*/qi++, &pool)) return;
     }
   }
 }

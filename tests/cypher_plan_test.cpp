@@ -18,6 +18,7 @@
 #include "graph/frozen.hpp"
 #include "graph/graph.hpp"
 #include "graph/serialize.hpp"
+#include "support/freeze.hpp"
 #include "support/random_graph.hpp"
 #include "util/bytes.hpp"
 
@@ -188,7 +189,7 @@ GraphDb skewed_graph() {
 }
 
 TEST(CypherExplain, GoldenPlannedReversal) {
-  GraphDb db = skewed_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(skewed_graph());
   auto result = run_query(db, "MATCH (a:Method)-[:CALL]->(b:Class) RETURN a.NAME");
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().plan,
@@ -201,7 +202,7 @@ TEST(CypherExplain, GoldenPlannedReversal) {
 }
 
 TEST(CypherExplain, GoldenNaiveSingleNode) {
-  GraphDb db = skewed_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(skewed_graph());
   auto result = run_query(db, "MATCH (a:Method) RETURN a.NAME");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().plan,
@@ -212,7 +213,7 @@ TEST(CypherExplain, GoldenNaiveSingleNode) {
 }
 
 TEST(CypherExplain, GoldenPushdownLine) {
-  GraphDb db = skewed_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(skewed_graph());
   auto result = run_query(
       db, "MATCH (a:Method)-[:CALL]->(b:Class) WHERE b.NAME = \"C0\" RETURN a.NAME");
   ASSERT_TRUE(result.ok());
@@ -221,7 +222,7 @@ TEST(CypherExplain, GoldenPushdownLine) {
 }
 
 TEST(CypherExplain, GoldenPlanningDisabled) {
-  GraphDb db = skewed_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(skewed_graph());
   QueryOptions options;
   options.use_planner = false;
   auto result = run_query(db, "MATCH (a:Method) RETURN a.NAME", options);
@@ -232,10 +233,9 @@ TEST(CypherExplain, GoldenPlanningDisabled) {
 }
 
 TEST(CypherExplain, StatsLessFrozenFrameFallsBackToDefaults) {
-  GraphDb db = skewed_graph();
-  auto bare = graph::FrozenGraph::freeze(db, 0, nullptr, /*with_stats=*/false);
-  ASSERT_TRUE(bare.ok());
-  auto result = run_query(bare.value(), "MATCH (a:Method)-[:CALL]->(b:Class) RETURN a.NAME");
+  graph::FrozenGraph bare =
+      tabby::testing::freeze(skewed_graph(), 0, nullptr, /*with_stats=*/false);
+  auto result = run_query(bare, "MATCH (a:Method)-[:CALL]->(b:Class) RETURN a.NAME");
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result.value().plan.find("stats: fallback"), std::string::npos);
   // Fallback plans differently but answers identically.
@@ -302,22 +302,20 @@ TEST(CypherStats, CodecRejectsUnsortedNames) {
 
 TEST(CypherStats, FrozenFrameCarriesStatsThroughAttach) {
   GraphDb db = testsupport::random_graph(5);
-  auto frozen = graph::FrozenGraph::freeze(db);
-  ASSERT_TRUE(frozen.ok());
-  ASSERT_TRUE(frozen.value().stats().has_value());
-  EXPECT_TRUE(*frozen.value().stats() == db.cardinality());
+  graph::FrozenGraph frozen = tabby::testing::freeze(db);
+  ASSERT_TRUE(frozen.stats().has_value());
+  EXPECT_TRUE(*frozen.stats() == db.cardinality());
 
   // Round-trip the frame bytes: the re-attached graph sees the same stats.
-  auto reattached = graph::FrozenGraph::from_bytes(frozen.value().frame());
+  auto reattached = graph::FrozenGraph::from_bytes(frozen.frame());
   ASSERT_TRUE(reattached.ok()) << reattached.error().to_string();
   ASSERT_TRUE(reattached.value().stats().has_value());
   EXPECT_TRUE(*reattached.value().stats() == db.cardinality());
 
   // A pre-planner 16-section frame attaches with no stats.
-  auto bare = graph::FrozenGraph::freeze(db, 0, nullptr, /*with_stats=*/false);
-  ASSERT_TRUE(bare.ok());
-  EXPECT_FALSE(bare.value().stats().has_value());
-  auto bare_reattached = graph::FrozenGraph::from_bytes(bare.value().frame());
+  graph::FrozenGraph bare = tabby::testing::freeze(db, 0, nullptr, /*with_stats=*/false);
+  EXPECT_FALSE(bare.stats().has_value());
+  auto bare_reattached = graph::FrozenGraph::from_bytes(bare.frame());
   ASSERT_TRUE(bare_reattached.ok()) << bare_reattached.error().to_string();
   EXPECT_FALSE(bare_reattached.value().stats().has_value());
 }

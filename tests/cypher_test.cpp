@@ -7,6 +7,7 @@
 #include "cpg/builder.hpp"
 #include "cypher/cypher.hpp"
 #include "fixtures.hpp"
+#include "support/freeze.hpp"
 
 namespace tabby::cypher {
 namespace {
@@ -28,12 +29,11 @@ GraphDb sample_graph() {
   db.add_edge(b, c, "KNOWS");
   db.add_edge(c, d, "KNOWS");
   db.add_edge(a, c, "WORKS_WITH");
-  db.create_index("Person", "NAME");
   return db;
 }
 
 TEST(Cypher, SingleNodeByProperty) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (p:Person {NAME: \"alice\"}) RETURN p.AGE");
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   ASSERT_EQ(result.value().rows.size(), 1u);
@@ -41,14 +41,14 @@ TEST(Cypher, SingleNodeByProperty) {
 }
 
 TEST(Cypher, LabelScanWithoutProps) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (p:Person) RETURN p");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows.size(), 4u);
 }
 
 TEST(Cypher, DirectedRelationship) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (a {NAME: \"alice\"})-[:KNOWS]->(b) RETURN b.NAME");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 1u);
@@ -56,7 +56,7 @@ TEST(Cypher, DirectedRelationship) {
 }
 
 TEST(Cypher, ReverseDirection) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (a {NAME: \"bob\"})<-[:KNOWS]-(b) RETURN b.NAME");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 1u);
@@ -64,21 +64,21 @@ TEST(Cypher, ReverseDirection) {
 }
 
 TEST(Cypher, UndirectedMatchesBothWays) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (a {NAME: \"bob\"})-[:KNOWS]-(b) RETURN b.NAME");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows.size(), 2u);  // alice and carol
 }
 
 TEST(Cypher, AnyRelationshipType) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (a {NAME: \"alice\"})-[]->(b) RETURN b.NAME");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows.size(), 2u);  // bob (KNOWS), carol (WORKS_WITH)
 }
 
 TEST(Cypher, VariableLengthHops) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result =
       run_query(db, "MATCH (a {NAME: \"alice\"})-[:KNOWS*1..3]->(b) RETURN b.NAME");
   ASSERT_TRUE(result.ok());
@@ -86,7 +86,7 @@ TEST(Cypher, VariableLengthHops) {
 }
 
 TEST(Cypher, VariableLengthLowerBound) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result =
       run_query(db, "MATCH (a {NAME: \"alice\"})-[:KNOWS*2..3]->(b) RETURN b.NAME");
   ASSERT_TRUE(result.ok());
@@ -94,7 +94,7 @@ TEST(Cypher, VariableLengthLowerBound) {
 }
 
 TEST(Cypher, FixedLengthStar) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (a {NAME: \"alice\"})-[:KNOWS*2]->(b) RETURN b.NAME");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 1u);
@@ -102,7 +102,7 @@ TEST(Cypher, FixedLengthStar) {
 }
 
 TEST(Cypher, MultiHopChainedPatterns) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(
       db, "MATCH (a {NAME: \"alice\"})-[:KNOWS]->(b)-[:KNOWS]->(c) RETURN b.NAME, c.NAME");
   ASSERT_TRUE(result.ok());
@@ -111,7 +111,7 @@ TEST(Cypher, MultiHopChainedPatterns) {
 }
 
 TEST(Cypher, WhereComparisons) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (p:Person) WHERE p.AGE > 26 RETURN p.NAME");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows.size(), 2u);  // alice, carol
@@ -126,7 +126,7 @@ TEST(Cypher, WhereComparisons) {
 }
 
 TEST(Cypher, WhereStringPredicates) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto contains = run_query(db, "MATCH (p:Person) WHERE p.NAME CONTAINS \"aro\" RETURN p");
   ASSERT_TRUE(contains.ok());
   EXPECT_EQ(contains.value().rows.size(), 1u);
@@ -141,14 +141,14 @@ TEST(Cypher, WhereStringPredicates) {
 }
 
 TEST(Cypher, LimitCutsRows) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "MATCH (p:Person) RETURN p LIMIT 2");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows.size(), 2u);
 }
 
 TEST(Cypher, PathBinding) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result =
       run_query(db, "MATCH p = (a {NAME: \"alice\"})-[:KNOWS*1..3]->(b {NAME: \"dave\"}) RETURN p");
   ASSERT_TRUE(result.ok());
@@ -164,7 +164,7 @@ TEST(Cypher, BooleanLiterals) {
   GraphDb db;
   db.add_node("Flag", {{"ON", Value{true}}});
   db.add_node("Flag", {{"ON", Value{false}}});
-  auto result = run_query(db, "MATCH (f:Flag {ON: true}) RETURN f");
+  auto result = run_query(tabby::testing::freeze(db), "MATCH (f:Flag {ON: true}) RETURN f");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows.size(), 1u);
 }
@@ -175,14 +175,15 @@ TEST(Cypher, EdgeUniquenessPreventsCycleSpam) {
   auto b = db.add_node("N", {{"NAME", Value{std::string("b")}}});
   db.add_edge(a, b, "E");
   db.add_edge(b, a, "E");
-  auto result = run_query(db, "MATCH (x {NAME: \"a\"})-[:E*1..6]->(y) RETURN y");
+  auto result =
+      run_query(tabby::testing::freeze(db), "MATCH (x {NAME: \"a\"})-[:E*1..6]->(y) RETURN y");
   ASSERT_TRUE(result.ok());
   // Each edge used once per path: a->b and a->b->a only.
   EXPECT_EQ(result.value().rows.size(), 2u);
 }
 
 TEST(Cypher, ParseErrorsCarryPosition) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   for (const char* bad : {
            "MATCH p:Person RETURN p",            // missing parens
            "MATCH (p:Person)",                   // missing RETURN
@@ -199,7 +200,7 @@ TEST(Cypher, ParseErrorsCarryPosition) {
 }
 
 TEST(Cypher, KeywordsAreCaseInsensitive) {
-  GraphDb db = sample_graph();
+  graph::FrozenGraph db = tabby::testing::freeze(sample_graph());
   auto result = run_query(db, "match (p:Person {NAME: 'alice'}) return p.AGE limit 1");
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().rows.size(), 1u);
@@ -209,7 +210,8 @@ TEST(Cypher, KeywordsAreCaseInsensitive) {
 
 TEST(CypherOnCpg, FindSinksByQuery) {
   cpg::Cpg cpg = cpg::build_cpg(testing::urldns_program());
-  auto result = run_query(cpg.db, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE");
+  auto result = run_query(tabby::testing::freeze(cpg.db),
+                          "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 1u);
   EXPECT_TRUE(graph::value_equals(result.value().rows[0][0].scalar,
@@ -219,7 +221,7 @@ TEST(CypherOnCpg, FindSinksByQuery) {
 TEST(CypherOnCpg, BackwardReachabilityFromSink) {
   cpg::Cpg cpg = cpg::build_cpg(testing::urldns_program());
   // Callers within 2 CALL hops of the sink.
-  auto result = run_query(cpg.db,
+  auto result = run_query(tabby::testing::freeze(cpg.db),
                           "MATCH (m:Method)-[:CALL*1..2]->(s:Method {IS_SINK: true}) "
                           "RETURN m.SIGNATURE");
   ASSERT_TRUE(result.ok());
@@ -236,7 +238,7 @@ TEST(CypherOnCpg, BackwardReachabilityFromSink) {
 
 TEST(CypherOnCpg, ClassHierarchyQuery) {
   cpg::Cpg cpg = cpg::build_cpg(testing::urldns_program());
-  auto result = run_query(cpg.db,
+  auto result = run_query(tabby::testing::freeze(cpg.db),
                           "MATCH (c:Class)-[:INTERFACE]->(i:Class {NAME: "
                           "\"java.io.Serializable\"}) RETURN c.NAME");
   ASSERT_TRUE(result.ok());
@@ -245,7 +247,7 @@ TEST(CypherOnCpg, ClassHierarchyQuery) {
 
 TEST(CypherOnCpg, SourceMethodsOfSerializableClasses) {
   cpg::Cpg cpg = cpg::build_cpg(testing::urldns_program());
-  auto result = run_query(cpg.db,
+  auto result = run_query(tabby::testing::freeze(cpg.db),
                           "MATCH (c:Class {IS_SERIALIZABLE: true})-[:HAS]->"
                           "(m:Method {IS_SOURCE: true}) RETURN c.NAME, m.NAME");
   ASSERT_TRUE(result.ok());

@@ -120,7 +120,6 @@ TEST_F(EngineFixture, FindMatchesOneShotCliByteForByte) {
   auto analysis = engine.open({jar_a_}, ctx);
   ASSERT_TRUE(analysis.ok());
   pipeline::FindResult found = analysis.value()->find(ctx);
-  EXPECT_TRUE(found.used_frozen);  // the engine's serving default
   EXPECT_EQ(chain_lines(found), chain_lines(cli.out));
 }
 
@@ -212,10 +211,11 @@ TEST_F(EngineFixture, TightBudgetEvictsLruAndResultsStayByteIdentical) {
   CliRun cli_b = run_cli_capture({"find", jar_b_});
 
   // Big enough for either analysis alone, too small for both: every switch
-  // of tenant evicts the other's idle analysis.
+  // of tenant evicts the other's idle analysis. Each keeps only its frozen
+  // frame resident (about 230 KiB and 250 KiB).
   std::vector<std::pair<std::uint64_t, std::size_t>> evicted;
   pipeline::EngineOptions options;
-  options.memory_budget_bytes = 900 * 1024;
+  options.memory_budget_bytes = 400 * 1024;
   options.on_evict = [&](std::uint64_t fingerprint, std::size_t bytes) {
     evicted.emplace_back(fingerprint, bytes);
   };
@@ -332,7 +332,9 @@ TEST_F(EngineFixture, InMemoryOpenIsNonResident) {
   pipeline::Engine engine;
   pipeline::ExecContext ctx;
   corpus::Component component = corpus::build_component("BeanShell1");
-  pipeline::AnalysisPtr analysis = engine.open(component.link(), ctx);
+  auto opened = engine.open(component.link(), ctx);
+  ASSERT_TRUE(opened.ok()) << opened.error().to_string();
+  const pipeline::AnalysisPtr& analysis = opened.value();
   ASSERT_NE(analysis, nullptr);
   EXPECT_EQ(analysis->fingerprint(), 0u);
   EXPECT_EQ(engine.stats().entries.size(), 0u);

@@ -9,6 +9,7 @@
 #include "cpg/schema.hpp"
 #include "finder/finder.hpp"
 #include "fixtures.hpp"
+#include "support/freeze.hpp"
 
 namespace tabby::finder {
 namespace {
@@ -16,17 +17,21 @@ namespace {
 using graph::NodeId;
 using graph::Value;
 
-NodeId node_by_signature(const graph::GraphDb& db, const std::string& sig) {
-  auto hits = db.find_nodes(std::string(cpg::kMethodLabel), std::string(cpg::kPropSignature),
-                            Value{sig});
+/// Builds and freezes the CPG of `p`.
+graph::FrozenGraph frozen_cpg(const jir::Program& p, const cpg::CpgOptions& options = {}) {
+  return tabby::testing::freeze(cpg::build_cpg(p, options).db);
+}
+
+NodeId node_by_signature(const graph::FrozenGraph& db, const std::string& sig) {
+  auto hits = db.find_nodes(cpg::kMethodLabel, cpg::kPropSignature, Value{sig});
   EXPECT_EQ(hits.size(), 1u) << sig;
   return hits.empty() ? graph::kNoNode : hits[0];
 }
 
 TEST(Finder, FindsTheUrldnsChain) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = frozen_cpg(p);
+  GadgetChainFinder finder(cpg);
   FinderReport report = finder.find_all();
 
   ASSERT_EQ(report.chains.size(), 1u);
@@ -51,8 +56,8 @@ TEST(Finder, EnumMapDeadEndProducesNoExtraChain) {
   // Searching upwards from the sink never touches EnumMap.entryHashCode:
   // the paper's motivation for sink-to-source search.
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = frozen_cpg(p);
+  GadgetChainFinder finder(cpg);
   for (const GadgetChain& chain : finder.find_all().chains) {
     for (const std::string& sig : chain.signatures) {
       EXPECT_EQ(sig.find("EnumMap"), std::string::npos);
@@ -62,8 +67,8 @@ TEST(Finder, EnumMapDeadEndProducesNoExtraChain) {
 
 TEST(Finder, FindsEvilObjectChain) {
   jir::Program p = testing::evil_object_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = frozen_cpg(p);
+  GadgetChainFinder finder(cpg);
   FinderReport report = finder.find_all();
 
   ASSERT_GE(report.chains.size(), 1u);
@@ -80,8 +85,8 @@ TEST(Finder, FindsEvilObjectChain) {
 
 TEST(Finder, ChainToStringShowsSourceAndSink) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = frozen_cpg(p);
+  GadgetChainFinder finder(cpg);
   auto chains = finder.find_all().chains;
   ASSERT_FALSE(chains.empty());
   std::string text = chains[0].to_string();
@@ -91,23 +96,23 @@ TEST(Finder, ChainToStringShowsSourceAndSink) {
 
 TEST(Finder, DepthLimitCutsLongChains) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
+  graph::FrozenGraph cpg = frozen_cpg(p);
   FinderOptions options;
   options.max_depth = 3;  // the URLDNS chain needs 6 hops
-  GadgetChainFinder finder(cpg.db, options);
+  GadgetChainFinder finder(cpg, options);
   EXPECT_TRUE(finder.find_all().chains.empty());
 
   options.max_depth = 6;
-  GadgetChainFinder wider(cpg.db, options);
+  GadgetChainFinder wider(cpg, options);
   EXPECT_EQ(wider.find_all().chains.size(), 1u);
 }
 
 TEST(Finder, WithoutAliasEdgesPolymorphicChainIsLost) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
+  graph::FrozenGraph cpg = frozen_cpg(p);
   FinderOptions options;
   options.use_alias_edges = false;
-  GadgetChainFinder finder(cpg.db, options);
+  GadgetChainFinder finder(cpg, options);
   EXPECT_TRUE(finder.find_all().chains.empty());
 }
 
@@ -133,26 +138,26 @@ TEST(Finder, TriggerConditionRejectsUncontrollableArgument) {
   // check must still reject it.
   cpg::CpgOptions options;
   options.prune_uncontrollable_calls = false;
-  cpg::Cpg cpg = cpg::build_cpg(p, options);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = frozen_cpg(p, options);
+  GadgetChainFinder finder(cpg);
   EXPECT_TRUE(finder.find_all().chains.empty());
 
   // Sanity: with TC checking disabled the path is "found" (a false
   // positive) — the Serianalyzer failure mode.
   FinderOptions loose;
   loose.check_trigger_conditions = false;
-  GadgetChainFinder sloppy(cpg.db, loose);
+  GadgetChainFinder sloppy(cpg, loose);
   EXPECT_EQ(sloppy.find_all().chains.size(), 1u);
 }
 
 TEST(Finder, CustomSourcePredicate) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
-  NodeId sink = node_by_signature(cpg.db, "java.net.InetAddress#getByName/1");
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = frozen_cpg(p);
+  NodeId sink = node_by_signature(cpg, "java.net.InetAddress#getByName/1");
+  GadgetChainFinder finder(cpg);
   // RQ4 workflow: ask for chains ending anywhere in URL instead.
-  auto chains = finder.find_from_sink(sink, [](const graph::Node& n) {
-    return n.prop_string(std::string(cpg::kPropClassName)) == "java.net.URL";
+  auto chains = finder.find_from_sink(sink, [&](NodeId n) {
+    return cpg.node_prop_string(n, cpg::kPropClassName) == "java.net.URL";
   });
   ASSERT_EQ(chains.size(), 1u);
   EXPECT_EQ(chains[0].source_signature(), "java.net.URL#hashCode/0");
@@ -160,8 +165,8 @@ TEST(Finder, CustomSourcePredicate) {
 
 TEST(Finder, DeduplicatesIdenticalChains) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = frozen_cpg(p);
+  GadgetChainFinder finder(cpg);
   auto report = finder.find_all();
   std::set<std::string> keys;
   for (const GadgetChain& c : report.chains) keys.insert(c.key());
@@ -213,33 +218,32 @@ TEST(Figure6, ExpanderAndEvaluatorExclusions) {
   call(g1, c2, {0, 1});               // long detour to G
   call(g, g1, {0, 1});
 
-  db.create_index(std::string(cpg::kMethodLabel), std::string(cpg::kPropIsSink));
-
+  graph::FrozenGraph frozen = tabby::testing::freeze(db);
   FinderOptions options;
   // The paper's plugin walks ALIAS edges in both directions (C -> C1).
   options.alias_bidirectional = true;
   options.max_depth = 3;  // path H -> C2 -> C -> A fits; G's detour does not
-  GadgetChainFinder finder(db, options);
+  GadgetChainFinder finder(frozen, options);
   auto report = finder.find_all();
   ASSERT_EQ(report.chains.size(), 1u);
   EXPECT_EQ(report.chains[0].signatures.front(), "fig6#H/0");
   // Raising the depth admits G as well.
   options.max_depth = 6;
-  GadgetChainFinder deeper(db, options);
+  GadgetChainFinder deeper(frozen, options);
   EXPECT_EQ(deeper.find_all().chains.size(), 2u);
   // Default (forward-only alias) finds neither: the CALL edges here target
   // the subclass declarations C1/C2 directly.
   FinderOptions forward_only;
-  GadgetChainFinder strict(db, forward_only);
+  GadgetChainFinder strict(frozen, forward_only);
   EXPECT_TRUE(strict.find_all().chains.empty());
 }
 
 TEST(Finder, ExpiredDeadlineMarksEverySinkPartial) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
+  graph::FrozenGraph cpg = frozen_cpg(p);
   FinderOptions options;
   options.deadline = util::Deadline::after(std::chrono::milliseconds{0});
-  GadgetChainFinder finder(cpg.db, options);
+  GadgetChainFinder finder(cpg, options);
   FinderReport report = finder.find_all();
   EXPECT_TRUE(report.partial());
   EXPECT_EQ(report.partial_sinks.size(), report.sinks_considered);
@@ -251,11 +255,11 @@ TEST(Finder, ExpiredDeadlineMarksEverySinkPartial) {
 
 TEST(Finder, GenerousDeadlineLeavesTheReportIdentical) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
+  graph::FrozenGraph cpg = frozen_cpg(p);
   FinderOptions bounded;
   bounded.deadline = util::Deadline::after(std::chrono::hours{1});
-  FinderReport with = GadgetChainFinder(cpg.db, bounded).find_all();
-  FinderReport without = GadgetChainFinder(cpg.db).find_all();
+  FinderReport with = GadgetChainFinder(cpg, bounded).find_all();
+  FinderReport without = GadgetChainFinder(cpg).find_all();
   EXPECT_FALSE(with.partial());
   ASSERT_EQ(with.chains.size(), without.chains.size());
   for (std::size_t i = 0; i < with.chains.size(); ++i) {
@@ -265,12 +269,12 @@ TEST(Finder, GenerousDeadlineLeavesTheReportIdentical) {
 
 TEST(Finder, CancelTokenCutsTheSearchShort) {
   jir::Program p = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(p);
+  graph::FrozenGraph cpg = frozen_cpg(p);
   util::CancelToken token;
   token.cancel();
   FinderOptions options;
   options.deadline.bind(&token);
-  FinderReport report = GadgetChainFinder(cpg.db, options).find_all();
+  FinderReport report = GadgetChainFinder(cpg, options).find_all();
   EXPECT_TRUE(report.partial());
 }
 

@@ -2,9 +2,8 @@
 // accessor-level equivalence with the mutable GraphDb it freezes, byte-level
 // determinism of the frame, the fail-closed validation contract (truncation,
 // bit flips, version skew are structured errors, never UB), memory-budget
-// charging, the cache's .tfzn publish/load/audit integration, and the
-// end-to-end guarantee that `--frozen` and `--no-frozen` runs are
-// byte-identical.
+// charging, and the cache's .tfzn publish/load/audit integration with the
+// pipeline's warm frozen start and self-healing republish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,15 +17,12 @@
 #include "cache/cache.hpp"
 #include "cli/cli.hpp"
 #include "corpus/components.hpp"
-#include "cpg/builder.hpp"
-#include "cypher/cypher.hpp"
-#include "finder/finder.hpp"
 #include "graph/frozen.hpp"
 #include "graph/graph.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/pipeline.hpp"
-#include "support/find_output.hpp"
+#include "support/freeze.hpp"
 #include "support/random_graph.hpp"
 #include "util/digest.hpp"
 #include "util/memory_budget.hpp"
@@ -36,13 +32,6 @@ namespace tabby {
 namespace {
 
 namespace fs = std::filesystem;
-
-graph::FrozenGraph freeze_or_die(const graph::GraphDb& db, std::uint64_t key = 0,
-                                 util::MemoryBudget* memory = nullptr) {
-  auto result = graph::FrozenGraph::freeze(db, key, memory);
-  EXPECT_TRUE(result.ok()) << (result.ok() ? "" : result.error().message);
-  return std::move(result.value());
-}
 
 /// A small graph exercising every property encoding the column format has:
 /// typed bool/int/real/string/int-list columns, a heterogeneous (Mixed)
@@ -79,7 +68,6 @@ graph::GraphDb kitchen_sink_graph() {
 /// removals force the freeze to renumber node/edge ids densely, the part of
 /// the mapping most worth fuzzing.
 using testsupport::random_graph;
-using testsupport::strip_timing;
 
 /// Asserts every accessor of `fg` agrees with `db`, modulo the documented
 /// dense renumbering (live elements in ascending id order).
@@ -177,7 +165,7 @@ void expect_equivalent(const graph::GraphDb& db, const graph::FrozenGraph& fg) {
 
 TEST(FrozenGraph, KitchenSinkRoundTrip) {
   graph::GraphDb db = kitchen_sink_graph();
-  graph::FrozenGraph fg = freeze_or_die(db);
+  graph::FrozenGraph fg = testing::freeze(db);
   expect_equivalent(db, fg);
 
   // find_nodes matches GraphDb semantics, including on the Mixed column.
@@ -191,8 +179,8 @@ TEST(FrozenGraph, KitchenSinkRoundTrip) {
 
 TEST(FrozenGraph, FreezeIsDeterministicAndStoreStable) {
   graph::GraphDb db = random_graph(11);
-  graph::FrozenGraph once = freeze_or_die(db, 99);
-  graph::FrozenGraph twice = freeze_or_die(db, 99);
+  graph::FrozenGraph once = testing::freeze(db, 99);
+  graph::FrozenGraph twice = testing::freeze(db, 99);
   ASSERT_EQ(once.frame().size(), twice.frame().size());
   EXPECT_EQ(std::memcmp(once.frame().data(), twice.frame().data(), once.frame().size()), 0);
 
@@ -201,14 +189,14 @@ TEST(FrozenGraph, FreezeIsDeterministicAndStoreStable) {
   auto bytes = graph::serialize(db);
   auto restored = graph::deserialize(bytes);
   ASSERT_TRUE(restored.ok()) << restored.error().message;
-  graph::FrozenGraph thawed = freeze_or_die(restored.value(), 99);
+  graph::FrozenGraph thawed = testing::freeze(restored.value(), 99);
   ASSERT_EQ(once.frame().size(), thawed.frame().size());
   EXPECT_EQ(std::memcmp(once.frame().data(), thawed.frame().data(), once.frame().size()), 0);
 }
 
 TEST(FrozenGraph, SaveMapFileAndFromBytesRoundTrip) {
   graph::GraphDb db = kitchen_sink_graph();
-  graph::FrozenGraph fg = freeze_or_die(db, 0xDEADBEEF);
+  graph::FrozenGraph fg = testing::freeze(db, 0xDEADBEEF);
   EXPECT_EQ(fg.content_key(), 0xDEADBEEFu);
   EXPECT_FALSE(fg.mapped());
 
@@ -233,14 +221,14 @@ TEST(FrozenGraph, EquivalenceFuzz) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     graph::GraphDb db = random_graph(seed);
-    graph::FrozenGraph fg = freeze_or_die(db);
+    graph::FrozenGraph fg = testing::freeze(db);
     expect_equivalent(db, fg);
   }
 }
 
 TEST(FrozenGraph, TruncationIsACleanError) {
   graph::GraphDb db = kitchen_sink_graph();
-  graph::FrozenGraph fg = freeze_or_die(db);
+  graph::FrozenGraph fg = testing::freeze(db);
   std::vector<std::byte> frame(fg.frame().begin(), fg.frame().end());
   for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{47},
                           frame.size() / 2, frame.size() - 1}) {
@@ -253,7 +241,7 @@ TEST(FrozenGraph, TruncationIsACleanError) {
 
 TEST(FrozenGraph, EveryBitFlipIsDetected) {
   graph::GraphDb db = kitchen_sink_graph();
-  graph::FrozenGraph fg = freeze_or_die(db, 77);
+  graph::FrozenGraph fg = testing::freeze(db, 77);
   std::vector<std::byte> pristine(fg.frame().begin(), fg.frame().end());
   // Sample offsets across the whole frame (header, directory, sections,
   // trailing checksum included); the trailing FNV must catch each flip.
@@ -271,7 +259,7 @@ TEST(FrozenGraph, EveryBitFlipIsDetected) {
 
 TEST(FrozenGraph, VersionSkewAndBadMagicAreStructuredErrors) {
   graph::GraphDb db = kitchen_sink_graph();
-  graph::FrozenGraph fg = freeze_or_die(db);
+  graph::FrozenGraph fg = testing::freeze(db);
   std::vector<std::byte> frame(fg.frame().begin(), fg.frame().end());
 
   // Bump the version and re-sign so the checksum cannot mask the skew.
@@ -300,34 +288,10 @@ TEST(FrozenGraph, MemoryBudgetChargesFrameForLifetime) {
   util::MemoryBudget budget;
   graph::GraphDb db = kitchen_sink_graph();
   {
-    graph::FrozenGraph fg = freeze_or_die(db, 0, &budget);
+    graph::FrozenGraph fg = testing::freeze(db, 0, &budget);
     EXPECT_GE(budget.charged(), fg.frame().size());
   }
   EXPECT_EQ(budget.charged(), 0u);  // eviction == destruction == release
-}
-
-TEST(FrozenGraph, FinderAndCypherMatchStoreBackedRuns) {
-  corpus::Component component = corpus::build_component("BeanShell1");
-  cpg::Cpg cpg = cpg::build_cpg(component.link());
-  graph::FrozenGraph fg = freeze_or_die(cpg.db);
-
-  finder::FinderOptions fopts;
-  auto store_report = finder::GadgetChainFinder(cpg.db, fopts).find_all();
-  auto frozen_report = finder::GadgetChainFinder(fg, fopts).find_all();
-  ASSERT_FALSE(store_report.chains.empty());
-  ASSERT_EQ(frozen_report.chains.size(), store_report.chains.size());
-  for (std::size_t i = 0; i < store_report.chains.size(); ++i)
-    EXPECT_EQ(frozen_report.chains[i].to_string(), store_report.chains[i].to_string());
-
-  for (const char* query : {"MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE",
-                            "MATCH (m:Method {IS_SOURCE: true}) RETURN m.SIGNATURE LIMIT 3",
-                            "MATCH (a:Method)-[:CALL]->(b:Method) RETURN b.SIGNATURE LIMIT 5"}) {
-    auto store_rows = cypher::run_query(cpg.db, query);
-    auto frozen_rows = cypher::run_query(fg, query);
-    ASSERT_TRUE(store_rows.ok()) << query;
-    ASSERT_TRUE(frozen_rows.ok()) << query;
-    EXPECT_EQ(frozen_rows.value().to_string(fg), store_rows.value().to_string(cpg.db)) << query;
-  }
 }
 
 // --- Cache + pipeline + CLI integration -------------------------------------
@@ -385,7 +349,7 @@ TEST_F(FrozenCacheFixture, StoreAndLoadFrozenRoundTrip) {
 
   graph::GraphDb db = kitchen_sink_graph();
   std::uint64_t key = 0xABCD;
-  graph::FrozenGraph fg = freeze_or_die(db, key);
+  graph::FrozenGraph fg = testing::freeze(db, key);
   ASSERT_TRUE(cache.value().store_frozen(key, fg).ok());
 
   std::string reason = "sentinel";
@@ -440,23 +404,20 @@ TEST_F(FrozenCacheFixture, AuditSeesFrozenFramesAndPrunesOrphans) {
 TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   pipeline::Options options;
   options.cache_dir = cache_dir_;
-  options.use_frozen = true;
+  options.need_graph_bytes = true;
   auto cold = pipeline::run({jar_}, options);
   ASSERT_TRUE(cold.ok()) << cold.error().message;
   EXPECT_FALSE(cold.value().warm);
-  ASSERT_TRUE(cold.value().frozen.has_value());
-  EXPECT_FALSE(cold.value().db_skipped);
+  EXPECT_FALSE(cold.value().frozen.mapped());
 
+  // The warm run maps the published frame instead of decoding the store.
   auto warm = pipeline::run({jar_}, options);
   ASSERT_TRUE(warm.ok()) << warm.error().message;
   EXPECT_TRUE(warm.value().warm);
-  ASSERT_TRUE(warm.value().frozen.has_value());
-  EXPECT_TRUE(warm.value().db_skipped);
-  EXPECT_TRUE(warm.value().frozen->mapped());
-  EXPECT_EQ(warm.value().db.node_count(), 0u);
+  EXPECT_TRUE(warm.value().frozen.mapped());
   // The graph bytes still carry the verified store blob either way.
   EXPECT_EQ(warm.value().graph_bytes, cold.value().graph_bytes);
-  EXPECT_EQ(warm.value().frozen->node_count(), cold.value().frozen->node_count());
+  EXPECT_TRUE(std::ranges::equal(warm.value().frozen.frame(), cold.value().frozen.frame()));
 
   // Corrupt the cached frame: the next warm run degrades to the store
   // decode with a warning — and self-heals by republishing a fresh frame.
@@ -468,8 +429,7 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   auto healed = pipeline::run({jar_}, options);
   ASSERT_TRUE(healed.ok()) << healed.error().message;
   EXPECT_TRUE(healed.value().warm);
-  EXPECT_FALSE(healed.value().db_skipped);
-  ASSERT_TRUE(healed.value().frozen.has_value());
+  EXPECT_FALSE(healed.value().frozen.mapped());
   bool warned = false;
   for (const auto& warning : healed.value().warnings)
     warned |= warning.find("frozen") != std::string::npos;
@@ -477,24 +437,6 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   std::vector<char> after(fs::file_size(frames[0]));
   std::ifstream(frames[0], std::ios::binary).read(after.data(), after.size());
   EXPECT_EQ(before, after);  // byte-identical republish
-}
-
-TEST_F(FrozenCacheFixture, CliFindIsByteIdenticalFrozenVsStore) {
-  CliRun frozen = run({"find", jar_, "--frozen"});
-  CliRun store = run({"find", jar_, "--no-frozen"});
-  ASSERT_EQ(frozen.code, store.code);
-  EXPECT_EQ(strip_timing(frozen.out), strip_timing(store.out));
-  ASSERT_FALSE(frozen.out.empty());
-
-  CliRun jobs = run({"find", jar_, "--frozen", "--jobs", "4"});
-  EXPECT_EQ(strip_timing(jobs.out), strip_timing(store.out));
-
-  CliRun query_frozen =
-      run({"query", jar_, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE", "--frozen"});
-  CliRun query_store =
-      run({"query", jar_, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE", "--no-frozen"});
-  ASSERT_EQ(query_frozen.code, 0) << query_frozen.err;
-  EXPECT_EQ(query_frozen.out, query_store.out);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "finder/finder.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
+#include "support/freeze.hpp"
 #include "util/deadline.hpp"
 #include "util/memory_budget.hpp"
 #include "util/thread_pool.hpp"
@@ -25,17 +26,17 @@ namespace {
 
 // One shared CPG for the whole suite: a scaled-down fan-out classpath (the
 // CLI-sized default is for the OOM smoke job, not unit tests).
-const graph::GraphDb& fixture_db() {
-  static cpg::Cpg cpg = [] {
+const graph::FrozenGraph& fixture_db() {
+  static graph::FrozenGraph cpg = [] {
     corpus::FanoutStressSpec spec;
     spec.hops = 12;
     spec.aliases = 200;
     spec.call_fans = 4;
     jir::Program program =
         jar::link({corpus::jdk_base_archive(), corpus::fanout_stress_archive(spec)});
-    return cpg::build_cpg(program, {});
+    return tabby::testing::freeze(cpg::build_cpg(program, {}).db);
   }();
-  return cpg.db;
+  return cpg;
 }
 
 finder::FinderReport search(std::size_t frontier_pool, util::Executor* executor = nullptr,
@@ -142,11 +143,13 @@ TEST(MemoryGovernance, UngovernedFrontierGrowsLinearlyWithDepth) {
     spec.hops = 24;
     spec.aliases = 200;
     spec.call_fans = 4;
-    cpg::Cpg cpg = cpg::build_cpg(
-        jar::link({corpus::jdk_base_archive(), corpus::fanout_stress_archive(spec)}), {});
+    graph::FrozenGraph cpg = tabby::testing::freeze(
+        cpg::build_cpg(
+            jar::link({corpus::jdk_base_archive(), corpus::fanout_stress_archive(spec)}), {})
+            .db);
     finder::FinderOptions options;
     options.max_depth = 28;
-    return finder::GadgetChainFinder(cpg.db, options).find_all();
+    return finder::GadgetChainFinder(cpg, options).find_all();
   }();
   EXPECT_EQ(shallow.expansions, 2471u);
   EXPECT_EQ(deep.expansions, 4931u);

@@ -18,6 +18,7 @@
 #include "jar/archive.hpp"
 #include "jir/hierarchy.hpp"
 #include "jir/validate.hpp"
+#include "support/freeze.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tabby {
@@ -44,8 +45,9 @@ void expect_identical_cpg(const jir::Program& program, util::Executor* pool,
   EXPECT_EQ(serial.stats.sink_methods, parallel.stats.sink_methods) << label;
 }
 
-void expect_identical_search(const graph::GraphDb& db, util::Executor* pool,
+void expect_identical_search(const graph::GraphDb& built, util::Executor* pool,
                              const std::string& label) {
+  graph::FrozenGraph db = tabby::testing::freeze(built);
   finder::FinderOptions serial_options;
   finder::GadgetChainFinder serial_finder(db, serial_options);
   finder::FinderReport serial_report = serial_finder.find_all();

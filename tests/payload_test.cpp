@@ -10,18 +10,19 @@
 #include "finder/finder.hpp"
 #include "finder/payload.hpp"
 #include "fixtures.hpp"
+#include "support/freeze.hpp"
 
 namespace tabby::finder {
 namespace {
 
 TEST(Payload, SynthesizesUrldnsRecipe) {
   jir::Program program = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  GadgetChainFinder finder(cpg);
   auto chains = finder.find_all().chains;
   ASSERT_EQ(chains.size(), 1u);
 
-  PayloadResult payload = synthesize_payload(program, cpg.db, chains[0]);
+  PayloadResult payload = synthesize_payload(program, AliasView(cpg), chains[0]);
   EXPECT_TRUE(payload.complete) << (payload.notes.empty() ? "" : payload.notes[0]);
   // Root is a HashMap whose key field holds a URL.
   ASSERT_FALSE(payload.recipe.root.empty());
@@ -35,22 +36,22 @@ TEST(Payload, SynthesizesUrldnsRecipe) {
 
 TEST(Payload, AutoVerifyConfirmsUrldns) {
   jir::Program program = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  GadgetChainFinder finder(cpg);
   auto chains = finder.find_all().chains;
   ASSERT_EQ(chains.size(), 1u);
-  AutoVerifyResult verdict = auto_verify(program, cpg.db, chains[0]);
+  AutoVerifyResult verdict = auto_verify(program, AliasView(cpg), chains[0]);
   EXPECT_TRUE(verdict.effective);
   EXPECT_TRUE(verdict.execution.attack_succeeded("java.net.InetAddress#getByName/1"));
 }
 
 TEST(Payload, AutoVerifyConfirmsEvilObject) {
   jir::Program program = testing::evil_object_program();
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  GadgetChainFinder finder(cpg);
   for (const GadgetChain& chain : finder.find_all().chains) {
     if (chain.source_signature() != "demo.EvilObjectA#readObject/1") continue;
-    AutoVerifyResult verdict = auto_verify(program, cpg.db, chain);
+    AutoVerifyResult verdict = auto_verify(program, AliasView(cpg), chain);
     EXPECT_TRUE(verdict.effective) << chain.to_string();
   }
 }
@@ -60,12 +61,12 @@ TEST(Payload, RefutesGuardedChain) {
   // chain matching a guarded source is refuted.
   corpus::Component component = corpus::build_component("BeanShell1");
   jir::Program program = component.link();
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  GadgetChainFinder finder(cpg);
   int refuted = 0;
   for (const GadgetChain& chain : finder.find_all().chains) {
     if (chain.source_signature().find("GuardedGadget") == std::string::npos) continue;
-    AutoVerifyResult verdict = auto_verify(program, cpg.db, chain);
+    AutoVerifyResult verdict = auto_verify(program, AliasView(cpg), chain);
     EXPECT_FALSE(verdict.effective) << chain.to_string();
     ++refuted;
   }
@@ -79,8 +80,8 @@ class AutoVerifyAgreement : public ::testing::TestWithParam<std::string> {};
 TEST_P(AutoVerifyAgreement, MatchesGroundTruth) {
   corpus::Component component = corpus::build_component(GetParam());
   jir::Program program = component.link();
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  GadgetChainFinder finder(cpg);
 
   for (const GadgetChain& chain : finder.find_all().chains) {
     bool in_truth = false;
@@ -91,7 +92,7 @@ TEST_P(AutoVerifyAgreement, MatchesGroundTruth) {
         break;
       }
     }
-    AutoVerifyResult verdict = auto_verify(program, cpg.db, chain);
+    AutoVerifyResult verdict = auto_verify(program, AliasView(cpg), chain);
     EXPECT_EQ(verdict.effective, in_truth)
         << GetParam() << ": auto-verify disagrees with ground truth for\n"
         << chain.to_string();
@@ -110,10 +111,10 @@ INSTANTIATE_TEST_SUITE_P(AllComponents, AutoVerifyAgreement,
 
 TEST(Payload, IncompleteChainsAreFlagged) {
   jir::Program program = testing::urldns_program();
-  cpg::Cpg cpg = cpg::build_cpg(program);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
   GadgetChain bogus;
   bogus.signatures = {"ghost.Class#readObject/1"};
-  PayloadResult payload = synthesize_payload(program, cpg.db, bogus);
+  PayloadResult payload = synthesize_payload(program, AliasView(cpg), bogus);
   EXPECT_FALSE(payload.complete);
   EXPECT_FALSE(payload.notes.empty());
 }

@@ -3,6 +3,7 @@
 // library-level contract the CLI and the examples are thin callers of.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <filesystem>
@@ -10,9 +11,12 @@
 #include <vector>
 
 #include "corpus/components.hpp"
+#include "cpg/builder.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/pipeline.hpp"
+#include "support/freeze.hpp"
+#include "util/failpoint.hpp"
 
 namespace tabby::pipeline {
 namespace {
@@ -79,7 +83,30 @@ TEST_F(PipelineFixture, GraphBytesAreTheExactStoreSerialization) {
   options.need_graph_bytes = true;
   auto result = run({jar_path_}, options);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().graph_bytes, graph::serialize(result.value().db));
+  auto program = load_program({jar_path_}, /*with_jdk=*/true);
+  ASSERT_TRUE(program.ok());
+  EXPECT_EQ(result.value().graph_bytes, graph::serialize(cpg::build_cpg(program.value()).db));
+  // The frame every reader queries is the freeze of exactly those bytes.
+  auto decoded = graph::deserialize(result.value().graph_bytes);
+  ASSERT_TRUE(decoded.ok());
+  graph::FrozenGraph refrozen = tabby::testing::freeze(decoded.value());
+  EXPECT_TRUE(std::ranges::equal(refrozen.frame(), result.value().frozen.frame()));
+}
+
+TEST_F(PipelineFixture, FailedFreezeIsFatalUnderBothPolicies) {
+  // Every reader queries the frozen graph, so there is nothing to fall back
+  // to: a freeze fault fails the run even under quarantine.
+  for (FailurePolicy policy : {FailurePolicy::kStrict, FailurePolicy::kQuarantine}) {
+    util::failpoint::arm();
+    util::failpoint::activate("graph.freeze");
+    Options options;
+    options.policy = policy;
+    auto result = run({jar_path_}, options);
+    util::failpoint::disarm();
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.error().message.find("graph freeze failed"), std::string::npos)
+        << result.error().message;
+  }
 }
 
 TEST_F(PipelineFixture, NeedProgramKeepsTheLinkedProgram) {
@@ -94,20 +121,34 @@ TEST_F(PipelineFixture, NeedProgramKeepsTheLinkedProgram) {
 TEST_F(PipelineFixture, WarmRunIsByteIdenticalToCold) {
   Options options;
   options.cache_dir = path("cache");
+  options.need_graph_bytes = true;
 
   auto cold = run({jar_path_}, options);
   ASSERT_TRUE(cold.ok()) << cold.error().to_string();
   EXPECT_FALSE(cold.value().warm);
   EXPECT_NE(cold.value().cache_line.find("snapshot miss"), std::string::npos);
-  ASSERT_FALSE(cold.value().graph_bytes.empty());  // cache runs embed the store
+  ASSERT_FALSE(cold.value().graph_bytes.empty());
 
   auto warm = run({jar_path_}, options);
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
   EXPECT_TRUE(warm.value().warm);
   EXPECT_NE(warm.value().cache_line.find("snapshot hit"), std::string::npos);
   EXPECT_EQ(cold.value().graph_bytes, warm.value().graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(cold.value().frozen.frame(), warm.value().frozen.frame()));
   EXPECT_EQ(cold.value().stats.class_nodes, warm.value().stats.class_nodes);
   EXPECT_EQ(cold.value().stats.relationship_edges, warm.value().stats.relationship_edges);
+}
+
+TEST_F(PipelineFixture, CacheRunsKeepStoreBytesOnlyWhenAsked) {
+  Options options;
+  options.cache_dir = path("cache");
+  for (int run_index = 0; run_index < 2; ++run_index) {  // cold, then warm
+    auto result = run({jar_path_}, options);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    EXPECT_EQ(result.value().warm, run_index == 1);
+    EXPECT_TRUE(result.value().graph_bytes.empty());
+    EXPECT_GT(result.value().frozen.node_count(), 0u);
+  }
 }
 
 TEST_F(PipelineFixture, WarmRunWithNeedProgramStillLinks) {
@@ -129,10 +170,11 @@ TEST_F(PipelineFixture, InMemoryOverloadMatchesTheArchivePath) {
 
   Options options;
   options.need_graph_bytes = true;
-  Outcome from_program = run(program.value(), options);
+  auto from_program = run(program.value(), options);
+  ASSERT_TRUE(from_program.ok());
   auto from_archives = run({jar_path_}, options);
   ASSERT_TRUE(from_archives.ok());
-  EXPECT_EQ(from_program.graph_bytes, from_archives.value().graph_bytes);
+  EXPECT_EQ(from_program.value().graph_bytes, from_archives.value().graph_bytes);
 }
 
 TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {

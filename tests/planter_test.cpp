@@ -10,6 +10,7 @@
 #include "evalkit/evalkit.hpp"
 #include "finder/finder.hpp"
 #include "jir/validate.hpp"
+#include "support/freeze.hpp"
 
 namespace tabby::corpus {
 namespace {
@@ -55,8 +56,8 @@ TEST_P(RealChainSweep, FoundByTabbyAndFiredByVm) {
   ASSERT_TRUE(jir::validate(program).empty());
 
   // Tabby finds exactly this chain.
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  finder::GadgetChainFinder finder(cpg);
   auto chains = finder.find_all().chains;
   ASSERT_EQ(chains.size(), 1u);
   EXPECT_EQ(chains[0].source_signature(), truth.source_signature);
@@ -86,8 +87,8 @@ TEST_P(GuardedFakeSweep, FoundByTabbyButRefutedByVm) {
   jir::Program program =
       plant_one([&](Planter& planter) { fake = planter.plant_guarded_fake(GetParam()); });
 
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  finder::GadgetChainFinder finder(cpg);
   auto chains = finder.find_all().chains;
   ASSERT_EQ(chains.size(), 1u);  // statically reported: the paper's FP class
   EXPECT_EQ(chains[0].source_signature(), fake.source_signature);
@@ -113,8 +114,8 @@ TEST(PlanterShapes, WipeFakeInvisibleToTabbyVisibleToBaselines) {
   FakeStructure fake;
   jir::Program program = plant_one([&](Planter& planter) { fake = planter.plant_wipe_fake(); });
 
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  finder::GadgetChainFinder finder(cpg);
   EXPECT_TRUE(finder.find_all().chains.empty());  // Action summary kills it
 
   evalkit::ToolRun gi = evalkit::run_tool(evalkit::Tool::GadgetInspector, program);
@@ -124,14 +125,14 @@ TEST(PlanterShapes, WipeFakeInvisibleToTabbyVisibleToBaselines) {
 TEST(PlanterShapes, ConstWebOnlyVisibleToSerianalyzer) {
   jir::Program program = plant_one([&](Planter& planter) { planter.plant_const_web(5); });
 
-  cpg::Cpg cpg = cpg::build_cpg(program);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
   // Every WebSource->hub edge is pruned (const args): the exec sink keeps a
   // single incoming CALL edge, from the hub.
-  auto exec_nodes = cpg.db.find_nodes("Method", "SIGNATURE",
-                                      graph::Value{std::string("java.lang.Runtime#exec/1")});
+  auto exec_nodes =
+      cpg.find_nodes("Method", "SIGNATURE", graph::Value{std::string("java.lang.Runtime#exec/1")});
   ASSERT_EQ(exec_nodes.size(), 1u);
-  EXPECT_EQ(cpg.db.in_edges_typed(exec_nodes[0], "CALL").size(), 1u);
-  finder::GadgetChainFinder finder(cpg.db);
+  EXPECT_EQ(cpg.in_edges_typed_view(exec_nodes[0], *cpg.edge_type_id("CALL")).size(), 1u);
+  finder::GadgetChainFinder finder(cpg);
   EXPECT_TRUE(finder.find_all().chains.empty());
 
   EXPECT_TRUE(evalkit::run_tool(evalkit::Tool::GadgetInspector, program).chains.empty());
@@ -142,8 +143,8 @@ TEST(PlanterShapes, ConstWebOnlyVisibleToSerianalyzer) {
 TEST(PlanterShapes, ExplosiveWebPrunedToNothingForTabby) {
   jir::Program program =
       plant_one([&](Planter& planter) { planter.plant_explosive_web(24, 5); });
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  finder::GadgetChainFinder finder(cpg);
   finder::FinderReport report = finder.find_all();
   EXPECT_TRUE(report.chains.empty());
   EXPECT_LT(report.expansions, 100u);  // the maze never gets explored
@@ -171,8 +172,8 @@ TEST(PlanterShapes, SharedHelperYieldsDistinctChains) {
     t1 = planter.plant_real_chain(options);
     t2 = planter.plant_real_chain(options);
   });
-  cpg::Cpg cpg = cpg::build_cpg(program);
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  finder::GadgetChainFinder finder(cpg);
   EXPECT_EQ(finder.find_all().chains.size(), 2u);  // Tabby keeps both
   evalkit::ToolRun gi = evalkit::run_tool(evalkit::Tool::GadgetInspector, program);
   EXPECT_EQ(gi.chains.size(), 1u);  // visited-skip loses one

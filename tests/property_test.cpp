@@ -12,6 +12,7 @@
 #include "graph/serialize.hpp"
 #include "jir/parser.hpp"
 #include "jir/printer.hpp"
+#include "support/freeze.hpp"
 #include "util/digest.hpp"
 #include "util/thread_pool.hpp"
 
@@ -101,17 +102,22 @@ TEST_P(ComponentProperty, CpgStructuralInvariants) {
 
 TEST_P(ComponentProperty, ReportedChainsAreConnectedSourceToSinkPaths) {
   corpus::Component component = corpus::build_component(GetParam());
-  cpg::Cpg cpg = cpg::build_cpg(component.link());
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(component.link()).db);
+  auto has_edge = [&](graph::NodeId from, graph::NodeId to, std::string_view type) {
+    auto id = cpg.edge_type_id(type);
+    if (!id.has_value()) return false;
+    graph::AdjacencyView out = cpg.out_edges_typed_view(from, *id);
+    return std::find(out.nbr.begin(), out.nbr.end(), to) != out.nbr.end();
+  };
+  finder::GadgetChainFinder finder(cpg);
   for (const finder::GadgetChain& chain : finder.find_all().chains) {
     ASSERT_GE(chain.nodes.size(), 2u);
-    EXPECT_TRUE(cpg.db.node(chain.nodes.front()).prop_bool(std::string(cpg::kPropIsSource)));
-    EXPECT_TRUE(cpg.db.node(chain.nodes.back()).prop_bool(std::string(cpg::kPropIsSink)));
+    EXPECT_TRUE(cpg.node_prop_bool(chain.nodes.front(), cpg::kPropIsSource));
+    EXPECT_TRUE(cpg.node_prop_bool(chain.nodes.back(), cpg::kPropIsSink));
     for (std::size_t i = 0; i + 1 < chain.nodes.size(); ++i) {
       // Forward CALL (caller -> callee) or reverse ALIAS (override <- decl).
-      bool connected =
-          cpg.db.find_edge(chain.nodes[i], chain.nodes[i + 1], cpg::kCallEdge).has_value() ||
-          cpg.db.find_edge(chain.nodes[i + 1], chain.nodes[i], cpg::kAliasEdge).has_value();
+      bool connected = has_edge(chain.nodes[i], chain.nodes[i + 1], cpg::kCallEdge) ||
+                       has_edge(chain.nodes[i + 1], chain.nodes[i], cpg::kAliasEdge);
       EXPECT_TRUE(connected) << chain.signatures[i] << " -/-> " << chain.signatures[i + 1];
     }
     // No node repeats (NodePath uniqueness).
@@ -123,16 +129,13 @@ TEST_P(ComponentProperty, ReportedChainsAreConnectedSourceToSinkPaths) {
 TEST_P(ComponentProperty, SearchResultsSurviveGraphPersistence) {
   corpus::Component component = corpus::build_component(GetParam());
   cpg::Cpg cpg = cpg::build_cpg(component.link());
-  finder::GadgetChainFinder before(cpg.db);
-  auto chains_before = before.find_all().chains;
+  graph::FrozenGraph built = tabby::testing::freeze(cpg.db);
+  auto chains_before = finder::GadgetChainFinder(built).find_all().chains;
 
   auto loaded = graph::deserialize(graph::serialize(cpg.db));
   ASSERT_TRUE(loaded.ok());
-  // Rebuild the indexes the finder relies on (persistence stores data, not
-  // index structures — like a fresh Neo4j store after import).
-  loaded.value().create_index(std::string(cpg::kMethodLabel), std::string(cpg::kPropIsSink));
-  finder::GadgetChainFinder after(loaded.value());
-  auto chains_after = after.find_all().chains;
+  graph::FrozenGraph reloaded = tabby::testing::freeze(loaded.value());
+  auto chains_after = finder::GadgetChainFinder(reloaded).find_all().chains;
 
   ASSERT_EQ(chains_after.size(), chains_before.size());
   std::multiset<std::string> keys_before, keys_after;
@@ -153,8 +156,10 @@ TEST_P(ComponentProperty, PrunedGraphIsSubsetOfUnpruned) {
             true);
   // Pruning must not change what the finder reports (TC checking already
   // rejects those edges): result sets are identical.
-  finder::GadgetChainFinder on_pruned(pruned.db);
-  finder::GadgetChainFinder on_raw(raw.db);
+  graph::FrozenGraph pruned_frame = tabby::testing::freeze(pruned.db);
+  graph::FrozenGraph raw_frame = tabby::testing::freeze(raw.db);
+  finder::GadgetChainFinder on_pruned(pruned_frame);
+  finder::GadgetChainFinder on_raw(raw_frame);
   std::multiset<std::string> a, b;
   for (const auto& c : on_pruned.find_all().chains) a.insert(c.key());
   for (const auto& c : on_raw.find_all().chains) b.insert(c.key());

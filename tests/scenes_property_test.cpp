@@ -9,6 +9,7 @@
 #include "cypher/cypher.hpp"
 #include "finder/finder.hpp"
 #include "jir/validate.hpp"
+#include "support/freeze.hpp"
 
 namespace tabby::corpus {
 namespace {
@@ -36,8 +37,8 @@ TEST_P(SceneProperty, LinksWithoutDuplicatesAndValidates) {
 
 TEST_P(SceneProperty, EveryTruthHasAMatchingReportedChain) {
   Scene scene = build_scene(GetParam());
-  cpg::Cpg cpg = cpg::build_cpg(scene.link());
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(scene.link()).db);
+  finder::GadgetChainFinder finder(cpg);
   auto chains = finder.find_all().chains;
   for (const GroundTruthChain& truth : scene.truths) {
     bool found = false;
@@ -55,15 +56,15 @@ TEST_P(SceneProperty, EveryTruthHasAMatchingReportedChain) {
 
 TEST_P(SceneProperty, SceneCpgAnswersCypherQueries) {
   Scene scene = build_scene(GetParam());
-  cpg::Cpg cpg = cpg::build_cpg(scene.link());
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(scene.link()).db);
 
   auto sinks = cypher::run_query(
-      cpg.db, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE, m.SINK_TYPE");
+      cpg, "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE, m.SINK_TYPE");
   ASSERT_TRUE(sinks.ok());
   EXPECT_GE(sinks.value().rows.size(), 3u);
 
   auto sources = cypher::run_query(
-      cpg.db,
+      cpg,
       "MATCH (c:Class {IS_SERIALIZABLE: true})-[:HAS]->(m:Method {IS_SOURCE: true}) "
       "RETURN m.SIGNATURE");
   ASSERT_TRUE(sources.ok());
@@ -71,7 +72,7 @@ TEST_P(SceneProperty, SceneCpgAnswersCypherQueries) {
 
   // Chains findable via pure Cypher too (bounded hop count).
   auto paths = cypher::run_query(
-      cpg.db,
+      cpg,
       "MATCH p = (m:Method {IS_SOURCE: true})-[:CALL*1..3]->(s:Method {IS_SINK: true}) "
       "RETURN p LIMIT 5");
   ASSERT_TRUE(paths.ok());

@@ -120,7 +120,6 @@ TEST_F(ServeFixture, FindThroughDaemonMatchesOneShotCli) {
   auto response = round_trip(request_for("find", {jar_a_}));
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->flag("ok")) << response->str("error");
-  EXPECT_TRUE(response->flag("used_frozen"));
   EXPECT_GT(response->num("chains"), 0);
   // The response embeds the exact bytes cmd_find prints; only the timing
   // header line differs between runs.
@@ -214,7 +213,9 @@ TEST_F(ServeFixture, OverCapacityOpenIsAStructuredError) {
 }
 
 TEST_F(ServeFixture, TightBudgetEvictsBetweenTenants) {
-  start_daemon({"--mem-budget", "900k"});
+  // Either tenant's frozen frame fits alone (about 230 KiB and 250 KiB), both
+  // do not.
+  start_daemon({"--mem-budget", "400k"});
   auto a = round_trip(request_for("open", {jar_a_}));
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(a->flag("ok")) << a->str("error");

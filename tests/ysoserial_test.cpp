@@ -11,6 +11,7 @@
 #include "finder/finder.hpp"
 #include "finder/payload.hpp"
 #include "jir/validate.hpp"
+#include "support/freeze.hpp"
 
 namespace tabby::corpus {
 namespace {
@@ -32,8 +33,8 @@ TEST_P(YsoserialChain, ModelValidates) {
 }
 
 TEST_P(YsoserialChain, TabbyReportsTheExpectedCallStack) {
-  cpg::Cpg cpg = cpg::build_cpg(program_);
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program_).db);
+  finder::GadgetChainFinder finder(cpg);
   finder::FinderReport report = finder.find_all();
 
   bool found = false;
@@ -53,11 +54,11 @@ TEST_P(YsoserialChain, RecipeFiresInTheVm) {
 }
 
 TEST_P(YsoserialChain, AutoVerifyConfirmsTheChain) {
-  cpg::Cpg cpg = cpg::build_cpg(program_);
-  finder::GadgetChainFinder finder(cpg.db);
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program_).db);
+  finder::GadgetChainFinder finder(cpg);
   for (const finder::GadgetChain& chain : finder.find_all().chains) {
     if (chain.signatures != model_.expected_chain) continue;
-    finder::AutoVerifyResult verdict = finder::auto_verify(program_, cpg.db, chain);
+    finder::AutoVerifyResult verdict = finder::auto_verify(program_, finder::AliasView(cpg), chain);
     EXPECT_TRUE(verdict.effective)
         << chain.to_string() << "notes: "
         << (verdict.payload.notes.empty() ? "" : verdict.payload.notes[0])
