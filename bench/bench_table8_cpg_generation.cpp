@@ -15,8 +15,6 @@
 #include "corpus/jdk.hpp"
 #include "corpus/noise.hpp"
 #include "cpg/builder.hpp"
-#include "graph/frozen.hpp"
-#include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/engine.hpp"
@@ -141,21 +139,12 @@ int main() {
   std::uint64_t options_fp = cpg::options_fingerprint(cache_options);
   std::uint64_t jdk_digest = util::fnv1a(jar::write_archive(corpus::jdk_base_archive()));
 
-  auto run_cold = [&](cache::AnalysisCache& cache) {
-    std::vector<std::uint64_t> digests{jdk_digest};
-    std::vector<jar::Archive> classpath;
-    classpath.push_back(corpus::jdk_base_archive());
-    for (const fs::path& file : jar_files) {
-      auto loaded = cache.load_archive(file);
-      digests.push_back(loaded.value().digest);
-      classpath.push_back(std::move(loaded.value().archive));
-    }
-    std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
-    cpg::Cpg cpg = cpg::build_cpg(jar::link(classpath), cache_options);
-    (void)cache.store_snapshot(key, cpg.stats, graph::serialize(cpg.db));
-    auto frozen = graph::FrozenGraph::freeze(cpg.db, key);
-    if (frozen.ok()) (void)cache.store_frozen(key, frozen.value());
-    return cpg.stats;
+  std::vector<std::string> jar_paths(jar_files.begin(), jar_files.end());
+  auto run_cold = [&] {
+    pipeline::Options options;
+    options.cache_dir = (work / "cache").string();
+    options.cpg = cache_options;
+    return pipeline::run(jar_paths, options).value().stats;
   };
   auto run_warm = [&](cache::AnalysisCache& cache) {
     std::vector<std::uint64_t> digests{jdk_digest};
@@ -190,9 +179,8 @@ int main() {
   cpg::CpgStats cold_stats, warm_stats, frozen_stats;
   for (double& t : cold_times) {
     fs::remove_all(work / "cache");
-    auto cache = cache::AnalysisCache::open(work / "cache");
     util::Stopwatch cold_watch;
-    cold_stats = run_cold(cache.value());
+    cold_stats = run_cold();
     t = cold_watch.elapsed_seconds();
   }
   for (double& t : warm_times) {
@@ -244,9 +232,7 @@ int main() {
   // already-built frozen CSR. Same ysoserial classpath, median of 3.
   std::printf("\nResident engine vs one-shot — find request latency (median of 3)\n");
   {
-    std::vector<std::string> classpath;
-    for (const fs::path& file : jar_files) classpath.push_back(file.string());
-
+    const std::vector<std::string>& classpath = jar_paths;
     auto one_shot_request = [&] {
       auto outcome = pipeline::run(classpath, pipeline::Options{});
       return finder::GadgetChainFinder(outcome.value().frozen).find_all().chains.size();

@@ -1,6 +1,9 @@
 #include "cache/cache.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <fstream>
@@ -10,7 +13,6 @@
 
 #include "graph/frozen.hpp"
 #include "graph/serialize.hpp"
-#include "jir/printer.hpp"
 #include "obs/obs.hpp"
 #include "util/bytes.hpp"
 #include "util/digest.hpp"
@@ -33,12 +35,19 @@ Result<std::vector<std::byte>> read_file_bytes(const fs::path& path) {
   return util::read_file(path);
 }
 
-/// One write+rename attempt. The `cache.publish.rename` failpoint models a
-/// transient publish fault (NFS rename hiccup, AV scanner holding the
-/// target) — exactly what the retry loop below exists to absorb.
+/// One write+rename attempt. The temp file is private to this attempt (pid
+/// plus a per-process counter): two publishes of one entry, from two
+/// threads or two processes, must never write through the same file, or
+/// one's rename can expose the other's half-written bytes to a reader that
+/// maps the entry. The name still ends in ".tmp", so the audit reports a
+/// crashed publisher's leftover. The `cache.publish.rename` failpoint
+/// models a transient publish fault (NFS rename hiccup, AV scanner holding
+/// the target) — exactly what the retry loop below exists to absorb.
 util::Status write_file_atomic_once(const fs::path& path, const std::vector<std::byte>& bytes) {
+  static std::atomic<std::uint64_t> publishes{0};
   fs::path tmp = path;
-  tmp += ".tmp";
+  tmp += "." + std::to_string(::getpid()) + "." +
+         std::to_string(publishes.fetch_add(1, std::memory_order_relaxed)) + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Error{"cannot open for write: " + tmp.string()};
@@ -63,8 +72,8 @@ util::Status write_file_atomic_once(const fs::path& path, const std::vector<std:
 /// be observable, so concurrent runs either see a whole entry or none.
 /// Transient IO faults are retried up to 3 attempts total with jittered
 /// backoff (~1ms, ~2ms); a still-failing publish returns the last error,
-/// which every caller downgrades (fragment: silent cold decode; snapshot: a
-/// warning) — cache publication is never a run failure.
+/// which every caller downgrades (snapshot and frame: a warning; verdict:
+/// ignored) — cache publication is never a run failure.
 util::Status write_file_atomic(const fs::path& path, const std::vector<std::byte>& bytes) {
   constexpr int kAttempts = 3;
   util::Status status = util::Status::ok_status();
@@ -178,17 +187,11 @@ std::string CacheStats::to_line() const {
   } else {
     line += "snapshot not consulted";
   }
-  std::size_t total = fragment_hits + fragment_misses;
-  if (total > 0) {
-    line += ", fragments " + std::to_string(fragment_hits) + "/" + std::to_string(total) + " hit";
-  }
   return line;
 }
 
 Result<AnalysisCache> AnalysisCache::open(const fs::path& dir) {
   std::error_code ec;
-  fs::create_directories(dir / "fragments", ec);
-  if (ec) return Error{"cannot create cache directory: " + (dir / "fragments").string()};
   fs::create_directories(dir / "snapshots", ec);
   if (ec) return Error{"cannot create cache directory: " + (dir / "snapshots").string()};
   fs::create_directories(dir / "verdicts", ec);
@@ -213,10 +216,6 @@ std::uint64_t AnalysisCache::snapshot_key(std::uint64_t options_fp,
   return h.digest();
 }
 
-fs::path AnalysisCache::fragment_path(std::uint64_t digest) const {
-  return dir_ / "fragments" / (util::digest_hex(digest) + ".tfrag");
-}
-
 fs::path AnalysisCache::snapshot_path(std::uint64_t key) const {
   return dir_ / "snapshots" / (util::digest_hex(key) + ".tsnp");
 }
@@ -227,63 +226,6 @@ fs::path AnalysisCache::frozen_path(std::uint64_t key) const {
 
 fs::path AnalysisCache::verdict_path(std::uint64_t key) const {
   return dir_ / "verdicts" / (util::digest_hex(key) + ".tvdt");
-}
-
-Result<LoadedArchive> AnalysisCache::load_archive(const fs::path& file) {
-  obs::Span span("cache.load_archive");
-  if (span.active()) span.attr("path", file.string());
-  auto raw = read_file_bytes(file);
-  if (!raw.ok()) return raw.error();
-  LoadedArchive loaded;
-  loaded.digest = util::fnv1a(raw.value());
-
-  // Fragment hit: decode the canonical re-encoding instead of the original.
-  fs::path frag = fragment_path(loaded.digest);
-  if (auto frag_bytes = read_file_bytes(frag); frag_bytes.ok()) {
-    if (auto body = open_entry(frag_bytes.value(), kFragmentMagic, kFragmentVersion)) {
-      ByteReader in(*body);
-      auto source_digest = in.u64();
-      auto n_classes = in.count("fragment class fingerprint");
-      bool intact = source_digest.ok() && source_digest.value() == loaded.digest && n_classes.ok();
-      for (std::size_t i = 0; intact && i < n_classes.value(); ++i) intact = in.uvarint().ok();
-      if (intact) {
-        if (auto len = in.count("fragment archive blob"); len.ok() && len.value() <= in.remaining()) {
-          auto archive = jar::read_archive(body->subspan(in.position(), len.value()));
-          if (archive.ok()) {
-            ++stats_.fragment_hits;
-            obs::counter_add("cache.fragment_hits");
-            loaded.archive = std::move(archive.value());
-            loaded.from_fragment = true;
-            return loaded;
-          }
-        }
-      }
-    }
-  }
-
-  // Miss: decode the original bytes and publish the fragment (best effort —
-  // a read-only cache directory degrades to a plain cold run).
-  auto archive = jar::read_archive(raw.value());
-  if (!archive.ok()) return archive.error();
-  ++stats_.fragment_misses;
-  obs::counter_add("cache.fragment_misses");
-  loaded.archive = std::move(archive.value());
-
-  ByteWriter body;
-  body.u64(loaded.digest);
-  body.uvarint(loaded.archive.classes.size());
-  for (const jir::ClassDecl& cls : loaded.archive.classes) {
-    body.uvarint(jir::stable_fingerprint(cls));
-  }
-  std::vector<std::byte> encoded = jar::write_archive(loaded.archive);
-  body.uvarint(encoded.size());
-  for (std::byte b : encoded) body.u8(static_cast<std::uint8_t>(b));
-  // Best effort: a failed fragment publish (read-only cache dir, injected
-  // fault) only costs the next run a re-decode.
-  if (!util::failpoint::poll("cache.fragment.publish")) {
-    (void)write_file_atomic(frag, frame_entry(kFragmentMagic, kFragmentVersion, body));
-  }
-  return loaded;
 }
 
 std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool need_db) {
@@ -466,28 +408,6 @@ std::optional<std::uint64_t> parse_digest_hex(std::string_view text) {
   return value;
 }
 
-/// Full fragment validation: the hot path's checks (frame checksum, source
-/// digest, fingerprint table, archive decode) plus the digest-vs-filename
-/// binding only an offline walk can assert. Returns a reason, or "" = intact.
-std::string validate_fragment(std::span<const std::byte> data, std::uint64_t expected_digest) {
-  auto body = open_entry(data, kFragmentMagic, kFragmentVersion);
-  if (!body) return "bad frame (magic, version or checksum mismatch)";
-  ByteReader in(*body);
-  auto source_digest = in.u64();
-  if (!source_digest.ok()) return "truncated body";
-  if (source_digest.value() != expected_digest) return "source digest does not match file name";
-  auto n_classes = in.count("fragment class fingerprint");
-  if (!n_classes.ok()) return "bad fingerprint table";
-  for (std::size_t i = 0; i < n_classes.value(); ++i) {
-    if (!in.uvarint().ok()) return "bad fingerprint table";
-  }
-  auto len = in.count("fragment archive blob");
-  if (!len.ok() || len.value() != in.remaining()) return "bad archive blob length";
-  auto archive = jar::read_archive(body->subspan(in.position(), len.value()));
-  if (!archive.ok()) return "archive blob does not decode: " + archive.error().message;
-  return {};
-}
-
 /// Full snapshot validation mirroring load_snapshot, including deserializing
 /// the embedded graph store (its own checksum is what catches blob flips).
 std::string validate_snapshot(std::span<const std::byte> data, std::uint64_t expected_key) {
@@ -516,8 +436,7 @@ std::string validate_snapshot(std::span<const std::byte> data, std::uint64_t exp
 }  // namespace
 
 std::string CacheAuditReport::to_string() const {
-  std::string out = "cache audit: " + std::to_string(fragments_checked) + " fragment(s), " +
-                    std::to_string(snapshots_checked) + " snapshot(s), " +
+  std::string out = "cache audit: " + std::to_string(snapshots_checked) + " snapshot(s), " +
                     std::to_string(frozen_checked) + " frozen frame(s), " +
                     (verdicts_checked > 0 ? std::to_string(verdicts_checked) + " verdict(s), "
                                           : std::string()) +
@@ -542,10 +461,9 @@ std::string CacheAuditReport::to_string() const {
 util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
   obs::Span span("cache.audit");
   std::error_code ec;
-  fs::path fragments_dir = dir / "fragments";
   fs::path snapshots_dir = dir / "snapshots";
-  if (!fs::is_directory(fragments_dir, ec) && !fs::is_directory(snapshots_dir, ec)) {
-    return Error{"not a cache directory (no fragments/ or snapshots/): " + dir.string()};
+  if (!fs::is_directory(snapshots_dir, ec)) {
+    return Error{"not a cache directory (no snapshots/): " + dir.string()};
   }
 
   CacheAuditReport report;
@@ -593,31 +511,17 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
                                       : "file name is not a cache entry";
   };
 
-  // Fragments: one entry kind, one pass.
+  // Legacy per-archive fragments (fragments/<digest>.tfrag): nothing reads
+  // them any more, so every file an older cache layout left there is an
+  // orphan; pruning also drops the emptied directory.
+  fs::path fragments_dir = dir / "fragments";
   for (const fs::path& file : list_files(fragments_dir)) {
     CacheAuditEntry entry = make_entry(file);
-    std::optional<std::uint64_t> id;
-    if (file.extension() == ".tfrag") id = parse_digest_hex(file.stem().string());
-    if (!id) {
-      entry.kind = CacheAuditEntry::Kind::Orphan;
-      entry.state = CacheAuditEntry::State::Orphaned;
-      entry.detail = orphan_detail(file);
-    } else {
-      entry.kind = CacheAuditEntry::Kind::Fragment;
-      ++report.fragments_checked;
-      auto bytes = read_file_bytes(file);
-      std::string why = bytes.ok()
-                            ? validate_fragment(std::span<const std::byte>(bytes.value()), *id)
-                            : "unreadable: " + bytes.error().message;
-      if (why.empty()) {
-        entry.state = CacheAuditEntry::State::Intact;
-      } else {
-        entry.state = CacheAuditEntry::State::Corrupt;
-        entry.detail = std::move(why);
-      }
-    }
+    entry.detail = file.extension() == ".tfrag" ? "per-archive fragment (no longer read)"
+                                                : orphan_detail(file);
     finalize(std::move(entry));
   }
+  if (prune) fs::remove(fragments_dir, ec);  // only succeeds once empty
 
   // Snapshots: .tsnp entries and their .tfzn frozen companions share the
   // directory. Pass 1 validates every .tsnp (recording which keys are
@@ -680,9 +584,9 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
     finalize(std::move(entry));
   }
 
-  // Verdicts: one entry kind, one pass (like fragments). The key is both the
-  // file name and an interior field, so a renamed verdict is caught the same
-  // way the hot path's load_verdict would treat it: as not-this-chain's.
+  // Verdicts: one entry kind, one pass. The key is both the file name and
+  // an interior field, so a renamed verdict is caught the same way the hot
+  // path's load_verdict would treat it: as not-this-chain's.
   for (const fs::path& file : list_files(dir / "verdicts")) {
     CacheAuditEntry entry = make_entry(file);
     std::optional<std::uint64_t> id;

@@ -1,33 +1,29 @@
 // Incremental analysis cache (the ROADMAP's "not doing the work at all"
 // multiplier). Real deployments re-scan near-identical classpaths; the
 // paper's Neo4j store exists precisely so a graph built once can be
-// re-queried. This module persists two kinds of artifacts under a cache
-// directory, both keyed by content digests (util/digest.hpp):
+// re-queried. This module persists three kinds of artifacts under a cache
+// directory, all keyed by content digests (util/digest.hpp):
 //
-//   fragments/<digest>.tfrag   per-archive fragment: the decoded archive
-//                              re-encoded in canonical TJAR form plus the
-//                              per-class stable fingerprints. Keyed by the
-//                              FNV-1a64 of the raw .tjar file bytes, so a
-//                              changed archive simply misses and only it is
-//                              re-read — unchanged neighbours warm-start
-//                              before the (cheap) cross-archive link step.
 //   snapshots/<key>.tsnp       whole-classpath CPG snapshot: CpgStats plus
 //                              the graph::serialize (version-2, checksummed)
 //                              bytes, embedded verbatim so a warm
 //                              `analyze --store` reproduces the cold store
 //                              byte for byte. Keyed by snapshot_key(): the
-//                              cpg::options_fingerprint folded with every
-//                              archive digest in classpath order (order
-//                              matters — the linker's first-wins rule).
+//                              cpg::options_fingerprint folded with the
+//                              digest of every archive's raw bytes in
+//                              classpath order (order matters — the linker's
+//                              first-wins rule). A changed archive changes
+//                              the key, so the next run rebuilds the whole
+//                              classpath.
 //   snapshots/<key>.tfzn       frozen CSR companion: a raw graph::FrozenGraph
 //                              frame (see docs/GRAPH.md) whose embedded
 //                              content key is the snapshot key. Purely an
 //                              accelerator for the sibling .tsnp — a warm
-//                              --frozen run mmaps it zero-copy and skips the
-//                              store decode entirely. A .tfzn without an
-//                              intact sibling .tsnp is an orphan: the cache
-//                              never reads it (the .tsnp is the source of
-//                              truth the audit and warm store paths trust).
+//                              run mmaps it zero-copy and skips the store
+//                              decode entirely. A .tfzn without an intact
+//                              sibling .tsnp is an orphan: the cache never
+//                              reads it (the .tsnp is the source of truth
+//                              the audit and warm store paths trust).
 //                              Frames carry an optional planner-stats section
 //                              (docs/GRAPH.md); the pipeline treats a
 //                              stats-less frame as a miss and republishes an
@@ -39,13 +35,17 @@
 //                              known. Keyed by the chain digest folded with
 //                              the classpath and verify-options fingerprints.
 //
+// Archives themselves are not cached: a TJAR archive already is the lifted
+// form the analysis reads, and decoding one costs no more than loading a
+// cached copy would.
+//
 // Invalidation is purely structural: there are no timestamps and no
 // in-place updates. A changed input or option produces a different key and
 // therefore a different file; stale entries are never read again. Corrupt,
 // truncated or version-skewed cache entries are detected via the same
 // magic/version/checksum discipline as the graph store and are treated as
 // misses (the cache self-heals by recomputing and overwriting), never as
-// errors and never as data. Fragments carry a whole-entry checksum; a
+// errors and never as data. A verdict carries a whole-entry checksum; a
 // snapshot checksums only its header and lets the embedded graph store's
 // own checksum cover the blob, so the warm path hashes the megabytes once.
 #pragma once
@@ -61,14 +61,11 @@
 #include "cpg/builder.hpp"
 #include "graph/frozen.hpp"
 #include "graph/graph.hpp"
-#include "jar/archive.hpp"
 #include "util/memory_budget.hpp"
 #include "util/result.hpp"
 
 namespace tabby::cache {
 
-inline constexpr std::uint32_t kFragmentMagic = 0x54465247;  // "TFRG"
-inline constexpr std::uint16_t kFragmentVersion = 1;
 inline constexpr std::uint32_t kSnapshotMagic = 0x54534E50;  // "TSNP"
 inline constexpr std::uint16_t kSnapshotVersion = 1;
 inline constexpr std::uint32_t kVerdictMagic = 0x54564454;  // "TVDT"
@@ -77,20 +74,11 @@ inline constexpr std::uint16_t kVerdictVersion = 1;
 /// Hit/miss telemetry for one pipeline run, rendered as the CLI's
 /// "cache:" stats line.
 struct CacheStats {
-  std::size_t fragment_hits = 0;
-  std::size_t fragment_misses = 0;
   bool snapshot_checked = false;
   bool snapshot_hit = false;
   std::uint64_t snapshot_key = 0;
 
   std::string to_line() const;
-};
-
-/// One classpath entry after cache-aware loading.
-struct LoadedArchive {
-  jar::Archive archive;
-  std::uint64_t digest = 0;  // FNV-1a64 of the raw .tjar file bytes
-  bool from_fragment = false;
 };
 
 /// One cached chain-verification verdict (see src/finder/verify.hpp; the
@@ -130,11 +118,6 @@ class AnalysisCache {
   static std::uint64_t snapshot_key(std::uint64_t options_fp,
                                     const std::vector<std::uint64_t>& archive_digests);
 
-  /// Cache-aware decode of one archive file: digests the raw bytes, loads
-  /// the matching fragment when present (and intact), otherwise decodes the
-  /// original bytes and writes the fragment back. Updates stats().
-  util::Result<LoadedArchive> load_archive(const std::filesystem::path& file);
-
   /// Warm-start lookup. nullopt on miss (absent, corrupt, truncated or
   /// version-skewed snapshot). Updates stats(). With `need_db = false` the
   /// embedded graph store is NOT deserialized (a frozen warm start already
@@ -143,7 +126,9 @@ class AnalysisCache {
   std::optional<CachedCpg> load_snapshot(std::uint64_t key, bool need_db = true);
 
   /// Persists a snapshot: `graph_bytes` must be graph::serialize(db) of the
-  /// CPG the stats describe. Written atomically (temp file + rename).
+  /// CPG the stats describe. Written atomically: each publish writes its own
+  /// temp file and renames it over the entry, so concurrent publishes of one
+  /// key never expose a torn file to a reader.
   util::Status store_snapshot(std::uint64_t key, const cpg::CpgStats& stats,
                               const std::vector<std::byte>& graph_bytes);
 
@@ -181,7 +166,6 @@ class AnalysisCache {
  private:
   explicit AnalysisCache(std::filesystem::path dir) : dir_(std::move(dir)) {}
 
-  std::filesystem::path fragment_path(std::uint64_t digest) const;
   std::filesystem::path snapshot_path(std::uint64_t key) const;
   std::filesystem::path frozen_path(std::uint64_t key) const;
   std::filesystem::path verdict_path(std::uint64_t key) const;
@@ -196,18 +180,19 @@ class AnalysisCache {
 // Lazy self-healing only repairs entries a run happens to touch; a cache
 // directory accumulates corrupt and orphaned files it never reads again.
 // audit_cache() walks the whole directory eagerly, re-validating every entry
-// with the exact discipline the hot path applies (frame checksum + interior
-// structure for fragments; header checksum + embedded graph store
-// deserialization for snapshots; full structural attach + content-key
-// binding for frozen frames) and flagging what the hot path would treat
-// as a miss — plus files the cache would never consult at all (orphans:
-// stray names, leftover .tmp files from interrupted publishes, and frozen
-// frames whose sibling .tsnp is missing or corrupt — the hot path only
-// trusts a .tfzn alongside an intact snapshot).
+// with the exact discipline the hot path applies (header checksum +
+// embedded graph store deserialization for snapshots; full structural
+// attach + content-key binding for frozen frames; frame checksum + key
+// binding for verdicts) and flagging what the hot path would treat as a
+// miss — plus files the cache would never consult at all (orphans: stray
+// names, leftover .tmp files from interrupted publishes, frozen frames
+// whose sibling .tsnp is missing or corrupt — the hot path only trusts a
+// .tfzn alongside an intact snapshot — and every file under the fragments/
+// directory an older cache layout kept per archive).
 
 /// One file examined by audit_cache(), in deterministic (sorted) walk order.
 struct CacheAuditEntry {
-  enum class Kind : std::uint8_t { Fragment, Snapshot, FrozenSnapshot, Verdict, Orphan };
+  enum class Kind : std::uint8_t { Snapshot, FrozenSnapshot, Verdict, Orphan };
   enum class State : std::uint8_t { Intact, Corrupt, Orphaned };
 
   std::filesystem::path path;
@@ -220,6 +205,8 @@ struct CacheAuditEntry {
 
 struct CacheAuditReport {
   std::vector<CacheAuditEntry> entries;
+  /// Always 0: archives are no longer cached, and a leftover per-archive
+  /// fragment counts as an orphan.
   std::size_t fragments_checked = 0;
   std::size_t snapshots_checked = 0;
   std::size_t frozen_checked = 0;

@@ -15,8 +15,6 @@
 #include "cpg/builder.hpp"
 #include "cypher/cypher.hpp"
 #include "finder/finder.hpp"
-#include "finder/payload.hpp"
-#include "finder/verify.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "obs/obs.hpp"
@@ -270,9 +268,9 @@ int usage(std::ostream& err) {
          "                hang on one chain demotes that chain to UNCONFIRMED\n"
          "                instead of killing the run. Verdicts are\n"
          "                byte-identical at any N.\n"
-         "  --cache DIR   incremental analysis cache: per-archive fragments plus\n"
-         "                whole-classpath CPG snapshots and their frozen CSR\n"
-         "                graphs (docs/GRAPH.md), keyed by content digests. A\n"
+         "  --cache DIR   incremental analysis cache: whole-classpath CPG\n"
+         "                snapshots, their frozen CSR graphs (docs/GRAPH.md)\n"
+         "                and --verify verdicts, keyed by content digests. A\n"
          "                warm run on an unchanged classpath maps the frozen\n"
          "                graph zero-copy, skips recomputation and produces\n"
          "                identical output; a corrupt cached graph is rebuilt\n"
@@ -504,22 +502,8 @@ int cmd_find(const Args& args, std::ostream& out, std::ostream& err) {
   pipeline::FindResult found = analysis.find(ctx);
   const finder::FinderReport& report = found.report;
 
-  out << report.chains.size() << " gadget chain(s), "
-      << util::format_double(report.search_seconds, 3) << " s search\n\n";
-  for (std::size_t i = 0; i < report.chains.size(); ++i) {
-    out << report.chains[i].to_string();
-    if (found.verified) {
-      out << "  auto-verify: " << finder::verdict_line(found.verify.verdicts[i]) << "\n";
-    }
-    out << "\n";
-  }
-  if (found.verified) {
-    out << found.verify.effective << "/" << report.chains.size() << " chains confirmed effective";
-    if (found.verify.unconfirmed > 0) {
-      out << ", " << found.verify.unconfirmed << " unconfirmed";
-    }
-    out << "\n";
-  }
+  std::vector<std::string> degraded_lines;
+  out << pipeline::Analysis::render(found, degraded_lines);
   const bool partial = report.partial();
   const bool unconfirmed = found.verified && found.verify.unconfirmed > 0;
   if (args.strict && partial) {
@@ -532,19 +516,7 @@ int cmd_find(const Args& args, std::ostream& out, std::ostream& err) {
         << " chain(s) UNCONFIRMED\n";
     return 1;
   }
-  for (const finder::PartialSink& sink : report.partial_sinks) {
-    err << finder::degraded_line(sink) << "\n";
-  }
-  if (found.verified) {
-    // One degraded line per undecided chain, in chain order — the same
-    // machinery (and exit-code contract) as partial sink searches.
-    for (std::size_t i = 0; i < report.chains.size(); ++i) {
-      const finder::ChainVerdict& verdict = found.verify.verdicts[i];
-      if (verdict.verdict == finder::Verdict::Unconfirmed) {
-        err << finder::degraded_line(report.chains[i], verdict) << "\n";
-      }
-    }
-  }
+  for (const std::string& line : degraded_lines) err << line << "\n";
   if (partial || unconfirmed) return 3;
   return found.degradation.degraded() ? 3 : 0;
 }

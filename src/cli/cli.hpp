@@ -11,11 +11,11 @@
 // across N worker threads; output is bit-identical at any job count.
 //
 // analyze/find/query also accept --cache DIR: the incremental analysis
-// cache (src/cache). Unchanged archives warm-start from per-archive
-// fragments and an unchanged classpath warm-starts from a whole-classpath
-// CPG snapshot, skipping decode/link/analysis entirely while producing the
-// same stats, the same chains and a byte-identical --store file. A
-// "cache:" stats line reports snapshot/fragment hits and the snapshot key.
+// cache (src/cache). An unchanged classpath warm-starts from a
+// whole-classpath CPG snapshot, skipping decode/link/analysis entirely
+// while producing the same stats, the same chains and a byte-identical
+// --store file. A "cache:" stats line reports the snapshot hit or miss and
+// the snapshot key.
 //
 // Failure handling (docs/ROBUSTNESS.md): the CLI runs the pipeline under
 // FailurePolicy::kQuarantine — malformed archives/classes are dropped with a

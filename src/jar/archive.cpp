@@ -7,7 +7,6 @@
 #include "util/bytes.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tabby::jar {
 
@@ -700,47 +699,6 @@ util::Result<Archive> read_archive_file(const std::filesystem::path& path) {
   auto bytes = util::read_file(path);
   if (!bytes.ok()) return bytes.error();
   return read_archive(bytes.value());
-}
-
-std::vector<util::Result<Archive>> read_archive_files(
-    const std::vector<std::filesystem::path>& paths, util::Executor* executor) {
-  std::vector<util::Result<Archive>> results;
-  results.reserve(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    results.push_back(Error{"not read"});
-  }
-  util::run_indexed(executor, paths.size(), [&](std::size_t i) {
-    obs::Span span("jar.decode");
-    if (span.active()) span.attr("path", paths[i].string());
-    results[i] = read_archive_file(paths[i]);
-    if (results[i].ok()) obs::counter_add("jar.archives_decoded");
-  });
-  return results;
-}
-
-std::vector<SalvagedFile> read_archive_files_salvage(
-    const std::vector<std::filesystem::path>& paths, util::Executor* executor,
-    const util::Deadline& deadline) {
-  std::vector<SalvagedFile> results(paths.size());
-  util::run_indexed(executor, paths.size(), [&](std::size_t i) {
-    obs::Span span("jar.decode");
-    if (span.active()) span.attr("path", paths[i].string());
-    // Cooperative cancellation: entries whose turn comes after expiry are
-    // skipped whole and say so, rather than racing the clock mid-decode.
-    if (!deadline.unlimited() && deadline.expired()) {
-      results[i].read_error = util::Error{"deadline exceeded before reading " + paths[i].string()};
-      results[i].deadline_skipped = true;
-      return;
-    }
-    auto bytes = util::read_file(paths[i]);
-    if (!bytes.ok()) {
-      results[i].read_error = bytes.error();
-      return;
-    }
-    results[i].archive = read_archive_salvage(bytes.value(), results[i].degradation);
-    if (results[i].clean()) obs::counter_add("jar.archives_decoded");
-  });
-  return results;
 }
 
 jir::Program link(const std::vector<Archive>& classpath, std::size_t* duplicates_skipped) {

@@ -19,12 +19,7 @@
 #include <vector>
 
 #include "jir/model.hpp"
-#include "util/deadline.hpp"
 #include "util/result.hpp"
-
-namespace tabby::util {
-class Executor;
-}
 
 namespace tabby::jar {
 
@@ -73,32 +68,6 @@ Archive read_archive_salvage(std::span<const std::byte> data, DecodeDegradation&
 /// File convenience wrappers.
 util::Status write_archive_file(const Archive& archive, const std::filesystem::path& path);
 util::Result<Archive> read_archive_file(const std::filesystem::path& path);
-
-/// Reads several archive files, one result per path in input order. Each
-/// file is read and decoded independently, so with an executor the decode
-/// work fans out across workers (classpath loading is the first pipeline
-/// stage and embarrassingly parallel).
-std::vector<util::Result<Archive>> read_archive_files(
-    const std::vector<std::filesystem::path>& paths, util::Executor* executor = nullptr);
-
-/// One classpath entry after a fail-soft read+decode.
-struct SalvagedFile {
-  Archive archive;
-  DecodeDegradation degradation;          // decode-level loss, when any
-  std::optional<util::Error> read_error;  // unreadable / deadline-skipped: total loss
-  bool deadline_skipped = false;          // read_error came from the deadline, not IO
-
-  bool clean() const { return !read_error.has_value() && !degradation.error.has_value(); }
-};
-
-/// Fail-soft sibling of read_archive_files for quarantine mode: unreadable
-/// files and corrupt records degrade per-entry instead of failing the
-/// batch. Entries whose read had not started when `deadline` expired are
-/// skipped with a read_error naming the deadline (cooperative cancellation
-/// through the ThreadPool fan-out).
-std::vector<SalvagedFile> read_archive_files_salvage(
-    const std::vector<std::filesystem::path>& paths, util::Executor* executor = nullptr,
-    const util::Deadline& deadline = {});
 
 /// Links archives into one closed-world Program, classpath style: when two
 /// archives define the same class, the first archive on the path wins.

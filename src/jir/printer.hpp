@@ -3,7 +3,6 @@
 // property-style over generated corpora.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "jir/model.hpp"
@@ -13,10 +12,5 @@ namespace tabby::jir {
 std::string to_text(const Method& method);
 std::string to_text(const ClassDecl& cls);
 std::string to_text(const Program& program);
-
-/// Content fingerprint of a class: FNV-1a64 over its canonical text. A pure
-/// function of the declaration, so the incremental cache can attribute a
-/// changed archive to the individual classes that changed.
-std::uint64_t stable_fingerprint(const ClassDecl& cls);
 
 }  // namespace tabby::jir

@@ -4,8 +4,6 @@
 #include <system_error>
 #include <utility>
 
-#include "corpus/jdk.hpp"
-#include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
 #include "util/strings.hpp"
@@ -135,6 +133,40 @@ std::string Analysis::render(const cypher::QueryResult& result) const {
   return out;
 }
 
+std::string Analysis::render(const FindResult& result, std::vector<std::string>& degraded_lines) {
+  const std::vector<finder::GadgetChain>& chains = result.report.chains;
+  std::string out = std::to_string(chains.size()) + " gadget chain(s), " +
+                    util::format_double(result.report.search_seconds, 3) + " s search\n\n";
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    out += chains[i].to_string();
+    if (result.verified) {
+      out += "  auto-verify: " + finder::verdict_line(result.verify.verdicts[i]) + "\n";
+    }
+    out += "\n";
+  }
+  if (result.verified) {
+    out += std::to_string(result.verify.effective) + "/" + std::to_string(chains.size()) +
+           " chains confirmed effective";
+    if (result.verify.unconfirmed > 0) {
+      out += ", " + std::to_string(result.verify.unconfirmed) + " unconfirmed";
+    }
+    out += "\n";
+  }
+  for (const finder::PartialSink& sink : result.report.partial_sinks) {
+    degraded_lines.push_back(finder::degraded_line(sink));
+  }
+  if (result.verified) {
+    // An undecided chain is kept and degrades the run, like a partial sink.
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      const finder::ChainVerdict& verdict = result.verify.verdicts[i];
+      if (verdict.verdict == finder::Verdict::Unconfirmed) {
+        degraded_lines.push_back(finder::degraded_line(chains[i], verdict));
+      }
+    }
+  }
+  return out;
+}
+
 // --- Engine -----------------------------------------------------------------
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
@@ -155,29 +187,15 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
 
 Engine::~Engine() = default;
 
-std::optional<std::uint64_t> Engine::fingerprint_classpath(
-    const std::vector<std::string>& jar_paths) const {
-  std::vector<std::uint64_t> digests;
-  digests.reserve(jar_paths.size() + 1);
-  if (options_.with_jdk) {
-    digests.push_back(util::fnv1a(jar::write_archive(corpus::jdk_base_archive())));
-  }
-  for (const std::string& path : jar_paths) {
-    auto digest = cache::AnalysisCache::digest_file(path);
-    // An undigestable archive means the key cannot describe the on-disk
-    // bytes: the open still runs (quarantine may salvage it), but the
-    // result must not be resident under a lying key.
-    if (!digest.ok()) return std::nullopt;
-    digests.push_back(digest.value());
-  }
-  return cache::AnalysisCache::snapshot_key(cpg::options_fingerprint(cpg::CpgOptions{}), digests);
-}
-
 util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths,
                                        const ExecContext& ctx, const OpenOptions& opts) {
   obs::Span span("engine.open");
   obs::counter_add("engine.opens");
-  std::optional<std::uint64_t> fp = fingerprint_classpath(jar_paths);
+  // An undigestable archive means the key cannot describe the on-disk
+  // bytes: the open still runs (quarantine may salvage the rest), but the
+  // result must not be resident under a lying key.
+  std::optional<std::uint64_t> fp =
+      classpath_key(jar_paths, options_.with_jdk, cpg::options_fingerprint(cpg::CpgOptions{}));
 
   if (fp.has_value()) {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -204,6 +204,13 @@ class Analysis {
   /// `tabby query` prints (rows + "(N row(s))" trailer).
   std::string render(const cypher::QueryResult& result) const;
 
+  /// Renders a find result the way `tabby find` prints it (the daemon sends
+  /// the same bytes). Returns the stdout text: the header, each chain with
+  /// its auto-verify line, and the confirmed-effective summary. Appends the
+  /// stderr "degraded:" lines to `degraded_lines`: one per partial sink,
+  /// then one per UNCONFIRMED chain in chain order.
+  static std::string render(const FindResult& result, std::vector<std::string>& degraded_lines);
+
  private:
   friend class Engine;
   Analysis() = default;
@@ -291,13 +298,6 @@ class Engine {
     std::uint64_t hits = 0;
     std::list<std::uint64_t>::iterator lru;  // position in lru_ (front = MRU)
   };
-
-  /// Classpath fingerprint: the cache snapshot key (options fingerprint
-  /// folded with every archive digest in classpath order). nullopt when any
-  /// archive cannot be digested — such opens still run, but are never
-  /// resident (the key must describe on-disk bytes exactly).
-  std::optional<std::uint64_t> fingerprint_classpath(
-      const std::vector<std::string>& jar_paths) const;
 
   /// Drops `fingerprint` from the map + LRU; caller holds mutex_. Returns
   /// the evicted bytes (0 when absent or still in use).

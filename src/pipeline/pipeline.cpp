@@ -1,7 +1,6 @@
 #include "pipeline/pipeline.hpp"
 
 #include <exception>
-#include <filesystem>
 #include <utility>
 
 #include "corpus/jdk.hpp"
@@ -52,34 +51,6 @@ util::Status freeze_into(const graph::GraphDb& db, std::uint64_t content_key,
   return util::Status::ok_status();
 }
 
-/// A deadline that fires before the build leaves an empty CPG; freezing it
-/// keeps find and query valid on the degraded outcome.
-util::Status freeze_empty(const Options& options, Outcome& outcome) {
-  return freeze_into(graph::GraphDb{}, /*content_key=*/0, options, outcome);
-}
-
-/// Cold back half shared by both run() overloads: build the CPG, serialize
-/// it when asked and freeze it. The builder's graph is dropped on return.
-util::Status build_into(const jir::Program& program, const Options& options,
-                        const cpg::CpgOptions& cpg_options, Outcome& outcome) {
-  cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
-  util::Status cut = absorb_build_cut(cpg, options.policy, outcome);
-  if (!cut.ok()) return cut;
-  outcome.stats = cpg.stats;
-  if (options.need_graph_bytes) {
-    TABBY_SPAN("graph.serialize");
-    outcome.graph_bytes = graph::serialize(cpg.db);
-  }
-  return freeze_into(cpg.db, /*content_key=*/0, options, outcome);
-}
-
-/// Renders the unit label for a partially-salvaged archive: which classes
-/// survived out of how many the header declared.
-std::string salvage_unit(const std::string& path, const jar::DecodeDegradation& degradation) {
-  return path + " [kept " + std::to_string(degradation.classes_kept) + "/" +
-         std::to_string(degradation.classes_kept + degradation.classes_dropped) + " classes]";
-}
-
 /// Publishes the outcome's frame next to its snapshot; a failed write only
 /// costs the next run its warm frozen start.
 void publish_frozen(cache::AnalysisCache& cache, std::uint64_t key, Outcome& outcome) {
@@ -89,6 +60,65 @@ void publish_frozen(cache::AnalysisCache& cache, std::uint64_t key, Outcome& out
                                " (continuing without frozen snapshot)");
   }
 }
+
+/// Cold back half shared by every run: build the CPG, serialize it when
+/// `--store` or the cache needs the bytes, and freeze it. With a cache, a
+/// clean build is published under `key`: the snapshot first, then its
+/// frame, so a frame never exists without its snapshot. A degraded run, or
+/// one whose classpath has no key, is never published: the key describes
+/// the on-disk classpath, and a later repaired run with the same bytes must
+/// not warm-start from the holes. The builder's graph is dropped on return.
+util::Status build_into(const jir::Program& program, const Options& options,
+                        const cpg::CpgOptions& cpg_options, Outcome& outcome,
+                        cache::AnalysisCache* cache = nullptr,
+                        std::optional<std::uint64_t> key = std::nullopt) {
+  cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
+  util::Status cut = absorb_build_cut(cpg, options.policy, outcome);
+  if (!cut.ok()) return cut;
+  outcome.stats = cpg.stats;
+  const bool publish = cache != nullptr && key.has_value() && !outcome.degradation.degraded();
+  if (cache != nullptr && !publish) {
+    // Without degradation, the key is missing because a digest read failed
+    // that the loader's read then survived (a transient fault).
+    outcome.warnings.push_back(outcome.degradation.degraded()
+                                   ? "snapshot not published (degraded run)"
+                                   : "snapshot not published (an archive could not be digested)");
+  }
+  std::vector<std::byte> graph_bytes;
+  if (options.need_graph_bytes || publish) {
+    TABBY_SPAN("graph.serialize");
+    graph_bytes = graph::serialize(cpg.db);
+  }
+  bool published = false;
+  if (publish) {
+    auto stored = cache->store_snapshot(*key, outcome.stats, graph_bytes);
+    if (stored.ok()) {
+      published = true;
+    } else {
+      outcome.warnings.push_back(stored.error().to_string() + " (continuing without snapshot)");
+    }
+  }
+  util::Status frozen = freeze_into(cpg.db, key.value_or(0), options, outcome);
+  if (!frozen.ok()) return frozen;
+  if (published) publish_frozen(*cache, *key, outcome);
+  if (options.need_graph_bytes) outcome.graph_bytes = std::move(graph_bytes);
+  return util::Status::ok_status();
+}
+
+/// Renders the unit label for a partially-salvaged archive: which classes
+/// survived out of how many the header declared.
+std::string salvage_unit(const std::string& path, const jar::DecodeDegradation& degradation) {
+  return path + " [kept " + std::to_string(degradation.classes_kept) + "/" +
+         std::to_string(degradation.classes_kept + degradation.classes_dropped) + " classes]";
+}
+
+/// One classpath entry after its read and fail-soft decode.
+struct LoadedFile {
+  jar::Archive archive;
+  jar::DecodeDegradation decode;          // decode-level loss, when any
+  std::optional<util::Error> read_error;  // unreadable or deadline-skipped: total loss
+  bool deadline_skipped = false;          // read_error came from the deadline, not IO
+};
 
 util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const Options& options) {
   obs::Span span("pipeline.run");
@@ -108,60 +138,25 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   if (cpg_options.memory == nullptr) cpg_options.memory = options.memory;
   Outcome outcome;
 
-  if (options.cache_dir.empty()) {
-    auto program = load_program(jar_paths, options.with_jdk, options.executor, options.policy,
-                                &outcome.degradation, load_deadline);
-    if (!program.ok()) return program.error();
-    if (run_deadline.expired()) {
-      if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
-      outcome.degradation.deadline_hit = true;
-      util::Status frozen = freeze_empty(options, outcome);
-      if (!frozen.ok()) return frozen.error();
-      if (options.need_program) outcome.program = std::move(program.value());
-      return outcome;
-    }
-    util::Status built = build_into(program.value(), options, cpg_options, outcome);
-    if (!built.ok()) return built.error();
-    if (options.need_program) outcome.program = std::move(program.value());
-    return outcome;
-  }
-
   // A cache that cannot be opened is an infrastructure fault, not a broken
   // input unit: fatal under both policies (the caller asked for caching and
   // would otherwise silently lose it).
-  auto opened = cache::AnalysisCache::open(options.cache_dir);
-  if (!opened.ok()) return opened.error();
-  cache::AnalysisCache& cache = opened.value();
-  cache.set_memory(options.memory);
+  std::optional<cache::AnalysisCache> cache;
+  if (!options.cache_dir.empty()) {
+    auto opened = cache::AnalysisCache::open(options.cache_dir);
+    if (!opened.ok()) return opened.error();
+    cache.emplace(std::move(opened.value()));
+    cache->set_memory(options.memory);
+  }
 
-  // Classpath digests in link order: the simulated JDK (when included) is
-  // part of the analyzed world, so its content is part of the key. Under
-  // quarantine an unreadable archive is dropped here (stage "fs-read") so
-  // the snapshot key covers exactly the surviving classpath.
-  std::vector<std::string> surviving;
-  std::vector<std::uint64_t> digests;
-  std::optional<util::Error> first_loss;
-  if (options.with_jdk) {
-    digests.push_back(util::fnv1a(jar::write_archive(corpus::jdk_base_archive())));
+  // The snapshot key covers the simulated JDK (when included) and every
+  // archive's bytes in link order. A classpath with an unreadable archive
+  // has no key: it neither warm-starts nor publishes, and the loader below
+  // records the loss in classpath order (or fails on it under strict).
+  std::optional<std::uint64_t> key;
+  if (cache.has_value()) {
+    key = classpath_key(jar_paths, options.with_jdk, cpg::options_fingerprint(cpg_options));
   }
-  for (const std::string& path : jar_paths) {
-    auto digest = cache::AnalysisCache::digest_file(path);
-    if (!digest.ok()) {
-      util::Error error{path + ": " + digest.error().message};
-      if (!quarantine) return error;
-      outcome.degradation.add(path, "fs-read", digest.error().message);
-      obs::counter_add("pipeline.units_quarantined");
-      if (!first_loss.has_value()) first_loss = std::move(error);
-      continue;
-    }
-    surviving.push_back(path);
-    digests.push_back(digest.value());
-  }
-  if (quarantine && !jar_paths.empty() && surviving.empty()) {
-    return first_loss.value_or(util::Error{"no archive on the classpath survived quarantine"});
-  }
-  std::uint64_t key =
-      cache::AnalysisCache::snapshot_key(cpg::options_fingerprint(cpg_options), digests);
 
   // Frozen-first warm start: mmap the cached CSR frame when one matches.
   // The sibling .tsnp stays the source of truth — a frozen hit still
@@ -171,9 +166,10 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
   // no frame existed; a frame without an intact snapshot is an orphan and is
   // ignored.
   std::optional<graph::FrozenGraph> warm_frozen;
-  {
+  std::optional<cache::CachedCpg> snapshot;
+  if (key.has_value()) {
     std::string corrupt_reason;
-    auto frozen = cache.load_frozen(key, &corrupt_reason);
+    auto frozen = cache->load_frozen(*key, &corrupt_reason);
     if (frozen.has_value() && !frozen->stats().has_value()) {
       // A frame from before the planner-stats section still attaches, but
       // queries over it would plan with fallback estimates. Treat it like a
@@ -189,114 +185,27 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
       outcome.warnings.push_back("cached frozen graph rejected: " + corrupt_reason +
                                  " (falling back to the graph store)");
     }
+    snapshot = cache->load_snapshot(*key, /*need_db=*/!warm_frozen.has_value());
+    if (!snapshot.has_value()) warm_frozen.reset();
   }
-  std::optional<cache::CachedCpg> snapshot =
-      cache.load_snapshot(key, /*need_db=*/!warm_frozen.has_value());
-  if (!snapshot.has_value()) warm_frozen.reset();
+
   if (!snapshot.has_value() || options.need_program) {
-    // Load the program through per-archive fragments: unchanged archives
-    // warm-start, only changed ones are re-decoded from the original bytes.
-    // Under quarantine a fragment/decode failure falls back to a fail-soft
-    // re-decode of the raw bytes, so the warm path degrades on exactly the
-    // same inputs the cold path would.
-    std::vector<jar::Archive> classpath;
-    if (options.with_jdk) classpath.push_back(corpus::jdk_base_archive());
-    std::size_t user_loaded = 0;
-    for (const std::string& path : surviving) {
-      if (load_deadline.expired()) {
-        if (!quarantine) return util::Error{"deadline exceeded before loading " + path};
-        outcome.degradation.add(path, "deadline", "deadline exceeded before loading archive");
-        outcome.degradation.deadline_hit = true;
-        continue;
-      }
-      auto loaded = cache.load_archive(path);
-      if (loaded.ok()) {
-        classpath.push_back(std::move(loaded.value().archive));
-        ++user_loaded;
-        continue;
-      }
-      if (!quarantine) return util::Error{path + ": " + loaded.error().message};
-      if (!first_loss.has_value()) first_loss = util::Error{path + ": " + loaded.error().message};
-      auto bytes = util::read_file(path);
-      if (!bytes.ok()) {
-        outcome.degradation.add(path, "fs-read", bytes.error().message);
-        obs::counter_add("pipeline.units_quarantined");
-        continue;
-      }
-      jar::DecodeDegradation degradation;
-      jar::Archive salvaged = jar::read_archive_salvage(bytes.value(), degradation);
-      if (!degradation.error.has_value()) {
-        // The cached fragment failed but the raw bytes decode cleanly (a
-        // transient fault): the archive is recovered intact, nothing to
-        // quarantine.
-        classpath.push_back(std::move(salvaged));
-        ++user_loaded;
-        continue;
-      }
-      if (salvaged.classes.empty()) {
-        outcome.degradation.add(path, "archive-decode",
-                                degradation.error.has_value() ? degradation.error->message
-                                                              : loaded.error().message,
-                                degradation.bytes_skipped);
-        obs::counter_add("pipeline.units_quarantined");
-        continue;
-      }
-      outcome.degradation.add(salvage_unit(path, degradation), "class-decode",
-                              degradation.error->message, degradation.bytes_skipped);
-      obs::counter_add("pipeline.units_quarantined");
-      classpath.push_back(std::move(salvaged));
-      ++user_loaded;
-    }
-    if (quarantine && !jar_paths.empty() && user_loaded == 0 &&
-        !outcome.degradation.deadline_hit && first_loss.has_value()) {
-      // Same rule as the cold path: a classpath that is entirely garbage is
-      // a fatal error, not a quietly empty analysis.
-      return *first_loss;
-    }
-    jir::Program program = jar::link(classpath);
-    if (!snapshot.has_value()) {
-      if (run_deadline.expired()) {
-        if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
-        outcome.degradation.deadline_hit = true;
-        util::Status frozen = freeze_empty(options, outcome);
-        if (!frozen.ok()) return frozen.error();
-        if (options.need_program) outcome.program = std::move(program);
-        outcome.cache_line = cache.stats().to_line();
-        return outcome;
-      }
-      cpg::Cpg cpg = cpg::build_cpg(program, cpg_options);
-      util::Status cut = absorb_build_cut(cpg, options.policy, outcome);
-      if (!cut.ok()) return cut.error();
-      outcome.stats = cpg.stats;
-      std::vector<std::byte> graph_bytes;
-      {
-        TABBY_SPAN("graph.serialize");
-        graph_bytes = graph::serialize(cpg.db);
-      }
-      bool snapshot_published = false;
-      if (outcome.degradation.degraded()) {
-        // Never publish a degraded CPG: the snapshot key describes the
-        // on-disk classpath, and a later repaired run with the same bytes
-        // must not warm-start from the holes.
-        outcome.warnings.push_back("snapshot not published (degraded run)");
-      } else {
-        auto stored = cache.store_snapshot(key, outcome.stats, graph_bytes);
-        if (!stored.ok()) {
-          outcome.warnings.push_back(stored.error().to_string() +
-                                     " (continuing without snapshot)");
-        } else {
-          snapshot_published = true;
-        }
-      }
-      // Freeze after the store publish so the frame is only ever published
-      // next to its intact snapshot (a companion-less .tfzn is an orphan the
-      // warm path would ignore anyway).
-      util::Status frozen = freeze_into(cpg.db, key, options, outcome);
+    auto program = load_program(jar_paths, options.with_jdk, options.executor, options.policy,
+                                &outcome.degradation, load_deadline);
+    if (!program.ok()) return program.error();
+    if (!snapshot.has_value() && run_deadline.expired()) {
+      // A deadline that fires before the build leaves an empty CPG;
+      // freezing it keeps find and query valid on the degraded outcome.
+      if (!quarantine) return util::Error{"deadline exceeded before CPG construction"};
+      outcome.degradation.deadline_hit = true;
+      util::Status frozen = freeze_into(graph::GraphDb{}, /*content_key=*/0, options, outcome);
       if (!frozen.ok()) return frozen.error();
-      if (snapshot_published) publish_frozen(cache, key, outcome);
-      if (options.need_graph_bytes) outcome.graph_bytes = std::move(graph_bytes);
+    } else if (!snapshot.has_value()) {
+      util::Status built = build_into(program.value(), options, cpg_options, outcome,
+                                      cache.has_value() ? &*cache : nullptr, key);
+      if (!built.ok()) return built.error();
     }
-    if (options.need_program) outcome.program = std::move(program);
+    if (options.need_program) outcome.program = std::move(program.value());
   }
   if (snapshot.has_value()) {
     outcome.stats = snapshot->stats;
@@ -308,13 +217,13 @@ util::Result<Outcome> run_impl(const std::vector<std::string>& jar_paths, const 
     } else {
       // The frame was absent, stale or corrupt: re-freeze from the decoded
       // store and republish so the cache self-heals.
-      util::Status frozen = freeze_into(snapshot->db, key, options, outcome);
+      util::Status frozen = freeze_into(snapshot->db, *key, options, outcome);
       if (!frozen.ok()) return frozen.error();
-      publish_frozen(cache, key, outcome);
+      publish_frozen(*cache, *key, outcome);
     }
     if (options.need_graph_bytes) outcome.graph_bytes = std::move(snapshot->graph_bytes);
   }
-  outcome.cache_line = cache.stats().to_line();
+  if (cache.has_value()) outcome.cache_line = cache->stats().to_line();
   return outcome;
 }
 
@@ -353,66 +262,87 @@ std::unique_ptr<util::ThreadPool> make_pool(int jobs) {
   return std::make_unique<util::ThreadPool>(n);
 }
 
+std::optional<std::uint64_t> classpath_key(const std::vector<std::string>& jar_paths,
+                                           bool with_jdk, std::uint64_t options_fp) {
+  std::vector<std::uint64_t> digests;
+  digests.reserve(jar_paths.size() + 1);
+  if (with_jdk) digests.push_back(util::fnv1a(jar::write_archive(corpus::jdk_base_archive())));
+  for (const std::string& path : jar_paths) {
+    auto digest = cache::AnalysisCache::digest_file(path);
+    if (!digest.ok()) return std::nullopt;
+    digests.push_back(digest.value());
+  }
+  return cache::AnalysisCache::snapshot_key(options_fp, digests);
+}
+
 util::Result<jir::Program> load_program(const std::vector<std::string>& paths, bool with_jdk,
                                         util::Executor* executor, FailurePolicy policy,
                                         DegradationReport* degradation,
                                         const util::Deadline& deadline) {
   TABBY_SPAN("pipeline.load_program");
-  std::vector<jar::Archive> classpath;
-  if (with_jdk) classpath.push_back(corpus::jdk_base_archive());
-  std::vector<std::filesystem::path> files(paths.begin(), paths.end());
-
-  if (policy == FailurePolicy::kStrict) {
-    if (deadline.expired()) return util::Error{"deadline exceeded before classpath load"};
-    std::vector<util::Result<jar::Archive>> archives = jar::read_archive_files(files, executor);
-    for (std::size_t i = 0; i < archives.size(); ++i) {
-      if (!archives[i].ok()) {
-        return util::Error{paths[i] + ": " + archives[i].error().message,
-                           archives[i].error().location};
-      }
-      classpath.push_back(std::move(archives[i].value()));
-    }
-    return jar::link(classpath);
+  const bool quarantine = policy == FailurePolicy::kQuarantine;
+  // Strict checks the budget once, up front; quarantine per archive below.
+  if (!quarantine && deadline.expired()) {
+    return util::Error{"deadline exceeded before classpath load"};
   }
 
+  // Read and salvage-decode every archive independently, so the decode work
+  // fans out across the executor's workers.
+  std::vector<LoadedFile> files(paths.size());
+  util::run_indexed(executor, paths.size(), [&](std::size_t i) {
+    obs::Span span("jar.decode");
+    if (span.active()) span.attr("path", paths[i]);
+    LoadedFile& file = files[i];
+    // Cooperative cancellation: entries whose turn comes after expiry are
+    // skipped whole and say so, rather than racing the clock mid-decode.
+    if (quarantine && deadline.expired()) {
+      file.read_error = util::Error{"deadline exceeded before reading " + paths[i]};
+      file.deadline_skipped = true;
+      return;
+    }
+    auto bytes = util::read_file(paths[i]);
+    if (!bytes.ok()) {
+      file.read_error = bytes.error();
+      return;
+    }
+    file.archive = jar::read_archive_salvage(bytes.value(), file.decode);
+    if (!file.decode.error.has_value()) obs::counter_add("jar.archives_decoded");
+  });
+
+  // The policy, applied once in classpath order: strict fails on the first
+  // lost unit; quarantine records each one and links what survives.
+  std::vector<jar::Archive> classpath;
+  if (with_jdk) classpath.push_back(corpus::jdk_base_archive());
   DegradationReport local;
   DegradationReport& report = degradation != nullptr ? *degradation : local;
-  std::vector<jar::SalvagedFile> salvaged = jar::read_archive_files_salvage(files, executor,
-                                                                           deadline);
   std::size_t survivors = 0;
-  std::optional<util::Error> first_loss;
   std::size_t quarantined = 0;
-  for (std::size_t i = 0; i < salvaged.size(); ++i) {
-    jar::SalvagedFile& file = salvaged[i];
-    if (file.read_error.has_value()) {
-      report.add(paths[i], file.deadline_skipped ? "deadline" : "fs-read",
-                 file.read_error->message);
-      if (file.deadline_skipped) {
-        // Deadline skips are degradation, never "garbage input": they must
-        // not trip the nothing-survived fatal below.
-        report.deadline_hit = true;
-      } else {
-        ++quarantined;
-        if (!first_loss.has_value()) {
-          first_loss = util::Error{paths[i] + ": " + file.read_error->message};
-        }
-      }
+  std::optional<util::Error> first_loss;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    LoadedFile& file = files[i];
+    const std::optional<util::Error>& lost =
+        file.read_error.has_value() ? file.read_error : file.decode.error;
+    if (lost.has_value() && !quarantine) {
+      return util::Error{paths[i] + ": " + lost->message, lost->location};
+    }
+    if (file.deadline_skipped) {
+      // Deadline skips are degradation, never "garbage input": they must
+      // not trip the nothing-survived fatal below.
+      report.add(paths[i], "deadline", lost->message);
+      report.deadline_hit = true;
       continue;
     }
-    if (file.degradation.error.has_value()) {
-      if (file.archive.classes.empty()) {
-        // Nothing salvageable: header or string-pool corruption.
-        report.add(paths[i], "archive-decode", file.degradation.error->message,
-                   file.degradation.bytes_skipped);
-        ++quarantined;
-        if (!first_loss.has_value()) {
-          first_loss = util::Error{paths[i] + ": " + file.degradation.error->message};
-        }
+    if (lost.has_value()) {
+      ++quarantined;
+      if (file.read_error.has_value() || file.archive.classes.empty()) {
+        // Nothing salvageable: unreadable, or header/string-pool corruption.
+        report.add(paths[i], file.read_error.has_value() ? "fs-read" : "archive-decode",
+                   lost->message, file.decode.bytes_skipped);
+        if (!first_loss.has_value()) first_loss = util::Error{paths[i] + ": " + lost->message};
         continue;
       }
-      report.add(salvage_unit(paths[i], file.degradation), "class-decode",
-                 file.degradation.error->message, file.degradation.bytes_skipped);
-      ++quarantined;
+      report.add(salvage_unit(paths[i], file.decode), "class-decode", lost->message,
+                 file.decode.bytes_skipped);
     }
     ++survivors;
     classpath.push_back(std::move(file.archive));

@@ -20,7 +20,7 @@
 //
 // Failure handling is policy-driven (docs/ROBUSTNESS.md): under the strict
 // policy any malformed input fails the run; under quarantine, broken units
-// (archives, class records, cache entries) are recorded in a structured
+// (archives, class records) are recorded in a structured
 // DegradationReport and analysis continues with the surviving program —
 // the CPG builder and finder already tolerate the resulting holes via
 // phantom nodes. Wall-clock budgets (Options::deadline) and cancellation
@@ -29,6 +29,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -175,25 +176,36 @@ struct Outcome {
 /// means the hardware default.
 std::unique_ptr<util::ThreadPool> make_pool(int jobs);
 
-/// Reads .tjar files and links them into one closed-world program,
-/// optionally prefixing the simulated JDK. The error identifies the
-/// offending path. Under FailurePolicy::kQuarantine, malformed archives
-/// and corrupt class records are recorded into `degradation` (when given)
-/// and the surviving classes are linked instead; the call only fails when
-/// every user archive is lost. `deadline` bounds the load cooperatively:
-/// archives whose decode has not started at expiry are skipped (and
-/// recorded / failed per the policy).
+/// The one classpath loader, for cached and uncached runs alike: reads and
+/// decodes the .tjar files (in parallel on `executor`) and links them into
+/// one closed-world program, optionally prefixing the simulated JDK. The
+/// policy is applied afterwards, in classpath order. Under the strict
+/// policy the first lost archive is the error, naming its path (and the
+/// byte offset of a decode fault). Under FailurePolicy::kQuarantine,
+/// unreadable archives and corrupt class records are recorded into
+/// `degradation` (when given) and the surviving classes are linked
+/// instead; the call only fails when every user archive is lost.
+/// `deadline` bounds the load cooperatively: strict fails when it expired
+/// before the load, quarantine skips (and records) every archive whose
+/// read has not started at expiry.
 util::Result<jir::Program> load_program(const std::vector<std::string>& paths, bool with_jdk,
                                         util::Executor* executor = nullptr,
                                         FailurePolicy policy = FailurePolicy::kStrict,
                                         DegradationReport* degradation = nullptr,
                                         const util::Deadline& deadline = {});
 
-/// The full cache-aware front end shared by analyze/find/query: digest the
+/// The snapshot key of a classpath (cache::AnalysisCache::snapshot_key):
+/// `options_fp` folded with the digest of the simulated JDK (when
+/// `with_jdk`) and of every archive file, in link order. nullopt when an
+/// archive cannot be read, since no key could then describe the on-disk
+/// bytes. The engine's resident fingerprint is the same key.
+std::optional<std::uint64_t> classpath_key(const std::vector<std::string>& jar_paths,
+                                           bool with_jdk, std::uint64_t options_fp);
+
+/// The full cache-aware front end shared by analyze/find/query: key the
 /// classpath, warm-start from a snapshot when one matches, otherwise load
-/// archives (through per-archive cache fragments when caching), link, build
-/// the CPG and publish a new snapshot. Without a cache_dir this is the plain
-/// cold pipeline.
+/// the archives (load_program), build the CPG and publish a new snapshot.
+/// Without a cache_dir this is the plain cold pipeline.
 util::Result<Outcome> run(const std::vector<std::string>& jar_paths, const Options& options);
 
 /// In-memory variant: build the CPG for an already-linked program (no

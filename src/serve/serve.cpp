@@ -18,7 +18,6 @@
 #include "serve/json.hpp"
 #include "util/failpoint.hpp"
 #include "util/signals.hpp"
-#include "util/strings.hpp"
 
 namespace tabby::serve {
 
@@ -66,17 +65,6 @@ pipeline::ExecContext context_from(const Json& request, int default_workers) {
     ctx.verify_budget = std::chrono::milliseconds(static_cast<long long>(request.num("verify_ms")));
   }
   return ctx;
-}
-
-/// The exact per-sink degradation lines `tabby find` prints on stderr
-/// (finder::degraded_line is the single shared rendering).
-std::vector<std::string> degraded_lines(const finder::FinderReport& report) {
-  std::vector<std::string> lines;
-  lines.reserve(report.partial_sinks.size());
-  for (const finder::PartialSink& sink : report.partial_sinks) {
-    lines.push_back(finder::degraded_line(sink));
-  }
-  return lines;
 }
 
 class Daemon {
@@ -293,10 +281,8 @@ util::Result<pipeline::AnalysisPtr> Daemon::open_for(const Json& request,
 
 Json Daemon::op_open(const Json& request) {
   pipeline::ExecContext ctx = context_from(request, default_workers_);
-  pipeline::OpenOptions opts;
-  opts.need_graph_bytes = request.flag("need_graph_bytes");
   Json error_out;
-  auto analysis = open_for(request, ctx, opts, error_out);
+  auto analysis = open_for(request, ctx, {}, error_out);
   if (!analysis.ok()) return error_out;
   const pipeline::Outcome& outcome = analysis.value()->outcome();
 
@@ -335,23 +321,8 @@ Json Daemon::op_find(const Json& request) {
   // The exact bytes `tabby find` prints for the same request (the header's
   // search time is wall clock — CI filters it the same way it already does
   // for warm-vs-cold comparisons).
-  std::string text = std::to_string(result.report.chains.size()) + " gadget chain(s), " +
-                     util::format_double(result.report.search_seconds, 3) + " s search\n\n";
-  for (std::size_t i = 0; i < result.report.chains.size(); ++i) {
-    text += result.report.chains[i].to_string();
-    if (result.verified) {
-      text += "  auto-verify: " + finder::verdict_line(result.verify.verdicts[i]) + "\n";
-    }
-    text += "\n";
-  }
-  if (result.verified) {
-    text += std::to_string(result.verify.effective) + "/" +
-            std::to_string(result.report.chains.size()) + " chains confirmed effective";
-    if (result.verify.unconfirmed > 0) {
-      text += ", " + std::to_string(result.verify.unconfirmed) + " unconfirmed";
-    }
-    text += "\n";
-  }
+  std::vector<std::string> lines;
+  std::string text = pipeline::Analysis::render(result, lines);
 
   Json response = Json::object();
   response.set("ok", true);
@@ -372,18 +343,7 @@ Json Daemon::op_find(const Json& request) {
   for (const std::string& warning : outcome.warnings) warnings.push(Json::string(warning));
   response.set("warnings", std::move(warnings));
   Json degraded = Json::array();
-  for (const std::string& line : degraded_lines(result.report)) degraded.push(Json::string(line));
-  if (result.verified) {
-    // One line per undecided chain, in chain order — the same bytes the
-    // one-shot CLI prints on stderr.
-    for (std::size_t i = 0; i < result.report.chains.size(); ++i) {
-      const finder::ChainVerdict& verdict = result.verify.verdicts[i];
-      if (verdict.verdict == finder::Verdict::Unconfirmed) {
-        degraded.push(
-            Json::string(finder::degraded_line(result.report.chains[i], verdict)));
-      }
-    }
-  }
+  for (const std::string& line : lines) degraded.push(Json::string(line));
   response.set("degraded_lines", std::move(degraded));
   return response;
 }

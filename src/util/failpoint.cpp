@@ -13,7 +13,6 @@ namespace {
 // fault seam plus one row here (and in docs/ROBUSTNESS.md); the chaos
 // sweep picks it up automatically via catalog().
 constexpr const char* kSites[] = {
-    "cache.fragment.publish",  // fragment write-back after a decode miss
     "cache.publish.rename",    // the rename inside one atomic-publish attempt
     "cache.snapshot.publish",  // whole-classpath snapshot publish
     "cypher.eval",             // query evaluation entry (run_query)

@@ -1,20 +1,26 @@
 // Tests for the cache self-repair satellite: cache::audit_cache and the
-// `tabby cache` subcommand. A bit-flipped fragment or snapshot must be
-// detected against its digest, reported with reclaimable bytes, prunable,
-// and — the payoff — the next analysis run rebuilds ONLY the pruned entry,
-// warm-starting everything else from the surviving fragments.
+// `tabby cache` subcommand. A bit-flipped snapshot or frozen frame must be
+// detected against its key, reported with reclaimable bytes and prunable,
+// without touching intact entries; the next analysis run republishes what
+// was pruned. Fragments left by the older per-archive layout are orphans.
+// Also: concurrent publishes of one entry never tear a reader.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cli/cli.hpp"
 #include "corpus/components.hpp"
+#include "graph/graph.hpp"
 #include "jar/archive.hpp"
+#include "support/freeze.hpp"
 #include "util/digest.hpp"
 
 namespace tabby {
@@ -69,14 +75,13 @@ class CacheAuditFixture : public ::testing::Test {
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("BeanShell1").jar, jar1_).ok());
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("Rome").jar, jar2_).ok());
     cache_ = (dir_ / "cache").string();
-    // Warm the cache: two fragments, one whole-classpath snapshot and the
-    // frozen frame published next to it.
+    // Warm the cache: one whole-classpath snapshot and the frozen frame
+    // published next to it. Archives themselves are not cached.
     CliRun cold = run({"analyze", jar1_, jar2_, "--cache", cache_});
     ASSERT_EQ(cold.code, 0) << cold.err;
-    fragments_ = files_in(fs::path(cache_) / "fragments");
+    ASSERT_FALSE(fs::exists(fs::path(cache_) / "fragments"));
     snapshots_ = files_in(fs::path(cache_) / "snapshots", ".tsnp");
     frames_ = files_in(fs::path(cache_) / "snapshots", ".tfzn");
-    ASSERT_EQ(fragments_.size(), 2u);
     ASSERT_EQ(snapshots_.size(), 1u);
     ASSERT_EQ(frames_.size(), 1u);
     ASSERT_EQ(files_in(fs::path(cache_) / "snapshots").size(), 2u);
@@ -85,14 +90,14 @@ class CacheAuditFixture : public ::testing::Test {
 
   fs::path dir_;
   std::string jar1_, jar2_, cache_;
-  std::vector<fs::path> fragments_, snapshots_, frames_;
+  std::vector<fs::path> snapshots_, frames_;
 };
 
 TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
   auto report = cache::audit_cache(cache_, /*prune=*/false);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_TRUE(report.value().clean());
-  EXPECT_EQ(report.value().fragments_checked, 2u);
+  EXPECT_EQ(report.value().fragments_checked, 0u);
   EXPECT_EQ(report.value().snapshots_checked, 1u);
   EXPECT_EQ(report.value().frozen_checked, 1u);
   EXPECT_EQ(report.value().reclaimable_bytes, 0u);
@@ -109,15 +114,16 @@ TEST_F(CacheAuditFixture, MissingDirectoryIsAnError) {
 }
 
 TEST_F(CacheAuditFixture, BitFlipIsDetectedWithReclaimableBytes) {
-  flip_byte(fragments_[0], fs::file_size(fragments_[0]) / 2);
+  flip_byte(frames_[0], fs::file_size(frames_[0]) / 2);
   auto report = cache::audit_cache(cache_, /*prune=*/false);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_FALSE(report.value().clean());
   EXPECT_EQ(report.value().corrupt, 1u);
-  EXPECT_EQ(report.value().reclaimable_bytes, fs::file_size(fragments_[0]));
+  EXPECT_EQ(report.value().orphaned, 0u);
+  EXPECT_EQ(report.value().reclaimable_bytes, fs::file_size(frames_[0]));
   // Audit without --prune is read-only.
   EXPECT_EQ(report.value().reclaimed_bytes, 0u);
-  EXPECT_TRUE(fs::exists(fragments_[0]));
+  EXPECT_TRUE(fs::exists(frames_[0]));
 
   CliRun cli = run({"cache", cache_});
   EXPECT_EQ(cli.code, 3);
@@ -126,43 +132,86 @@ TEST_F(CacheAuditFixture, BitFlipIsDetectedWithReclaimableBytes) {
 }
 
 TEST_F(CacheAuditFixture, OrphanedTempFilesAreFlagged) {
-  std::ofstream(fs::path(cache_) / "fragments" / "orphan.tmp") << "leftover";
+  // A publisher that died between write and rename leaves its private temp.
+  fs::path leftover = snapshots_[0];
+  leftover += ".4242.0.tmp";
+  std::ofstream(leftover) << "leftover";
   std::ofstream(fs::path(cache_) / "snapshots" / "junk.bin") << "noise";
   auto report = cache::audit_cache(cache_, false);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_EQ(report.value().orphaned, 2u);
   EXPECT_EQ(report.value().corrupt, 0u);
+  EXPECT_NE(report.value().to_string().find("leftover temp file"), std::string::npos)
+      << report.value().to_string();
 }
 
-TEST_F(CacheAuditFixture, PruneHealsAndOnlyThePrunedFragmentRebuilds) {
-  // Corrupt one fragment AND the snapshot: with the snapshot intact a warm
-  // run never touches fragments, so rebuilding-only-the-pruned-one needs
-  // the snapshot out of the way too.
-  flip_byte(fragments_[0], fs::file_size(fragments_[0]) / 2);
+TEST_F(CacheAuditFixture, LegacyFragmentsAreOrphansThatPruneReclaims) {
+  // An older cache layout kept one fragment per archive; nothing reads them.
+  fs::path fragments = fs::path(cache_) / "fragments";
+  fs::create_directories(fragments);
+  std::ofstream(fragments / "0123456789abcdef.tfrag") << "fragment";
+  std::ofstream(fragments / "0123456789abcdef.tfrag.tmp") << "leftover";
+
+  auto report = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report.value().orphaned, 2u);
+  EXPECT_EQ(report.value().corrupt, 0u);
+  EXPECT_EQ(report.value().fragments_checked, 0u);
+  EXPECT_NE(report.value().to_string().find("per-archive fragment"), std::string::npos)
+      << report.value().to_string();
+
+  CliRun pruned = run({"cache", cache_, "--prune"});
+  EXPECT_EQ(pruned.code, 0) << pruned.out;
+  EXPECT_FALSE(fs::exists(fragments));
+  auto healed = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_TRUE(healed.value().clean()) << healed.value().to_string();
+  CliRun warm = run({"analyze", jar1_, jar2_, "--cache", cache_});
+  EXPECT_EQ(warm.code, 0) << warm.err;
+  EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
+}
+
+TEST_F(CacheAuditFixture, PruneHealsAndTheNextRunRepublishesThePrunedEntries) {
+  // An intact bystander entry that prune must leave alone.
+  {
+    auto opened = cache::AnalysisCache::open(cache_);
+    ASSERT_TRUE(opened.ok()) << opened.error().message;
+    ASSERT_TRUE(opened.value().store_verdict(0x77, cache::CachedVerdict{}).ok());
+  }
+  std::vector<fs::path> verdicts = files_in(fs::path(cache_) / "verdicts");
+  ASSERT_EQ(verdicts.size(), 1u);
+  // A corrupt snapshot takes its frame with it: the frame is an orphan.
   flip_byte(snapshots_[0], fs::file_size(snapshots_[0]) - 8);
+
+  auto report = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report.value().corrupt, 1u);
+  EXPECT_EQ(report.value().orphaned, 1u);
+  EXPECT_EQ(report.value().reclaimable_bytes,
+            fs::file_size(snapshots_[0]) + fs::file_size(frames_[0]));
 
   CliRun pruned = run({"cache", cache_, "--prune"});
   EXPECT_EQ(pruned.code, 0) << pruned.out;  // healed store = success
   EXPECT_NE(pruned.out.find("[pruned]"), std::string::npos) << pruned.out;
   EXPECT_NE(pruned.out.find("reclaimed"), std::string::npos) << pruned.out;
-  EXPECT_FALSE(fs::exists(fragments_[0]));
   EXPECT_FALSE(fs::exists(snapshots_[0]));
   EXPECT_FALSE(fs::exists(frames_[0])) << "the frame outlived its snapshot";
-  EXPECT_TRUE(fs::exists(fragments_[1])) << "prune touched an intact entry";
+  EXPECT_TRUE(fs::exists(verdicts[0])) << "prune touched an intact entry";
 
-  // The next run self-heals: the surviving fragment warm-starts, only the
-  // pruned one is recomputed, and the snapshot republishes.
+  // The next run self-heals: it rebuilds and republishes the snapshot and
+  // its frame.
   CliRun rebuilt = run({"analyze", jar1_, jar2_, "--cache", cache_});
   EXPECT_EQ(rebuilt.code, 0) << rebuilt.err;
   EXPECT_NE(rebuilt.out.find("snapshot miss"), std::string::npos) << rebuilt.out;
-  EXPECT_NE(rebuilt.out.find("fragments 1/2 hit"), std::string::npos) << rebuilt.out;
 
-  auto report = cache::audit_cache(cache_, false);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().clean()) << report.value().to_string();
-  EXPECT_EQ(report.value().fragments_checked, 2u);
-  EXPECT_EQ(report.value().snapshots_checked, 1u);
-  EXPECT_EQ(report.value().frozen_checked, 1u);
+  auto healed = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_TRUE(healed.value().clean()) << healed.value().to_string();
+  EXPECT_EQ(healed.value().snapshots_checked, 1u);
+  EXPECT_EQ(healed.value().frozen_checked, 1u);
+  EXPECT_EQ(healed.value().verdicts_checked, 1u);
+  CliRun warm = run({"analyze", jar1_, jar2_, "--cache", cache_});
+  EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
 }
 
 TEST_F(CacheAuditFixture, VerdictFramesRoundTripAndRejectKeyMismatches) {
@@ -226,6 +275,71 @@ TEST_F(CacheAuditFixture, CorruptVerdictFrameIsDetectedAndPruned) {
   ASSERT_TRUE(healed.ok());
   EXPECT_TRUE(healed.value().clean());
   EXPECT_EQ(healed.value().verdicts_checked, 0u);
+}
+
+// Two daemon requests that open the same uncached classpath, or two `find
+// --cache` processes on one directory, publish the same entry at once. Each
+// publish must stay private until its rename, so a reader that maps the
+// entry meanwhile sees one whole frame or another, never a torn one.
+TEST(CachePublish, ConcurrentPublishesOfOneKeyNeverTearAReader) {
+  fs::path dir = fs::temp_directory_path() / ("tabby_cache_publish_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  constexpr std::uint64_t kKey = 0x5eed;
+  // A frame of a few megabytes, so one publish takes long enough to overlap
+  // the others.
+  graph::GraphDb db;
+  constexpr std::size_t kNodes = 30000;
+  std::vector<graph::NodeId> ids;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    ids.push_back(db.add_node("Method"));
+    db.set_node_prop(ids.back(), "NAME", graph::Value{"method-" + std::to_string(i)});
+  }
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    db.add_edge(ids[i], ids[(i + 1) % kNodes], "CALL");
+    db.add_edge(ids[i], ids[(i * 7) % kNodes], "ALIAS");
+  }
+  graph::FrozenGraph frame = testing::freeze(db, kKey);
+  ASSERT_GT(frame.frame().size(), 1u << 20);
+
+  constexpr int kWriters = 4;
+  constexpr int kPublishes = 20;
+  std::atomic<int> writers_running{kWriters};
+  std::atomic<bool> published{false};
+  std::atomic<int> failed_publishes{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      auto cache = cache::AnalysisCache::open(dir);
+      for (int i = 0; cache.ok() && i < kPublishes; ++i) {
+        if (cache.value().store_frozen(kKey, frame).ok()) {
+          published.store(true);
+        } else {
+          ++failed_publishes;
+        }
+      }
+      if (!cache.ok()) ++failed_publishes;
+      --writers_running;
+    });
+  }
+
+  std::size_t loads = 0;
+  std::size_t misses = 0;
+  auto reader = cache::AnalysisCache::open(dir);
+  while (reader.ok() && writers_running.load() > 0) {
+    bool after_first_publish = published.load();
+    std::optional<graph::FrozenGraph> loaded = reader.value().load_frozen(kKey);
+    if (!after_first_publish) continue;
+    ++loads;
+    if (!loaded.has_value() || loaded->node_count() != frame.node_count()) ++misses;
+  }
+  for (std::thread& writer : writers) writer.join();
+
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  EXPECT_EQ(failed_publishes.load(), 0);
+  EXPECT_EQ(misses, 0u) << "of " << loads << " load(s) after the first publish";
+  EXPECT_TRUE(reader.value().load_frozen(kKey).has_value());
+  EXPECT_TRUE(files_in(dir / "snapshots", ".tmp").empty()) << "a publish left its temp file";
+  fs::remove_all(dir);
 }
 
 TEST_F(CacheAuditFixture, CacheFlagFormAndUsageErrors) {

@@ -6,17 +6,23 @@
 // byte-identical at any --jobs count.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "cli/cli.hpp"
 #include "corpus/components.hpp"
+#include "finder/finder.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/find_output.hpp"
+#include "util/deadline.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tabby {
 namespace {
@@ -176,6 +182,97 @@ TEST_F(MalformedCorpusFixture, SurvivingChainsAreIdenticalAtAnyJobCount) {
   EXPECT_EQ(parallel.code, 3);
   EXPECT_EQ(strip_timing(serial.out), strip_timing(parallel.out));
   EXPECT_EQ(serial.err, parallel.err);
+}
+
+/// What one pipeline::run left behind, reduced to the bytes a caller sees.
+struct Observed {
+  std::string error;        // Error::to_string(), empty on success
+  std::string degradation;  // DegradationReport::to_string()
+  std::vector<std::string> chain_keys;
+
+  bool operator==(const Observed&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Observed& observed) {
+  os << "error: '" << observed.error << "'\ndegradation:\n" << observed.degradation << "chains:";
+  for (const std::string& key : observed.chain_keys) os << "\n  " << key;
+  return os;
+}
+
+/// Drops the one stderr line only a cached run can print.
+std::string without_publish_warning(const std::string& err) {
+  std::istringstream lines(err);
+  std::string line, kept;
+  while (std::getline(lines, line)) {
+    if (line == "warning: snapshot not published (degraded run)") continue;
+    kept += line;
+    kept += '\n';
+  }
+  return kept;
+}
+
+TEST_F(MalformedCorpusFixture, CachedAndUncachedRunsDegradeIdentically) {
+  // A clean archive, one truncated mid-class (a prefix salvages), one with
+  // garbage magic and a path that does not exist; plus the clean archive
+  // next to the truncated one alone, where strict must keep the byte
+  // location of the decode error.
+  std::string cut = write("cut.tjar", truncated(clean_bytes_.size() / 2));
+  std::string garbage = write("garbage.tjar", std::vector<std::byte>(64, std::byte{0xAB}));
+  std::string missing = (dir_ / "missing.tjar").string();
+  const std::vector<std::vector<std::string>> classpaths = {
+      {clean_path_, cut, garbage, missing},
+      {clean_path_, cut},
+  };
+
+  int fresh = 0;  // a fresh cache directory per cached run: nothing warm-starts
+  auto observe = [&](const std::vector<std::string>& classpath, pipeline::FailurePolicy policy,
+                     int jobs, bool zero_deadline, bool cached) {
+    std::unique_ptr<util::ThreadPool> pool = pipeline::make_pool(jobs);
+    pipeline::Options options;
+    options.executor = pool.get();
+    options.policy = policy;
+    if (zero_deadline) options.deadline = util::Deadline::after(std::chrono::milliseconds(0));
+    if (cached) options.cache_dir = (dir_ / ("cache" + std::to_string(fresh++))).string();
+    Observed observed;
+    auto outcome = pipeline::run(classpath, options);
+    if (!outcome.ok()) {
+      observed.error = outcome.error().to_string();
+      return observed;
+    }
+    observed.degradation = outcome.value().degradation.to_string();
+    for (const finder::GadgetChain& chain :
+         finder::GadgetChainFinder(outcome.value().frozen).find_all().chains) {
+      observed.chain_keys.push_back(chain.key());
+    }
+    return observed;
+  };
+
+  for (const std::vector<std::string>& classpath : classpaths) {
+    for (pipeline::FailurePolicy policy :
+         {pipeline::FailurePolicy::kQuarantine, pipeline::FailurePolicy::kStrict}) {
+      const bool strict = policy == pipeline::FailurePolicy::kStrict;
+      for (int jobs : {1, 4}) {
+        for (bool zero_deadline : {false, true}) {
+          SCOPED_TRACE(std::to_string(classpath.size()) + " archive(s), " +
+                       (strict ? "strict" : "quarantine") + ", --jobs " + std::to_string(jobs) +
+                       (zero_deadline ? ", --deadline 0ms" : ""));
+          EXPECT_EQ(observe(classpath, policy, jobs, zero_deadline, /*cached=*/false),
+                    observe(classpath, policy, jobs, zero_deadline, /*cached=*/true));
+
+          std::vector<std::string> args{"find"};
+          args.insert(args.end(), classpath.begin(), classpath.end());
+          args.insert(args.end(), {"--jobs", std::to_string(jobs)});
+          if (strict) args.push_back("--strict");
+          if (zero_deadline) args.insert(args.end(), {"--deadline", "0ms"});
+          CliRun uncached = run_cli_capture(args);
+          args.insert(args.end(), {"--cache", (dir_ / ("cache" + std::to_string(fresh++))).string()});
+          CliRun cached = run_cli_capture(args);
+          EXPECT_EQ(uncached.code, cached.code);
+          EXPECT_EQ(uncached.err, without_publish_warning(cached.err));
+        }
+      }
+    }
+  }
 }
 
 TEST_F(MalformedCorpusFixture, QuarantinedChainsAreASubsetOfCleanChains) {

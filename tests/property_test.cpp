@@ -200,8 +200,8 @@ TEST(DigestProperty, StableAcrossOrderingsAndJobCounts) {
 /// Every FNV-1a step (xor a byte, multiply by an odd prime) is a bijection
 /// on the 64-bit state, so for equal-length inputs a single-byte change
 /// *always* changes the digest — exhaustively checked at every offset. A
-/// stale fragment or snapshot can therefore never be served for a .tjar
-/// that was mutated in place.
+/// stale snapshot can therefore never be served for a .tjar that was
+/// mutated in place.
 TEST(DigestProperty, AnySingleByteMutationChangesTheDigest) {
   std::vector<std::byte> bytes = jar::write_archive(corpus::build_component("BeanShell1").jar);
   ASSERT_FALSE(bytes.empty());
