@@ -141,10 +141,10 @@ int main() {
 
   std::vector<std::string> jar_paths(jar_files.begin(), jar_files.end());
   auto run_cold = [&] {
-    pipeline::Options options;
+    pipeline::EngineOptions options;
     options.cache_dir = (work / "cache").string();
-    options.cpg = cache_options;
-    return pipeline::run(jar_paths, options).value().stats;
+    pipeline::Engine engine(options);
+    return engine.open(jar_paths, {}).value()->outcome().stats;
   };
   auto run_warm = [&](cache::AnalysisCache& cache) {
     std::vector<std::uint64_t> digests{jdk_digest};
@@ -233,13 +233,16 @@ int main() {
   std::printf("\nResident engine vs one-shot — find request latency (median of 3)\n");
   {
     const std::vector<std::string>& classpath = jar_paths;
+    // What `tabby find` runs: a fresh engine per request, so nothing is
+    // resident.
+    pipeline::ExecContext ctx;
     auto one_shot_request = [&] {
-      auto outcome = pipeline::run(classpath, pipeline::Options{});
-      return finder::GadgetChainFinder(outcome.value().frozen).find_all().chains.size();
+      pipeline::Engine engine;
+      auto analysis = engine.open(classpath, ctx);
+      return analysis.value()->find(ctx).report.chains.size();
     };
 
     pipeline::Engine engine;
-    pipeline::ExecContext ctx;
     auto resident_request = [&] {
       auto analysis = engine.open(classpath, ctx);
       return analysis.value()->find(ctx).report.chains.size();
@@ -270,7 +273,7 @@ int main() {
 
     util::Table engine_table({"Path", "Time(s)", "Speedup", "What runs"});
     engine_table.add_row({"one-shot", util::format_double(one_shot_median, 4), "1.00x",
-                          "pipeline::run + finder, everything per request"});
+                          "fresh Engine open + find, everything per request"});
     engine_table.add_row({"resident (1st open)", util::format_double(first_open, 4),
                           util::format_double(one_shot_median / first_open, 2) + "x",
                           "cold open: build + admit to the engine LRU"});

@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
               program.method_count());
 
   // Tabby's own view of the component, through the session engine (the
-  // supported embedding surface; pipeline::run remains as the one-shot
-  // compatibility wrapper).
+  // supported embedding surface).
   pipeline::Engine engine;
   auto opened = engine.open(program);
   if (!opened.ok()) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
 
 #include "graph/frozen.hpp"
@@ -43,7 +44,7 @@ Result<std::vector<std::byte>> read_file_bytes(const fs::path& path) {
 /// crashed publisher's leftover. The `cache.publish.rename` failpoint
 /// models a transient publish fault (NFS rename hiccup, AV scanner holding
 /// the target) — exactly what the retry loop below exists to absorb.
-util::Status write_file_atomic_once(const fs::path& path, const std::vector<std::byte>& bytes) {
+util::Status write_file_atomic_once(const fs::path& path, std::span<const std::byte> bytes) {
   static std::atomic<std::uint64_t> publishes{0};
   fs::path tmp = path;
   tmp += "." + std::to_string(::getpid()) + "." +
@@ -74,7 +75,7 @@ util::Status write_file_atomic_once(const fs::path& path, const std::vector<std:
 /// backoff (~1ms, ~2ms); a still-failing publish returns the last error,
 /// which every caller downgrades (snapshot and frame: a warning; verdict:
 /// ignored) — cache publication is never a run failure.
-util::Status write_file_atomic(const fs::path& path, const std::vector<std::byte>& bytes) {
+util::Status write_file_atomic(const fs::path& path, std::span<const std::byte> bytes) {
   constexpr int kAttempts = 3;
   util::Status status = util::Status::ok_status();
   for (int attempt = 1; attempt <= kAttempts; ++attempt) {
@@ -368,9 +369,9 @@ util::Status AnalysisCache::store_frozen(std::uint64_t key, const graph::FrozenG
                        util::digest_hex(key)};
   }
   obs::counter_add("cache.frozen_published");
-  std::vector<std::byte> file(frozen.frame().begin(), frozen.frame().end());
-  util::ScopedCharge buffer_charge(memory_, file.size());
-  return write_file_atomic(frozen_path(key), file);
+  // Written straight from the frame: a copy would add a frame-sized
+  // transient to the open's peak.
+  return write_file_atomic(frozen_path(key), frozen.frame());
 }
 
 std::optional<CachedVerdict> AnalysisCache::load_verdict(std::uint64_t key) {

@@ -1,9 +1,10 @@
 #include "pipeline/engine.hpp"
 
-#include <filesystem>
-#include <system_error>
+#include <exception>
 #include <utility>
 
+#include "corpus/jdk.hpp"
+#include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
 #include "util/strings.hpp"
@@ -28,6 +29,34 @@ std::size_t resident_estimate(const Outcome& outcome) {
     bytes += outcome.program->method_count() * 512;
   }
   return bytes;
+}
+
+/// True when a resident analysis materialized everything `opts` asks for.
+bool satisfies(const Outcome& have, const OpenOptions& opts) {
+  return (!opts.need_program || have.program.has_value()) &&
+         (!opts.need_graph_bytes || !have.graph_bytes.empty());
+}
+
+/// The snapshot key of a read classpath, which is also the engine's resident
+/// fingerprint: the default CPG options' fingerprint folded with the digest
+/// of the simulated JDK (when `with_jdk`) and of every archive, in link
+/// order. nullopt when an archive could not be read, since no key could then
+/// describe the on-disk bytes.
+std::optional<std::uint64_t> key_of(const std::vector<ArchiveRead>& files, bool with_jdk) {
+  // Both are constants of the binary, computed on first use.
+  static const std::uint64_t options_fp = cpg::options_fingerprint(cpg::CpgOptions{});
+  std::vector<std::uint64_t> digests;
+  digests.reserve(files.size() + 1);
+  if (with_jdk) {
+    static const std::uint64_t jdk_digest =
+        util::fnv1a(jar::write_archive(corpus::jdk_base_archive()));
+    digests.push_back(jdk_digest);
+  }
+  for (const ArchiveRead& file : files) {
+    if (file.error.has_value()) return std::nullopt;
+    digests.push_back(file.digest);
+  }
+  return cache::AnalysisCache::snapshot_key(options_fp, digests);
 }
 
 }  // namespace
@@ -176,7 +205,7 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   }
   if (!options_.cache_dir.empty()) {
     // Best-effort: an unopenable cache directory disables verdict caching
-    // without failing engine construction (run() reports the real error on
+    // without failing engine construction (open() reports the real error on
     // the snapshot path).
     auto cache = cache::AnalysisCache::open(options_.cache_dir);
     if (cache.ok()) {
@@ -188,51 +217,46 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
 Engine::~Engine() = default;
 
 util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths,
-                                       const ExecContext& ctx, const OpenOptions& opts) {
+                                       const ExecContext& ctx, const OpenOptions& opts) try {
   obs::Span span("engine.open");
   obs::counter_add("engine.opens");
-  // An undigestable archive means the key cannot describe the on-disk
-  // bytes: the open still runs (quarantine may salvage the rest), but the
-  // result must not be resident under a lying key.
-  std::optional<std::uint64_t> fp =
-      classpath_key(jar_paths, options_.with_jdk, cpg::options_fingerprint(cpg::CpgOptions{}));
+  util::Deadline deadline = ctx.deadline;
+  deadline.bind(ctx.cancel);
 
-  if (fp.has_value()) {
+  // The one read of the classpath: its digests key the resident and
+  // snapshot lookups, and on a miss its bytes feed the loader. An
+  // unreadable archive leaves the classpath without a key: the open still
+  // runs (quarantine may salvage the rest), but its result is neither
+  // resident nor looked up or published as a snapshot.
+  std::vector<ArchiveRead> files = read_classpath(jar_paths, pool_.get());
+  const std::optional<std::uint64_t> key = key_of(files, options_.with_jdk);
+  // The load budget bounds what follows the read, which every open pays.
+  const util::Deadline load_deadline = deadline.tightened(anchor(ctx.load_budget));
+
+  {
     std::lock_guard<std::mutex> lock(mutex_);
     ++opens_;
-    auto it = resident_.find(*fp);
-    if (it != resident_.end()) {
-      const Outcome& have = it->second.analysis->outcome();
-      // A resident analysis satisfies this open only when it materialized
-      // everything the open needs; otherwise fall through and rebuild (the
-      // replacement below upgrades the resident entry in place).
-      bool satisfies = (!opts.need_program || have.program.has_value()) &&
-                       (!opts.need_graph_bytes || !have.graph_bytes.empty());
-      if (satisfies) {
-        ++it->second.hits;
-        ++resident_hits_;
-        obs::counter_add("engine.resident_hits");
-        lru_.erase(it->second.lru);
-        lru_.push_front(*fp);
-        it->second.lru = lru_.begin();
-        return AnalysisPtr(it->second.analysis);
-      }
+    auto it = key.has_value() ? resident_.find(*key) : resident_.end();
+    // A resident analysis answers this open only when it materialized
+    // everything the open needs; otherwise fall through and rebuild (the
+    // admission below upgrades the resident entry in place).
+    if (it != resident_.end() && satisfies(it->second.analysis->outcome(), opts)) {
+      ++it->second.hits;
+      ++resident_hits_;
+      obs::counter_add("engine.resident_hits");
+      lru_.erase(it->second.lru);
+      lru_.push_front(*key);
+      it->second.lru = lru_.begin();
+      return AnalysisPtr(it->second.analysis);
     }
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++opens_;
   }
 
   // Cheap pre-admission check: when even the raw classpath bytes exceed the
   // whole budget, reject before decoding a single archive — no eviction
   // could make the analysis fit.
   if (opts.require_admission && budget_ != nullptr && budget_->bounded()) {
-    std::uintmax_t raw_bytes = 0;
-    for (const std::string& path : jar_paths) {
-      std::error_code ec;
-      std::uintmax_t size = std::filesystem::file_size(path, ec);
-      if (!ec) raw_bytes += size;
-    }
+    std::size_t raw_bytes = 0;
+    for (const ArchiveRead& file : files) raw_bytes += file.bytes.size();
     if (raw_bytes > budget_->cap()) {
       std::lock_guard<std::mutex> lock(mutex_);
       ++over_capacity_;
@@ -243,43 +267,122 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
     }
   }
 
-  Options options;
-  options.with_jdk = options_.with_jdk;
-  options.cache_dir = options_.cache_dir;
-  options.need_program = opts.need_program;
-  options.need_graph_bytes = opts.need_graph_bytes;
-  options.executor = pool_.get();
-  options.policy = ctx.policy;
-  options.deadline = ctx.deadline;
-  options.load_deadline = anchor(ctx.load_budget);
-  options.cancel = ctx.cancel;
-  options.memory = budget_.get();
+  Outcome outcome;
+  {
+    obs::Span run_span("pipeline.run");
+    run_span.attr("archives", static_cast<std::uint64_t>(jar_paths.size()));
+    // A cache that cannot be opened is an infrastructure fault, not a broken
+    // input unit: fatal under both policies (the caller asked for caching
+    // and would otherwise silently lose it).
+    std::optional<cache::AnalysisCache> cache;
+    if (!options_.cache_dir.empty()) {
+      auto opened = cache::AnalysisCache::open(options_.cache_dir);
+      if (!opened.ok()) return opened.error();
+      cache.emplace(std::move(opened.value()));
+      cache->set_memory(budget_.get());
+    }
 
-  auto outcome = run(jar_paths, options);
-  if (!outcome.ok()) return outcome.error();
+    // Frozen-first warm start: mmap the cached CSR frame when one matches.
+    // The sibling .tsnp stays the source of truth — a frozen hit still
+    // requires it intact (stats + the exact store bytes), but lets
+    // load_snapshot skip the expensive graph decode. A corrupt frame is a
+    // structured degradation: the store is decoded and re-frozen below as
+    // if no frame existed; a frame without an intact snapshot is an orphan
+    // and is ignored.
+    std::optional<graph::FrozenGraph> warm_frozen;
+    std::optional<cache::CachedCpg> snapshot;
+    if (cache.has_value() && key.has_value()) {
+      std::string corrupt_reason;
+      auto frozen = cache->load_frozen(*key, &corrupt_reason);
+      if (frozen.has_value() && !frozen->stats().has_value()) {
+        // A frame from before the planner-stats section still attaches, but
+        // queries over it would plan with fallback estimates. Treat it like
+        // a miss: the store path below re-freezes (now with stats) and
+        // republishes, upgrading the cache in place.
+        outcome.warnings.push_back(
+            "cached frozen graph predates cardinality stats (re-freezing to upgrade)");
+        frozen.reset();
+      }
+      if (frozen.has_value()) {
+        warm_frozen = std::move(frozen);
+      } else if (!corrupt_reason.empty()) {
+        outcome.warnings.push_back("cached frozen graph rejected: " + corrupt_reason +
+                                   " (falling back to the graph store)");
+      }
+      snapshot = cache->load_snapshot(*key, /*need_db=*/!warm_frozen.has_value());
+      if (!snapshot.has_value()) warm_frozen.reset();
+    }
+
+    if (!snapshot.has_value() || opts.need_program) {
+      auto program = load_program(std::move(files), options_.with_jdk, pool_.get(), ctx.policy,
+                                  &outcome.degradation, load_deadline);
+      if (!program.ok()) return program.error();
+      if (!snapshot.has_value() && deadline.expired()) {
+        // A deadline that fires before the build leaves an empty CPG;
+        // freezing it keeps find and query valid on the degraded outcome.
+        if (ctx.policy != FailurePolicy::kQuarantine) {
+          return util::Error{"deadline exceeded before CPG construction"};
+        }
+        outcome.degradation.deadline_hit = true;
+        util::Status frozen = freeze(graph::GraphDb{}, /*content_key=*/0, budget_.get(), outcome);
+        if (!frozen.ok()) return frozen.error();
+      } else if (!snapshot.has_value()) {
+        cpg::CpgOptions cpg_options;
+        cpg_options.executor = pool_.get();
+        cpg_options.deadline = deadline;
+        cpg_options.memory = budget_.get();
+        // Only a cached build has a snapshot key; an uncached one freezes
+        // under content key 0.
+        cache::AnalysisCache* snapshots = cache.has_value() ? &*cache : nullptr;
+        util::Status built = build(program.value(), cpg_options, ctx.policy,
+                                   opts.need_graph_bytes, outcome, snapshots,
+                                   snapshots != nullptr ? key : std::nullopt);
+        if (!built.ok()) return built.error();
+      }
+      if (opts.need_program) {
+        outcome.program = std::move(program.value());
+      } else {
+        TABBY_SPAN("pipeline.teardown");
+        jir::Program dropped = std::move(program.value());
+      }
+    }
+    if (snapshot.has_value()) {
+      outcome.stats = snapshot->stats;
+      outcome.warm = true;
+      if (warm_frozen.has_value()) {
+        // Frozen warm start: the mmapped frame is the graph; the store
+        // decode was skipped.
+        outcome.frozen = std::move(*warm_frozen);
+      } else {
+        // The frame was absent, stale or corrupt: re-freeze from the
+        // decoded store and republish so the cache self-heals.
+        util::Status frozen = freeze(snapshot->db, *key, budget_.get(), outcome, &*cache);
+        if (!frozen.ok()) return frozen.error();
+      }
+      if (opts.need_graph_bytes) outcome.graph_bytes = std::move(snapshot->graph_bytes);
+    }
+    if (cache.has_value()) outcome.cache_line = cache->stats().to_line();
+  }
 
   auto analysis = std::shared_ptr<Analysis>(new Analysis());
-  analysis->outcome_ = std::move(outcome.value());
-  analysis->fingerprint_ = fp.value_or(0);
+  analysis->outcome_ = std::move(outcome);
+  analysis->fingerprint_ = key.value_or(0);
   analysis->executor_ = pool_.get();
   analysis->memory_ = budget_.get();
   analysis->dist_ = &dist_telemetry_;
   analysis->verdict_cache_ = verdict_cache_.get();
   analysis->resident_bytes_ = resident_estimate(analysis->outcome_);
 
-  if (!fp.has_value()) return AnalysisPtr(std::move(analysis));
+  if (!key.has_value()) return AnalysisPtr(std::move(analysis));
 
   std::lock_guard<std::mutex> lock(mutex_);
   // Another request may have built and admitted the same classpath while
   // this one ran unlocked; keep whichever is already resident when it
   // satisfies the request (first admit wins — both are byte-identical).
-  auto it = resident_.find(*fp);
+  auto it = resident_.find(*key);
   if (it != resident_.end()) {
-    const Outcome& have = it->second.analysis->outcome();
-    bool satisfies = (!opts.need_program || have.program.has_value()) &&
-                     (!opts.need_graph_bytes || !have.graph_bytes.empty());
-    if (satisfies) return AnalysisPtr(it->second.analysis);
-    evict_locked(*fp);
+    if (satisfies(it->second.analysis->outcome(), opts)) return AnalysisPtr(it->second.analysis);
+    evict_locked(*key);
   }
   if (budget_ != nullptr && budget_->bounded()) {
     make_room_locked(analysis->resident_bytes_);
@@ -304,11 +407,11 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   // sums above, never the racy live total).
   util::maybe_charge(budget_.get(), analysis->resident_bytes_);
   resident_bytes_ += analysis->resident_bytes_;
-  lru_.push_front(*fp);
+  lru_.push_front(*key);
   Entry entry;
   entry.analysis = analysis;
   entry.lru = lru_.begin();
-  resident_.emplace(*fp, std::move(entry));
+  resident_.emplace(*key, std::move(entry));
   if (options_.max_resident > 0) {
     while (resident_.size() > options_.max_resident && !lru_.empty()) {
       // Evict idle entries beyond the count cap, LRU first. Entries pinned
@@ -316,7 +419,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       // next open once they quiesce.
       bool evicted = false;
       for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-        if (*rit == *fp) continue;  // never evict the analysis just opened
+        if (*rit == *key) continue;  // never evict the analysis just opened
         auto candidate = resident_.find(*rit);
         if (candidate != resident_.end() && candidate->second.analysis.use_count() == 1) {
           evict_locked(*rit);
@@ -328,23 +431,31 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
     }
   }
   return AnalysisPtr(std::move(analysis));
+} catch (const std::exception& e) {
+  // The fail-soft contract is "structured Result, never a crash": stray
+  // exceptions (worker-task faults surfaced by Executor::parallel_for,
+  // injected pool.task failpoints) become errors here instead of unwinding
+  // through the CLI.
+  return util::Error{std::string("pipeline: unhandled exception: ") + e.what()};
 }
 
 util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecContext& ctx,
                                        const OpenOptions& opts) {
   obs::Span span("engine.open");
-  Options options;
-  options.with_jdk = options_.with_jdk;
-  options.need_program = opts.need_program;
-  options.executor = pool_.get();
-  options.policy = ctx.policy;
-  options.deadline = ctx.deadline;
-  options.cancel = ctx.cancel;
-  options.memory = budget_.get();
-  auto outcome = run(program, options);
-  if (!outcome.ok()) return outcome.error();
+  util::Deadline deadline = ctx.deadline;
+  deadline.bind(ctx.cancel);
+  cpg::CpgOptions cpg_options;
+  cpg_options.executor = pool_.get();
+  cpg_options.deadline = deadline;
+  cpg_options.memory = budget_.get();
+  Outcome outcome;
+  // A deadline cut is always absorbed as degradation regardless of policy.
+  util::Status built = build(program, cpg_options, FailurePolicy::kQuarantine,
+                             opts.need_graph_bytes, outcome);
+  if (!built.ok()) return built.error();
+  if (opts.need_program) outcome.program = program;
   auto analysis = std::shared_ptr<Analysis>(new Analysis());
-  analysis->outcome_ = std::move(outcome.value());
+  analysis->outcome_ = std::move(outcome);
   analysis->executor_ = pool_.get();
   analysis->memory_ = budget_.get();
   analysis->dist_ = &dist_telemetry_;
@@ -392,21 +503,13 @@ void Engine::make_room_locked(std::size_t needed) {
 
 bool Engine::evict(std::uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return evict_locked(fingerprint) > 0 || false;
+  return evict_locked(fingerprint) > 0;
 }
 
 std::size_t Engine::evict_all() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t count = 0;
-  while (!lru_.empty()) {
-    std::uint64_t fp = lru_.back();
-    if (evict_locked(fp) == 0) {
-      // Pinned (in use): leave it resident, but stop — the LRU tail no
-      // longer shrinks.
-      break;
-    }
-    ++count;
-  }
+  for (; !lru_.empty(); ++count) evict_locked(lru_.back());
   return count;
 }
 

@@ -1,15 +1,16 @@
-// The session-oriented engine API — the resident counterpart of the one-shot
-// pipeline::run facade, and the supported embedding surface for anything that
-// issues more than one request against the same classpath (the `tabby serve`
-// daemon, the examples, long-lived audit tooling).
+// The session-oriented engine API — the one front end between a classpath
+// of .tjar files and a queryable CPG, and the supported embedding surface
+// (the CLI, the `tabby serve` daemon, the examples, long-lived audit
+// tooling).
 //
 //   Engine   owns the process-scale machinery a serving deployment shares
 //            across requests: the --jobs worker pool, the global
 //            util::MemoryBudget, the incremental cache directory, and an LRU
-//            of resident analyses keyed by classpath fingerprint (the same
-//            digest-folded key the snapshot cache uses). Opening a classpath
-//            a second time returns the already-resident Analysis without
-//            touching a single archive byte.
+//            of resident analyses keyed by classpath fingerprint (the
+//            snapshot cache's key). Every open reads and digests each
+//            archive once to compute that key; opening a classpath a second
+//            time returns the already-resident Analysis without decoding
+//            anything.
 //   Analysis one resident classpath: the pipeline Outcome (frozen CSR frame,
 //            stats, optional linked program and store bytes) plus
 //            find()/query() entry points that reproduce the CLI's
@@ -19,10 +20,7 @@
 //            holder drops it.
 //   ExecContext  the per-request knobs (wall-clock deadline, phase budgets,
 //            failure policy, finder depth/frontier pool, planner toggle) in
-//            one struct that open/find/query all consume — the consolidation
-//            of the jobs/memory/deadline/policy flags the CLI, examples and
-//            daemon previously each re-plumbed through three parallel
-//            Options structs.
+//            one struct that open/find/query all consume.
 //
 // Admission control (docs/SERVING.md): when the engine's budget is bounded,
 // an open whose classpath cannot fit evicts idle least-recently-used
@@ -32,9 +30,7 @@
 // process. Evictions invoke EngineOptions::on_evict (the Katana
 // tsuba/Cache.h residency pattern) so a server can count and log them.
 //
-// pipeline::run stays available as the one-shot compatibility wrapper; every
-// result an Engine produces is byte-identical to the equivalent run() +
-// finder/cypher calls at any --jobs count.
+// Every result is byte-identical at any --jobs count.
 #pragma once
 
 #include <chrono>
@@ -87,7 +83,9 @@ struct ExecContext {
   /// Whole-request wall-clock deadline (anchored by the caller at request
   /// start; default: never expires). Folded into every phase.
   util::Deadline deadline;
-  /// Extra load-phase budget (--phase-budget load=), anchored at open().
+  /// Extra load-phase budget (--phase-budget load=), anchored by open()
+  /// once the classpath has been read: it bounds the snapshot lookup, the
+  /// decode and the link.
   std::optional<std::chrono::milliseconds> load_budget;
   /// Extra finder-phase budget (--phase-budget finder=), anchored at find().
   std::optional<std::chrono::milliseconds> finder_budget;
@@ -149,7 +147,7 @@ struct EngineOptions {
   std::string cache_dir;
   /// Global byte budget (0 = ungoverned). Bounds residency: opens that
   /// cannot fit after LRU eviction fail over-capacity. Also threaded into
-  /// builder/cache/finder telemetry exactly like pipeline::Options::memory.
+  /// the builder's, the cache's and the finder's byte telemetry.
   std::size_t memory_budget_bytes = 0;
   /// Maximum resident analyses (0 = unlimited count; bytes still governed).
   std::size_t max_resident = 0;
@@ -266,11 +264,15 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Opens (or returns the resident) analysis for a classpath of .tjar
-  /// files. A resident hit touches the LRU and costs no I/O beyond the
-  /// digest reads that key the lookup. A miss runs the full cache-aware
-  /// pipeline (pipeline::run) on the engine's pool, then admits the result:
-  /// under a bounded budget, idle LRU analyses are evicted to make room and
-  /// an analysis that still cannot fit fails with an over-capacity error.
+  /// files. Reads every archive exactly once, on the engine's pool, and
+  /// folds the digests into the classpath's key. A resident hit touches the
+  /// LRU and costs nothing beyond that read. Otherwise a cached snapshot is
+  /// looked up; on a miss, or when the open needs the linked program, the
+  /// archives are decoded and linked from the bytes already read, and on a
+  /// miss the CPG is built, frozen and published. The result is then
+  /// admitted: under a bounded budget, idle LRU analyses are evicted to make
+  /// room and an analysis that still cannot fit fails with an over-capacity
+  /// error.
   util::Result<AnalysisPtr> open(const std::vector<std::string>& jar_paths,
                                  const ExecContext& ctx, const OpenOptions& opts = {});
 
@@ -300,7 +302,9 @@ class Engine {
   };
 
   /// Drops `fingerprint` from the map + LRU; caller holds mutex_. Returns
-  /// the evicted bytes (0 when absent or still in use).
+  /// the evicted bytes (0 when absent). An entry pinned by in-flight
+  /// requests is dropped too: their handles stay valid, and the analysis is
+  /// freed when the last one is released.
   std::size_t evict_locked(std::uint64_t fingerprint);
   /// Evicts idle LRU entries until `needed` more bytes fit (or nothing idle
   /// is left); caller holds mutex_.

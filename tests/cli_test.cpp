@@ -281,9 +281,10 @@ TEST_F(CliFixture, TraceFileIsWellFormedChromeJsonWithNestedSpans) {
   EXPECT_GE(workers, 4);
 
   // Every pipeline stage shows up: decode, analysis, CPG phases, finder.
-  for (const char* expected : {"pipeline.run", "pipeline.load_program", "jar.decode", "jar.link",
-                               "analysis.precompute", "cpg.build", "cpg.pcg", "finder.find_all",
-                               "finder.sink", "cli.command"}) {
+  for (const char* expected : {"pipeline.read_classpath", "pipeline.run", "pipeline.load_program",
+                               "jar.decode", "jar.link", "analysis.precompute", "cpg.build",
+                               "cpg.pcg", "pipeline.teardown", "finder.find_all", "finder.sink",
+                               "cli.command"}) {
     EXPECT_NE(std::find(span_names.begin(), span_names.end(), expected), span_names.end())
         << "missing span: " << expected;
   }

@@ -17,7 +17,9 @@
 #include "cli/cli.hpp"
 #include "corpus/components.hpp"
 #include "jar/archive.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/engine.hpp"
+#include "util/failpoint.hpp"
 
 namespace tabby {
 namespace {
@@ -339,6 +341,118 @@ TEST_F(EngineFixture, InMemoryOpenIsNonResident) {
   EXPECT_EQ(analysis->fingerprint(), 0u);
   EXPECT_EQ(engine.stats().entries.size(), 0u);
   EXPECT_GT(analysis->find(ctx).report.chains.size(), 0u);
+}
+
+/// Opens `classpath` with every fs.read failing and returns how many reads
+/// the open attempted (each one fired). Every archive is lost, so the open
+/// fails.
+std::uint64_t reads_in_one_open(pipeline::Engine& engine,
+                                const std::vector<std::string>& classpath,
+                                const pipeline::OpenOptions& opts = {}) {
+  util::failpoint::arm();
+  util::failpoint::activate("fs.read");
+  auto opened = engine.open(classpath, {}, opts);
+  std::uint64_t reads = util::failpoint::fired("fs.read");
+  util::failpoint::disarm();
+  EXPECT_FALSE(opened.ok());
+  return reads;
+}
+
+/// What one traced, clean open did: its read spans (and the archive count
+/// the read recorded), its archive decodes and its snapshot lookups.
+struct OpenTrace {
+  std::size_t reads = 0;
+  std::string archives;
+  std::size_t decodes = 0;
+  std::size_t snapshot_lookups = 0;
+};
+
+OpenTrace traced_open(pipeline::Engine& engine, const std::vector<std::string>& classpath,
+                      const pipeline::OpenOptions& opts = {}) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable();
+  auto opened = engine.open(classpath, {}, opts);
+  obs::TraceReport report = tracer.flush();
+  tracer.disable();
+  EXPECT_TRUE(opened.ok());
+  OpenTrace trace;
+  for (const obs::SpanRecord& span : report.spans) {
+    if (span.name == "pipeline.read_classpath") {
+      ++trace.reads;
+      for (const obs::Attr& attr : span.attrs) {
+        if (attr.key == "archives") trace.archives = attr.value;
+      }
+    }
+    if (span.name == "jar.decode") ++trace.decodes;
+    if (span.name == "cache.load_snapshot") ++trace.snapshot_lookups;
+  }
+  return trace;
+}
+
+// Every open reads each archive exactly once, whatever it finds resident or
+// cached. With every read failing, the open's attempts are all the reads
+// there are: the first failure leaves the classpath without a key, so no
+// snapshot read follows, and the loader decodes the bytes already read.
+TEST_F(EngineFixture, EveryOpenReadsEachArchiveOnce) {
+  const std::vector<std::string> classpath = {jar_a_, jar_b_};
+  pipeline::EngineOptions options;
+  options.cache_dir = (dir_ / "cache").string();
+  pipeline::OpenOptions need_program;
+  need_program.need_program = true;
+  {
+    pipeline::Engine engine(options);  // a miss: nothing resident or cached
+    EXPECT_EQ(reads_in_one_open(engine, classpath), classpath.size());
+  }
+  pipeline::Engine populated(options);
+  ASSERT_TRUE(populated.open(classpath, {}).ok());  // resident, and published
+  EXPECT_EQ(reads_in_one_open(populated, classpath), classpath.size());
+  {
+    pipeline::Engine engine(options);  // the snapshot hit, then need_program
+    EXPECT_EQ(reads_in_one_open(engine, classpath), classpath.size());
+    EXPECT_EQ(reads_in_one_open(engine, classpath, need_program), classpath.size());
+  }
+
+  // The same four opens, reading cleanly: one read of the whole classpath
+  // each, and decodes only where the open builds or needs the program.
+  options.cache_dir = (dir_ / "traced").string();
+  pipeline::Engine cold(options);
+  OpenTrace miss = traced_open(cold, classpath);
+  OpenTrace resident = traced_open(cold, classpath);
+  pipeline::Engine warm(options);
+  OpenTrace snapshot = traced_open(warm, classpath);
+  OpenTrace linked = traced_open(warm, classpath, need_program);
+  for (const OpenTrace& trace : {miss, resident, snapshot, linked}) {
+    EXPECT_EQ(trace.reads, 1u);
+    EXPECT_EQ(trace.archives, "2");
+  }
+  EXPECT_EQ(miss.decodes, 2u);
+  EXPECT_EQ(miss.snapshot_lookups, 1u);
+  EXPECT_EQ(resident.decodes, 0u);
+  EXPECT_EQ(resident.snapshot_lookups, 0u);
+  EXPECT_EQ(snapshot.decodes, 0u);
+  EXPECT_EQ(snapshot.snapshot_lookups, 1u);
+  EXPECT_EQ(linked.decodes, 2u);
+  EXPECT_EQ(linked.snapshot_lookups, 1u);
+  EXPECT_EQ(warm.stats().resident_hits, 0u);
+  EXPECT_EQ(cold.stats().resident_hits, 1u);
+}
+
+// A transient read fault costs the one archive it hits, once: that open
+// has no key, so it neither looks up nor publishes a snapshot, and it
+// reports the loss in one fs-read line.
+TEST_F(EngineFixture, OneFailedReadLosesOneArchiveAndSkipsTheSnapshot) {
+  util::failpoint::arm();
+  util::failpoint::activate("fs.read", 1);
+  CliRun run = run_cli_capture({"find", jar_a_, jar_b_, "--cache", (dir_ / "cache").string()});
+  util::failpoint::disarm();
+  EXPECT_EQ(run.code, 3) << run.err;
+  std::size_t fs_read_lines = 0;
+  for (std::size_t at = run.err.find("degraded: [fs-read]"); at != std::string::npos;
+       at = run.err.find("degraded: [fs-read]", at + 1)) {
+    ++fs_read_lines;
+  }
+  EXPECT_EQ(fs_read_lines, 1u) << run.err;
+  EXPECT_NE(run.out.find("cache: snapshot not consulted"), std::string::npos) << run.out;
 }
 
 TEST_F(EngineFixture, CacheDirectoryGivesWarmSecondEngine) {

@@ -21,7 +21,7 @@
 #include "graph/graph.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/engine.hpp"
 #include "support/freeze.hpp"
 #include "support/random_graph.hpp"
 #include "util/digest.hpp"
@@ -402,22 +402,27 @@ TEST_F(FrozenCacheFixture, AuditSeesFrozenFramesAndPrunesOrphans) {
 }
 
 TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
-  pipeline::Options options;
+  pipeline::EngineOptions options;
   options.cache_dir = cache_dir_;
-  options.need_graph_bytes = true;
-  auto cold = pipeline::run({jar_}, options);
-  ASSERT_TRUE(cold.ok()) << cold.error().message;
-  EXPECT_FALSE(cold.value().warm);
-  EXPECT_FALSE(cold.value().frozen.mapped());
+  pipeline::OpenOptions opts;
+  opts.need_graph_bytes = true;
+  // A fresh engine per open, so each one consults the cache.
+  auto open_fresh = [&] { return pipeline::Engine(options).open({jar_}, {}, opts); };
+  auto cold_open = open_fresh();
+  ASSERT_TRUE(cold_open.ok()) << cold_open.error().message;
+  const pipeline::Outcome& cold = cold_open.value()->outcome();
+  EXPECT_FALSE(cold.warm);
+  EXPECT_FALSE(cold.frozen.mapped());
 
   // The warm run maps the published frame instead of decoding the store.
-  auto warm = pipeline::run({jar_}, options);
-  ASSERT_TRUE(warm.ok()) << warm.error().message;
-  EXPECT_TRUE(warm.value().warm);
-  EXPECT_TRUE(warm.value().frozen.mapped());
+  auto warm_open = open_fresh();
+  ASSERT_TRUE(warm_open.ok()) << warm_open.error().message;
+  const pipeline::Outcome& warm = warm_open.value()->outcome();
+  EXPECT_TRUE(warm.warm);
+  EXPECT_TRUE(warm.frozen.mapped());
   // The graph bytes still carry the verified store blob either way.
-  EXPECT_EQ(warm.value().graph_bytes, cold.value().graph_bytes);
-  EXPECT_TRUE(std::ranges::equal(warm.value().frozen.frame(), cold.value().frozen.frame()));
+  EXPECT_EQ(warm.graph_bytes, cold.graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(warm.frozen.frame(), cold.frozen.frame()));
 
   // Corrupt the cached frame: the next warm run degrades to the store
   // decode with a warning — and self-heals by republishing a fresh frame.
@@ -426,12 +431,13 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   std::vector<char> before(fs::file_size(frames[0]));
   std::ifstream(frames[0], std::ios::binary).read(before.data(), before.size());
   flip_byte(frames[0], fs::file_size(frames[0]) - 3);
-  auto healed = pipeline::run({jar_}, options);
-  ASSERT_TRUE(healed.ok()) << healed.error().message;
-  EXPECT_TRUE(healed.value().warm);
-  EXPECT_FALSE(healed.value().frozen.mapped());
+  auto healed_open = open_fresh();
+  ASSERT_TRUE(healed_open.ok()) << healed_open.error().message;
+  const pipeline::Outcome& healed = healed_open.value()->outcome();
+  EXPECT_TRUE(healed.warm);
+  EXPECT_FALSE(healed.frozen.mapped());
   bool warned = false;
-  for (const auto& warning : healed.value().warnings)
+  for (const auto& warning : healed.warnings)
     warned |= warning.find("frozen") != std::string::npos;
   EXPECT_TRUE(warned);
   std::vector<char> after(fs::file_size(frames[0]));

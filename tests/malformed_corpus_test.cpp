@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -19,10 +18,9 @@
 #include "corpus/components.hpp"
 #include "finder/finder.hpp"
 #include "jar/archive.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/engine.hpp"
 #include "support/find_output.hpp"
 #include "util/deadline.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tabby {
 namespace {
@@ -124,7 +122,8 @@ TEST_F(MalformedCorpusFixture, GarbageMagicLosesTheWholeArchive) {
 TEST_F(MalformedCorpusFixture, QuarantineLoadKeepsTheSurvivors) {
   std::string bad = write("bad.tjar", truncated(40));
   pipeline::DegradationReport report;
-  auto program = pipeline::load_program({clean_path_, bad}, /*with_jdk=*/true, nullptr,
+  auto program = pipeline::load_program(pipeline::read_classpath({clean_path_, bad}),
+                                        /*with_jdk=*/true, nullptr,
                                         pipeline::FailurePolicy::kQuarantine, &report);
   ASSERT_TRUE(program.ok()) << program.error().to_string();
   ASSERT_EQ(report.units.size(), 1u);
@@ -133,7 +132,8 @@ TEST_F(MalformedCorpusFixture, QuarantineLoadKeepsTheSurvivors) {
   EXPECT_GT(program.value().class_count(), 0u);
 
   // The same classpath fails outright under the strict policy.
-  auto strict = pipeline::load_program({clean_path_, bad}, /*with_jdk=*/true, nullptr,
+  auto strict = pipeline::load_program(pipeline::read_classpath({clean_path_, bad}),
+                                       /*with_jdk=*/true, nullptr,
                                        pipeline::FailurePolicy::kStrict);
   EXPECT_FALSE(strict.ok());
 }
@@ -141,8 +141,8 @@ TEST_F(MalformedCorpusFixture, QuarantineLoadKeepsTheSurvivors) {
 TEST_F(MalformedCorpusFixture, AllArchivesLostFailsEvenUnderQuarantine) {
   std::string bad = write("bad.tjar", truncated(8));
   pipeline::DegradationReport report;
-  auto program = pipeline::load_program({bad}, /*with_jdk=*/true, nullptr,
-                                        pipeline::FailurePolicy::kQuarantine, &report);
+  auto program = pipeline::load_program(pipeline::read_classpath({bad}), /*with_jdk=*/true,
+                                        nullptr, pipeline::FailurePolicy::kQuarantine, &report);
   ASSERT_FALSE(program.ok());
   EXPECT_NE(program.error().message.find("bad.tjar"), std::string::npos);
 }
@@ -184,7 +184,7 @@ TEST_F(MalformedCorpusFixture, SurvivingChainsAreIdenticalAtAnyJobCount) {
   EXPECT_EQ(serial.err, parallel.err);
 }
 
-/// What one pipeline::run left behind, reduced to the bytes a caller sees.
+/// What one Engine::open left behind, reduced to the bytes a caller sees.
 struct Observed {
   std::string error;        // Error::to_string(), empty on success
   std::string degradation;  // DegradationReport::to_string()
@@ -227,21 +227,22 @@ TEST_F(MalformedCorpusFixture, CachedAndUncachedRunsDegradeIdentically) {
   int fresh = 0;  // a fresh cache directory per cached run: nothing warm-starts
   auto observe = [&](const std::vector<std::string>& classpath, pipeline::FailurePolicy policy,
                      int jobs, bool zero_deadline, bool cached) {
-    std::unique_ptr<util::ThreadPool> pool = pipeline::make_pool(jobs);
-    pipeline::Options options;
-    options.executor = pool.get();
-    options.policy = policy;
-    if (zero_deadline) options.deadline = util::Deadline::after(std::chrono::milliseconds(0));
+    pipeline::EngineOptions options;
+    options.jobs = jobs;
     if (cached) options.cache_dir = (dir_ / ("cache" + std::to_string(fresh++))).string();
+    pipeline::ExecContext ctx;
+    ctx.policy = policy;
+    if (zero_deadline) ctx.deadline = util::Deadline::after(std::chrono::milliseconds(0));
     Observed observed;
-    auto outcome = pipeline::run(classpath, options);
-    if (!outcome.ok()) {
-      observed.error = outcome.error().to_string();
+    auto analysis = pipeline::Engine(options).open(classpath, ctx);
+    if (!analysis.ok()) {
+      observed.error = analysis.error().to_string();
       return observed;
     }
-    observed.degradation = outcome.value().degradation.to_string();
+    const pipeline::Outcome& outcome = analysis.value()->outcome();
+    observed.degradation = outcome.degradation.to_string();
     for (const finder::GadgetChain& chain :
-         finder::GadgetChainFinder(outcome.value().frozen).find_all().chains) {
+         finder::GadgetChainFinder(outcome.frozen).find_all().chains) {
       observed.chain_keys.push_back(chain.key());
     }
     return observed;

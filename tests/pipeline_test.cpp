@@ -1,5 +1,6 @@
-// Tests for the public pipeline facade (src/pipeline): structured errors,
-// cold builds, cache warm/cold equivalence and the in-memory overload — the
+// Tests for the pipeline's stages and its one front end, Engine::open
+// (src/pipeline): structured errors, cold builds, cache warm/cold
+// equivalence, the in-memory overload and the one read per open — the
 // library-level contract the CLI and the examples are thin callers of.
 #include <gtest/gtest.h>
 
@@ -8,13 +9,14 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <vector>
 
 #include "corpus/components.hpp"
 #include "cpg/builder.hpp"
 #include "graph/serialize.hpp"
 #include "jar/archive.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/engine.hpp"
 #include "support/freeze.hpp"
 #include "util/failpoint.hpp"
 
@@ -39,37 +41,64 @@ class PipelineFixture : public ::testing::Test {
   std::string jar_path_;
 };
 
+/// One classpath open on a fresh engine: nothing resident, so every call
+/// goes through the cache (when `options` names one) or a cold build. The
+/// handle outlives the engine; these tests read only its outcome().
+util::Result<AnalysisPtr> open_once(const std::vector<std::string>& classpath,
+                                    const EngineOptions& options = {},
+                                    const ExecContext& ctx = {}, const OpenOptions& opts = {}) {
+  return Engine(options).open(classpath, ctx, opts);
+}
+
+const Outcome& out(const util::Result<AnalysisPtr>& opened) { return opened.value()->outcome(); }
+
+EngineOptions cached(const std::string& dir) {
+  EngineOptions options;
+  options.cache_dir = dir;
+  return options;
+}
+
+ExecContext with_policy(FailurePolicy policy) {
+  ExecContext ctx;
+  ctx.policy = policy;
+  return ctx;
+}
+
+OpenOptions with_graph_bytes() {
+  OpenOptions opts;
+  opts.need_graph_bytes = true;
+  return opts;
+}
+
 TEST(Pipeline, LoadProgramReportsTheOffendingPath) {
-  auto result = load_program({"/no/such/archive.tjar"}, /*with_jdk=*/true);
+  auto result = load_program(read_classpath({"/no/such/archive.tjar"}), /*with_jdk=*/true);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().message.find("/no/such/archive.tjar"), std::string::npos)
       << result.error().to_string();
 }
 
 TEST(Pipeline, RunReportsTheOffendingPathWithAndWithoutCache) {
-  Options options;
-  auto cold = run({"/no/such/archive.tjar"}, options);
+  auto cold = open_once({"/no/such/archive.tjar"});
   ASSERT_FALSE(cold.ok());
   EXPECT_NE(cold.error().message.find("/no/such/archive.tjar"), std::string::npos);
 
-  options.cache_dir = (fs::temp_directory_path() / "tabby_pipeline_test_cache_err").string();
-  auto cached = run({"/no/such/archive.tjar"}, options);
-  ASSERT_FALSE(cached.ok());
-  EXPECT_NE(cached.error().message.find("/no/such/archive.tjar"), std::string::npos);
-  fs::remove_all(options.cache_dir);
+  std::string cache_dir = (fs::temp_directory_path() / "tabby_pipeline_test_cache_err").string();
+  auto cached_run = open_once({"/no/such/archive.tjar"}, cached(cache_dir));
+  ASSERT_FALSE(cached_run.ok());
+  EXPECT_NE(cached_run.error().message.find("/no/such/archive.tjar"), std::string::npos);
+  fs::remove_all(cache_dir);
 }
 
 TEST_F(PipelineFixture, LoadProgramLinksTheClasspath) {
-  auto program = load_program({jar_path_}, /*with_jdk=*/true);
+  auto program = load_program(read_classpath({jar_path_}), /*with_jdk=*/true);
   ASSERT_TRUE(program.ok()) << program.error().to_string();
   EXPECT_GT(program.value().class_count(), 0u);
 }
 
 TEST_F(PipelineFixture, ColdRunBuildsACpg) {
-  Options options;
-  auto result = run({jar_path_}, options);
+  auto result = open_once({jar_path_});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const Outcome& outcome = result.value();
+  const Outcome& outcome = out(result);
   EXPECT_FALSE(outcome.warm);
   EXPECT_GT(outcome.stats.class_nodes, 0u);
   EXPECT_GT(outcome.stats.sink_methods, 0u);
@@ -79,29 +108,25 @@ TEST_F(PipelineFixture, ColdRunBuildsACpg) {
 }
 
 TEST_F(PipelineFixture, GraphBytesAreTheExactStoreSerialization) {
-  Options options;
-  options.need_graph_bytes = true;
-  auto result = run({jar_path_}, options);
+  auto result = open_once({jar_path_}, {}, {}, with_graph_bytes());
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  auto program = load_program({jar_path_}, /*with_jdk=*/true);
+  auto program = load_program(read_classpath({jar_path_}), /*with_jdk=*/true);
   ASSERT_TRUE(program.ok());
-  EXPECT_EQ(result.value().graph_bytes, graph::serialize(cpg::build_cpg(program.value()).db));
+  EXPECT_EQ(out(result).graph_bytes, graph::serialize(cpg::build_cpg(program.value()).db));
   // The frame every reader queries is the freeze of exactly those bytes.
-  auto decoded = graph::deserialize(result.value().graph_bytes);
+  auto decoded = graph::deserialize(out(result).graph_bytes);
   ASSERT_TRUE(decoded.ok());
   graph::FrozenGraph refrozen = tabby::testing::freeze(decoded.value());
-  EXPECT_TRUE(std::ranges::equal(refrozen.frame(), result.value().frozen.frame()));
+  EXPECT_TRUE(std::ranges::equal(refrozen.frame(), out(result).frozen.frame()));
 }
 
 TEST_F(PipelineFixture, FailedFreezeIsFatalUnderBothPolicies) {
   // Every reader queries the frozen graph, so there is nothing to fall back
-  // to: a freeze fault fails the run even under quarantine.
+  // to: a freeze fault fails the open even under quarantine.
   for (FailurePolicy policy : {FailurePolicy::kStrict, FailurePolicy::kQuarantine}) {
     util::failpoint::arm();
     util::failpoint::activate("graph.freeze");
-    Options options;
-    options.policy = policy;
-    auto result = run({jar_path_}, options);
+    auto result = open_once({jar_path_}, {}, with_policy(policy));
     util::failpoint::disarm();
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.error().message.find("graph freeze failed"), std::string::npos)
@@ -110,71 +135,63 @@ TEST_F(PipelineFixture, FailedFreezeIsFatalUnderBothPolicies) {
 }
 
 TEST_F(PipelineFixture, NeedProgramKeepsTheLinkedProgram) {
-  Options options;
-  options.need_program = true;
-  auto result = run({jar_path_}, options);
+  OpenOptions opts;
+  opts.need_program = true;
+  auto result = open_once({jar_path_}, {}, {}, opts);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  ASSERT_TRUE(result.value().program.has_value());
-  EXPECT_GT(result.value().program->class_count(), 0u);
+  ASSERT_TRUE(out(result).program.has_value());
+  EXPECT_GT(out(result).program->class_count(), 0u);
 }
 
 TEST_F(PipelineFixture, WarmRunIsByteIdenticalToCold) {
-  Options options;
-  options.cache_dir = path("cache");
-  options.need_graph_bytes = true;
-
-  auto cold = run({jar_path_}, options);
+  auto cold = open_once({jar_path_}, cached(path("cache")), {}, with_graph_bytes());
   ASSERT_TRUE(cold.ok()) << cold.error().to_string();
-  EXPECT_FALSE(cold.value().warm);
-  EXPECT_NE(cold.value().cache_line.find("snapshot miss"), std::string::npos);
-  ASSERT_FALSE(cold.value().graph_bytes.empty());
+  EXPECT_FALSE(out(cold).warm);
+  EXPECT_NE(out(cold).cache_line.find("snapshot miss"), std::string::npos);
+  ASSERT_FALSE(out(cold).graph_bytes.empty());
 
-  auto warm = run({jar_path_}, options);
+  auto warm = open_once({jar_path_}, cached(path("cache")), {}, with_graph_bytes());
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
-  EXPECT_TRUE(warm.value().warm);
-  EXPECT_NE(warm.value().cache_line.find("snapshot hit"), std::string::npos);
-  EXPECT_EQ(cold.value().graph_bytes, warm.value().graph_bytes);
-  EXPECT_TRUE(std::ranges::equal(cold.value().frozen.frame(), warm.value().frozen.frame()));
-  EXPECT_EQ(cold.value().stats.class_nodes, warm.value().stats.class_nodes);
-  EXPECT_EQ(cold.value().stats.relationship_edges, warm.value().stats.relationship_edges);
+  EXPECT_TRUE(out(warm).warm);
+  EXPECT_NE(out(warm).cache_line.find("snapshot hit"), std::string::npos);
+  EXPECT_EQ(out(cold).graph_bytes, out(warm).graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(out(cold).frozen.frame(), out(warm).frozen.frame()));
+  EXPECT_EQ(out(cold).stats.class_nodes, out(warm).stats.class_nodes);
+  EXPECT_EQ(out(cold).stats.relationship_edges, out(warm).stats.relationship_edges);
 }
 
 TEST_F(PipelineFixture, CacheRunsKeepStoreBytesOnlyWhenAsked) {
-  Options options;
-  options.cache_dir = path("cache");
   for (int run_index = 0; run_index < 2; ++run_index) {  // cold, then warm
-    auto result = run({jar_path_}, options);
+    auto result = open_once({jar_path_}, cached(path("cache")));
     ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(result.value().warm, run_index == 1);
-    EXPECT_TRUE(result.value().graph_bytes.empty());
-    EXPECT_GT(result.value().frozen.node_count(), 0u);
+    EXPECT_EQ(out(result).warm, run_index == 1);
+    EXPECT_TRUE(out(result).graph_bytes.empty());
+    EXPECT_GT(out(result).frozen.node_count(), 0u);
   }
 }
 
 TEST_F(PipelineFixture, WarmRunWithNeedProgramStillLinks) {
-  Options options;
-  options.cache_dir = path("cache");
-  ASSERT_TRUE(run({jar_path_}, options).ok());  // populate
+  ASSERT_TRUE(open_once({jar_path_}, cached(path("cache"))).ok());  // populate
 
-  options.need_program = true;
-  auto warm = run({jar_path_}, options);
+  OpenOptions opts;
+  opts.need_program = true;
+  auto warm = open_once({jar_path_}, cached(path("cache")), {}, opts);
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
-  EXPECT_TRUE(warm.value().warm);
-  ASSERT_TRUE(warm.value().program.has_value());
-  EXPECT_GT(warm.value().program->class_count(), 0u);
+  EXPECT_TRUE(out(warm).warm);
+  ASSERT_TRUE(out(warm).program.has_value());
+  EXPECT_GT(out(warm).program->class_count(), 0u);
 }
 
 TEST_F(PipelineFixture, InMemoryOverloadMatchesTheArchivePath) {
-  auto program = load_program({jar_path_}, /*with_jdk=*/true);
+  auto program = load_program(read_classpath({jar_path_}), /*with_jdk=*/true);
   ASSERT_TRUE(program.ok());
 
-  Options options;
-  options.need_graph_bytes = true;
-  auto from_program = run(program.value(), options);
+  Engine engine;
+  auto from_program = engine.open(program.value(), {}, with_graph_bytes());
   ASSERT_TRUE(from_program.ok());
-  auto from_archives = run({jar_path_}, options);
+  auto from_archives = engine.open({jar_path_}, {}, with_graph_bytes());
   ASSERT_TRUE(from_archives.ok());
-  EXPECT_EQ(from_program.value().graph_bytes, from_archives.value().graph_bytes);
+  EXPECT_EQ(out(from_program).graph_bytes, out(from_archives).graph_bytes);
 }
 
 TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {
@@ -185,17 +202,13 @@ TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {
 }
 
 TEST_F(PipelineFixture, ParallelRunMatchesSerialByteForByte) {
-  Options serial;
-  serial.need_graph_bytes = true;
-  auto pool = make_pool(4);
-  Options parallel = serial;
-  parallel.executor = pool.get();
-
-  auto a = run({jar_path_}, serial);
-  auto b = run({jar_path_}, parallel);
+  EngineOptions parallel;
+  parallel.jobs = 4;
+  auto a = open_once({jar_path_}, {}, {}, with_graph_bytes());
+  auto b = open_once({jar_path_}, parallel, {}, with_graph_bytes());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().graph_bytes, b.value().graph_bytes);
+  EXPECT_EQ(out(a).graph_bytes, out(b).graph_bytes);
 }
 
 TEST(Pipeline, DegradationReportRendersOneLinePerUnit) {
@@ -226,56 +239,95 @@ TEST_F(PipelineFixture, QuarantineSalvagesWhatStrictRejects) {
               static_cast<std::streamsize>(bytes.size()));
   }
 
-  Options strict;
-  EXPECT_FALSE(run({jar_path_, bad}, strict).ok());  // library default: fail fast
+  EXPECT_FALSE(open_once({jar_path_, bad}).ok());  // library default: fail fast
 
-  Options quarantine;
-  quarantine.policy = FailurePolicy::kQuarantine;
-  auto result = run({jar_path_, bad}, quarantine);
+  auto result = open_once({jar_path_, bad}, {}, with_policy(FailurePolicy::kQuarantine));
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_TRUE(result.value().degradation.degraded());
-  ASSERT_EQ(result.value().degradation.units.size(), 1u);
-  EXPECT_NE(result.value().degradation.units[0].unit.find("truncated.tjar"), std::string::npos);
-  EXPECT_GT(result.value().stats.class_nodes, 0u);  // the clean archive survived
+  EXPECT_TRUE(out(result).degradation.degraded());
+  ASSERT_EQ(out(result).degradation.units.size(), 1u);
+  EXPECT_NE(out(result).degradation.units[0].unit.find("truncated.tjar"), std::string::npos);
+  EXPECT_GT(out(result).stats.class_nodes, 0u);  // the clean archive survived
 }
 
 TEST_F(PipelineFixture, ExpiredDeadlineDegradesQuarantineAndFailsStrict) {
-  Options quarantine;
-  quarantine.policy = FailurePolicy::kQuarantine;
+  ExecContext quarantine = with_policy(FailurePolicy::kQuarantine);
   quarantine.deadline = util::Deadline::after(std::chrono::milliseconds{0});
-  auto degraded = run({jar_path_}, quarantine);
+  auto degraded = open_once({jar_path_}, {}, quarantine);
   ASSERT_TRUE(degraded.ok()) << degraded.error().to_string();
-  EXPECT_TRUE(degraded.value().degradation.deadline_hit);
-  EXPECT_TRUE(degraded.value().degradation.degraded());
+  EXPECT_TRUE(out(degraded).degradation.deadline_hit);
+  EXPECT_TRUE(out(degraded).degradation.degraded());
 
-  Options strict;
+  ExecContext strict;
   strict.deadline = util::Deadline::after(std::chrono::milliseconds{0});
-  EXPECT_FALSE(run({jar_path_}, strict).ok());
+  EXPECT_FALSE(open_once({jar_path_}, {}, strict).ok());
 }
 
 TEST_F(PipelineFixture, CancelTokenReadsAsAnExpiredDeadline) {
   util::CancelToken token;
   token.cancel();
-  Options options;
-  options.policy = FailurePolicy::kQuarantine;
-  options.cancel = &token;
-  auto result = run({jar_path_}, options);
+  ExecContext ctx = with_policy(FailurePolicy::kQuarantine);
+  ctx.cancel = &token;
+  auto result = open_once({jar_path_}, {}, ctx);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_TRUE(result.value().degradation.deadline_hit);
+  EXPECT_TRUE(out(result).degradation.deadline_hit);
 }
 
 TEST_F(PipelineFixture, GenerousDeadlineLeavesOutputByteIdentical) {
-  Options plain;
-  plain.need_graph_bytes = true;
-  Options bounded = plain;
-  bounded.policy = FailurePolicy::kQuarantine;
+  ExecContext bounded = with_policy(FailurePolicy::kQuarantine);
   bounded.deadline = util::Deadline::after(std::chrono::hours{1});
-  auto a = run({jar_path_}, plain);
-  auto b = run({jar_path_}, bounded);
+  auto a = open_once({jar_path_}, {}, {}, with_graph_bytes());
+  auto b = open_once({jar_path_}, {}, bounded, with_graph_bytes());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_FALSE(b.value().degradation.degraded());
-  EXPECT_EQ(a.value().graph_bytes, b.value().graph_bytes);
+  EXPECT_FALSE(out(b).degradation.degraded());
+  EXPECT_EQ(out(a).graph_bytes, out(b).graph_bytes);
+}
+
+/// Runs a parallel_for in index order and raises `token` just before index
+/// 1: a load budget that expires, deterministically, after the first
+/// archive's decode.
+class CancelAfterFirst final : public util::Executor {
+ public:
+  explicit CancelAfterFirst(util::CancelToken& token) : token_(token) {}
+  unsigned concurrency() const override { return 2; }
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) override {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == 1) token_.cancel();
+      fn(i);
+    }
+  }
+
+ private:
+  util::CancelToken& token_;
+};
+
+TEST_F(PipelineFixture, StrictFailsOnALoadBudgetThatExpiresMidLoad) {
+  std::string second = path("rome.tjar");
+  ASSERT_TRUE(jar::write_archive_file(corpus::build_component("Rome").jar, second).ok());
+  for (FailurePolicy policy : {FailurePolicy::kStrict, FailurePolicy::kQuarantine}) {
+    util::CancelToken token;
+    CancelAfterFirst executor(token);
+    util::Deadline deadline;
+    deadline.bind(&token);
+    DegradationReport report;
+    auto program = load_program(read_classpath({jar_path_, second}), /*with_jdk=*/true,
+                                &executor, policy, &report, deadline);
+    if (policy == FailurePolicy::kStrict) {
+      // The budget was live when the load started, so this is not the
+      // up-front failure: the skipped archive fails the load.
+      ASSERT_FALSE(program.ok());
+      EXPECT_NE(program.error().message.find("deadline exceeded during classpath load"),
+                std::string::npos)
+          << program.error().message;
+      EXPECT_NE(program.error().message.find("rome.tjar"), std::string::npos);
+    } else {
+      ASSERT_TRUE(program.ok()) << program.error().to_string();
+      EXPECT_TRUE(report.deadline_hit);
+      ASSERT_EQ(report.units.size(), 1u);
+      EXPECT_EQ(report.units[0].stage, "deadline");
+      EXPECT_EQ(report.units[0].unit, second);
+    }
+  }
 }
 
 TEST_F(PipelineFixture, DegradedRunsNeverPublishSnapshots) {
@@ -287,23 +339,22 @@ TEST_F(PipelineFixture, DegradedRunsNeverPublishSnapshots) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  Options options;
-  options.policy = FailurePolicy::kQuarantine;
-  options.cache_dir = path("cache_degraded");
+  const EngineOptions options = cached(path("cache_degraded"));
+  const ExecContext quarantine = with_policy(FailurePolicy::kQuarantine);
 
-  auto first = run({jar_path_, bad}, options);
+  auto first = open_once({jar_path_, bad}, options, quarantine);
   ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_TRUE(first.value().degradation.degraded());
-  EXPECT_FALSE(first.value().warm);
+  EXPECT_TRUE(out(first).degradation.degraded());
+  EXPECT_FALSE(out(first).warm);
 
   // The degraded CPG was not published: the identical second run is another
   // cold build (which re-observes and re-reports the same degradation), so
   // a later repaired classpath can never warm-start from the holes.
-  auto second = run({jar_path_, bad}, options);
+  auto second = open_once({jar_path_, bad}, options, quarantine);
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second.value().warm);
-  EXPECT_TRUE(second.value().degradation.degraded());
-  EXPECT_EQ(first.value().stats.class_nodes, second.value().stats.class_nodes);
+  EXPECT_FALSE(out(second).warm);
+  EXPECT_TRUE(out(second).degradation.degraded());
+  EXPECT_EQ(out(first).stats.class_nodes, out(second).stats.class_nodes);
 }
 
 }  // namespace
