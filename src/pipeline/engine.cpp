@@ -228,7 +228,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   // unreadable archive leaves the classpath without a key: the open still
   // runs (quarantine may salvage the rest), but its result is neither
   // resident nor looked up or published as a snapshot.
-  std::vector<ArchiveRead> files = read_classpath(jar_paths, pool_.get());
+  std::vector<ArchiveRead> files = read_classpath(jar_paths);
   const std::optional<std::uint64_t> key = key_of(files, options_.with_jdk);
   // The load budget bounds what follows the read, which every open pays.
   const util::Deadline load_deadline = deadline.tightened(anchor(ctx.load_budget));

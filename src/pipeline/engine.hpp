@@ -264,7 +264,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Opens (or returns the resident) analysis for a classpath of .tjar
-  /// files. Reads every archive exactly once, on the engine's pool, and
+  /// files. Reads every archive exactly once, on the calling thread, and
   /// folds the digests into the classpath's key. A resident hit touches the
   /// LRU and costs nothing beyond that read. Otherwise a cached snapshot is
   /// looked up; on a miss, or when the open needs the linked program, the

@@ -63,22 +63,21 @@ std::unique_ptr<util::ThreadPool> make_pool(int jobs) {
   return std::make_unique<util::ThreadPool>(n);
 }
 
-std::vector<ArchiveRead> read_classpath(const std::vector<std::string>& paths,
-                                        util::Executor* executor) {
+std::vector<ArchiveRead> read_classpath(const std::vector<std::string>& paths) {
   obs::Span span("pipeline.read_classpath");
   span.attr("archives", static_cast<std::uint64_t>(paths.size()));
   std::vector<ArchiveRead> files(paths.size());
-  util::run_indexed(executor, paths.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < paths.size(); ++i) {
     ArchiveRead& file = files[i];
     file.path = paths[i];
     auto bytes = util::read_file(paths[i]);
     if (!bytes.ok()) {
       file.error = bytes.error();
-      return;
+      continue;
     }
     file.bytes = std::move(bytes.value());
     file.digest = util::fnv1a(file.bytes);
-  });
+  }
   if (span.active()) {
     std::uint64_t total = 0;
     for (const ArchiveRead& file : files) total += file.bytes.size();

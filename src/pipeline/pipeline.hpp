@@ -138,12 +138,14 @@ struct ArchiveRead {
   std::optional<util::Error> error;
 };
 
-/// The read stage: reads every archive exactly once, in one pass on
-/// `executor`, and digests the bytes of each one that read. Never fails and
-/// never polls a deadline: the key needs every archive's bytes, and a lost
-/// archive is the loader's to report, in classpath order.
-std::vector<ArchiveRead> read_classpath(const std::vector<std::string>& paths,
-                                        util::Executor* executor = nullptr);
+/// The read stage: reads every archive exactly once, in classpath order on
+/// the calling thread, and digests the bytes of each one that read. Never
+/// fails and never polls a deadline: the key needs every archive's bytes,
+/// and a lost archive is the loader's to report, in classpath order. Serial
+/// on purpose: a resident hit is this read and nothing else, and fanning it
+/// out would wake every pool worker per request and tie the hit's latency
+/// to the slowest worker's scheduling.
+std::vector<ArchiveRead> read_classpath(const std::vector<std::string>& paths);
 
 /// The load stage: salvage-decodes the archives `read_classpath` returned
 /// (in parallel on `executor`, dropping each archive's bytes once decoded)
