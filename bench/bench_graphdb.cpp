@@ -69,36 +69,13 @@ void BM_EdgeInsert(benchmark::State& state) {
 BENCHMARK(BM_EdgeInsert)->Arg(10000);
 
 void BM_LabelScanLookup(benchmark::State& state) {
-  graph::GraphDb db = random_graph(20000, 0);
+  graph::FrozenGraph db = freeze(random_graph(20000, 0));
   for (auto _ : state) {
     auto hits = db.find_nodes("Method", "NAME", graph::Value{std::string("m17")});
     benchmark::DoNotOptimize(hits);
   }
 }
 BENCHMARK(BM_LabelScanLookup);
-
-void BM_TraversalDepth4(benchmark::State& state) {
-  graph::GraphDb db = random_graph(2000, 8000);
-  auto expand = [](const graph::GraphDb& g, const graph::Path& path, const int& s) {
-    std::vector<graph::Step<int>> steps;
-    for (graph::EdgeId e : g.out_edges(path.end())) {
-      steps.push_back(graph::Step<int>{e, g.edge(e).to, s});
-    }
-    return steps;
-  };
-  auto evaluate = [](const graph::GraphDb&, const graph::Path& path, const int&) {
-    return path.length() >= 4 ? graph::Evaluation::ExcludeAndPrune
-                              : graph::Evaluation::ExcludeAndContinue;
-  };
-  for (auto _ : state) {
-    graph::TraversalLimits limits;
-    limits.max_expansions = 200000;
-    graph::Traverser<int> t(db, expand, evaluate, graph::Uniqueness::NodePath, limits);
-    auto results = t.run(0, 0);
-    benchmark::DoNotOptimize(results);
-  }
-}
-BENCHMARK(BM_TraversalDepth4);
 
 void BM_SerializeRoundTrip(benchmark::State& state) {
   graph::GraphDb db = random_graph(5000, 20000);
@@ -163,12 +140,13 @@ graph::GraphDb finder_shaped_graph(std::size_t nodes, std::size_t edges) {
   }
   for (std::size_t i = 0; i < edges; ++i) {
     bool call = i % 8 != 0;
-    graph::EdgeId e = db.add_edge(rng.next_below(nodes), rng.next_below(nodes),
-                                  call ? "CALL" : "ALIAS");
+    graph::PropertyMap props;
     if (call) {
-      db.set_edge_prop(e, "POLLUTED_POSITION",
-                       graph::Value{std::vector<std::int64_t>{0, static_cast<std::int64_t>(i % 3)}});
+      props["POLLUTED_POSITION"] =
+          graph::Value{std::vector<std::int64_t>{0, static_cast<std::int64_t>(i % 3)}};
     }
+    db.add_edge(rng.next_below(nodes), rng.next_below(nodes), call ? "CALL" : "ALIAS",
+                std::move(props));
   }
   return db;
 }
@@ -198,8 +176,8 @@ void BM_TypedTraversalFrozen(benchmark::State& state) {
 BENCHMARK(BM_TypedTraversalFrozen);
 
 void BM_FrozenTraversalDepth4(benchmark::State& state) {
-  // The exact BM_TraversalDepth4 workload over the frozen CSR (random_graph
-  // is single-typed, so untyped CSR order matches insertion order).
+  // Depth-4 DFS over a random single-typed graph (untyped CSR order is then
+  // insertion order).
   graph::FrozenGraph fg = freeze(random_graph(2000, 8000));
   auto expand = [](const graph::FrozenGraph& g, const graph::Path& path, const int& s) {
     std::vector<graph::Step<int>> steps;
@@ -216,8 +194,7 @@ void BM_FrozenTraversalDepth4(benchmark::State& state) {
   for (auto _ : state) {
     graph::TraversalLimits limits;
     limits.max_expansions = 200000;
-    graph::Traverser<int, graph::FrozenGraph> t(fg, expand, evaluate,
-                                                graph::Uniqueness::NodePath, limits);
+    graph::Traverser<int> t(fg, expand, evaluate, graph::Uniqueness::NodePath, limits);
     auto results = t.run(0, 0);
     benchmark::DoNotOptimize(results);
   }

@@ -11,7 +11,6 @@
 #include "cpg/schema.hpp"
 #include "finder/finder.hpp"
 #include "graph/frozen.hpp"
-#include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "jir/builder.hpp"
 #include "runtime/objectgraph.hpp"
@@ -66,10 +65,6 @@ int main(int argc, char** argv) {
   std::printf("URLDNS CPG: %zu classes, %zu methods, %zu edges\n", cpg.stats.class_nodes,
               cpg.stats.method_nodes, cpg.stats.relationship_edges);
 
-  // Persist the CPG the way Tabby keeps its Neo4j store around for re-query.
-  const char* path = argc > 1 ? argv[1] : "/tmp/urldns.tgdb";
-  bool saved = graph::save(cpg.db, path).ok();
-
   // Every read goes through the frozen CSR copy of the graph.
   auto frozen = graph::FrozenGraph::freeze(cpg.db);
   if (!frozen.ok()) {
@@ -77,6 +72,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const graph::FrozenGraph& frame = frozen.value();
+
+  // Persist the frame the way Tabby keeps its Neo4j store around for re-query.
+  const char* path = argc > 1 ? argv[1] : "/tmp/urldns.tfzn";
+  bool saved = frame.save(path).ok();
 
   // Show the ALIAS neighbourhood of Object.hashCode (Figure 4's key edge).
   auto hits = frame.find_nodes(cpg::kMethodLabel, cpg::kPropSignature,
@@ -98,7 +97,9 @@ int main(int argc, char** argv) {
     std::printf("%s\n", chain.to_string().c_str());
   }
 
-  if (saved) std::printf("graph store written to %s (reload with graph::load)\n\n", path);
+  if (saved) {
+    std::printf("graph frame written to %s (reload with graph::FrozenGraph::map_file)\n\n", path);
+  }
 
   // VM verification: HashMap{key = URL{host, handler}}.
   runtime::ObjectGraphSpec spec;

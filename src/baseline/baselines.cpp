@@ -7,6 +7,7 @@
 #include "analysis/domain.hpp"
 #include "cpg/builder.hpp"
 #include "cpg/schema.hpp"
+#include "graph/frozen.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 
@@ -14,40 +15,31 @@ namespace tabby::baseline {
 
 namespace {
 
-using graph::Edge;
 using graph::EdgeId;
-using graph::GraphDb;
+using graph::FrozenGraph;
 using graph::NodeId;
 
 /// CPG flavour shared by both baselines: weak (intraprocedural, permissive)
-/// analysis, no PCG pruning, superclass-only aliases.
-cpg::Cpg build_baseline_cpg(const jir::Program& program) {
+/// analysis, no PCG pruning, superclass-only aliases. Frozen, like every
+/// graph a search reads.
+FrozenGraph build_baseline_cpg(const jir::Program& program) {
   cpg::CpgOptions options;
   options.prune_uncontrollable_calls = false;
   options.alias_superclass_only = true;
   options.analysis.interprocedural = false;
   options.analysis.unknown_return_controllable = true;
-  return cpg::build_cpg(program, options);
+  auto frozen = FrozenGraph::freeze(cpg::build_cpg(program, options).db);
+  if (!frozen.ok()) throw std::runtime_error("graph freeze failed: " + frozen.error().message);
+  return std::move(frozen.value());
 }
 
-bool edge_has_taint(const GraphDb& db, EdgeId eid) {
-  const Edge& e = db.edge(eid);
-  const graph::Value* v = e.prop(std::string(cpg::kPropPollutedPosition));
-  const auto* pp = v != nullptr ? std::get_if<std::vector<std::int64_t>>(v) : nullptr;
-  if (pp == nullptr) return false;
-  for (std::int64_t w : *pp) {
-    if (analysis::is_controllable(w)) return true;
-  }
-  return false;
-}
-
-finder::GadgetChain chain_from_nodes(const GraphDb& db, const std::vector<NodeId>& nodes) {
+finder::GadgetChain chain_from_nodes(const FrozenGraph& db, const std::vector<NodeId>& nodes) {
   finder::GadgetChain chain;
   chain.nodes = nodes;
   for (NodeId n : nodes) {
-    chain.signatures.push_back(db.node(n).prop_string(std::string(cpg::kPropSignature)));
+    chain.signatures.emplace_back(db.node_prop_string(n, cpg::kPropSignature));
   }
-  chain.sink_type = db.node(nodes.back()).prop_string(std::string(cpg::kPropSinkType));
+  chain.sink_type = db.node_prop_string(nodes.back(), cpg::kPropSinkType);
   return chain;
 }
 
@@ -57,16 +49,25 @@ BaselineReport run_gadget_inspector(const jir::Program& program,
                                     const GadgetInspectorOptions& options) {
   util::Stopwatch watch;
   BaselineReport report;
-  cpg::Cpg cpg = build_baseline_cpg(program);
-  const GraphDb& db = cpg.db;
+  const FrozenGraph db = build_baseline_cpg(program);
+  const graph::FrozenColumn* sink_col = db.node_column(cpg::kPropIsSink);
+  const graph::FrozenColumn* pp_col = db.edge_column(cpg::kPropPollutedPosition);
+  const std::optional<std::uint16_t> call_type = db.edge_type_id(cpg::kCallEdge);
+  const std::optional<std::uint16_t> alias_type = db.edge_type_id(cpg::kAliasEdge);
 
-  std::vector<NodeId> sources = db.find_nodes(std::string(cpg::kMethodLabel),
-                                              std::string(cpg::kPropIsSource), graph::Value{true});
-  std::sort(sources.begin(), sources.end());
+  // A CALL edge carries taint when any Polluted_Position slot is controllable.
+  auto has_taint = [&](EdgeId e) {
+    if (pp_col == nullptr) return false;
+    auto pp = pp_col->get_intlist(e);
+    return std::any_of(pp.begin(), pp.end(), analysis::is_controllable);
+  };
+
+  std::vector<NodeId> sources =
+      db.find_nodes(cpg::kMethodLabel, cpg::kPropIsSource, graph::Value{true});
 
   // Global visited set shared across every source (the §IV-F defect). Sink
   // nodes are exempt so distinct chains into the same sink all surface.
-  std::vector<bool> visited(db.node_capacity(), false);
+  std::vector<bool> visited(db.node_count(), false);
 
   for (NodeId source : sources) {
     // Iterative DFS carrying the path.
@@ -76,8 +77,7 @@ BaselineReport run_gadget_inspector(const jir::Program& program,
       stack.pop_back();
       NodeId frontier = path.back();
 
-      const graph::Node& node = db.node(frontier);
-      bool is_sink = node.prop_bool(std::string(cpg::kPropIsSink));
+      bool is_sink = sink_col != nullptr && sink_col->get_bool(frontier);
       if (is_sink && path.size() > 1) {
         report.chains.push_back(chain_from_nodes(db, path));
         continue;
@@ -95,16 +95,19 @@ BaselineReport run_gadget_inspector(const jir::Program& program,
         stack.push_back(std::move(extended));
       };
 
-      for (EdgeId eid : db.out_edges(frontier)) {
-        const Edge& e = db.edge(eid);
-        if (e.type == cpg::kCallEdge && edge_has_taint(db, eid)) push(e.to);
+      // Typed slices ascend by edge index, the builder's insertion order.
+      if (call_type.has_value()) {
+        graph::AdjacencyView calls = db.out_edges_typed_view(frontier, *call_type);
+        for (std::size_t k = 0; k < calls.size(); ++k) {
+          if (has_taint(calls.edge[k])) push(calls.nbr[k]);
+        }
       }
       // Forward dispatch through superclass overrides: a call resolved to a
       // superclass declaration may run any subclass override, which GI
       // models by following ALIAS edges in reverse.
-      for (EdgeId eid : db.in_edges(frontier)) {
-        const Edge& e = db.edge(eid);
-        if (e.type == cpg::kAliasEdge) push(e.from);
+      if (alias_type.has_value()) {
+        graph::AdjacencyView overrides = db.in_edges_typed_view(frontier, *alias_type);
+        for (std::size_t k = 0; k < overrides.size(); ++k) push(overrides.nbr[k]);
       }
     }
   }
@@ -115,7 +118,7 @@ BaselineReport run_gadget_inspector(const jir::Program& program,
 BaselineReport run_serianalyzer(const jir::Program& program, const SerianalyzerOptions& options) {
   util::Stopwatch watch;
   BaselineReport report;
-  cpg::Cpg cpg = build_baseline_cpg(program);
+  const FrozenGraph cpg = build_baseline_cpg(program);
 
   finder::FinderOptions finder_options;
   finder_options.max_depth = options.max_depth;
@@ -123,9 +126,7 @@ BaselineReport run_serianalyzer(const jir::Program& program, const SerianalyzerO
   finder_options.max_results_per_sink = options.max_results;
   finder_options.max_expansions = options.max_expansions;
 
-  auto frozen = graph::FrozenGraph::freeze(cpg.db);
-  if (!frozen.ok()) throw std::runtime_error("graph freeze failed: " + frozen.error().message);
-  finder::FinderReport raw = finder::GadgetChainFinder(frozen.value(), finder_options).find_all();
+  finder::FinderReport raw = finder::GadgetChainFinder(cpg, finder_options).find_all();
   // Non-termination model: either the expansion budget drained, or the raw
   // chain count saturated the per-sink result cap (the tool "would have"
   // kept emitting paths far past any acceptable runtime).

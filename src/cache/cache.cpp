@@ -245,8 +245,7 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
 
   auto bytes = read_file_bytes(snapshot_path(key));
   if (!bytes.ok()) return std::nullopt;
-  // Account the snapshot file buffer for as long as this function pins it;
-  // on success ownership (and the byte liability) passes to the caller.
+  // Account the snapshot file buffer for as long as this function pins it.
   util::ScopedCharge buffer_charge(memory_, bytes.value().size());
 
   // Snapshot layout differs from the shared frame: the checksum covers only
@@ -274,14 +273,10 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
 
   CachedCpg cached;
   cached.stats = *stats;
-  // Reuse the file buffer instead of copying the multi-megabyte blob: shear
-  // off the header so what remains is exactly the embedded graph store.
-  std::size_t blob_offset = in.position();
-  cached.graph_bytes = std::move(bytes.value());
-  cached.graph_bytes.erase(cached.graph_bytes.begin(),
-                           cached.graph_bytes.begin() + static_cast<std::ptrdiff_t>(blob_offset));
+  // What follows the header is exactly the embedded graph store.
+  std::span<const std::byte> blob = std::span<const std::byte>(bytes.value()).subspan(in.position());
   if (need_db) {
-    auto db = graph::deserialize(cached.graph_bytes);
+    auto db = graph::deserialize(blob);
     if (!db.ok()) return std::nullopt;
     cached.db = std::move(db.value());
   } else {
@@ -289,7 +284,6 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
     // node/edge decode — but keep the integrity contract: verify the store
     // blob's own frame (magic, version, trailing FNV-1a64) so a bit-flipped
     // snapshot is a miss on this path exactly as it is on the decode path.
-    std::span<const std::byte> blob(cached.graph_bytes);
     constexpr std::size_t kStoreOverhead = 4 + 2 + 8;
     if (blob.size() < kStoreOverhead) return std::nullopt;
     ByteReader head(blob);
@@ -304,7 +298,6 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
     if (!blob_sum.ok() || blob_sum.value() != util::fnv1a(blob.first(blob.size() - 8))) {
       return std::nullopt;
     }
-    cached.db_decoded = false;
   }
   stats_.snapshot_hit = true;
   outcome.hit = true;
@@ -312,20 +305,20 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
 }
 
 util::Status AnalysisCache::store_snapshot(std::uint64_t key, const cpg::CpgStats& stats,
-                                           const std::vector<std::byte>& graph_bytes) {
+                                           const std::vector<std::byte>& store) {
   obs::Span span("cache.store_snapshot");
   if (span.active()) span.attr("key", util::digest_hex(key));
-  span.attr("bytes", static_cast<std::uint64_t>(graph_bytes.size()));
+  span.attr("bytes", static_cast<std::uint64_t>(store.size()));
   obs::counter_add("cache.snapshots_published");
   ByteWriter header;
   header.u32(kSnapshotMagic);
   header.u16(kSnapshotVersion);
   header.u64(key);
   write_stats(header, stats);
-  header.uvarint(graph_bytes.size());
+  header.uvarint(store.size());
   header.u64(util::fnv1a(header.data()));
   std::vector<std::byte> file = header.take();
-  file.insert(file.end(), graph_bytes.begin(), graph_bytes.end());
+  file.insert(file.end(), store.begin(), store.end());
   util::ScopedCharge buffer_charge(memory_, file.size());
   if (util::failpoint::poll("cache.snapshot.publish")) {
     return util::Error{"failpoint: injected snapshot publish failure"};
@@ -346,7 +339,7 @@ std::optional<graph::FrozenGraph> AnalysisCache::load_frozen(std::uint64_t key,
   fs::path path = frozen_path(key);
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) return std::nullopt;  // plain miss, not corruption
-  auto frozen = graph::FrozenGraph::map_file(path, /*frame_offset=*/0, memory_);
+  auto frozen = graph::FrozenGraph::map_file(path, memory_);
   if (!frozen.ok()) {
     if (corrupt_reason) *corrupt_reason = frozen.error().message;
     return std::nullopt;

@@ -6,9 +6,7 @@
 //
 //   snapshots/<key>.tsnp       whole-classpath CPG snapshot: CpgStats plus
 //                              the graph::serialize (version-2, checksummed)
-//                              bytes, embedded verbatim so a warm
-//                              `analyze --store` reproduces the cold store
-//                              byte for byte. Keyed by snapshot_key(): the
+//                              bytes. Keyed by snapshot_key(): the
 //                              cpg::options_fingerprint folded with the
 //                              digest of every archive's raw bytes in
 //                              classpath order (order matters — the linker's
@@ -92,15 +90,12 @@ struct CachedVerdict {
   std::string detail;
 };
 
-/// A warm-started CPG: the deserialized graph plus the cold run's stats and
-/// the exact store bytes the snapshot embeds. When load_snapshot() was asked
-/// to skip the decode (`need_db = false`), `db` is empty and `db_decoded` is
-/// false — graph_bytes still holds the verified store blob.
+/// A warm-started CPG: the cold run's stats plus the deserialized graph.
+/// When load_snapshot() was asked to skip the decode (`need_db = false`),
+/// `db` is empty.
 struct CachedCpg {
   cpg::CpgStats stats;
   graph::GraphDb db;
-  std::vector<std::byte> graph_bytes;
-  bool db_decoded = true;
 };
 
 class AnalysisCache {
@@ -125,12 +120,12 @@ class AnalysisCache {
   /// blob stays a miss either way.
   std::optional<CachedCpg> load_snapshot(std::uint64_t key, bool need_db = true);
 
-  /// Persists a snapshot: `graph_bytes` must be graph::serialize(db) of the
-  /// CPG the stats describe. Written atomically: each publish writes its own
+  /// Persists a snapshot: `store` must be graph::serialize(db) of the CPG
+  /// the stats describe. Written atomically: each publish writes its own
   /// temp file and renames it over the entry, so concurrent publishes of one
   /// key never expose a torn file to a reader.
   util::Status store_snapshot(std::uint64_t key, const cpg::CpgStats& stats,
-                              const std::vector<std::byte>& graph_bytes);
+                              const std::vector<std::byte>& store);
 
   /// Frozen warm-start lookup: mmaps snapshots/<key>.tfzn (zero-copy) and
   /// validates the whole frame plus the embedded content key. nullopt on any

@@ -1,6 +1,7 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include "pipeline/pipeline.hpp"
 #include "serve/json.hpp"
 #include "serve/serve.hpp"
+#include "util/bytes.hpp"
 #include "util/deadline.hpp"
 #include "util/memory_budget.hpp"
 #include "util/strings.hpp"
@@ -321,15 +323,14 @@ int usage(std::ostream& err) {
   return 2;
 }
 
-bool write_bytes(const std::vector<std::byte>& bytes, const fs::path& path, std::ostream& err) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) {
-    err << "error: cannot write " << path.string() << "\n";
-    return false;
-  }
-  return true;
+/// True when `path` starts with the graph-store magic: a `.tgdb` store that
+/// `analyze --store` wrote before it wrote frames.
+bool is_graph_store(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::array<std::byte, 4> head{};
+  in.read(reinterpret_cast<char*>(head.data()), head.size());
+  auto magic = util::ByteReader(head).u32();
+  return in.gcount() == 4 && magic.ok() && magic.value() == graph::kGraphStoreMagic;
 }
 
 /// Engine-lifetime configuration from the flag set: the pool, cache and
@@ -451,10 +452,8 @@ int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   pipeline::Engine engine(engine_options(args));
-  pipeline::OpenOptions oopts;
-  oopts.need_graph_bytes = !args.store.empty();
   auto result =
-      engine.open({args.positional.begin() + 1, args.positional.end()}, exec_context(args), oopts);
+      engine.open({args.positional.begin() + 1, args.positional.end()}, exec_context(args));
   if (!result.ok()) {
     err << "error: " << result.error().to_string() << "\n";
     return 1;
@@ -470,9 +469,13 @@ int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
       << "pruned:   " << outcome.stats.pruned_call_sites << " uncontrollable call sites\n"
       << "build:    " << util::format_double(outcome.stats.build_seconds, 3) << " s\n";
   if (!args.store.empty()) {
-    // Write the serialized bytes directly: on a warm run these are the
-    // snapshot's embedded store, byte-identical to the cold run's output.
-    if (!write_bytes(outcome.graph_bytes, args.store, err)) return 1;
+    // The frame every reader queries, frozen under the classpath key: the
+    // same bytes cold or warm, cached or not.
+    auto saved = outcome.frozen.save(args.store);
+    if (!saved.ok()) {
+      err << "error: " << saved.error().to_string() << "\n";
+      return 1;
+    }
     out << "graph store written to " << args.store << "\n";
   }
   return degradation_exit(outcome);
@@ -547,20 +550,21 @@ int cmd_query(const Args& args, std::ostream& out, std::ostream& err) {
   }
   std::string query_text = args.positional.back();
   if (!args.store.empty()) {
-    // Direct store mode never runs the pipeline: load the serialized graph,
-    // freeze it, query the frame, done. (The engine is for classpath-keyed
-    // analyses.) The frame's stats section is the store's cardinality, so
-    // the plan is the one the pipeline's frame would get.
+    // Direct store mode never runs the pipeline: map the frame `analyze
+    // --store` wrote and query it. (The engine is for classpath-keyed
+    // analyses.) It is the pipeline's own frame, stats section included, so
+    // the plan is the one `query JAR...` gets.
     std::unique_ptr<util::MemoryBudget> budget = make_budget(args);
-    util::Result<graph::FrozenGraph> frozen = [&]() -> util::Result<graph::FrozenGraph> {
-      auto loaded = graph::load(args.store);
-      if (!loaded.ok()) return loaded.error();
-      auto frame = graph::FrozenGraph::freeze(loaded.value(), 0, budget.get());
-      if (!frame.ok()) return util::Error{"graph freeze failed: " + frame.error().message};
-      return frame;
-    }();
+    auto frozen = graph::FrozenGraph::map_file(args.store, budget.get());
     if (!frozen.ok()) {
-      err << "error: " << frozen.error().to_string() << "\n";
+      if (is_graph_store(args.store)) {
+        err << "error: " << args.store
+            << " is a graph store from an older tabby; `query --store` reads the frame that "
+               "`analyze --store` writes now. Regenerate it with `tabby analyze JAR... --store "
+            << args.store << "`\n";
+      } else {
+        err << "error: " << frozen.error().to_string() << "\n";
+      }
       return 1;
     }
     std::unique_ptr<util::ThreadPool> pool = pipeline::make_pool(args.jobs);

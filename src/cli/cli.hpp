@@ -3,8 +3,10 @@
 //   tabby list                               built-in corpus components/scenes
 //   tabby gen <name> --out DIR               write a corpus model as .tjar files
 //   tabby analyze JAR... [--store FILE]      link archives, build the CPG, print stats
+//                                            (--store: save its frozen frame)
 //   tabby find JAR... [--depth N] [--verify] find gadget chains (+ §V-C auto-verify)
-//   tabby query (JAR...|--store FILE) QUERY  run a Cypher query over the CPG
+//   tabby query (JAR...|--store FILE) QUERY  run a Cypher query over the CPG (or a
+//                                            frame analyze --store saved)
 //
 // analyze/find/query accept --jobs N to fan the pipeline's parallel stages
 // (archive decode, controllability analysis, CPG payloads, per-sink search)

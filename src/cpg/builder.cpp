@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -146,10 +147,12 @@ class Builder {
 
     bool is_source = source_eligible && options_.sources.is_source_name(name);
     props[std::string(kPropIsSource)] = is_source;
+    if (is_source) ++stats_.source_methods;
 
     const SinkSpec* sink = options_.sinks.match(owner, name);
     props[std::string(kPropIsSink)] = sink != nullptr;
     if (sink != nullptr) {
+      ++stats_.sink_methods;
       props[std::string(kPropSinkType)] = sink->type;
       std::vector<std::int64_t> tc(sink->trigger.begin(), sink->trigger.end());
       props[std::string(kPropTriggerCondition)] = std::move(tc);
@@ -160,11 +163,9 @@ class Builder {
   // --- PCG: CALL edges with Polluted_Position ---------------------------
 
   /// One outgoing CALL edge of a method, with repeated calls of the same
-  /// callee already folded to the position-wise most controllable PP — the
-  /// merge add_call_edge() used to perform against the live edge. Folding
-  /// per method is equivalent: edges from different methods never share a
-  /// `from` node, so the historical find_edge() merge only ever combined
-  /// sites of one method.
+  /// callee already folded to the position-wise most controllable PP.
+  /// Folding per method merges every repeated call: edges from different
+  /// methods never share a `from` node.
   struct CallPayload {
     std::optional<jir::MethodId> resolved;
     jir::MethodRef declared;              // phantom target when !resolved
@@ -307,17 +308,15 @@ class Builder {
       if (targets[i].empty()) continue;
       NodeId from = method_nodes_.at(methods[i]);
       for (jir::MethodId target : targets[i]) {
-        NodeId to = method_node_for(target);
-        if (!db_.find_edge(from, to, kAliasEdge)) {
-          db_.add_edge(from, to, std::string(kAliasEdge));
-        }
+        db_.add_edge(from, method_node_for(target), std::string(kAliasEdge));
       }
     }
   }
 
   /// Methods `id` overrides, nearest declaration on each supertype path
-  /// (Formula 1, generalised). BFS up the lattice; stop exploring past a
-  /// declaration (transitive aliasing is then a chain of ALIAS edges).
+  /// (Formula 1, generalised), each once, in BFS order. BFS up the lattice;
+  /// stop exploring past a declaration (transitive aliasing is then a chain
+  /// of ALIAS edges).
   std::vector<jir::MethodId> alias_targets(jir::MethodId id) const {
     const jir::ClassDecl& cls = program_.class_of(id);
     const jir::Method& m = program_.method(id);
@@ -340,7 +339,8 @@ class Builder {
       work.pop_front();
       if (!seen.insert(current).second) continue;
       if (auto target = program_.find_method(current, m.name, m.nargs())) {
-        out.push_back(*target);
+        // Two supertype paths can reach one declaration; it gets one edge.
+        if (std::find(out.begin(), out.end(), *target) == out.end()) out.push_back(*target);
         continue;  // nearest declaration on this path found
       }
       for (const std::string& super : supertypes_of(current)) {
@@ -350,18 +350,15 @@ class Builder {
     return out;
   }
 
+  /// Node and edge counts; source and sink methods are counted as their
+  /// nodes are made.
   void collect_stats() {
-    graph::GraphStats gs = db_.stats();
-    stats_.class_nodes = gs.nodes_by_label[std::string(kClassLabel)];
-    stats_.method_nodes = gs.nodes_by_label[std::string(kMethodLabel)];
-    stats_.relationship_edges = gs.edge_count;
-    stats_.call_edges = gs.edges_by_type[std::string(kCallEdge)];
-    stats_.alias_edges = gs.edges_by_type[std::string(kAliasEdge)];
-    db_.for_each_node([this](const graph::Node& n) {
-      if (n.label != kMethodLabel) return;
-      if (n.prop_bool(std::string(kPropIsSource))) ++stats_.source_methods;
-      if (n.prop_bool(std::string(kPropIsSink))) ++stats_.sink_methods;
-    });
+    graph::CardinalityStats counts = db_.cardinality();
+    stats_.class_nodes = counts.label_count(kClassLabel);
+    stats_.method_nodes = counts.label_count(kMethodLabel);
+    stats_.relationship_edges = counts.edges;
+    stats_.call_edges = counts.type_count(kCallEdge);
+    stats_.alias_edges = counts.type_count(kAliasEdge);
   }
 
   const jir::Program& program_;
@@ -401,7 +398,15 @@ std::uint64_t options_fingerprint(const CpgOptions& options) {
 }
 
 Cpg build_cpg(const jir::Program& program, const CpgOptions& options) {
-  return Builder(program, options).run();
+  auto builder = std::make_unique<Builder>(program, options);
+  Cpg cpg = builder->run();
+  {
+    // The class hierarchy, node maps and per-method state outlive the
+    // graph's build; free them in their own span.
+    TABBY_SPAN("cpg.teardown");
+    builder.reset();
+  }
+  return cpg;
 }
 
 }  // namespace tabby::cpg

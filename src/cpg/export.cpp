@@ -21,16 +21,17 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-std::string prop_cell(const graph::Node& node, std::string_view key) {
-  const graph::Value* v = node.prop(std::string(key));
-  if (v == nullptr || graph::is_null(*v)) return "";
-  if (const auto* s = std::get_if<std::string>(v)) return csv_escape(*s);
+/// One cell: empty when absent or null, strings verbatim, anything else in
+/// its value rendering.
+std::string cell(const std::optional<graph::Value>& v) {
+  if (!v.has_value() || graph::is_null(*v)) return "";
+  if (const auto* s = std::get_if<std::string>(&*v)) return csv_escape(*s);
   return csv_escape(graph::to_string(*v));
 }
 
 }  // namespace
 
-util::Result<CsvExportStats> export_csv(const graph::GraphDb& db,
+util::Result<CsvExportStats> export_csv(const graph::FrozenGraph& db,
                                         const std::filesystem::path& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -48,32 +49,29 @@ util::Result<CsvExportStats> export_csv(const graph::GraphDb& db,
   rels << ":START_ID,:END_ID,:TYPE,POLLUTED_POSITION\n";
 
   CsvExportStats stats;
-  db.for_each_node([&](const graph::Node& node) {
-    if (node.label == kClassLabel) {
-      classes << node.id << ',' << node.label << ',' << prop_cell(node, kPropName) << ','
-              << prop_cell(node, kPropInterface) << ',' << prop_cell(node, kPropSerializable)
-              << ',' << prop_cell(node, kPropAbstractClass) << ','
-              << prop_cell(node, kPropPhantom) << ',' << prop_cell(node, kPropSuper) << ','
-              << prop_cell(node, kPropJar) << '\n';
+  for (graph::NodeId n = 0; n < db.node_count(); ++n) {
+    auto prop = [&](std::string_view key) { return cell(db.node_prop(n, key)); };
+    std::string_view label = db.label(n);
+    if (label == kClassLabel) {
+      classes << n << ',' << label << ',' << prop(kPropName) << ',' << prop(kPropInterface) << ','
+              << prop(kPropSerializable) << ',' << prop(kPropAbstractClass) << ','
+              << prop(kPropPhantom) << ',' << prop(kPropSuper) << ',' << prop(kPropJar) << '\n';
       ++stats.class_rows;
-    } else if (node.label == kMethodLabel) {
-      methods << node.id << ',' << node.label << ',' << prop_cell(node, kPropName) << ','
-              << prop_cell(node, kPropClassName) << ',' << prop_cell(node, kPropSignature) << ','
-              << prop_cell(node, kPropParamCount) << ',' << prop_cell(node, kPropStatic) << ','
-              << prop_cell(node, kPropAbstract) << ',' << prop_cell(node, kPropIsSource) << ','
-              << prop_cell(node, kPropIsSink) << ',' << prop_cell(node, kPropSinkType) << ','
-              << prop_cell(node, kPropTriggerCondition) << '\n';
+    } else if (label == kMethodLabel) {
+      methods << n << ',' << label << ',' << prop(kPropName) << ',' << prop(kPropClassName) << ','
+              << prop(kPropSignature) << ',' << prop(kPropParamCount) << ',' << prop(kPropStatic)
+              << ',' << prop(kPropAbstract) << ',' << prop(kPropIsSource) << ','
+              << prop(kPropIsSink) << ',' << prop(kPropSinkType) << ','
+              << prop(kPropTriggerCondition) << '\n';
       ++stats.method_rows;
     }
-  });
-  db.for_each_edge([&](const graph::Edge& edge) {
-    std::string pp;
-    if (const graph::Value* v = edge.prop(std::string(kPropPollutedPosition))) {
-      pp = csv_escape(graph::to_string(*v));
-    }
-    rels << edge.from << ',' << edge.to << ',' << edge.type << ',' << pp << '\n';
+  }
+  for (graph::EdgeId e = 0; e < db.edge_count(); ++e) {
+    rels << db.edge_from(e) << ',' << db.edge_to(e) << ','
+         << db.edge_type_name(db.edge_type(e)) << ','
+         << cell(db.edge_prop(e, kPropPollutedPosition)) << '\n';
     ++stats.relationship_rows;
-  });
+  }
 
   if (!classes.good() || !methods.good() || !rels.good()) {
     return util::Error{"write failure while exporting CSVs to " + dir.string()};

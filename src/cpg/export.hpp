@@ -11,7 +11,7 @@
 
 #include <filesystem>
 
-#include "graph/graph.hpp"
+#include "graph/frozen.hpp"
 #include "util/result.hpp"
 
 namespace tabby::cpg {
@@ -22,7 +22,8 @@ struct CsvExportStats {
   std::size_t relationship_rows = 0;
 };
 
-util::Result<CsvExportStats> export_csv(const graph::GraphDb& db,
+/// Node ids are the frame's dense ids, which are the builder's ids.
+util::Result<CsvExportStats> export_csv(const graph::FrozenGraph& db,
                                         const std::filesystem::path& dir);
 
 }  // namespace tabby::cpg

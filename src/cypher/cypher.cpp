@@ -248,7 +248,7 @@ FilterSet build_filters(const FrozenGraph& db, const Query& query, const Plan& p
                         const QueryOptions& options) {
   FilterSet filters;
   if (!plan.reverse || plan.always_empty) return filters;
-  const std::size_t capacity = db.node_capacity();
+  const std::size_t capacity = db.node_count();
   const auto& nodes = query.pattern.nodes;
   const auto& rels = query.pattern.rels;
 

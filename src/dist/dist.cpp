@@ -185,8 +185,11 @@ class Coordinator {
     span.attr("workers", static_cast<std::uint64_t>(pool_size_));
 
     workers_.resize(pool_size_);
-    for (std::size_t slot = 0; slot < pool_size_; ++slot) {
-      if (spawn(slot)) ++report_.stats.workers_spawned;
+    {
+      TABBY_SPAN("dist.spawn");
+      for (std::size_t slot = 0; slot < pool_size_; ++slot) {
+        if (spawn(slot)) ++report_.stats.workers_spawned;
+      }
     }
 
     while (resolved_ < report_.shards.size()) {
@@ -439,6 +442,7 @@ class Coordinator {
   }
 
   void shutdown_pool() {
+    TABBY_SPAN("dist.reap");
     serve::Json bye = serve::Json::object();
     bye.set("op", "exit");
     for (Worker& w : workers_) {

@@ -424,7 +424,7 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
   limits.max_frontier_bytes = frontier_cap;
   limits.memory = options_.memory;
 
-  graph::Traverser<TcState, graph::FrozenGraph> traverser(
+  graph::Traverser<TcState> traverser(
       g, expand, evaluate, graph::Uniqueness::NodePath, limits,
       [](const TcState& tc) { return tc.positions.capacity() * sizeof(std::int64_t); });
 

@@ -308,25 +308,16 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     return Error{"failpoint: injected graph freeze failure", 0};
   }
 
-  // Live elements in ascending id order — the graph-store emission order, so
-  // freezing a deserialized store reproduces the original freeze bit-exactly.
-  std::vector<const Node*> nodes;
-  nodes.reserve(db.node_count());
-  db.for_each_node([&](const Node& n) { nodes.push_back(&n); });
-  std::vector<const Edge*> edges;
-  edges.reserve(db.edge_count());
-  db.for_each_edge([&](const Edge& e) { edges.push_back(&e); });
-
+  // Ids are dense, so the frame keeps the builder's ids (and a freeze of a
+  // deserialized store reproduces the original freeze bit-exactly).
+  const std::vector<Node>& nodes = db.nodes();
+  const std::vector<Edge>& edges = db.edges();
   const std::uint64_t n = nodes.size();
   const std::uint64_t m = edges.size();
   if (n > UINT32_MAX || m > UINT32_MAX) {
     return frozen_err("graph exceeds the dense 32-bit id space (" + std::to_string(n) +
                       " nodes, " + std::to_string(m) + " edges)");
   }
-
-  std::unordered_map<NodeId, std::uint32_t> remap;
-  remap.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) remap[nodes[i]->id] = static_cast<std::uint32_t>(i);
 
   // Intern labels/types in first-use order of the ascending scans (a pure
   // function of graph content, never of construction history).
@@ -344,7 +335,7 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   std::vector<std::uint16_t> node_label(n);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (label_names.size() > 0xFFFF) return frozen_err("label table exceeds the 16-bit id space");
-    node_label[i] = intern(label_ids, label_names, nodes[i]->label);
+    node_label[i] = intern(label_ids, label_names, nodes[i].label);
   }
 
   struct AdjEntry {
@@ -359,9 +350,9 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     if (type_names.size() > 0xFFFF) {
       return frozen_err("edge-type table exceeds the 16-bit id space");
     }
-    std::uint32_t from = remap.at(edges[e]->from);
-    std::uint32_t to = remap.at(edges[e]->to);
-    std::uint16_t t = intern(type_ids, type_names, edges[e]->type);
+    auto from = static_cast<std::uint32_t>(edges[e].from);
+    auto to = static_cast<std::uint32_t>(edges[e].to);
+    std::uint16_t t = intern(type_ids, type_names, edges[e].type);
     efrom[e] = from;
     eto[e] = to;
     etype[e] = t;
@@ -370,8 +361,8 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     in_adj[to].push_back({t, de, from});
   }
   // Sort each node's adjacency by (type, edge): typed lookups become one
-  // binary search, and within a type the ascending edge order *is* GraphDb's
-  // insertion-order iteration (the byte-identical-output invariant).
+  // binary search, and within a type the ascending edge order *is* the
+  // builder's insertion order (the byte-identical-output invariant).
   auto by_type_then_edge = [](const AdjEntry& a, const AdjEntry& b) {
     return a.type != b.type ? a.type < b.type : a.edge < b.edge;
   };
@@ -381,12 +372,12 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   // Property columns, keyed ascending (std::map order == file order).
   std::map<std::string_view, ColumnCells> node_cols, edge_cols;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (const auto& [key, value] : nodes[i]->props) {
+    for (const auto& [key, value] : nodes[i].props) {
       node_cols[key].cells.emplace_back(static_cast<std::uint32_t>(i), &value);
     }
   }
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    for (const auto& [key, value] : edges[e]->props) {
+    for (const auto& [key, value] : edges[e].props) {
       edge_cols[key].cells.emplace_back(static_cast<std::uint32_t>(e), &value);
     }
   }
@@ -864,11 +855,7 @@ util::Result<FrozenGraph> FrozenGraph::adopt(std::vector<std::byte> frame,
 }
 
 util::Result<FrozenGraph> FrozenGraph::map_file(const std::filesystem::path& path,
-                                                std::size_t frame_offset,
                                                 util::MemoryBudget* memory) {
-  if ((frame_offset & 7) != 0) {
-    return frozen_err("frame offset " + std::to_string(frame_offset) + " is not 8-byte aligned");
-  }
 #ifdef TABBY_FROZEN_HAVE_MMAP
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd >= 0) {
@@ -878,42 +865,20 @@ util::Result<FrozenGraph> FrozenGraph::map_file(const std::filesystem::path& pat
       return Error{"cannot stat: " + path.string()};
     }
     auto file_size = static_cast<std::size_t>(st.st_size);
-    if (file_size < frame_offset + kMinFrameSize) {
-      ::close(fd);
-      return frozen_err("truncated: " + std::to_string(file_size) +
-                            " byte(s), smaller than the fixed header",
-                        file_size);
-    }
-    void* base = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+    // An empty file cannot be mapped; attach() reports it as truncated.
+    void* base = file_size == 0 ? MAP_FAILED
+                                : ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd);
     if (base != MAP_FAILED) {
       std::shared_ptr<void> mapping(base, [file_size](void* p) { ::munmap(p, file_size); });
-      std::uint64_t declared = rd_u64(
-          std::span<const std::byte>(static_cast<const std::byte*>(base), file_size),
-          frame_offset + 8);
-      if (declared < kMinFrameSize || declared > file_size - frame_offset) {
-        return frozen_err("truncated or oversized: header declares " + std::to_string(declared) +
-                              " byte(s) but " + std::to_string(file_size - frame_offset) +
-                              " are present",
-                          frame_offset + 8);
-      }
-      std::span<const std::byte> frame(static_cast<const std::byte*>(base) + frame_offset,
-                                       static_cast<std::size_t>(declared));
+      std::span<const std::byte> frame(static_cast<const std::byte*>(base), file_size);
       return attach(frame, {}, std::move(mapping), memory);
     }
-    // mmap refused (unusual filesystem) — fall through to the read path.
+    // mmap refused (an empty file, an unusual filesystem) — read instead.
   }
 #endif
   auto bytes = util::read_file(path);
   if (!bytes.ok()) return bytes.error();
-  if (frame_offset > 0) {
-    if (bytes.value().size() < frame_offset) {
-      return frozen_err("truncated: file smaller than the frame offset");
-    }
-    std::vector<std::byte> sliced(bytes.value().begin() + static_cast<std::ptrdiff_t>(frame_offset),
-                                  bytes.value().end());
-    return adopt(std::move(sliced), memory);
-  }
   return adopt(std::move(bytes.value()), memory);
 }
 

@@ -1,7 +1,7 @@
 // FrozenGraph: a build-once, immutable CSR freeze of a constructed CPG
-// (docs/GRAPH.md). The mutable GraphDb is only what the builder writes and
-// the store codec reads; every reader (finder shards, cypher evaluation,
-// verify) reads this:
+// (docs/GRAPH.md). The append-only GraphDb is only what the builder writes;
+// every reader (finder shards, cypher evaluation, verify, the baselines,
+// the CSV export) reads this, and `analyze --store` writes it:
 //
 //   - adjacency is two CSR layouts (out/in): one offset array per direction
 //     plus three parallel flat arrays (neighbor, dense edge index, interned
@@ -9,8 +9,8 @@
 //     Edge deref and no string compare;
 //   - per-node adjacency entries are sorted by (type id, edge index), so a
 //     typed expansion is one binary search into the node's segment while
-//     within-type order still matches GraphDb's insertion-order iteration
-//     (the invariant that keeps finder output byte-identical);
+//     within-type order is the builder's insertion order (the invariant
+//     that keeps finder output byte-identical);
 //   - node/edge properties live in columnar side arrays keyed by property
 //     name: typed columns (bool/int/real bitmap+array, string pool, int-list
 //     pool) with a presence bitmap, falling back to a serialized-value blob
@@ -148,9 +148,8 @@ class FrozenColumn {
   friend class FrozenGraph;
 
   /// Slow paths for the scalar reads over a Mixed column (a bool/int/string
-  /// stored next to heterogeneous siblings still reads as GraphDb::prop_bool
-  /// / prop_int / prop_string would). Each returns its fallback for any
-  /// other column kind.
+  /// stored next to heterogeneous siblings still reads as that scalar). Each
+  /// returns its fallback for any other column kind.
   bool mixed_bool(std::uint64_t i) const;
   std::int64_t mixed_int(std::uint64_t i, std::int64_t fallback) const;
   std::string_view mixed_string(std::uint64_t i) const;
@@ -166,7 +165,7 @@ class FrozenColumn {
 
 /// One direction of a node's adjacency (or a typed slice of it): three
 /// parallel spans into the CSR arrays. Entries are sorted by (type, edge),
-/// so within one type the order equals GraphDb's insertion order.
+/// so within one type the order is the builder's insertion order.
 struct AdjacencyView {
   std::span<const std::uint32_t> nbr;   // dense neighbor node ids
   std::span<const std::uint32_t> edge;  // dense edge indexes
@@ -186,10 +185,10 @@ class FrozenGraph {
 
   // --- Construction ---------------------------------------------------------
 
-  /// Freezes a GraphDb: live nodes/edges are renumbered densely in ascending
-  /// id order (the graph-store emission order, so a freeze of a deserialized
-  /// store equals a freeze of the original). Builds the serialized frame and
-  /// attaches views to it — freeze() output always round-trips save()/load().
+  /// Freezes a GraphDb, keeping its dense node and edge ids (so a freeze of
+  /// a deserialized store equals a freeze of the original). Builds the
+  /// serialized frame and attaches views to it — freeze() output always
+  /// round-trips save()/map_file().
   /// `content_key` binds the frame to a cache snapshot key (0 = unbound).
   /// `with_stats` controls the optional cardinality-stats section (off
   /// reproduces the pre-planner 16-section frame byte-exactly).
@@ -207,11 +206,10 @@ class FrozenGraph {
   static util::Result<FrozenGraph> adopt(std::vector<std::byte> frame,
                                          util::MemoryBudget* memory = nullptr);
 
-  /// Maps `path` read-only and attaches the frame at `frame_offset` (which
-  /// must be 8-byte aligned). Falls back to a plain read when mmap is
-  /// unavailable. Mapped bytes are charged to `memory` until destruction.
+  /// Maps `path` read-only and attaches the frame it holds. Falls back to a
+  /// plain read when mmap is unavailable. Mapped bytes are charged to
+  /// `memory` until destruction.
   static util::Result<FrozenGraph> map_file(const std::filesystem::path& path,
-                                            std::size_t frame_offset = 0,
                                             util::MemoryBudget* memory = nullptr);
 
   /// Writes the frame verbatim (the exact bytes map_file/from_bytes accept).
@@ -228,9 +226,6 @@ class FrozenGraph {
 
   std::size_t node_count() const { return node_count_; }
   std::size_t edge_count() const { return edge_count_; }
-  /// Dense ids: capacity == count (no tombstones in a frozen graph).
-  std::size_t node_capacity() const { return node_count_; }
-  std::size_t edge_capacity() const { return edge_count_; }
 
   std::string_view label(NodeId n) const { return label_name(node_label_ids_[n]); }
   std::uint16_t node_label_id(NodeId n) const { return node_label_ids_[n]; }
@@ -255,7 +250,7 @@ class FrozenGraph {
   }
   /// The (contiguous) slice of a node's adjacency with one edge type: a
   /// binary search over the type-sorted segment. Within the slice, entries
-  /// ascend by edge index — GraphDb's filtered iteration order.
+  /// ascend by edge index — the builder's insertion order.
   AdjacencyView out_edges_typed_view(NodeId n, std::uint16_t type) const {
     return typed_slice(out_nbr_, out_edge_, out_type_, out_offsets_[n], out_offsets_[n + 1], type);
   }
@@ -281,8 +276,8 @@ class FrozenGraph {
   const FrozenColumn* node_column(std::string_view key) const;
   const FrozenColumn* edge_column(std::string_view key) const;
 
-  /// GraphDb-equivalent property reads (materialize a Value; nullopt when
-  /// absent). Cold-path conveniences — hot paths hold the column handle.
+  /// Property reads that materialize a Value (nullopt when absent).
+  /// Cold-path conveniences — hot paths hold the column handle.
   std::optional<Value> node_prop(NodeId n, std::string_view key) const;
   std::optional<Value> edge_prop(EdgeId e, std::string_view key) const;
   std::string_view node_prop_string(NodeId n, std::string_view key) const;
@@ -291,10 +286,9 @@ class FrozenGraph {
 
   // --- Scans (cypher candidate enumeration) --------------------------------
 
-  /// Ascending dense ids — the order of GraphDb's label buckets after a
-  /// deserialize round trip.
+  /// Ascending dense ids.
   std::vector<NodeId> nodes_with_label(std::string_view label) const;
-  /// Equality scan matching GraphDb::find_nodes semantics (value_equals).
+  /// Equality scan in ascending id order (value_equals semantics).
   std::vector<NodeId> find_nodes(std::string_view label, std::string_view key,
                                  const Value& value) const;
 

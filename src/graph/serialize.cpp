@@ -1,7 +1,5 @@
 #include "graph/serialize.hpp"
 
-#include <fstream>
-
 #include "util/bytes.hpp"
 #include "util/digest.hpp"
 #include "util/failpoint.hpp"
@@ -188,30 +186,19 @@ Result<CardinalityStats> decode_stats(ByteReader& in) {
 
 std::vector<std::byte> serialize(const GraphDb& db, bool with_stats) {
   // Payload first: the header needs its size, the trailer its checksum.
+  // Ids are dense, so an edge's endpoints are written as they are.
   ByteWriter out;
-
-  // Live elements only; ids are re-assigned densely on load. Build the
-  // old-id -> new-id mapping while emitting nodes.
-  std::vector<const Node*> nodes;
-  db.for_each_node([&](const Node& n) { nodes.push_back(&n); });
-  std::vector<const Edge*> edges;
-  db.for_each_edge([&](const Edge& e) { edges.push_back(&e); });
-
-  std::unordered_map<NodeId, std::uint64_t> remap;
-  remap.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) remap[nodes[i]->id] = i;
-
-  out.uvarint(nodes.size());
-  for (const Node* n : nodes) {
-    out.bytes(n->label);
-    write_props(out, n->props);
+  out.uvarint(db.node_count());
+  for (const Node& n : db.nodes()) {
+    out.bytes(n.label);
+    write_props(out, n.props);
   }
-  out.uvarint(edges.size());
-  for (const Edge* e : edges) {
-    out.uvarint(remap.at(e->from));
-    out.uvarint(remap.at(e->to));
-    out.bytes(e->type);
-    write_props(out, e->props);
+  out.uvarint(db.edge_count());
+  for (const Edge& e : db.edges()) {
+    out.uvarint(e.from);
+    out.uvarint(e.to);
+    out.bytes(e.type);
+    write_props(out, e.props);
   }
   std::vector<std::byte> payload = out.take();
 
@@ -370,27 +357,6 @@ util::Result<GraphDb> deserialize(std::span<const std::byte> data) {
                  kHeaderSize + declared.value()};
   }
   return db;
-}
-
-util::Status save(const GraphDb& db, const std::filesystem::path& path) {
-  std::vector<std::byte> bytes = serialize(db);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Error{"cannot open for write: " + path.string()};
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) return Error{"write failed: " + path.string()};
-  return util::Status::ok_status();
-}
-
-util::Result<GraphDb> load(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Error{"cannot open for read: " + path.string()};
-  std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) return Error{"read failed: " + path.string()};
-  return deserialize(bytes);
 }
 
 }  // namespace tabby::graph

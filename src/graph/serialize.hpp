@@ -1,9 +1,8 @@
-// Binary persistence for GraphDb snapshots — the stand-in for Neo4j's store
-// files. Lets a CPG built once be re-queried across runs (the paper's
-// "researchers can re-use the graph database query syntax").
+// The graph-store codec: a GraphDb's nodes and edges as one checksummed
+// blob. The cache's .tsnp snapshots embed it (cache/cache.hpp); `--store`
+// files are frozen frames instead (graph/frozen.hpp).
 #pragma once
 
-#include <filesystem>
 #include <span>
 #include <vector>
 
@@ -49,8 +48,5 @@ util::Result<CardinalityStats> decode_stats(util::ByteReader& in);
 // (uvarint of the bit pattern), 4 string, 5 int list, 6 string list.
 void write_value(util::ByteWriter& out, const Value& v);
 util::Result<Value> read_value(util::ByteReader& in);
-
-util::Status save(const GraphDb& db, const std::filesystem::path& path);
-util::Result<GraphDb> load(const std::filesystem::path& path);
 
 }  // namespace tabby::graph

@@ -27,7 +27,7 @@
 #include <functional>
 #include <vector>
 
-#include "graph/graph.hpp"
+#include "graph/frozen.hpp"
 #include "util/deadline.hpp"
 #include "util/memory_budget.hpp"
 
@@ -105,17 +105,15 @@ struct TraversalLimits {
   util::MemoryBudget* memory = nullptr;
 };
 
-/// The engine is generic over the graph representation: `DB` is GraphDb
-/// (the mutable build-time store, the default) or FrozenGraph (the immutable
-/// CSR snapshot). Only node_capacity() is required of DB directly; expansion
-/// and evaluation see the same `const DB&` they were constructed with, so
-/// the traversal order — and therefore every result — is representation-
-/// independent as long as the callbacks enumerate steps in the same order.
-template <typename State, typename DB = GraphDb>
+/// The engine walks the frozen CSR graph. Expansion and evaluation see the
+/// same `const FrozenGraph&` it was constructed with; the traversal order is
+/// the order in which the expand callback enumerates steps.
+template <typename State>
 class Traverser {
  public:
-  using ExpandFn = std::function<std::vector<Step<State>>(const DB&, const Path&, const State&)>;
-  using EvalFn = std::function<Evaluation(const DB&, const Path&, const State&)>;
+  using ExpandFn =
+      std::function<std::vector<Step<State>>(const FrozenGraph&, const Path&, const State&)>;
+  using EvalFn = std::function<Evaluation(const FrozenGraph&, const Path&, const State&)>;
   /// Streaming result sink: invoked in DFS discovery order, exactly when
   /// the accumulating run() would have appended. Taking the result by value
   /// lets the caller keep it in a compact form (the "spill" half of the byte
@@ -125,7 +123,7 @@ class Traverser {
   /// Defaults to zero extra (sizeof(State) is already in the frame cost).
   using StateBytesFn = std::function<std::size_t(const State&)>;
 
-  Traverser(const DB& db, ExpandFn expand, EvalFn evaluate,
+  Traverser(const FrozenGraph& db, ExpandFn expand, EvalFn evaluate,
             Uniqueness uniqueness = Uniqueness::NodePath, TraversalLimits limits = {},
             StateBytesFn state_bytes = {})
       : db_(db), expand_(std::move(expand)), evaluate_(std::move(evaluate)),
@@ -199,7 +197,7 @@ class Traverser {
     Path path;
     // NodePath: the nodes on `path`, cleared on rewind. NodeGlobal: every
     // node visited so far, never cleared. None: unused.
-    std::vector<bool> marked(uniqueness_ == Uniqueness::None ? 0 : db_.node_capacity(), false);
+    std::vector<bool> marked(uniqueness_ == Uniqueness::None ? 0 : db_.node_count(), false);
 
     while (stack.size() > bottom) {
       Frame frame = std::move(stack.back());
@@ -319,7 +317,7 @@ class Traverser {
     util::maybe_release(limits_.memory, bytes);
   }
 
-  const DB& db_;
+  const FrozenGraph& db_;
   ExpandFn expand_;
   EvalFn evaluate_;
   Uniqueness uniqueness_;

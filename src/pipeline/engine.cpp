@@ -19,12 +19,12 @@ util::Deadline anchor(const std::optional<std::chrono::milliseconds>& budget) {
   return budget.has_value() ? util::Deadline::after(*budget) : util::Deadline{};
 }
 
-/// Bytes an Outcome keeps resident. The frozen frame and store bytes are
-/// exact; a linked program is estimated from its method count. The estimate
-/// only has to be stable and monotone in graph size — admission compares
-/// sums of it against the cap, it never pretends to be an allocator audit.
+/// Bytes an Outcome keeps resident. The frozen frame is exact; a linked
+/// program is estimated from its method count. The estimate only has to be
+/// stable and monotone in graph size — admission compares sums of it
+/// against the cap, it never pretends to be an allocator audit.
 std::size_t resident_estimate(const Outcome& outcome) {
-  std::size_t bytes = outcome.frozen.frame().size() + outcome.graph_bytes.size();
+  std::size_t bytes = outcome.frozen.frame().size();
   if (outcome.program.has_value()) {
     bytes += outcome.program->method_count() * 512;
   }
@@ -33,8 +33,7 @@ std::size_t resident_estimate(const Outcome& outcome) {
 
 /// True when a resident analysis materialized everything `opts` asks for.
 bool satisfies(const Outcome& have, const OpenOptions& opts) {
-  return (!opts.need_program || have.program.has_value()) &&
-         (!opts.need_graph_bytes || !have.graph_bytes.empty());
+  return !opts.need_program || have.program.has_value();
 }
 
 /// The snapshot key of a read classpath, which is also the engine's resident
@@ -284,7 +283,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
 
     // Frozen-first warm start: mmap the cached CSR frame when one matches.
     // The sibling .tsnp stays the source of truth — a frozen hit still
-    // requires it intact (stats + the exact store bytes), but lets
+    // requires it intact (its stats and a verified store), but lets
     // load_snapshot skip the expensive graph decode. A corrupt frame is a
     // structured degradation: the store is decoded and re-frozen below as
     // if no frame existed; a frame without an intact snapshot is an orphan
@@ -331,12 +330,10 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
         cpg_options.executor = pool_.get();
         cpg_options.deadline = deadline;
         cpg_options.memory = budget_.get();
-        // Only a cached build has a snapshot key; an uncached one freezes
-        // under content key 0.
-        cache::AnalysisCache* snapshots = cache.has_value() ? &*cache : nullptr;
-        util::Status built = build(program.value(), cpg_options, ctx.policy,
-                                   opts.need_graph_bytes, outcome, snapshots,
-                                   snapshots != nullptr ? key : std::nullopt);
+        // Cached or not, the build freezes under the classpath key, so the
+        // frame is the same bytes either way; only a cached build publishes.
+        util::Status built = build(program.value(), cpg_options, ctx.policy, outcome,
+                                   cache.has_value() ? &*cache : nullptr, key);
         if (!built.ok()) return built.error();
       }
       if (opts.need_program) {
@@ -359,7 +356,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
         util::Status frozen = freeze(snapshot->db, *key, budget_.get(), outcome, &*cache);
         if (!frozen.ok()) return frozen.error();
       }
-      if (opts.need_graph_bytes) outcome.graph_bytes = std::move(snapshot->graph_bytes);
     }
     if (cache.has_value()) outcome.cache_line = cache->stats().to_line();
   }
@@ -450,8 +446,7 @@ util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecCo
   cpg_options.memory = budget_.get();
   Outcome outcome;
   // A deadline cut is always absorbed as degradation regardless of policy.
-  util::Status built = build(program, cpg_options, FailurePolicy::kQuarantine,
-                             opts.need_graph_bytes, outcome);
+  util::Status built = build(program, cpg_options, FailurePolicy::kQuarantine, outcome);
   if (!built.ok()) return built.error();
   if (opts.need_program) outcome.program = program;
   auto analysis = std::shared_ptr<Analysis>(new Analysis());

@@ -12,7 +12,7 @@
 //            time returns the already-resident Analysis without decoding
 //            anything.
 //   Analysis one resident classpath: the pipeline Outcome (frozen CSR frame,
-//            stats, optional linked program and store bytes) plus
+//            stats, optional linked program) plus
 //            find()/query() entry points that reproduce the CLI's
 //            orchestration byte for byte. Handles are shared_ptr: an Analysis
 //            evicted from the engine's LRU stays valid for requests already
@@ -126,8 +126,6 @@ struct ExecContext {
 struct OpenOptions {
   /// Keep the linked jir::Program (needed for find --verify / runtime VM).
   bool need_program = false;
-  /// Populate Outcome::graph_bytes (the exact `--store` serialization).
-  bool need_graph_bytes = false;
   /// Admission control: when true (the serving default), an open that cannot
   /// fit in the engine's bounded budget — even after evicting idle LRU
   /// analyses — fails with a structured over-capacity error. When false (the
@@ -183,8 +181,8 @@ class Analysis {
   const Outcome& outcome() const { return outcome_; }
   /// Classpath fingerprint (the cache snapshot key); 0 for in-memory opens.
   std::uint64_t fingerprint() const { return fingerprint_; }
-  /// Bytes this analysis holds resident (frozen frame + kept store bytes +
-  /// program estimate) — the unit of the engine's admission control.
+  /// Bytes this analysis holds resident (frozen frame + program estimate)
+  /// — the unit of the engine's admission control.
   std::size_t resident_bytes() const { return resident_bytes_; }
 
   /// Gadget-chain search with the CLI's exact orchestration: depth,

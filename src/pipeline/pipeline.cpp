@@ -134,7 +134,7 @@ util::Result<jir::Program> load_program(std::vector<ArchiveRead> files, bool wit
         return util::Error{"deadline exceeded during classpath load (before decoding " + path +
                            ")"};
       }
-      report.add(path, "deadline", "deadline exceeded before reading " + path);
+      report.add(path, "deadline", "deadline exceeded before decoding " + path);
       report.deadline_hit = true;
       continue;
     }
@@ -194,8 +194,8 @@ util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key,
 }
 
 util::Status build(const jir::Program& program, const cpg::CpgOptions& options,
-                   FailurePolicy policy, bool keep_graph_bytes, Outcome& outcome,
-                   cache::AnalysisCache* cache, std::optional<std::uint64_t> key) {
+                   FailurePolicy policy, Outcome& outcome, cache::AnalysisCache* cache,
+                   std::optional<std::uint64_t> key) {
   cpg::Cpg cpg = cpg::build_cpg(program, options);
   if (cpg.deadline_hit) {
     if (policy != FailurePolicy::kQuarantine) {
@@ -215,14 +215,14 @@ util::Status build(const jir::Program& program, const cpg::CpgOptions& options,
   if (cache != nullptr && !publish) {
     outcome.warnings.push_back("snapshot not published (degraded run)");
   }
-  std::vector<std::byte> graph_bytes;
-  if (keep_graph_bytes || publish) {
-    TABBY_SPAN("graph.serialize");
-    graph_bytes = graph::serialize(cpg.db);
-  }
   bool published = false;
   if (publish) {
-    auto stored = cache->store_snapshot(*key, outcome.stats, graph_bytes);
+    std::vector<std::byte> store;
+    {
+      TABBY_SPAN("graph.serialize");
+      store = graph::serialize(cpg.db);
+    }
+    auto stored = cache->store_snapshot(*key, outcome.stats, store);
     if (stored.ok()) {
       published = true;
     } else {
@@ -232,7 +232,6 @@ util::Status build(const jir::Program& program, const cpg::CpgOptions& options,
   util::Status frozen = freeze(cpg.db, key.value_or(0), options.memory, outcome,
                                published ? cache : nullptr);
   if (!frozen.ok()) return frozen;
-  if (keep_graph_bytes) outcome.graph_bytes = std::move(graph_bytes);
   {
     // The builder's graph is freed in its own span: on a large classpath
     // the teardown costs as much as a build phase.

@@ -94,20 +94,20 @@ struct DegradationReport {
 /// cache snapshot) — the library-level equivalent of one analyze/find/query
 /// front half.
 ///
-/// The builder's mutable graph::GraphDb never leaves the build: it is frozen
-/// into `frozen` (docs/GRAPH.md), serialized when a cache or `--store` needs
-/// the bytes, and dropped. Cached opens publish the frame next to the
+/// The builder's append-only graph::GraphDb never leaves the build: it is
+/// frozen into `frozen` (docs/GRAPH.md), serialized when a cache needs the
+/// snapshot, and dropped. Cached opens publish the frame next to the
 /// snapshot (snapshots/<key>.tfzn); a warm start maps it zero-copy and skips
 /// the graph-store decode. A corrupt cached frame is re-frozen from the store
 /// and republished with a warning; a freeze that fails is an open error.
 struct Outcome {
-  /// The CPG every reader (finder, Cypher, verify) queries. Always a valid
-  /// frame — an empty graph when a deadline cut the open before the build.
+  /// The CPG every reader (finder, Cypher, verify) queries, and the bytes
+  /// `analyze --store` writes. Frozen under the classpath's snapshot key
+  /// whether or not a cache is in use, so it is byte-identical cold or warm,
+  /// cached or not. Always a valid frame — an empty graph (key 0) when a
+  /// deadline cut the open before the build.
   graph::FrozenGraph frozen;
   cpg::CpgStats stats;
-  /// graph::serialize of the CPG, the exact bytes `--store` writes. Kept
-  /// only when the open asked for them (OpenOptions::need_graph_bytes).
-  std::vector<std::byte> graph_bytes;
   /// The linked program, when the open asked for it
   /// (OpenOptions::need_program).
   std::optional<jir::Program> program;
@@ -177,16 +177,15 @@ util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key,
                     cache::AnalysisCache* publish_to = nullptr);
 
 /// The build stage: builds the CPG of `program` with `options`, records its
-/// stats, freezes it into `outcome` and drops the builder's graph. A
-/// deadline cut fails the build under the strict policy and is recorded as
-/// degradation under quarantine. The store bytes are kept in
-/// outcome.graph_bytes when `keep_graph_bytes`. With a cache and a key, a
-/// clean build is published under `key`: the snapshot first, then its
-/// frame, so a frame never exists without its snapshot. A degraded build is
-/// never published: the key describes the on-disk classpath, and a later
+/// stats, freezes it into `outcome` under `key` (0 without one) and drops
+/// the builder's graph. A deadline cut fails the build under the strict
+/// policy and is recorded as degradation under quarantine. With a cache and
+/// a key, a clean build is published under `key`: the snapshot first, then
+/// its frame, so a frame never exists without its snapshot. A degraded build
+/// is never published: the key describes the on-disk classpath, and a later
 /// repaired open of the same bytes must not warm-start from the holes.
 util::Status build(const jir::Program& program, const cpg::CpgOptions& options,
-                   FailurePolicy policy, bool keep_graph_bytes, Outcome& outcome,
+                   FailurePolicy policy, Outcome& outcome,
                    cache::AnalysisCache* cache = nullptr,
                    std::optional<std::uint64_t> key = std::nullopt);
 

@@ -160,7 +160,7 @@ util::Status Daemon::run(const std::string& socket_path, std::ostream& out, std:
         std::uint64_t done = completed_.load(std::memory_order_relaxed);
         if (in_flight_.load(std::memory_order_relaxed) != 0 || done == last_audited_) continue;
         auto report = cache::audit_cache(engine_->options().cache_dir, /*prune=*/false);
-        (void)report;  // findings surface via the stats op / next `tabby cache`
+        (void)report;  // only the count surfaces (stats op); `tabby cache` shows findings
         last_audited_ = done;
         audits_.fetch_add(1, std::memory_order_relaxed);
         obs::counter_add("serve.audits");

@@ -10,6 +10,8 @@
 #include <sstream>
 
 #include "cli/cli.hpp"
+#include "graph/frozen.hpp"
+#include "graph/serialize.hpp"
 #include "support/find_output.hpp"
 #include "support/json_lite.hpp"
 
@@ -90,10 +92,10 @@ TEST_F(CliFixture, GenAnalyzeFindQueryRoundTrip) {
 
   // analyze with a persistent store
   CliRun analyze =
-      run({"analyze", path("BeanShell1.tjar"), "--store", path("cpg.tgdb")});
+      run({"analyze", path("BeanShell1.tjar"), "--store", path("cpg.tfzn")});
   ASSERT_EQ(analyze.code, 0) << analyze.err;
   EXPECT_NE(analyze.out.find("sinks:"), std::string::npos);
-  EXPECT_TRUE(fs::exists(path("cpg.tgdb")));
+  EXPECT_TRUE(fs::exists(path("cpg.tfzn")));
 
   // find with auto-verification: BeanShell1 = 1 real + 2 guarded fakes.
   CliRun find = run({"find", path("BeanShell1.tjar"), "--verify"});
@@ -102,7 +104,7 @@ TEST_F(CliFixture, GenAnalyzeFindQueryRoundTrip) {
   EXPECT_NE(find.out.find("1/3 chains confirmed effective"), std::string::npos);
 
   // query against the stored graph
-  CliRun query = run({"query", "--store", path("cpg.tgdb"),
+  CliRun query = run({"query", "--store", path("cpg.tfzn"),
                       "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE"});
   ASSERT_EQ(query.code, 0) << query.err;
   EXPECT_NE(query.out.find("row(s)"), std::string::npos);
@@ -201,12 +203,12 @@ TEST_F(CliFixture, CachedAnalyzeStoreQueryRoundTrip) {
 
   // Cold analyze populates the cache and writes a store.
   CliRun cold = run({"analyze", path("BeanShell1.tjar"), "--cache", path("cache"), "--store",
-                     path("cold.tgdb")});
+                     path("cold.tfzn")});
   ASSERT_EQ(cold.code, 0) << cold.err;
 
   // Warm analyze writes a byte-identical store.
   CliRun warm = run({"analyze", path("BeanShell1.tjar"), "--cache", path("cache"), "--store",
-                     path("warm.tgdb")});
+                     path("warm.tfzn")});
   ASSERT_EQ(warm.code, 0) << warm.err;
   auto slurp = [](const fs::path& p) {
     std::ifstream in(p, std::ios::binary);
@@ -214,10 +216,10 @@ TEST_F(CliFixture, CachedAnalyzeStoreQueryRoundTrip) {
     buf << in.rdbuf();
     return buf.str();
   };
-  EXPECT_EQ(slurp(path("cold.tgdb")), slurp(path("warm.tgdb")));
+  EXPECT_EQ(slurp(path("cold.tfzn")), slurp(path("warm.tfzn")));
 
   // Both stores answer queries; the warm-cached direct query matches too.
-  CliRun via_store = run({"query", "--store", path("warm.tgdb"),
+  CliRun via_store = run({"query", "--store", path("warm.tfzn"),
                           "MATCH (m:Method {IS_SINK: true}) RETURN m.SIGNATURE"});
   ASSERT_EQ(via_store.code, 0) << via_store.err;
   CliRun via_cache = run({"query", path("BeanShell1.tjar"), "--cache", path("cache"),
@@ -240,6 +242,60 @@ std::string slurp_file(const fs::path& p) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+TEST_F(CliFixture, StoreFrameIsIdenticalCachedOrNotAndAtAnyJobCount) {
+  CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  const std::string jar = path("BeanShell1.tjar");
+  const std::vector<std::vector<std::string>> runs = {
+      {"analyze", jar, "--jobs", "1", "--store", path("uncached.tfzn")},
+      {"analyze", jar, "--jobs", "4", "--store", path("uncached4.tfzn")},
+      {"analyze", jar, "--cache", path("cache"), "--store", path("cold.tfzn")},
+      {"analyze", jar, "--cache", path("cache"), "--jobs", "4", "--store", path("warm.tfzn")},
+  };
+  for (const auto& args : runs) {
+    CliRun r = run(args);
+    ASSERT_EQ(r.code, 0) << r.err;
+  }
+  auto frame = graph::FrozenGraph::map_file(path("uncached.tfzn"));
+  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+  EXPECT_GT(frame.value().node_count(), 0u);
+  EXPECT_NE(frame.value().content_key(), 0u);  // bound to the classpath key
+  const std::string bytes = slurp_file(path("uncached.tfzn"));
+  for (const char* other : {"uncached4.tfzn", "cold.tfzn", "warm.tfzn"}) {
+    EXPECT_EQ(slurp_file(path(other)), bytes) << other;
+  }
+}
+
+TEST_F(CliFixture, QueryStoreMatchesQueryJars) {
+  CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  CliRun analyze = run({"analyze", path("BeanShell1.tjar"), "--store", path("cpg.tfzn")});
+  ASSERT_EQ(analyze.code, 0) << analyze.err;
+  const std::string query = "MATCH (m:Method)-[:CALL]->(s:Method {IS_SINK: true}) RETURN m.NAME";
+  CliRun via_store = run({"query", "--store", path("cpg.tfzn"), "--explain", query});
+  CliRun via_jars = run({"query", path("BeanShell1.tjar"), "--explain", query});
+  ASSERT_EQ(via_store.code, 0) << via_store.err;
+  ASSERT_EQ(via_jars.code, 0) << via_jars.err;
+  EXPECT_EQ(via_store.out, via_jars.out);
+  EXPECT_NE(via_store.out.find("plan: "), std::string::npos) << via_store.out;
+}
+
+TEST_F(CliFixture, QueryStoreRejectsAGraphStoreWithRegenerationAdvice) {
+  graph::GraphDb db;
+  db.add_node("Method");
+  std::vector<std::byte> store = graph::serialize(db);
+  {
+    std::ofstream out(path("old.tgdb"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(store.data()),
+              static_cast<std::streamsize>(store.size()));
+  }
+  CliRun r = run({"query", "--store", path("old.tgdb"), "MATCH (m:Method) RETURN m.NAME"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("tabby analyze JAR... --store " + path("old.tgdb")), std::string::npos)
+      << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
 }
 
 TEST_F(CliFixture, TraceFileIsWellFormedChromeJsonWithNestedSpans) {
@@ -283,8 +339,8 @@ TEST_F(CliFixture, TraceFileIsWellFormedChromeJsonWithNestedSpans) {
   // Every pipeline stage shows up: decode, analysis, CPG phases, finder.
   for (const char* expected : {"pipeline.read_classpath", "pipeline.run", "pipeline.load_program",
                                "jar.decode", "jar.link", "analysis.precompute", "cpg.build",
-                               "cpg.pcg", "pipeline.teardown", "finder.find_all", "finder.sink",
-                               "cli.command"}) {
+                               "cpg.pcg", "cpg.teardown", "pipeline.teardown", "finder.find_all",
+                               "finder.sink", "cli.command"}) {
     EXPECT_NE(std::find(span_names.begin(), span_names.end(), expected), span_names.end())
         << "missing span: " << expected;
   }
@@ -313,9 +369,9 @@ TEST_F(CliFixture, TracingAndMetricsDoNotPerturbOutputs) {
   CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
   ASSERT_EQ(gen.code, 0) << gen.err;
 
-  CliRun plain = run({"analyze", path("BeanShell1.tjar"), "--store", path("plain.tgdb")});
+  CliRun plain = run({"analyze", path("BeanShell1.tjar"), "--store", path("plain.tfzn")});
   ASSERT_EQ(plain.code, 0) << plain.err;
-  CliRun traced = run({"analyze", path("BeanShell1.tjar"), "--store", path("traced.tgdb"),
+  CliRun traced = run({"analyze", path("BeanShell1.tjar"), "--store", path("traced.tfzn"),
                        "--trace", path("trace.json"), "--metrics"});
   ASSERT_EQ(traced.code, 0) << traced.err;
 
@@ -334,7 +390,7 @@ TEST_F(CliFixture, TracingAndMetricsDoNotPerturbOutputs) {
   };
   EXPECT_EQ(stable_lines(plain.out), stable_lines(traced.out));
   EXPECT_FALSE(stable_lines(plain.out).empty());
-  EXPECT_EQ(slurp_file(path("plain.tgdb")), slurp_file(path("traced.tgdb")));
+  EXPECT_EQ(slurp_file(path("plain.tfzn")), slurp_file(path("traced.tfzn")));
   EXPECT_NE(traced.err.find("metrics: span "), std::string::npos) << traced.err;
   EXPECT_NE(traced.err.find("metrics: counter "), std::string::npos) << traced.err;
 

@@ -13,25 +13,49 @@
 #include "cpg/schema.hpp"
 #include "cpg/sinks.hpp"
 #include "fixtures.hpp"
+#include "support/freeze.hpp"
 
 namespace tabby::cpg {
 namespace {
 
+using graph::FrozenGraph;
 using graph::NodeId;
 using graph::Value;
 
-NodeId method_node(const graph::GraphDb& db, const std::string& owner, const std::string& name,
+NodeId method_node(const FrozenGraph& db, const std::string& owner, const std::string& name,
                    int nargs) {
-  auto hits = db.find_nodes(std::string(kMethodLabel), std::string(kPropSignature),
-                            Value{method_signature(owner, name, nargs)});
+  auto hits =
+      db.find_nodes(kMethodLabel, kPropSignature, Value{method_signature(owner, name, nargs)});
   EXPECT_EQ(hits.size(), 1u) << owner << "#" << name << "/" << nargs;
   return hits.empty() ? graph::kNoNode : hits[0];
 }
 
-NodeId class_node(const graph::GraphDb& db, const std::string& name) {
-  auto hits = db.find_nodes(std::string(kClassLabel), std::string(kPropName), Value{name});
+NodeId class_node(const FrozenGraph& db, const std::string& name) {
+  auto hits = db.find_nodes(kClassLabel, kPropName, Value{name});
   EXPECT_EQ(hits.size(), 1u) << name;
   return hits.empty() ? graph::kNoNode : hits[0];
+}
+
+/// The edges from -> to with `type`, in insertion order.
+std::vector<graph::EdgeId> edges_between(const FrozenGraph& db, NodeId from, NodeId to,
+                                         std::string_view type) {
+  std::vector<graph::EdgeId> found;
+  auto id = db.edge_type_id(type);
+  if (!id.has_value()) return found;
+  graph::AdjacencyView out = db.out_edges_typed_view(from, *id);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out.nbr[i] == to) found.push_back(out.edge[i]);
+  }
+  return found;
+}
+
+bool has_edge(const FrozenGraph& db, NodeId from, NodeId to, std::string_view type) {
+  return !edges_between(db, from, to, type).empty();
+}
+
+std::vector<std::int64_t> int_list(const std::optional<Value>& v) {
+  const auto* xs = v.has_value() ? std::get_if<std::vector<std::int64_t>>(&*v) : nullptr;
+  return xs != nullptr ? *xs : std::vector<std::int64_t>{};
 }
 
 TEST(SinkRegistry, DefaultsCoverTableVII) {
@@ -70,104 +94,106 @@ class UrldnsCpg : public ::testing::Test {
   static void SetUpTestSuite() {
     program_ = new jir::Program(testing::urldns_program());
     cpg_ = new Cpg(build_cpg(*program_));
+    frame_ = new FrozenGraph(tabby::testing::freeze(cpg_->db));
   }
   static void TearDownTestSuite() {
+    delete frame_;
     delete cpg_;
     delete program_;
+    frame_ = nullptr;
     cpg_ = nullptr;
     program_ = nullptr;
   }
 
   static jir::Program* program_;
   static Cpg* cpg_;
+  static FrozenGraph* frame_;
 };
 
 jir::Program* UrldnsCpg::program_ = nullptr;
 Cpg* UrldnsCpg::cpg_ = nullptr;
+FrozenGraph* UrldnsCpg::frame_ = nullptr;
 
 TEST_F(UrldnsCpg, OrgHasClassAndMethodNodes) {
-  const auto& db = cpg_->db;
+  const FrozenGraph& db = *frame_;
   EXPECT_GT(cpg_->stats.class_nodes, 0u);
   EXPECT_GT(cpg_->stats.method_nodes, 0u);
 
   NodeId hashmap = class_node(db, "java.util.HashMap");
-  EXPECT_TRUE(db.node(hashmap).prop_bool(std::string(kPropSerializable)));
-  EXPECT_FALSE(db.node(hashmap).prop_bool(std::string(kPropInterface)));
+  EXPECT_TRUE(db.node_prop_bool(hashmap, kPropSerializable));
+  EXPECT_FALSE(db.node_prop_bool(hashmap, kPropInterface));
 
   // HAS edges connect the class to each of its methods.
-  auto has_edges = db.out_edges_typed(hashmap, kHasEdge);
+  auto has_edges = db.out_edges_typed_view(hashmap, *db.edge_type_id(kHasEdge));
   EXPECT_EQ(has_edges.size(), 2u);  // readObject, hash
 }
 
 TEST_F(UrldnsCpg, ExtendAndInterfaceEdges) {
-  const auto& db = cpg_->db;
+  const FrozenGraph& db = *frame_;
   NodeId hashmap = class_node(db, "java.util.HashMap");
   NodeId object = class_node(db, "java.lang.Object");
   NodeId serializable = class_node(db, "java.io.Serializable");
-  EXPECT_TRUE(db.find_edge(hashmap, object, kExtendEdge).has_value());
-  EXPECT_TRUE(db.find_edge(hashmap, serializable, kInterfaceEdge).has_value());
-  EXPECT_FALSE(db.find_edge(object, hashmap, kExtendEdge).has_value());
+  EXPECT_TRUE(has_edge(db, hashmap, object, kExtendEdge));
+  EXPECT_TRUE(has_edge(db, hashmap, serializable, kInterfaceEdge));
+  EXPECT_FALSE(has_edge(db, object, hashmap, kExtendEdge));
 }
 
 TEST_F(UrldnsCpg, CallEdgesCarryPollutedPosition) {
-  const auto& db = cpg_->db;
+  const FrozenGraph& db = *frame_;
   NodeId read_object = method_node(db, "java.util.HashMap", "readObject", 1);
   NodeId hash = method_node(db, "java.util.HashMap", "hash", 1);
-  auto call = db.find_edge(read_object, hash, kCallEdge);
-  ASSERT_TRUE(call.has_value());
-  const auto* pp = std::get_if<std::vector<std::int64_t>>(
-      db.edge(*call).prop(std::string(kPropPollutedPosition)));
-  ASSERT_NE(pp, nullptr);
+  auto calls = edges_between(db, read_object, hash, kCallEdge);
+  ASSERT_EQ(calls.size(), 1u);
   // Receiver is @this (0); the argument is this.key (weight 0).
-  EXPECT_EQ(*pp, (std::vector<std::int64_t>{0, 0}));
+  EXPECT_EQ(int_list(db.edge_prop(calls[0], kPropPollutedPosition)),
+            (std::vector<std::int64_t>{0, 0}));
 }
 
 TEST_F(UrldnsCpg, AliasEdgesLinkOverridesToObjectHashCode) {
-  const auto& db = cpg_->db;
+  const FrozenGraph& db = *frame_;
   NodeId url_hash = method_node(db, "java.net.URL", "hashCode", 0);
   NodeId obj_hash = method_node(db, "java.lang.Object", "hashCode", 0);
   NodeId enum_hash = method_node(db, "java.util.EnumMap", "hashCode", 0);
-  EXPECT_TRUE(db.find_edge(url_hash, obj_hash, kAliasEdge).has_value());
-  EXPECT_TRUE(db.find_edge(enum_hash, obj_hash, kAliasEdge).has_value());
+  EXPECT_TRUE(has_edge(db, url_hash, obj_hash, kAliasEdge));
+  EXPECT_TRUE(has_edge(db, enum_hash, obj_hash, kAliasEdge));
   // ALIAS edges are directional: override -> overridden only.
-  EXPECT_FALSE(db.find_edge(obj_hash, url_hash, kAliasEdge).has_value());
+  EXPECT_FALSE(has_edge(db, obj_hash, url_hash, kAliasEdge));
 }
 
 TEST_F(UrldnsCpg, SinkAndSourceAnnotation) {
-  const auto& db = cpg_->db;
-  NodeId get_by_name = method_node(db, "java.net.InetAddress", "getByName", 1);
-  const graph::Node& sink = db.node(get_by_name);
-  EXPECT_TRUE(sink.prop_bool(std::string(kPropIsSink)));
-  EXPECT_EQ(sink.prop_string(std::string(kPropSinkType)), "SSRF");
-  EXPECT_TRUE(sink.prop_bool(std::string(kPropPhantom)));  // InetAddress is not in the program
-  const auto* tc =
-      std::get_if<std::vector<std::int64_t>>(sink.prop(std::string(kPropTriggerCondition)));
-  ASSERT_NE(tc, nullptr);
-  EXPECT_EQ(*tc, (std::vector<std::int64_t>{1}));
+  const FrozenGraph& db = *frame_;
+  NodeId sink = method_node(db, "java.net.InetAddress", "getByName", 1);
+  EXPECT_TRUE(db.node_prop_bool(sink, kPropIsSink));
+  EXPECT_EQ(db.node_prop_string(sink, kPropSinkType), "SSRF");
+  EXPECT_TRUE(db.node_prop_bool(sink, kPropPhantom));  // InetAddress is not in the program
+  EXPECT_EQ(int_list(db.node_prop(sink, kPropTriggerCondition)), (std::vector<std::int64_t>{1}));
 
   NodeId read_object = method_node(db, "java.util.HashMap", "readObject", 1);
-  EXPECT_TRUE(db.node(read_object).prop_bool(std::string(kPropIsSource)));
+  EXPECT_TRUE(db.node_prop_bool(read_object, kPropIsSource));
   // hash() is not a source; URLStreamHandler is not serializable.
   NodeId hash = method_node(db, "java.util.HashMap", "hash", 1);
-  EXPECT_FALSE(db.node(hash).prop_bool(std::string(kPropIsSource)));
+  EXPECT_FALSE(db.node_prop_bool(hash, kPropIsSource));
   EXPECT_EQ(cpg_->stats.source_methods, 1u);
 }
 
 TEST_F(UrldnsCpg, ActionStoredOnMethodNodes) {
-  const auto& db = cpg_->db;
+  const FrozenGraph& db = *frame_;
   NodeId gha = method_node(db, "java.net.URLStreamHandler", "getHostAddress", 1);
-  const auto* action_strings =
-      std::get_if<std::vector<std::string>>(db.node(gha).prop(std::string(kPropAction)));
+  auto action_value = db.node_prop(gha, kPropAction);
+  ASSERT_TRUE(action_value.has_value());
+  const auto* action_strings = std::get_if<std::vector<std::string>>(&*action_value);
   ASSERT_NE(action_strings, nullptr);
   analysis::Action action = analysis::Action::from_strings(*action_strings);
   EXPECT_EQ(action.entries.at("return"), analysis::Origin::unknown());  // getByName is phantom
 }
 
 TEST_F(UrldnsCpg, StatsAreConsistent) {
-  graph::GraphStats gs = cpg_->db.stats();
-  EXPECT_EQ(cpg_->stats.class_nodes, gs.nodes_by_label.at(std::string(kClassLabel)));
-  EXPECT_EQ(cpg_->stats.method_nodes, gs.nodes_by_label.at(std::string(kMethodLabel)));
-  EXPECT_EQ(cpg_->stats.relationship_edges, gs.edge_count);
+  graph::CardinalityStats counts = cpg_->db.cardinality();
+  EXPECT_EQ(cpg_->stats.class_nodes, counts.label_count(kClassLabel));
+  EXPECT_EQ(cpg_->stats.method_nodes, counts.label_count(kMethodLabel));
+  EXPECT_EQ(cpg_->stats.relationship_edges, counts.edges);
+  EXPECT_EQ(cpg_->stats.sink_methods,
+            frame_->find_nodes(kMethodLabel, kPropIsSink, Value{true}).size());
   EXPECT_GT(cpg_->stats.build_seconds, 0.0);
 }
 
@@ -209,11 +235,10 @@ TEST(CpgOptionsTest, JarNameRecordedOnClassNodes) {
   jir::Program p = pb.build();
   CpgOptions options;
   options.jar_name = "demo.jar";
-  Cpg cpg = build_cpg(p, options);
-  auto hits = cpg.db.find_nodes(std::string(kClassLabel), std::string(kPropName),
-                                Value{std::string("t.C")});
+  FrozenGraph db = tabby::testing::freeze(build_cpg(p, options).db);
+  auto hits = db.find_nodes(kClassLabel, kPropName, Value{std::string("t.C")});
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(cpg.db.node(hits[0]).prop_string(std::string(kPropJar)), "demo.jar");
+  EXPECT_EQ(db.node_prop_string(hits[0], kPropJar), "demo.jar");
 }
 
 TEST(CpgOptionsTest, RepeatedCallsMergeIntoOneEdge) {
@@ -233,37 +258,36 @@ TEST(CpgOptionsTest, RepeatedCallsMergeIntoOneEdge) {
   Cpg cpg = build_cpg(p);
   // Only the controllable call survives pruning; one edge with PP [∞,1].
   EXPECT_EQ(cpg.stats.call_edges, 1u);
+  FrozenGraph db = tabby::testing::freeze(cpg.db);
+  std::uint16_t call = *db.edge_type_id(kCallEdge);
   bool found = false;
-  cpg.db.for_each_edge([&](const graph::Edge& e) {
-    if (e.type != kCallEdge) return;
-    const auto* pp =
-        std::get_if<std::vector<std::int64_t>>(e.prop(std::string(kPropPollutedPosition)));
-    ASSERT_NE(pp, nullptr);
-    EXPECT_EQ((*pp)[1], 1);
+  for (graph::EdgeId e = 0; e < db.edge_count(); ++e) {
+    if (db.edge_type(e) != call) continue;
+    std::vector<std::int64_t> pp = int_list(db.edge_prop(e, kPropPollutedPosition));
+    ASSERT_EQ(pp.size(), 2u);
+    EXPECT_EQ(pp[1], 1);
     found = true;
-  });
+  }
   EXPECT_TRUE(found);
 }
 
 TEST(CpgOptionsTest, EvilObjectGraphShape) {
   jir::Program p = testing::evil_object_program();
-  Cpg cpg = build_cpg(p);
-  const auto& db = cpg.db;
+  FrozenGraph db = tabby::testing::freeze(build_cpg(p).db);
 
   // EvilObjectB.toString aliases Object.toString.
   NodeId b_tostring = method_node(db, "demo.EvilObjectB", "toString", 0);
   NodeId obj_tostring = method_node(db, "java.lang.Object", "toString", 0);
-  EXPECT_TRUE(db.find_edge(b_tostring, obj_tostring, kAliasEdge).has_value());
+  EXPECT_TRUE(has_edge(db, b_tostring, obj_tostring, kAliasEdge));
 
   // The exec call edge exists with a controllable argument.
   NodeId exec = method_node(db, "java.lang.Runtime", "exec", 1);
-  EXPECT_TRUE(db.node(exec).prop_bool(std::string(kPropIsSink)));
-  auto in_calls = db.in_edges_typed(exec, kCallEdge);
+  EXPECT_TRUE(db.node_prop_bool(exec, kPropIsSink));
+  auto in_calls = db.in_edges_typed_view(exec, *db.edge_type_id(kCallEdge));
   ASSERT_EQ(in_calls.size(), 1u);
-  const auto* pp = std::get_if<std::vector<std::int64_t>>(
-      db.edge(in_calls[0]).prop(std::string(kPropPollutedPosition)));
-  ASSERT_NE(pp, nullptr);
-  EXPECT_EQ((*pp)[1], 0);  // cmd comes from this.val2
+  std::vector<std::int64_t> pp = int_list(db.edge_prop(in_calls.edge[0], kPropPollutedPosition));
+  ASSERT_EQ(pp.size(), 2u);
+  EXPECT_EQ(pp[1], 0);  // cmd comes from this.val2
 }
 
 
@@ -275,7 +299,7 @@ TEST(CsvExport, WritesThreeFilesWithCorrectCounts) {
   auto dir = std::filesystem::temp_directory_path() / "tabby_csv_test";
   std::filesystem::remove_all(dir);
 
-  auto stats = export_csv(cpg.db, dir);
+  auto stats = export_csv(tabby::testing::freeze(cpg.db), dir);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().class_rows, cpg.stats.class_nodes);
   EXPECT_EQ(stats.value().method_rows, cpg.stats.method_nodes);
@@ -311,7 +335,7 @@ TEST(CsvExport, WritesThreeFilesWithCorrectCounts) {
 TEST(CsvExport, BadDirectoryFails) {
   jir::Program p = testing::urldns_program();
   Cpg cpg = build_cpg(p);
-  auto result = export_csv(cpg.db, "/proc/definitely/not/writable");
+  auto result = export_csv(tabby::testing::freeze(cpg.db), "/proc/definitely/not/writable");
   EXPECT_FALSE(result.ok());
 }
 

@@ -244,33 +244,6 @@ TEST(CypherExplain, StatsLessFrozenFrameFallsBackToDefaults) {
 
 // --- Cardinality stats layer ------------------------------------------------
 
-TEST(CypherStats, GraphDbCardinalityTracksRemovalsExactly) {
-  GraphDb db = testsupport::random_graph(7);  // has node and edge tombstones
-  CardinalityStats stats = db.cardinality();
-  EXPECT_EQ(stats.nodes, db.node_count());
-  EXPECT_EQ(stats.edges, db.edge_count());
-  std::uint64_t label_total = 0;
-  for (const auto& [label, count] : stats.labels) {
-    std::uint64_t manual = 0;
-    for (graph::NodeId id = 0; id < db.node_capacity(); ++id) {
-      if (db.node_alive(id) && db.node(id).label == label) ++manual;
-    }
-    EXPECT_EQ(count, manual) << label;
-    label_total += count;
-  }
-  EXPECT_EQ(label_total, db.node_count());
-  std::uint64_t type_total = 0;
-  for (const auto& [type, count] : stats.edge_types) {
-    std::uint64_t manual = 0;
-    for (graph::EdgeId id = 0; id < db.edge_capacity(); ++id) {
-      if (db.edge_alive(id) && db.edge(id).type == type) ++manual;
-    }
-    EXPECT_EQ(count, manual) << type;
-    type_total += count;
-  }
-  EXPECT_EQ(type_total, db.edge_count());
-}
-
 TEST(CypherStats, StoreRoundTripsWithAndWithoutStats) {
   GraphDb db = testsupport::random_graph(3);
   std::vector<std::byte> with = graph::serialize(db);
@@ -282,7 +255,7 @@ TEST(CypherStats, StoreRoundTripsWithAndWithoutStats) {
   EXPECT_TRUE(decoded.value().cardinality() == db.cardinality());
 
   // A stats-less store (anything written before the planner existed) still
-  // loads; stats are simply recomputed from the live graph on demand.
+  // loads; stats are simply recomputed from the decoded graph on demand.
   auto old = graph::deserialize(without);
   ASSERT_TRUE(old.ok()) << old.error().to_string();
   EXPECT_TRUE(old.value().cardinality() == db.cardinality());
@@ -342,8 +315,8 @@ class CypherCliFixture : public ::testing::Test {
   void SetUp() override {
     dir_ = fs::temp_directory_path() / ("tabby_cypher_plan_" + std::to_string(::getpid()));
     fs::create_directories(dir_);
-    store_ = (dir_ / "g.tsnp").string();
-    ASSERT_TRUE(graph::save(skewed_graph(), store_).ok());
+    store_ = (dir_ / "g.tfzn").string();
+    ASSERT_TRUE(tabby::testing::freeze(skewed_graph()).save(store_).ok());
   }
   void TearDown() override { fs::remove_all(dir_); }
 

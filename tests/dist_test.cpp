@@ -32,6 +32,7 @@
 #include "dist/dist.hpp"
 #include "finder/finder.hpp"
 #include "jar/archive.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/engine.hpp"
 #include "serve/json.hpp"
 #include "serve/serve.hpp"
@@ -308,6 +309,33 @@ TEST_F(DistFixture, FinderReportIsByteIdenticalAtAnyWorkerCount) {
     EXPECT_TRUE(dist.partial_sinks.empty()) << "workers=" << workers;
     EXPECT_EQ(dist.expansions, serial.expansions) << "workers=" << workers;
     EXPECT_GT(dist.dist_stats.workers_spawned, 0u);
+  }
+}
+
+TEST_F(DistFixture, TracedFindSplitsDistRunIntoSpawnAndReap) {
+  component_db();  // build outside the trace
+  struct Tracing {
+    Tracing() { obs::Tracer::instance().enable(); }
+    ~Tracing() { obs::Tracer::instance().disable(); }
+  } tracing;
+  finder::FinderOptions options;
+  options.dist = fast(2);
+  finder::FinderReport report = finder::GadgetChainFinder(component_db(), options).find_all();
+  obs::TraceReport trace = obs::Tracer::instance().flush();
+  ASSERT_GE(report.chains.size(), 1u);
+
+  auto find_span = [&](const std::string& name) {
+    return std::find_if(trace.spans.begin(), trace.spans.end(),
+                        [&](const obs::SpanRecord& span) { return span.name == name; });
+  };
+  auto run = find_span("dist.run");
+  ASSERT_NE(run, trace.spans.end());
+  for (const char* child : {"dist.spawn", "dist.reap"}) {
+    auto span = find_span(child);
+    ASSERT_NE(span, trace.spans.end()) << child;
+    EXPECT_EQ(span->tid, run->tid) << child;
+    EXPECT_GE(span->start_ns, run->start_ns) << child;
+    EXPECT_LE(span->start_ns + span->dur_ns, run->start_ns + run->dur_ns) << child;
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the frozen CSR snapshot (src/graph/frozen.hpp, docs/GRAPH.md):
-// accessor-level equivalence with the mutable GraphDb it freezes, byte-level
+// accessor-level equivalence with the append-only GraphDb it freezes, byte-level
 // determinism of the frame, the fail-closed validation contract (truncation,
 // bit flips, version skew are structured errors, never UB), memory-budget
 // charging, and the cache's .tfzn publish/load/audit integration with the
@@ -54,80 +54,83 @@ graph::GraphDb kitchen_sink_graph() {
   db.set_node_prop(b, "MIXED", graph::Value{std::string("seven")});
   db.set_node_prop(c, "MIXED", graph::Value{false});
   db.set_node_prop(d, "NOTHING", graph::Value{});  // explicit null
-  auto e0 = db.add_edge(a, b, "CALL");
-  auto e1 = db.add_edge(b, c, "CALL");
+  db.add_edge(a, b, "CALL",
+              {{"POLLUTED_POSITION", graph::Value{std::vector<std::int64_t>{0, -1}}}});
+  db.add_edge(b, c, "CALL",
+              {{"POLLUTED_POSITION", graph::Value{std::vector<std::int64_t>{2}}},
+               {"ORDER", graph::Value{std::int64_t{1}}}});
   db.add_edge(c, d, "CONTAINS");
   db.add_edge(a, c, "ALIAS");
-  db.set_edge_prop(e0, "POLLUTED_POSITION", graph::Value{std::vector<std::int64_t>{0, -1}});
-  db.set_edge_prop(e1, "POLLUTED_POSITION", graph::Value{std::vector<std::int64_t>{2}});
-  db.set_edge_prop(e1, "ORDER", graph::Value{std::int64_t{1}});
   return db;
 }
 
-/// Randomized graph with tombstones (shared generator in tests/support/):
-/// removals force the freeze to renumber node/edge ids densely, the part of
-/// the mapping most worth fuzzing.
+/// Randomized graph (shared generator in tests/support/).
 using testsupport::random_graph;
 
-/// Asserts every accessor of `fg` agrees with `db`, modulo the documented
-/// dense renumbering (live elements in ascending id order).
+/// The scalar reads a frame promises, taken from the value itself.
+std::string string_or_empty(const graph::Value& v) {
+  const std::string* s = std::get_if<std::string>(&v);
+  return s != nullptr ? *s : std::string{};
+}
+bool true_bool(const graph::Value& v) {
+  const bool* b = std::get_if<bool>(&v);
+  return b != nullptr && *b;
+}
+std::int64_t int_or(const graph::Value& v, std::int64_t fallback) {
+  const std::int64_t* i = std::get_if<std::int64_t>(&v);
+  return i != nullptr ? *i : fallback;
+}
+
+/// Asserts every accessor of `fg` agrees with the buffer it froze. The
+/// buffer never removes anything, so both share node and edge ids; the
+/// reference adjacency is the edges in insertion order.
 void expect_equivalent(const graph::GraphDb& db, const graph::FrozenGraph& fg) {
   ASSERT_EQ(fg.node_count(), db.node_count());
   ASSERT_EQ(fg.edge_count(), db.edge_count());
+  const std::vector<graph::Node>& nodes = db.nodes();
+  const std::vector<graph::Edge>& edges = db.edges();
 
-  // Dense id <-> store id mapping, in the documented order.
-  std::vector<graph::NodeId> live_nodes;
-  std::vector<graph::EdgeId> live_edges;
-  for (graph::NodeId id = 0; id < db.node_capacity(); ++id)
-    if (db.node_alive(id)) live_nodes.push_back(id);
-  for (graph::EdgeId id = 0; id < db.edge_capacity(); ++id)
-    if (db.edge_alive(id)) live_edges.push_back(id);
-  std::vector<std::uint32_t> dense_node(db.node_capacity(), 0);
-  std::vector<std::uint32_t> dense_edge(db.edge_capacity(), 0);
-  for (std::size_t i = 0; i < live_nodes.size(); ++i)
-    dense_node[live_nodes[i]] = static_cast<std::uint32_t>(i);
-  for (std::size_t i = 0; i < live_edges.size(); ++i)
-    dense_edge[live_edges[i]] = static_cast<std::uint32_t>(i);
-
-  for (std::size_t i = 0; i < live_edges.size(); ++i) {
-    const auto& edge = db.edge(live_edges[i]);
-    EXPECT_EQ(fg.edge_from(i), dense_node[edge.from]);
-    EXPECT_EQ(fg.edge_to(i), dense_node[edge.to]);
-    EXPECT_EQ(fg.edge_type_name(fg.edge_type(i)), edge.type);
+  std::vector<std::vector<graph::EdgeId>> out(nodes.size()), in(nodes.size());
+  for (graph::EdgeId e = 0; e < edges.size(); ++e) {
+    EXPECT_EQ(fg.edge_from(e), edges[e].from);
+    EXPECT_EQ(fg.edge_to(e), edges[e].to);
+    EXPECT_EQ(fg.edge_type_name(fg.edge_type(e)), edges[e].type);
+    out[edges[e].from].push_back(e);
+    in[edges[e].to].push_back(e);
   }
 
-  for (std::size_t i = 0; i < live_nodes.size(); ++i) {
-    const auto& node = db.node(live_nodes[i]);
+  for (graph::NodeId i = 0; i < nodes.size(); ++i) {
+    const graph::Node& node = nodes[i];
     EXPECT_EQ(fg.label(i), node.label);
 
-    // Untyped iteration must replay GraphDb's insertion order exactly.
+    // Untyped iteration must replay insertion order exactly.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> got;
     fg.for_each_out_ordered(i, [&](std::uint32_t e, std::uint32_t nbr) {
       got.emplace_back(e, nbr);
     });
     std::vector<std::pair<std::uint32_t, std::uint32_t>> want;
-    for (graph::EdgeId e : db.out_edges(live_nodes[i]))
-      want.emplace_back(dense_edge[e], dense_node[db.edge(e).to]);
-    EXPECT_EQ(got, want) << "out adjacency of node " << live_nodes[i];
+    for (graph::EdgeId e : out[i]) want.emplace_back(e, edges[e].to);
+    EXPECT_EQ(got, want) << "out adjacency of node " << i;
 
     got.clear();
     fg.for_each_in_ordered(i, [&](std::uint32_t e, std::uint32_t nbr) {
       got.emplace_back(e, nbr);
     });
     want.clear();
-    for (graph::EdgeId e : db.in_edges(live_nodes[i]))
-      want.emplace_back(dense_edge[e], dense_node[db.edge(e).from]);
-    EXPECT_EQ(got, want) << "in adjacency of node " << live_nodes[i];
+    for (graph::EdgeId e : in[i]) want.emplace_back(e, edges[e].from);
+    EXPECT_EQ(got, want) << "in adjacency of node " << i;
 
     // Typed slices preserve the filtered insertion order.
     for (std::uint16_t t = 0; t < fg.edge_type_count(); ++t) {
-      std::string type(fg.edge_type_name(t));
+      std::string_view type = fg.edge_type_name(t);
       auto view = fg.out_edges_typed_view(i, t);
-      auto typed = db.out_edges_typed(live_nodes[i], type);
+      std::vector<graph::EdgeId> typed;
+      for (graph::EdgeId e : out[i])
+        if (edges[e].type == type) typed.push_back(e);
       ASSERT_EQ(view.size(), typed.size());
       for (std::size_t j = 0; j < typed.size(); ++j) {
-        EXPECT_EQ(view.edge[j], dense_edge[typed[j]]);
-        EXPECT_EQ(view.nbr[j], dense_node[db.edge(typed[j]).to]);
+        EXPECT_EQ(view.edge[j], typed[j]);
+        EXPECT_EQ(view.nbr[j], edges[typed[j]].to);
       }
     }
 
@@ -136,29 +139,28 @@ void expect_equivalent(const graph::GraphDb& db, const graph::FrozenGraph& fg) {
       auto got_value = fg.node_prop(i, key);
       ASSERT_TRUE(got_value.has_value()) << key;
       EXPECT_TRUE(*got_value == value) << key;
-      EXPECT_EQ(fg.node_prop_string(i, key), node.prop_string(key));
-      EXPECT_EQ(fg.node_prop_bool(i, key), node.prop_bool(key));
-      EXPECT_EQ(fg.node_prop_int(i, key, -7), node.prop_int(key, -7));
+      EXPECT_EQ(fg.node_prop_string(i, key), string_or_empty(value));
+      EXPECT_EQ(fg.node_prop_bool(i, key), true_bool(value));
+      EXPECT_EQ(fg.node_prop_int(i, key, -7), int_or(value, -7));
     }
     EXPECT_FALSE(fg.node_prop(i, "NO_SUCH_KEY").has_value());
   }
 
-  for (std::size_t i = 0; i < live_edges.size(); ++i) {
-    for (const auto& [key, value] : db.edge(live_edges[i]).props) {
-      auto got_value = fg.edge_prop(i, key);
+  for (graph::EdgeId e = 0; e < edges.size(); ++e) {
+    for (const auto& [key, value] : edges[e].props) {
+      auto got_value = fg.edge_prop(e, key);
       ASSERT_TRUE(got_value.has_value()) << key;
       EXPECT_TRUE(*got_value == value) << key;
     }
   }
 
-  // Label scans agree (ascending dense ids on both sides).
+  // Label scans list ascending ids.
   for (std::uint16_t l = 0; l < fg.label_count(); ++l) {
-    std::string label(fg.label_name(l));
-    auto scan = fg.nodes_with_label(label);
-    auto store_scan = db.nodes_with_label(label);
-    ASSERT_EQ(scan.size(), store_scan.size()) << label;
-    for (std::size_t j = 0; j < scan.size(); ++j)
-      EXPECT_EQ(scan[j], dense_node[store_scan[j]]);
+    std::string_view label = fg.label_name(l);
+    std::vector<graph::NodeId> want;
+    for (graph::NodeId i = 0; i < nodes.size(); ++i)
+      if (nodes[i].label == label) want.push_back(i);
+    EXPECT_EQ(fg.nodes_with_label(label), want) << label;
   }
   EXPECT_TRUE(fg.nodes_with_label("NoSuchLabel").empty());
 }
@@ -168,7 +170,7 @@ TEST(FrozenGraph, KitchenSinkRoundTrip) {
   graph::FrozenGraph fg = testing::freeze(db);
   expect_equivalent(db, fg);
 
-  // find_nodes matches GraphDb semantics, including on the Mixed column.
+  // find_nodes compares with value_equals, including on the Mixed column.
   auto sinks = fg.find_nodes("Method", "IS_SINK", graph::Value{true});
   ASSERT_EQ(sinks.size(), 1u);
   EXPECT_EQ(fg.node_prop_string(sinks[0], "NAME"), "exec");
@@ -184,8 +186,8 @@ TEST(FrozenGraph, FreezeIsDeterministicAndStoreStable) {
   ASSERT_EQ(once.frame().size(), twice.frame().size());
   EXPECT_EQ(std::memcmp(once.frame().data(), twice.frame().data(), once.frame().size()), 0);
 
-  // Freezing a store round trip yields the same bytes: the store emission
-  // order IS the dense renumbering order.
+  // Freezing a store round trip yields the same bytes: both keep the
+  // buffer's dense ids.
   auto bytes = graph::serialize(db);
   auto restored = graph::deserialize(bytes);
   ASSERT_TRUE(restored.ok()) << restored.error().message;
@@ -404,10 +406,8 @@ TEST_F(FrozenCacheFixture, AuditSeesFrozenFramesAndPrunesOrphans) {
 TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   pipeline::EngineOptions options;
   options.cache_dir = cache_dir_;
-  pipeline::OpenOptions opts;
-  opts.need_graph_bytes = true;
   // A fresh engine per open, so each one consults the cache.
-  auto open_fresh = [&] { return pipeline::Engine(options).open({jar_}, {}, opts); };
+  auto open_fresh = [&] { return pipeline::Engine(options).open({jar_}, {}); };
   auto cold_open = open_fresh();
   ASSERT_TRUE(cold_open.ok()) << cold_open.error().message;
   const pipeline::Outcome& cold = cold_open.value()->outcome();
@@ -420,8 +420,6 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   const pipeline::Outcome& warm = warm_open.value()->outcome();
   EXPECT_TRUE(warm.warm);
   EXPECT_TRUE(warm.frozen.mapped());
-  // The graph bytes still carry the verified store blob either way.
-  EXPECT_EQ(warm.graph_bytes, cold.graph_bytes);
   EXPECT_TRUE(std::ranges::equal(warm.frozen.frame(), cold.frozen.frame()));
 
   // Corrupt the cached frame: the next warm run degrades to the store

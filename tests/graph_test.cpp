@@ -1,6 +1,8 @@
-// Tests for the embedded property-graph store and traversal framework: CRUD,
-// adjacency, property lookup, tombstones, persistence round trips and the
-// Expander/Evaluator engine with all uniqueness modes.
+// Tests for the builder's append-only graph buffer, the store codec and the
+// traversal framework: insertion and counts, reads of the frozen frame the
+// buffer freezes into (adjacency, typed filters, property lookup), store and
+// frame round trips, and the Expander/Evaluator engine with all uniqueness
+// modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,13 +11,17 @@
 #include <string>
 #include <vector>
 
+#include "graph/frozen.hpp"
 #include "graph/graph.hpp"
 #include "graph/serialize.hpp"
 #include "graph/traversal.hpp"
+#include "support/freeze.hpp"
 #include "util/rng.hpp"
 
 namespace tabby::graph {
 namespace {
+
+using tabby::testing::freeze;
 
 TEST(Graph, AddAndReadBack) {
   GraphDb db;
@@ -25,48 +31,20 @@ TEST(Graph, AddAndReadBack) {
 
   EXPECT_EQ(db.node_count(), 2u);
   EXPECT_EQ(db.edge_count(), 1u);
-  EXPECT_EQ(db.node(a).prop_string("NAME"), "demo.A");
-  EXPECT_EQ(db.edge(e).from, a);
-  EXPECT_EQ(db.edge(e).to, b);
-  ASSERT_EQ(db.out_edges(a).size(), 1u);
-  EXPECT_EQ(db.in_edges(b).size(), 1u);
-  EXPECT_TRUE(db.out_edges(b).empty());
+  FrozenGraph fg = freeze(db);
+  EXPECT_EQ(fg.node_prop_string(a, "NAME"), "demo.A");
+  EXPECT_EQ(fg.edge_from(e), a);
+  EXPECT_EQ(fg.edge_to(e), b);
+  ASSERT_EQ(fg.out_edges_view(a).size(), 1u);
+  EXPECT_EQ(fg.in_edges_view(b).size(), 1u);
+  EXPECT_TRUE(fg.out_edges_view(b).empty());
 }
 
 TEST(Graph, EdgeToMissingNodeThrows) {
   GraphDb db;
   NodeId a = db.add_node("X");
   EXPECT_THROW(db.add_edge(a, 999, "E"), std::out_of_range);
-  EXPECT_THROW((void)db.node(42), std::out_of_range);
-}
-
-TEST(Graph, RemoveEdgeUnlinksAdjacency) {
-  GraphDb db;
-  NodeId a = db.add_node("X");
-  NodeId b = db.add_node("X");
-  EdgeId e = db.add_edge(a, b, "E");
-  db.remove_edge(e);
-  EXPECT_EQ(db.edge_count(), 0u);
-  EXPECT_TRUE(db.out_edges(a).empty());
-  EXPECT_TRUE(db.in_edges(b).empty());
-  EXPECT_FALSE(db.edge_alive(e));
-  db.remove_edge(e);  // idempotent
-}
-
-TEST(Graph, RemoveNodeRemovesIncidentEdges) {
-  GraphDb db;
-  NodeId a = db.add_node("X");
-  NodeId b = db.add_node("X");
-  NodeId c = db.add_node("X");
-  db.add_edge(a, b, "E");
-  db.add_edge(b, c, "E");
-  db.add_edge(c, a, "E");
-  db.remove_node(b);
-  EXPECT_EQ(db.node_count(), 2u);
-  EXPECT_EQ(db.edge_count(), 1u);
-  EXPECT_TRUE(db.nodes_with_label("X").size() == 3u ||
-              db.find_nodes("X", "none", Value{}).empty());  // label bucket pruned of b
-  EXPECT_FALSE(db.node_alive(b));
+  EXPECT_THROW(db.set_node_prop(42, "K", Value{}), std::out_of_range);
 }
 
 TEST(Graph, TypedEdgeFilters) {
@@ -76,11 +54,15 @@ TEST(Graph, TypedEdgeFilters) {
   db.add_edge(a, b, "CALL");
   db.add_edge(a, b, "ALIAS");
   db.add_edge(a, b, "CALL");
-  EXPECT_EQ(db.out_edges_typed(a, "CALL").size(), 2u);
-  EXPECT_EQ(db.out_edges_typed(a, "ALIAS").size(), 1u);
-  EXPECT_EQ(db.in_edges_typed(b, "CALL").size(), 2u);
-  EXPECT_TRUE(db.find_edge(a, b, "ALIAS").has_value());
-  EXPECT_FALSE(db.find_edge(b, a, "ALIAS").has_value());
+
+  FrozenGraph fg = freeze(db);
+  std::uint16_t call = *fg.edge_type_id("CALL");
+  std::uint16_t alias = *fg.edge_type_id("ALIAS");
+  EXPECT_EQ(fg.out_edges_typed_view(a, call).size(), 2u);
+  EXPECT_EQ(fg.out_edges_typed_view(a, alias).size(), 1u);
+  EXPECT_EQ(fg.in_edges_typed_view(b, call).size(), 2u);
+  EXPECT_TRUE(fg.in_edges_typed_view(a, call).empty());
+  EXPECT_TRUE(fg.out_edges_typed_view(b, alias).empty());
 }
 
 TEST(Graph, FindNodesScansTheLabelBucket) {
@@ -91,35 +73,31 @@ TEST(Graph, FindNodesScansTheLabelBucket) {
     if (i % 10 == 3) m3.push_back(n);
   }
   // Hits come back in insertion order; an unknown label yields nothing.
-  EXPECT_EQ(db.find_nodes("Method", "NAME", Value{std::string("m3")}), m3);
-  EXPECT_TRUE(db.find_nodes("Nope", "NAME", Value{std::string("m3")}).empty());
+  FrozenGraph fg = freeze(db);
+  EXPECT_EQ(fg.find_nodes("Method", "NAME", Value{std::string("m3")}), m3);
+  EXPECT_TRUE(fg.find_nodes("Nope", "NAME", Value{std::string("m3")}).empty());
 }
 
-// find_nodes is the store's property lookup; the three tests below hold it to
-// the behaviours the old secondary index guaranteed.
+// find_nodes is the frame's property lookup; the tests below hold it to the
+// behaviours the old secondary index guaranteed.
 TEST(Graph, IndexStaysInSyncWithPropertyUpdates) {
   GraphDb db;
   NodeId n = db.add_node("Method", {{"NAME", Value{std::string("before")}}});
-  EXPECT_EQ(db.find_nodes("Method", "NAME", Value{std::string("before")}).size(), 1u);
+  EXPECT_EQ(freeze(db).find_nodes("Method", "NAME", Value{std::string("before")}).size(), 1u);
   db.set_node_prop(n, "NAME", Value{std::string("after")});
-  EXPECT_TRUE(db.find_nodes("Method", "NAME", Value{std::string("before")}).empty());
-  EXPECT_EQ(db.find_nodes("Method", "NAME", Value{std::string("after")}).size(), 1u);
-}
-
-TEST(Graph, IndexIgnoresRemovedNodes) {
-  GraphDb db;
-  NodeId n = db.add_node("X", {{"K", Value{std::int64_t{5}}}});
-  db.remove_node(n);
-  EXPECT_TRUE(db.find_nodes("X", "K", Value{std::int64_t{5}}).empty());
+  FrozenGraph fg = freeze(db);
+  EXPECT_TRUE(fg.find_nodes("Method", "NAME", Value{std::string("before")}).empty());
+  EXPECT_EQ(fg.find_nodes("Method", "NAME", Value{std::string("after")}).size(), 1u);
 }
 
 TEST(Graph, BoolAndIntIndexKeysCompatible) {
   GraphDb db;
   NodeId flag = db.add_node("X", {{"FLAG", Value{true}}});
-  EXPECT_EQ(db.find_nodes("X", "FLAG", Value{true}), std::vector<NodeId>{flag});
+  FrozenGraph fg = freeze(db);
+  EXPECT_EQ(fg.find_nodes("X", "FLAG", Value{true}), std::vector<NodeId>{flag});
   // Bool and int compare numerically, as in Cypher `=`.
-  EXPECT_EQ(db.find_nodes("X", "FLAG", Value{std::int64_t{1}}), std::vector<NodeId>{flag});
-  EXPECT_TRUE(db.find_nodes("X", "FLAG", Value{false}).empty());
+  EXPECT_EQ(fg.find_nodes("X", "FLAG", Value{std::int64_t{1}}), std::vector<NodeId>{flag});
+  EXPECT_TRUE(fg.find_nodes("X", "FLAG", Value{false}).empty());
 }
 
 TEST(Graph, StatsCountByLabelAndType) {
@@ -130,11 +108,19 @@ TEST(Graph, StatsCountByLabelAndType) {
   db.add_edge(a, b, "HAS");
   db.add_edge(a, c, "HAS");
   db.add_edge(b, c, "CALL");
-  GraphStats s = db.stats();
-  EXPECT_EQ(s.nodes_by_label["Class"], 1u);
-  EXPECT_EQ(s.nodes_by_label["Method"], 2u);
-  EXPECT_EQ(s.edges_by_type["HAS"], 2u);
-  EXPECT_EQ(s.edges_by_type["CALL"], 1u);
+  CardinalityStats s = db.cardinality();
+  EXPECT_EQ(s.nodes, 3u);
+  EXPECT_EQ(s.edges, 3u);
+  EXPECT_EQ(s.label_count("Class"), 1u);
+  EXPECT_EQ(s.label_count("Method"), 2u);
+  EXPECT_EQ(s.label_count("Nope"), 0u);
+  EXPECT_EQ(s.type_count("HAS"), 2u);
+  EXPECT_EQ(s.type_count("CALL"), 1u);
+  // Name-ascending, so the layout is deterministic.
+  ASSERT_EQ(s.labels.size(), 2u);
+  EXPECT_EQ(s.labels[0].first, "Class");
+  ASSERT_EQ(s.edge_types.size(), 2u);
+  EXPECT_EQ(s.edge_types[0].first, "CALL");
 }
 
 TEST(Value, ToStringForms) {
@@ -160,23 +146,11 @@ TEST(Serialize, RoundTripPreservesGraph) {
   const GraphDb& g2 = loaded.value();
   EXPECT_EQ(g2.node_count(), 2u);
   EXPECT_EQ(g2.edge_count(), 1u);
-  auto hits = g2.find_nodes("Class", "NAME", Value{std::string("A")});
+  FrozenGraph fg = freeze(g2);
+  auto hits = fg.find_nodes("Class", "NAME", Value{std::string("A")});
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_TRUE(g2.node(hits[0]).prop_bool("FLAG"));
-}
-
-TEST(Serialize, TombstonesAreCompactedAway) {
-  GraphDb db;
-  NodeId a = db.add_node("X");
-  NodeId b = db.add_node("X");
-  NodeId c = db.add_node("X");
-  db.add_edge(a, b, "E");
-  db.add_edge(b, c, "E");
-  db.remove_node(b);
-  auto loaded = deserialize(serialize(db));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().node_count(), 2u);
-  EXPECT_EQ(loaded.value().edge_count(), 0u);
+  EXPECT_TRUE(fg.node_prop_bool(hits[0], "FLAG"));
+  EXPECT_TRUE(std::ranges::equal(fg.frame(), freeze(db).frame()));
 }
 
 TEST(Serialize, CorruptInputRejected) {
@@ -194,18 +168,21 @@ TEST(Serialize, CorruptInputRejected) {
 TEST(Serialize, FileRoundTrip) {
   GraphDb db;
   db.add_node("X", {{"K", Value{std::int64_t{1}}}});
-  auto path = std::filesystem::temp_directory_path() / "tabby_graph_test.tgdb";
-  ASSERT_TRUE(save(db, path).ok());
-  auto loaded = load(path);
-  ASSERT_TRUE(loaded.ok());
+  FrozenGraph fg = freeze(db);
+  auto path = std::filesystem::temp_directory_path() / "tabby_graph_test.tfzn";
+  ASSERT_TRUE(fg.save(path).ok());
+  auto loaded = FrozenGraph::map_file(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
   EXPECT_EQ(loaded.value().node_count(), 1u);
+  EXPECT_EQ(loaded.value().node_prop_int(0, "K"), 1);
+  EXPECT_TRUE(std::ranges::equal(loaded.value().frame(), fg.frame()));
   std::filesystem::remove(path);
 }
 
 // --- Traversal --------------------------------------------------------------
 
 /// Builds a small DAG: 0 -> 1 -> 3, 0 -> 2 -> 3, 3 -> 4.
-GraphDb diamond() {
+FrozenGraph diamond() {
   GraphDb db;
   for (int i = 0; i < 5; ++i) db.add_node("N");
   db.add_edge(0, 1, "E");
@@ -213,22 +190,24 @@ GraphDb diamond() {
   db.add_edge(1, 3, "E");
   db.add_edge(2, 3, "E");
   db.add_edge(3, 4, "E");
-  return db;
+  return freeze(db);
 }
 
+/// Out-edges in insertion order (every test graph here has one edge type).
 Traverser<int>::ExpandFn forward_expand() {
-  return [](const GraphDb& db, const Path& path, const int& state) {
+  return [](const FrozenGraph& db, const Path& path, const int& state) {
     std::vector<Step<int>> steps;
-    for (EdgeId e : db.out_edges(path.end())) {
-      steps.push_back(Step<int>{e, db.edge(e).to, state + 1});
+    AdjacencyView out = db.out_edges_view(path.end());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      steps.push_back(Step<int>{out.edge[i], out.nbr[i], state + 1});
     }
     return steps;
   };
 }
 
 TEST(Traversal, FindsAllPathsToTarget) {
-  GraphDb db = diamond();
-  auto evaluate = [](const GraphDb&, const Path& path, const int&) {
+  FrozenGraph db = diamond();
+  auto evaluate = [](const FrozenGraph&, const Path& path, const int&) {
     if (path.end() == 4) return Evaluation::IncludeAndPrune;
     return Evaluation::ExcludeAndContinue;
   };
@@ -242,8 +221,8 @@ TEST(Traversal, FindsAllPathsToTarget) {
 }
 
 TEST(Traversal, NodeGlobalUniquenessLosesOnePath) {
-  GraphDb db = diamond();
-  auto evaluate = [](const GraphDb&, const Path& path, const int&) {
+  FrozenGraph db = diamond();
+  auto evaluate = [](const FrozenGraph&, const Path& path, const int&) {
     if (path.end() == 4) return Evaluation::IncludeAndPrune;
     return Evaluation::ExcludeAndContinue;
   };
@@ -254,12 +233,13 @@ TEST(Traversal, NodeGlobalUniquenessLosesOnePath) {
 }
 
 TEST(Traversal, NodePathUniquenessBreaksCycles) {
-  GraphDb db;
-  db.add_node("N");
-  db.add_node("N");
-  db.add_edge(0, 1, "E");
-  db.add_edge(1, 0, "E");  // cycle
-  auto evaluate = [](const GraphDb&, const Path&, const int&) {
+  GraphDb cyclic;
+  cyclic.add_node("N");
+  cyclic.add_node("N");
+  cyclic.add_edge(0, 1, "E");
+  cyclic.add_edge(1, 0, "E");  // cycle
+  FrozenGraph db = freeze(cyclic);
+  auto evaluate = [](const FrozenGraph&, const Path&, const int&) {
     return Evaluation::ExcludeAndContinue;
   };
   Traverser<int> t(db, forward_expand(), evaluate, Uniqueness::NodePath);
@@ -268,8 +248,8 @@ TEST(Traversal, NodePathUniquenessBreaksCycles) {
 }
 
 TEST(Traversal, MaxResultsStopsEarly) {
-  GraphDb db = diamond();
-  auto evaluate = [](const GraphDb&, const Path& path, const int&) {
+  FrozenGraph db = diamond();
+  auto evaluate = [](const FrozenGraph&, const Path& path, const int&) {
     if (path.end() == 4) return Evaluation::IncludeAndPrune;
     return Evaluation::ExcludeAndContinue;
   };
@@ -280,8 +260,8 @@ TEST(Traversal, MaxResultsStopsEarly) {
 }
 
 TEST(Traversal, ExpansionBudgetReportsExhaustion) {
-  GraphDb db = diamond();
-  auto evaluate = [](const GraphDb&, const Path&, const int&) {
+  FrozenGraph db = diamond();
+  auto evaluate = [](const FrozenGraph&, const Path&, const int&) {
     return Evaluation::ExcludeAndContinue;
   };
   TraversalLimits limits;
@@ -293,8 +273,8 @@ TEST(Traversal, ExpansionBudgetReportsExhaustion) {
 }
 
 TEST(Traversal, EvaluatorCanIncludeAndContinue) {
-  GraphDb db = diamond();
-  auto evaluate = [](const GraphDb&, const Path&, const int&) {
+  FrozenGraph db = diamond();
+  auto evaluate = [](const FrozenGraph&, const Path&, const int&) {
     return Evaluation::IncludeAndContinue;  // every prefix path included
   };
   Traverser<int> t(db, forward_expand(), evaluate);
@@ -304,14 +284,15 @@ TEST(Traversal, EvaluatorCanIncludeAndContinue) {
 }
 
 TEST(Traversal, StressRandomGraphTerminates) {
-  GraphDb db;
+  GraphDb random;
   util::Rng rng(42);
   constexpr int kNodes = 200;
-  for (int i = 0; i < kNodes; ++i) db.add_node("N");
+  for (int i = 0; i < kNodes; ++i) random.add_node("N");
   for (int i = 0; i < 800; ++i) {
-    db.add_edge(rng.next_below(kNodes), rng.next_below(kNodes), "E");
+    random.add_edge(rng.next_below(kNodes), rng.next_below(kNodes), "E");
   }
-  auto evaluate = [](const GraphDb&, const Path& path, const int&) {
+  FrozenGraph db = freeze(random);
+  auto evaluate = [](const FrozenGraph&, const Path& path, const int&) {
     if (path.length() >= 4) return Evaluation::ExcludeAndPrune;
     return Evaluation::ExcludeAndContinue;
   };
@@ -331,14 +312,14 @@ TEST(Traversal, StressRandomGraphTerminates) {
 using Hash = std::uint64_t;
 
 /// Seeded random multigraph with self-loops, parallel edges and cycles.
-GraphDb random_digraph(std::uint64_t seed) {
+FrozenGraph random_digraph(std::uint64_t seed) {
   util::Rng rng(seed);
   GraphDb db;
   std::size_t n = 4 + rng.next_below(12);
   for (std::size_t i = 0; i < n; ++i) db.add_node("N");
   std::size_t m = n * (1 + rng.next_below(3));
   for (std::size_t i = 0; i < m; ++i) db.add_edge(rng.next_below(n), rng.next_below(n), "E");
-  return db;
+  return freeze(db);
 }
 
 Hash path_hash(const Path& path) {
@@ -353,17 +334,19 @@ constexpr std::size_t kReferenceDepth = 6;
 /// Both callbacks read the whole path, so a wrongly rewound path changes the
 /// steps, the verdicts and the threaded states.
 Traverser<Hash>::ExpandFn hashing_expand() {
-  return [](const GraphDb& db, const Path& path, const Hash& state) {
+  return [](const FrozenGraph& db, const Path& path, const Hash& state) {
     std::vector<Step<Hash>> steps;
-    for (EdgeId e : db.out_edges(path.end())) {
+    AdjacencyView out = db.out_edges_view(path.end());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EdgeId e = out.edge[i];
       if ((path_hash(path) + e) % 7 == 0) continue;
-      steps.push_back(Step<Hash>{e, db.edge(e).to, state * 31 + e + path.length()});
+      steps.push_back(Step<Hash>{e, out.nbr[i], state * 31 + e + path.length()});
     }
     return steps;
   };
 }
 
-Evaluation hashing_evaluate(const GraphDb&, const Path& path, const Hash& state) {
+Evaluation hashing_evaluate(const FrozenGraph&, const Path& path, const Hash& state) {
   Hash h = path_hash(path) ^ state;
   if (path.length() >= kReferenceDepth) {
     return h % 2 == 0 ? Evaluation::IncludeAndPrune : Evaluation::ExcludeAndPrune;
@@ -377,7 +360,7 @@ Evaluation hashing_evaluate(const GraphDb&, const Path& path, const Hash& state)
 }
 
 struct ReferenceDfs {
-  const GraphDb& db;
+  const FrozenGraph& db;
   Uniqueness uniqueness;
   std::vector<TraversalResult<Hash>> results;
   std::vector<std::size_t> found_after;  // expansions taken before each result
@@ -420,11 +403,11 @@ void expect_same_results(const std::vector<TraversalResult<Hash>>& got,
 TEST(Traversal, MatchesRecursiveReferenceOnRandomGraphs) {
   std::size_t compared = 0, continued = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    GraphDb db = random_digraph(seed);
+    FrozenGraph db = random_digraph(seed);
     for (Uniqueness uniqueness : {Uniqueness::NodePath, Uniqueness::NodeGlobal, Uniqueness::None}) {
       std::string label = "seed " + std::to_string(seed) + ", uniqueness " +
                           std::to_string(static_cast<int>(uniqueness));
-      ReferenceDfs ref{db, uniqueness, {}, {}, 0, std::vector<bool>(db.node_capacity(), false)};
+      ReferenceDfs ref{db, uniqueness, {}, {}, 0, std::vector<bool>(db.node_count(), false)};
       Path root;
       root.nodes.push_back(0);
       ref.visit(root, seed);

@@ -14,7 +14,7 @@
 
 #include "corpus/components.hpp"
 #include "cpg/builder.hpp"
-#include "graph/serialize.hpp"
+#include "graph/frozen.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/engine.hpp"
 #include "support/freeze.hpp"
@@ -64,10 +64,14 @@ ExecContext with_policy(FailurePolicy policy) {
   return ctx;
 }
 
-OpenOptions with_graph_bytes() {
-  OpenOptions opts;
-  opts.need_graph_bytes = true;
-  return opts;
+/// True when two opens froze the same graph: equal frames once the content
+/// key (header bytes 16..24) and the checksum that covers it are set aside.
+bool same_graph(const graph::FrozenGraph& a, const graph::FrozenGraph& b) {
+  auto fa = a.frame(), fb = b.frame();
+  constexpr std::size_t kKeyEnd = 24, kSum = graph::kFrozenChecksumSize;
+  return fa.size() == fb.size() && std::ranges::equal(fa.first(16), fb.first(16)) &&
+         std::ranges::equal(fa.subspan(kKeyEnd, fa.size() - kKeyEnd - kSum),
+                            fb.subspan(kKeyEnd, fb.size() - kKeyEnd - kSum));
 }
 
 TEST(Pipeline, LoadProgramReportsTheOffendingPath) {
@@ -103,21 +107,22 @@ TEST_F(PipelineFixture, ColdRunBuildsACpg) {
   EXPECT_GT(outcome.stats.class_nodes, 0u);
   EXPECT_GT(outcome.stats.sink_methods, 0u);
   EXPECT_TRUE(outcome.cache_line.empty());
-  EXPECT_TRUE(outcome.graph_bytes.empty());  // not requested
   EXPECT_FALSE(outcome.program.has_value());
 }
 
 TEST_F(PipelineFixture, GraphBytesAreTheExactStoreSerialization) {
-  auto result = open_once({jar_path_}, {}, {}, with_graph_bytes());
+  // An uncached open freezes under the classpath key too, so the frame
+  // (what `analyze --store` writes) is the same bytes with or without a
+  // cache.
+  auto result = open_once({jar_path_});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
+  const std::uint64_t key = result.value()->fingerprint();
+  EXPECT_NE(key, 0u);
+  EXPECT_EQ(out(result).frozen.content_key(), key);
   auto program = load_program(read_classpath({jar_path_}), /*with_jdk=*/true);
   ASSERT_TRUE(program.ok());
-  EXPECT_EQ(out(result).graph_bytes, graph::serialize(cpg::build_cpg(program.value()).db));
-  // The frame every reader queries is the freeze of exactly those bytes.
-  auto decoded = graph::deserialize(out(result).graph_bytes);
-  ASSERT_TRUE(decoded.ok());
-  graph::FrozenGraph refrozen = tabby::testing::freeze(decoded.value());
-  EXPECT_TRUE(std::ranges::equal(refrozen.frame(), out(result).frozen.frame()));
+  graph::FrozenGraph expected = tabby::testing::freeze(cpg::build_cpg(program.value()).db, key);
+  EXPECT_TRUE(std::ranges::equal(expected.frame(), out(result).frozen.frame()));
 }
 
 TEST_F(PipelineFixture, FailedFreezeIsFatalUnderBothPolicies) {
@@ -144,30 +149,21 @@ TEST_F(PipelineFixture, NeedProgramKeepsTheLinkedProgram) {
 }
 
 TEST_F(PipelineFixture, WarmRunIsByteIdenticalToCold) {
-  auto cold = open_once({jar_path_}, cached(path("cache")), {}, with_graph_bytes());
+  auto uncached = open_once({jar_path_});
+  ASSERT_TRUE(uncached.ok()) << uncached.error().to_string();
+  auto cold = open_once({jar_path_}, cached(path("cache")));
   ASSERT_TRUE(cold.ok()) << cold.error().to_string();
   EXPECT_FALSE(out(cold).warm);
   EXPECT_NE(out(cold).cache_line.find("snapshot miss"), std::string::npos);
-  ASSERT_FALSE(out(cold).graph_bytes.empty());
 
-  auto warm = open_once({jar_path_}, cached(path("cache")), {}, with_graph_bytes());
+  auto warm = open_once({jar_path_}, cached(path("cache")));
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
   EXPECT_TRUE(out(warm).warm);
   EXPECT_NE(out(warm).cache_line.find("snapshot hit"), std::string::npos);
-  EXPECT_EQ(out(cold).graph_bytes, out(warm).graph_bytes);
   EXPECT_TRUE(std::ranges::equal(out(cold).frozen.frame(), out(warm).frozen.frame()));
+  EXPECT_TRUE(std::ranges::equal(out(uncached).frozen.frame(), out(cold).frozen.frame()));
   EXPECT_EQ(out(cold).stats.class_nodes, out(warm).stats.class_nodes);
   EXPECT_EQ(out(cold).stats.relationship_edges, out(warm).stats.relationship_edges);
-}
-
-TEST_F(PipelineFixture, CacheRunsKeepStoreBytesOnlyWhenAsked) {
-  for (int run_index = 0; run_index < 2; ++run_index) {  // cold, then warm
-    auto result = open_once({jar_path_}, cached(path("cache")));
-    ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(out(result).warm, run_index == 1);
-    EXPECT_TRUE(out(result).graph_bytes.empty());
-    EXPECT_GT(out(result).frozen.node_count(), 0u);
-  }
 }
 
 TEST_F(PipelineFixture, WarmRunWithNeedProgramStillLinks) {
@@ -187,11 +183,13 @@ TEST_F(PipelineFixture, InMemoryOverloadMatchesTheArchivePath) {
   ASSERT_TRUE(program.ok());
 
   Engine engine;
-  auto from_program = engine.open(program.value(), {}, with_graph_bytes());
+  auto from_program = engine.open(program.value());
   ASSERT_TRUE(from_program.ok());
-  auto from_archives = engine.open({jar_path_}, {}, with_graph_bytes());
+  auto from_archives = engine.open({jar_path_}, {});
   ASSERT_TRUE(from_archives.ok());
-  EXPECT_EQ(out(from_program).graph_bytes, out(from_archives).graph_bytes);
+  // A program has no classpath key: its frame is unbound, the graph the same.
+  EXPECT_EQ(out(from_program).frozen.content_key(), 0u);
+  EXPECT_TRUE(same_graph(out(from_program).frozen, out(from_archives).frozen));
 }
 
 TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {
@@ -204,11 +202,11 @@ TEST_F(PipelineFixture, MakePoolHonorsTheSerialContract) {
 TEST_F(PipelineFixture, ParallelRunMatchesSerialByteForByte) {
   EngineOptions parallel;
   parallel.jobs = 4;
-  auto a = open_once({jar_path_}, {}, {}, with_graph_bytes());
-  auto b = open_once({jar_path_}, parallel, {}, with_graph_bytes());
+  auto a = open_once({jar_path_});
+  auto b = open_once({jar_path_}, parallel);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(out(a).graph_bytes, out(b).graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(out(a).frozen.frame(), out(b).frozen.frame()));
 }
 
 TEST(Pipeline, DegradationReportRendersOneLinePerUnit) {
@@ -275,12 +273,12 @@ TEST_F(PipelineFixture, CancelTokenReadsAsAnExpiredDeadline) {
 TEST_F(PipelineFixture, GenerousDeadlineLeavesOutputByteIdentical) {
   ExecContext bounded = with_policy(FailurePolicy::kQuarantine);
   bounded.deadline = util::Deadline::after(std::chrono::hours{1});
-  auto a = open_once({jar_path_}, {}, {}, with_graph_bytes());
-  auto b = open_once({jar_path_}, {}, bounded, with_graph_bytes());
+  auto a = open_once({jar_path_});
+  auto b = open_once({jar_path_}, {}, bounded);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_FALSE(out(b).degradation.degraded());
-  EXPECT_EQ(out(a).graph_bytes, out(b).graph_bytes);
+  EXPECT_TRUE(std::ranges::equal(out(a).frozen.frame(), out(b).frozen.frame()));
 }
 
 /// Runs a parallel_for in index order and raises `token` just before index
@@ -326,6 +324,8 @@ TEST_F(PipelineFixture, StrictFailsOnALoadBudgetThatExpiresMidLoad) {
       ASSERT_EQ(report.units.size(), 1u);
       EXPECT_EQ(report.units[0].stage, "deadline");
       EXPECT_EQ(report.units[0].unit, second);
+      // The read already had the archive; only its decode was skipped.
+      EXPECT_EQ(report.units[0].error, "deadline exceeded before decoding " + second);
     }
   }
 }

@@ -53,50 +53,48 @@ TEST_P(ComponentProperty, TextualRoundTrip) {
 
 TEST_P(ComponentProperty, CpgStructuralInvariants) {
   corpus::Component component = corpus::build_component(GetParam());
-  cpg::Cpg cpg = cpg::build_cpg(component.link());
-  const graph::GraphDb& db = cpg.db;
+  graph::FrozenGraph db = tabby::testing::freeze(cpg::build_cpg(component.link()).db);
 
-  db.for_each_edge([&](const graph::Edge& e) {
-    const graph::Node& from = db.node(e.from);
-    const graph::Node& to = db.node(e.to);
-    if (e.type == cpg::kHasEdge) {
-      EXPECT_EQ(from.label, cpg::kClassLabel);
-      EXPECT_EQ(to.label, cpg::kMethodLabel);
+  for (graph::EdgeId e = 0; e < db.edge_count(); ++e) {
+    graph::NodeId from = db.edge_from(e);
+    graph::NodeId to = db.edge_to(e);
+    std::string_view type = db.edge_type_name(db.edge_type(e));
+    if (type == cpg::kHasEdge) {
+      EXPECT_EQ(db.label(from), cpg::kClassLabel);
+      EXPECT_EQ(db.label(to), cpg::kMethodLabel);
       // The method's CLASSNAME is its owning class's NAME.
-      EXPECT_EQ(to.prop_string(std::string(cpg::kPropClassName)),
-                from.prop_string(std::string(cpg::kPropName)));
-    } else if (e.type == cpg::kExtendEdge || e.type == cpg::kInterfaceEdge) {
-      EXPECT_EQ(from.label, cpg::kClassLabel);
-      EXPECT_EQ(to.label, cpg::kClassLabel);
-    } else if (e.type == cpg::kCallEdge) {
-      EXPECT_EQ(from.label, cpg::kMethodLabel);
-      EXPECT_EQ(to.label, cpg::kMethodLabel);
+      EXPECT_EQ(db.node_prop_string(to, cpg::kPropClassName),
+                db.node_prop_string(from, cpg::kPropName));
+    } else if (type == cpg::kExtendEdge || type == cpg::kInterfaceEdge) {
+      EXPECT_EQ(db.label(from), cpg::kClassLabel);
+      EXPECT_EQ(db.label(to), cpg::kClassLabel);
+    } else if (type == cpg::kCallEdge) {
+      EXPECT_EQ(db.label(from), cpg::kMethodLabel);
+      EXPECT_EQ(db.label(to), cpg::kMethodLabel);
       // Every surviving CALL edge has a PP with at least one controllable
       // position (the PCG pruning invariant).
-      const auto* pp = std::get_if<std::vector<std::int64_t>>(
-          e.prop(std::string(cpg::kPropPollutedPosition)));
-      ASSERT_NE(pp, nullptr);
-      EXPECT_FALSE(pp->empty());
+      auto pp = db.edge_prop(e, cpg::kPropPollutedPosition);
+      ASSERT_TRUE(pp.has_value());
+      const auto* weights = std::get_if<std::vector<std::int64_t>>(&*pp);
+      ASSERT_NE(weights, nullptr);
+      EXPECT_FALSE(weights->empty());
       bool any_controllable = false;
-      for (std::int64_t w : *pp) any_controllable |= analysis::is_controllable(w);
+      for (std::int64_t w : *weights) any_controllable |= analysis::is_controllable(w);
       EXPECT_TRUE(any_controllable);
-    } else if (e.type == cpg::kAliasEdge) {
+    } else if (type == cpg::kAliasEdge) {
       // ALIAS links methods with identical name and arity.
-      EXPECT_EQ(from.prop_string(std::string(cpg::kPropName)),
-                to.prop_string(std::string(cpg::kPropName)));
-      EXPECT_EQ(from.prop_int(std::string(cpg::kPropParamCount)),
-                to.prop_int(std::string(cpg::kPropParamCount)));
+      EXPECT_EQ(db.node_prop_string(from, cpg::kPropName), db.node_prop_string(to, cpg::kPropName));
+      EXPECT_EQ(db.node_prop_int(from, cpg::kPropParamCount),
+                db.node_prop_int(to, cpg::kPropParamCount));
     }
-  });
+  }
 
   // Every source node sits in a serializable class.
-  for (graph::NodeId id : db.find_nodes(std::string(cpg::kMethodLabel),
-                                        std::string(cpg::kPropIsSource), graph::Value{true})) {
-    std::string owner = db.node(id).prop_string(std::string(cpg::kPropClassName));
-    auto classes = db.find_nodes(std::string(cpg::kClassLabel), std::string(cpg::kPropName),
-                                 graph::Value{owner});
+  for (graph::NodeId id : db.find_nodes(cpg::kMethodLabel, cpg::kPropIsSource, graph::Value{true})) {
+    std::string owner(db.node_prop_string(id, cpg::kPropClassName));
+    auto classes = db.find_nodes(cpg::kClassLabel, cpg::kPropName, graph::Value{owner});
     ASSERT_EQ(classes.size(), 1u);
-    EXPECT_TRUE(db.node(classes[0]).prop_bool(std::string(cpg::kPropSerializable))) << owner;
+    EXPECT_TRUE(db.node_prop_bool(classes[0], cpg::kPropSerializable)) << owner;
   }
 }
 

@@ -3,14 +3,17 @@
 // truncation at any offset, a flipped byte anywhere, a wrong magic, a
 // version skew, a pre-versioning store, a zero-length file — must surface as
 // a util::Result error with a useful message, and must never crash, leak or
-// read out of bounds (this suite runs under the CI sanitizer job).
+// read out of bounds (this suite runs under the CI sanitizer job). The file
+// cases load the frame `analyze --store` writes (graph/frozen).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "corpus/components.hpp"
 #include "cpg/builder.hpp"
+#include "graph/frozen.hpp"
 #include "graph/serialize.hpp"
 #include "util/bytes.hpp"
 
@@ -167,21 +170,22 @@ TEST(SerializeRobustness, LoadRejectsMissingEmptyAndGarbageFiles) {
   fs::path dir = fs::temp_directory_path() / ("tabby_ser_robust_" + std::to_string(::getpid()));
   fs::create_directories(dir);
 
-  auto missing = load(dir / "does_not_exist.tgdb");
+  auto missing = FrozenGraph::map_file(dir / "does_not_exist.tfzn");
   EXPECT_FALSE(missing.ok());
 
   {
-    std::ofstream empty(dir / "empty.tgdb", std::ios::binary);
+    std::ofstream empty(dir / "empty.tfzn", std::ios::binary);
   }
-  auto empty = load(dir / "empty.tgdb");
+  auto empty = FrozenGraph::map_file(dir / "empty.tfzn");
   ASSERT_FALSE(empty.ok());
   EXPECT_NE(empty.error().to_string().find("truncated"), std::string::npos);
 
   {
-    std::ofstream text(dir / "garbage.tgdb", std::ios::binary);
-    text << "this is not a graph store, just some text that is long enough";
+    // Longer than a frame's fixed header, so the magic is what rejects it.
+    std::ofstream text(dir / "garbage.tfzn", std::ios::binary);
+    for (int i = 0; i < 32; ++i) text << "this is not a frozen graph, just some text. ";
   }
-  auto garbage = load(dir / "garbage.tgdb");
+  auto garbage = FrozenGraph::map_file(dir / "garbage.tfzn");
   ASSERT_FALSE(garbage.ok());
   EXPECT_NE(garbage.error().to_string().find("magic"), std::string::npos);
 
@@ -192,10 +196,12 @@ TEST(SerializeRobustness, SaveLoadRoundTripsThroughDisk) {
   fs::path dir = fs::temp_directory_path() / ("tabby_ser_disk_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   GraphDb db = tiny_graph();
-  ASSERT_TRUE(save(db, dir / "ok.tgdb").ok());
-  auto loaded = load(dir / "ok.tgdb");
+  auto frozen = FrozenGraph::freeze(db);
+  ASSERT_TRUE(frozen.ok()) << frozen.error().to_string();
+  ASSERT_TRUE(frozen.value().save(dir / "ok.tfzn").ok());
+  auto loaded = FrozenGraph::map_file(dir / "ok.tfzn");
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
-  EXPECT_EQ(serialize(loaded.value()), serialize(db));
+  EXPECT_TRUE(std::ranges::equal(loaded.value().frame(), frozen.value().frame()));
   fs::remove_all(dir);
 }
 

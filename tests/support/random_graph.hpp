@@ -1,9 +1,6 @@
 // Shared randomized-graph generator for tests. Seeded and fully
 // deterministic: the same seed always yields the same graph, so a failing
-// differential case reproduces from its printed seed alone. Produces graphs
-// with tombstones (removed nodes/edges), the part of the id space most worth
-// fuzzing — the frozen snapshot renumbers across them and the query planner
-// must never resurrect them.
+// differential case reproduces from its printed seed alone.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +12,9 @@
 
 namespace tabby::testsupport {
 
-/// Randomized graph with tombstones: 24-71 nodes over four labels, ~3 edges
-/// per node over four types, a mix of every property encoding, then ~1/8 of
-/// edges and ~1/10 of nodes removed (with their incident edges).
+/// Randomized graph: 24-71 nodes over four labels, 3 edges per node over
+/// four types (self-loops and parallel edges included), and a mix of every
+/// property encoding.
 inline graph::GraphDb random_graph(std::uint64_t seed) {
   util::Rng rng(seed);
   graph::GraphDb db;
@@ -58,19 +55,16 @@ inline graph::GraphDb random_graph(std::uint64_t seed) {
   }
   std::size_t m = n * 3;
   for (std::size_t i = 0; i < m; ++i) {
-    auto e = db.add_edge(ids[rng.next_below(ids.size())], ids[rng.next_below(ids.size())],
-                         types[rng.next_below(4)]);
+    graph::NodeId from = ids[rng.next_below(ids.size())];
+    graph::NodeId to = ids[rng.next_below(ids.size())];
+    const char* type = types[rng.next_below(4)];
+    graph::PropertyMap props;
     if (rng.next_below(3) == 0)
-      db.set_edge_prop(e, "POLLUTED_POSITION",
-                       graph::Value{std::vector<std::int64_t>{std::int64_t(rng.next_below(4))}});
-    if (rng.next_below(4) == 0)
-      db.set_edge_prop(e, "W", graph::Value{std::int64_t(rng.next_below(10))});
+      props["POLLUTED_POSITION"] =
+          graph::Value{std::vector<std::int64_t>{std::int64_t(rng.next_below(4))}};
+    if (rng.next_below(4) == 0) props["W"] = graph::Value{std::int64_t(rng.next_below(10))};
+    db.add_edge(from, to, type, std::move(props));
   }
-  // Tombstones: ~1/8 of edges and ~1/10 of nodes (with their incident edges).
-  for (std::size_t i = 0; i < db.edge_capacity(); ++i)
-    if (db.edge_alive(i) && rng.next_below(8) == 0) db.remove_edge(i);
-  for (std::size_t i = 0; i < db.node_capacity(); ++i)
-    if (db.node_alive(i) && rng.next_below(10) == 0) db.remove_node(i);
   return db;
 }
 
