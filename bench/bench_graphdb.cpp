@@ -211,7 +211,8 @@ void BM_Freeze(benchmark::State& state) {
 BENCHMARK(BM_Freeze);
 
 void BM_GraphDeserialize(benchmark::State& state) {
-  // Warm-start decode cost, store path: what load_snapshot(key) pays.
+  // Store decode cost: what load_snapshot(key) pays. No warm start takes
+  // this path any more; it is the baseline BM_FrozenAttach replaced.
   graph::GraphDb db = finder_shaped_graph(4000, 32000);
   std::vector<std::byte> bytes = graph::serialize(db);
   for (auto _ : state) {

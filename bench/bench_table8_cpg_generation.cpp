@@ -9,16 +9,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <vector>
 
-#include "cache/cache.hpp"
 #include "corpus/components.hpp"
-#include "corpus/jdk.hpp"
 #include "corpus/noise.hpp"
 #include "cpg/builder.hpp"
 #include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/engine.hpp"
-#include "util/digest.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -116,11 +114,12 @@ int main() {
   std::printf("hardware threads available: %u\n", util::ThreadPool::default_jobs());
 
   // Incremental-cache sweep: the full ysoserial component classpath (every
-  // Table IX model behind one simulated JDK), analyzed cold (decode + link +
-  // controllability + CPG build + snapshot publish) and then warm (content
-  // digests + snapshot load + index rebuild). The differential test suite
-  // proves both paths produce byte-identical exports; this measures what
-  // *not doing the work* is worth. Acceptance bar: warm >= 5x faster.
+  // Table IX model behind one simulated JDK), opened cold (decode + link +
+  // controllability + CPG build + frame publish) and then warm (content
+  // digests + frame mmap), each by a fresh engine against the cache
+  // directory — what `tabby analyze --cache` runs. The differential test
+  // suite proves both paths produce byte-identical frames; this measures
+  // what *not doing the work* is worth. Acceptance bar: warm >= 5x faster.
   std::printf("\nIncremental cache — cold vs warm analyze, ysoserial classpath (median of 3)\n");
   namespace fs = std::filesystem;
   fs::path work = fs::temp_directory_path() / "tabby_bench_cache";
@@ -135,95 +134,56 @@ int main() {
     jar_files.push_back(file);
   }
 
-  cpg::CpgOptions cache_options;
-  std::uint64_t options_fp = cpg::options_fingerprint(cache_options);
-  std::uint64_t jdk_digest = util::fnv1a(jar::write_archive(corpus::jdk_base_archive()));
-
   std::vector<std::string> jar_paths(jar_files.begin(), jar_files.end());
-  auto run_cold = [&] {
+  struct CachedOpen {
+    cpg::CpgStats stats;
+    bool warm = false;
+  };
+  auto open_cached = [&] {
     pipeline::EngineOptions options;
     options.cache_dir = (work / "cache").string();
     pipeline::Engine engine(options);
-    return engine.open(jar_paths, {}).value()->outcome().stats;
-  };
-  auto run_warm = [&](cache::AnalysisCache& cache) {
-    std::vector<std::uint64_t> digests{jdk_digest};
-    for (const fs::path& file : jar_files) {
-      digests.push_back(cache::AnalysisCache::digest_file(file).value());
-    }
-    std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
-    auto snapshot = cache.load_snapshot(key);
-    return snapshot->stats;
-  };
-  // The frozen warm start: mmap the CSR frame, verify the snapshot header +
-  // embedded store checksum, and skip the node/edge decode entirely (the
-  // frame ships sorted typed segments ready to query).
-  volatile std::size_t frozen_nodes = 0;  // keep the mmap'd graph observable
-  auto run_warm_frozen = [&](cache::AnalysisCache& cache) {
-    std::vector<std::uint64_t> digests{jdk_digest};
-    for (const fs::path& file : jar_files) {
-      digests.push_back(cache::AnalysisCache::digest_file(file).value());
-    }
-    std::uint64_t key = cache::AnalysisCache::snapshot_key(options_fp, digests);
-    auto frozen = cache.load_frozen(key);
-    auto snapshot = cache.load_snapshot(key, /*need_db=*/!frozen.has_value());
-    frozen_nodes = frozen.has_value() ? static_cast<std::size_t>(frozen->node_count()) : 0;
-    return snapshot->stats;
+    pipeline::AnalysisPtr analysis = engine.open(jar_paths, {}).value();
+    return CachedOpen{analysis->outcome().stats, analysis->outcome().warm};
   };
 
   // Colds first (each against an empty cache), then warms against the
   // populated cache. Interleaving would tax every warm run with the cold
   // run's heap churn — a cost no real warm invocation pays, since cold and
   // warm CLI runs are separate processes.
-  double cold_times[3], warm_times[3], frozen_times[3];
-  cpg::CpgStats cold_stats, warm_stats, frozen_stats;
+  double cold_times[3], warm_times[3];
+  CachedOpen cold, warm;
   for (double& t : cold_times) {
     fs::remove_all(work / "cache");
     util::Stopwatch cold_watch;
-    cold_stats = run_cold();
+    cold = open_cached();
     t = cold_watch.elapsed_seconds();
   }
   for (double& t : warm_times) {
-    auto cache = cache::AnalysisCache::open(work / "cache");
     util::Stopwatch warm_watch;
-    warm_stats = run_warm(cache.value());
+    warm = open_cached();
     t = warm_watch.elapsed_seconds();
-  }
-  for (double& t : frozen_times) {
-    auto cache = cache::AnalysisCache::open(work / "cache");
-    util::Stopwatch frozen_watch;
-    frozen_stats = run_warm_frozen(cache.value());
-    t = frozen_watch.elapsed_seconds();
   }
   std::sort(std::begin(cold_times), std::end(cold_times));
   std::sort(std::begin(warm_times), std::end(warm_times));
-  std::sort(std::begin(frozen_times), std::end(frozen_times));
   double cold_median = cold_times[1];
   double warm_median = warm_times[1];
-  double frozen_median = frozen_times[1];
   double cache_speedup = warm_median > 0.0 ? cold_median / warm_median : 0.0;
-  double frozen_speedup = frozen_median > 0.0 ? cold_median / frozen_median : 0.0;
 
   util::Table cache_table({"Path", "Time(s)", "Speedup", "What runs"});
   cache_table.add_row({"cold", util::format_double(cold_median, 4), "1.00x",
-                       "decode + link + analysis + CPG + snapshot publish"});
+                       "decode + link + analysis + CPG + frame publish"});
   cache_table.add_row({"warm", util::format_double(warm_median, 4),
                        util::format_double(cache_speedup, 2) + "x",
-                       "digest + snapshot load + graph decode"});
-  cache_table.add_row({"warm+frozen", util::format_double(frozen_median, 4),
-                       util::format_double(frozen_speedup, 2) + "x",
-                       "digest + frame mmap + store verify (no graph decode)"});
+                       "digest + frame mmap (no decode, no build)"});
   std::printf("%s\n", cache_table.render().c_str());
   std::printf("classpath: %zu jars, %zu classes, %zu methods; warm/cold stats identical: %s\n",
-              jar_files.size() + 1, cold_stats.class_nodes, cold_stats.method_nodes,
-              (cold_stats.class_nodes == warm_stats.class_nodes &&
-               cold_stats.relationship_edges == warm_stats.relationship_edges &&
-               frozen_stats.class_nodes == warm_stats.class_nodes && frozen_nodes > 0)
+              jar_files.size() + 1, cold.stats.class_nodes, cold.stats.method_nodes,
+              (!cold.warm && warm.warm &&
+               cpg::build_counts(cold.stats) == cpg::build_counts(warm.stats))
                   ? "yes"
                   : "NO — cache bug");
   std::printf("acceptance (>=5x warm speedup): %s\n", cache_speedup >= 5.0 ? "PASS" : "FAIL");
-  std::printf("acceptance (frozen warm start beats the store decode): %s\n",
-              frozen_median <= warm_median ? "PASS" : "FAIL");
 
   // Resident engine vs one-shot: the session API (pipeline::Engine, the
   // machinery behind `tabby serve`). The one-shot path pays load + link +
@@ -294,7 +254,10 @@ int main() {
   // load per span / counter), and the whole 50-row CPG build with the tracer
   // disabled vs enabled. Acceptance bar: disabled-vs-enabled build delta
   // <= 2% (the disabled build *is* the shipping configuration).
-  std::printf("\nTracer overhead — disabled fast path and full-build delta (median of 3)\n");
+  constexpr int kTracerPairs = 9;
+  constexpr double kTracerBoundPct = 2.0;
+  std::printf("\nTracer overhead — disabled fast path and full-build delta (medians of %d)\n",
+              kTracerPairs);
   {
     constexpr int kProbe = 10'000'000;
     util::Stopwatch probe;
@@ -311,34 +274,50 @@ int main() {
     cpg::Cpg cpg = cpg::build_cpg(sweep_program);
     return watch.elapsed_seconds();
   };
-  // Interleave disabled/enabled runs (after a warm-up) so allocator and
-  // cache state drift hits both sides equally.
+  // Alternate disabled/enabled runs (after a warm-up) so allocator and
+  // cache state drift hits both sides equally. Each enable() clears the
+  // buffers, so the spans are counted after every enabled build.
   (void)one_build();
-  double disabled_times[3], enabled_times[3];
-  for (int i = 0; i < 3; ++i) {
+  std::vector<double> disabled_times, enabled_times;
+  std::size_t spans_recorded = 0;
+  for (int i = 0; i < kTracerPairs; ++i) {
     obs::Tracer::instance().disable();
-    disabled_times[i] = one_build();
+    disabled_times.push_back(one_build());
     obs::Tracer::instance().enable();
-    enabled_times[i] = one_build();
+    enabled_times.push_back(one_build());
+    spans_recorded += obs::Tracer::instance().flush().spans.size();
   }
-  obs::TraceReport trace = obs::Tracer::instance().flush();
   obs::Tracer::instance().disable();
-  std::sort(std::begin(disabled_times), std::end(disabled_times));
-  std::sort(std::begin(enabled_times), std::end(enabled_times));
-  double disabled_median = disabled_times[1];
-  double enabled_median = enabled_times[1];
+  std::sort(disabled_times.begin(), disabled_times.end());
+  std::sort(enabled_times.begin(), enabled_times.end());
+  // Quartile k of n sorted runs (n - 1 divisible by 4, so no interpolation).
+  auto quartile = [](const std::vector<double>& sorted, std::size_t k) {
+    return sorted[(sorted.size() - 1) * k / 4];
+  };
+  double disabled_median = quartile(disabled_times, 2);
+  double enabled_median = quartile(enabled_times, 2);
   double overhead_pct =
       disabled_median > 0.0 ? (enabled_median / disabled_median - 1.0) * 100.0 : 0.0;
+  // The disabled runs alone spread this much; a delta inside that noise
+  // cannot show the bound held or broke.
+  double spread_pct =
+      disabled_median > 0.0
+          ? (quartile(disabled_times, 3) - quartile(disabled_times, 1)) / disabled_median * 100.0
+          : 0.0;
 
   util::Table tracer_table({"Tracer", "Time(s)", "Overhead", "Spans recorded"});
   tracer_table.add_row({"disabled", util::format_double(disabled_median, 3), "baseline", "0"});
   tracer_table.add_row({"enabled", util::format_double(enabled_median, 3),
                         util::format_double(overhead_pct, 1) + "%",
-                        std::to_string(trace.spans.size())});
+                        std::to_string(spans_recorded)});
   std::printf("%s\n", tracer_table.render().c_str());
+  const char* verdict = spread_pct > kTracerBoundPct ? "UNRESOLVED"
+                        : overhead_pct <= kTracerBoundPct
+                            ? "PASS"
+                            : "NOTE: enabled tracing costs more — expected";
   std::printf("acceptance (<=2%% disabled-config overhead): %s (disabled run is the baseline; "
-              "enabled delta %.1f%%)\n",
-              overhead_pct <= 2.0 ? "PASS" : "NOTE: enabled tracing costs more — expected",
-              overhead_pct);
+              "medians %.3f s disabled, %.3f s enabled, delta %.1f%%; disabled quartile spread "
+              "%.1f%%)\n",
+              verdict, disabled_median, enabled_median, overhead_pct, spread_pct);
   return 0;
 }

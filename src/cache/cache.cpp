@@ -73,8 +73,8 @@ util::Status write_file_atomic_once(const fs::path& path, std::span<const std::b
 /// be observable, so concurrent runs either see a whole entry or none.
 /// Transient IO faults are retried up to 3 attempts total with jittered
 /// backoff (~1ms, ~2ms); a still-failing publish returns the last error,
-/// which every caller downgrades (snapshot and frame: a warning; verdict:
-/// ignored) — cache publication is never a run failure.
+/// which every caller downgrades (frame: a warning; verdict: ignored) —
+/// cache publication is never a run failure.
 util::Status write_file_atomic(const fs::path& path, std::span<const std::byte> bytes) {
   constexpr int kAttempts = 3;
   util::Status status = util::Status::ok_status();
@@ -146,14 +146,7 @@ std::optional<CachedVerdict> decode_verdict_entry(std::span<const std::byte> dat
 }
 
 void write_stats(ByteWriter& out, const cpg::CpgStats& stats) {
-  out.uvarint(stats.class_nodes);
-  out.uvarint(stats.method_nodes);
-  out.uvarint(stats.relationship_edges);
-  out.uvarint(stats.call_edges);
-  out.uvarint(stats.alias_edges);
-  out.uvarint(stats.pruned_call_sites);
-  out.uvarint(stats.source_methods);
-  out.uvarint(stats.sink_methods);
+  for (std::uint64_t count : cpg::build_counts(stats)) out.uvarint(count);
   std::uint64_t bits;
   static_assert(sizeof bits == sizeof stats.build_seconds);
   __builtin_memcpy(&bits, &stats.build_seconds, sizeof bits);
@@ -161,18 +154,15 @@ void write_stats(ByteWriter& out, const cpg::CpgStats& stats) {
 }
 
 std::optional<cpg::CpgStats> read_stats(ByteReader& in) {
-  cpg::CpgStats stats;
-  std::size_t* fields[] = {&stats.class_nodes,       &stats.method_nodes,
-                           &stats.relationship_edges, &stats.call_edges,
-                           &stats.alias_edges,        &stats.pruned_call_sites,
-                           &stats.source_methods,     &stats.sink_methods};
-  for (std::size_t* field : fields) {
+  graph::BuildCounts counts{};
+  for (std::uint64_t& count : counts) {
     auto v = in.uvarint();
     if (!v.ok()) return std::nullopt;
-    *field = static_cast<std::size_t>(v.value());
+    count = v.value();
   }
   auto bits = in.u64();
   if (!bits.ok()) return std::nullopt;
+  cpg::CpgStats stats = cpg::stats_from(counts);
   std::uint64_t raw = bits.value();
   __builtin_memcpy(&stats.build_seconds, &raw, sizeof raw);
   return stats;
@@ -208,9 +198,12 @@ Result<std::uint64_t> AnalysisCache::digest_file(const fs::path& file) {
 
 std::uint64_t AnalysisCache::snapshot_key(std::uint64_t options_fp,
                                           const std::vector<std::uint64_t>& archive_digests) {
+  // The entry is the frame, so its format version is part of the key, and
+  // the tag names the derivation: an entry any other layout or derivation
+  // wrote is never looked up, only a plain miss.
   util::Fnv1a h;
-  h.update("tabby-snapshot-key-v1");
-  h.update_u64(graph::kGraphStoreVersion);
+  h.update("tabby-snapshot-key-v2");
+  h.update_u64(graph::kFrozenVersion);
   h.update_u64(options_fp);
   h.update_u64(archive_digests.size());
   for (std::uint64_t digest : archive_digests) h.update_u64(digest);
@@ -331,9 +324,14 @@ std::optional<graph::FrozenGraph> AnalysisCache::load_frozen(std::uint64_t key,
   obs::Span span("cache.load_frozen");
   if (span.active()) span.attr("key", util::digest_hex(key));
   if (corrupt_reason) corrupt_reason->clear();
+  stats_.snapshot_checked = true;
+  stats_.snapshot_key = key;
+  stats_.snapshot_hit = false;
+  // Every early return below is a miss; count it on the way out so the
+  // hit/miss counters stay in lockstep with stats_.
   struct MissCounter {
     bool hit = false;
-    ~MissCounter() { obs::counter_add(hit ? "cache.frozen_hits" : "cache.frozen_misses"); }
+    ~MissCounter() { obs::counter_add(hit ? "cache.snapshot_hits" : "cache.snapshot_misses"); }
   } outcome;
 
   fs::path path = frozen_path(key);
@@ -349,6 +347,7 @@ std::optional<graph::FrozenGraph> AnalysisCache::load_frozen(std::uint64_t key,
     return std::nullopt;
   }
   span.attr("bytes", static_cast<std::uint64_t>(frozen.value().frame().size()));
+  stats_.snapshot_hit = true;
   outcome.hit = true;
   return std::move(frozen.value());
 }
@@ -361,7 +360,7 @@ util::Status AnalysisCache::store_frozen(std::uint64_t key, const graph::FrozenG
     return util::Error{"frozen frame content key does not match snapshot key " +
                        util::digest_hex(key)};
   }
-  obs::counter_add("cache.frozen_published");
+  obs::counter_add("cache.snapshots_published");
   // Written straight from the frame: a copy would add a frame-sized
   // transient to the open's peak.
   return write_file_atomic(frozen_path(key), frozen.frame());
@@ -400,6 +399,19 @@ std::optional<std::uint64_t> parse_digest_hex(std::string_view text) {
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value, 16);
   if (ec != std::errc{} || ptr != text.data() + text.size()) return std::nullopt;
   return value;
+}
+
+/// Full frame validation mirroring load_frozen: structural attach plus the
+/// content-key binding. Empty when intact, else why not.
+std::string validate_frame(const fs::path& file, std::uint64_t expected_key) {
+  auto bytes = read_file_bytes(file);
+  if (!bytes.ok()) return "unreadable: " + bytes.error().message;
+  auto frozen = graph::FrozenGraph::adopt(std::move(bytes.value()));
+  if (!frozen.ok()) return frozen.error().message;
+  if (frozen.value().content_key() != expected_key) {
+    return "frozen graph: content key does not match file name";
+  }
+  return {};
 }
 
 /// Full snapshot validation mirroring load_snapshot, including deserializing
@@ -505,6 +517,12 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
                                       : "file name is not a cache entry";
   };
 
+  // An entry's state from its validator's verdict: empty = intact.
+  auto judge = [](CacheAuditEntry& entry, std::string why) {
+    entry.state = why.empty() ? CacheAuditEntry::State::Intact : CacheAuditEntry::State::Corrupt;
+    entry.detail = std::move(why);
+  };
+
   // Legacy per-archive fragments (fragments/<digest>.tfrag): nothing reads
   // them any more, so every file an older cache layout left there is an
   // orphan; pruning also drops the emptied directory.
@@ -517,58 +535,39 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
   }
   if (prune) fs::remove(fragments_dir, ec);  // only succeeds once empty
 
-  // Snapshots: .tsnp entries and their .tfzn frozen companions share the
-  // directory. Pass 1 validates every .tsnp (recording which keys are
-  // intact); pass 2 judges .tfzn frames, whose verdict depends on that map —
-  // the hot path only trusts a frozen frame next to an intact snapshot, so a
-  // companion-less .tfzn is an orphan even when structurally perfect.
+  // Snapshots: a classpath's entry is its frame, <key>.tfzn, judged on its
+  // own. A .tsnp (the store snapshot an older layout published next to
+  // each frame) is intact only next to an intact frame of its key, and an
+  // orphan otherwise. Pass 1 judges every frame, recording the intact keys;
+  // pass 2 judges every file against them.
   std::vector<fs::path> snapshot_files = list_files(snapshots_dir);
-  std::map<fs::path, std::string> tsnp_reason;  // path -> "" (intact) or why
+  std::map<fs::path, std::string> frame_reason;  // path -> "" (intact) or why
   std::set<std::uint64_t> intact_keys;
   for (const fs::path& file : snapshot_files) {
-    if (file.extension() != ".tsnp") continue;
+    if (file.extension() != ".tfzn") continue;
     auto id = parse_digest_hex(file.stem().string());
     if (!id) continue;  // judged an orphan in the main loop below
-    auto bytes = read_file_bytes(file);
-    std::string why = bytes.ok() ? validate_snapshot(std::span<const std::byte>(bytes.value()), *id)
-                                 : "unreadable: " + bytes.error().message;
+    std::string why = validate_frame(file, *id);
     if (why.empty()) intact_keys.insert(*id);
-    tsnp_reason.emplace(file, std::move(why));
+    frame_reason.emplace(file, std::move(why));
   }
   for (const fs::path& file : snapshot_files) {
     CacheAuditEntry entry = make_entry(file);
     std::optional<std::uint64_t> id = parse_digest_hex(file.stem().string());
-    if (id && file.extension() == ".tsnp") {
-      entry.kind = CacheAuditEntry::Kind::Snapshot;
-      ++report.snapshots_checked;
-      const std::string& why = tsnp_reason.at(file);
-      if (why.empty()) {
-        entry.state = CacheAuditEntry::State::Intact;
-      } else {
-        entry.state = CacheAuditEntry::State::Corrupt;
-        entry.detail = why;
-      }
-    } else if (id && file.extension() == ".tfzn") {
+    if (id && file.extension() == ".tfzn") {
       entry.kind = CacheAuditEntry::Kind::FrozenSnapshot;
       ++report.frozen_checked;
-      auto bytes = read_file_bytes(file);
-      std::string why;
-      if (!bytes.ok()) {
-        why = "unreadable: " + bytes.error().message;
-      } else if (auto frozen = graph::FrozenGraph::from_bytes(bytes.value()); !frozen.ok()) {
-        why = frozen.error().message;
-      } else if (frozen.value().content_key() != *id) {
-        why = "frozen graph: content key does not match file name";
-      }
-      if (!why.empty()) {
-        entry.state = CacheAuditEntry::State::Corrupt;
-        entry.detail = std::move(why);
-      } else if (!intact_keys.count(*id)) {
-        entry.state = CacheAuditEntry::State::Orphaned;
-        entry.detail =
-            "no intact companion snapshot (" + util::digest_hex(*id) + ".tsnp)";
+      judge(entry, frame_reason.at(file));
+    } else if (id && file.extension() == ".tsnp") {
+      entry.kind = CacheAuditEntry::Kind::Snapshot;
+      ++report.snapshots_checked;
+      if (intact_keys.count(*id)) {
+        auto bytes = read_file_bytes(file);
+        judge(entry, bytes.ok() ? validate_snapshot(std::span<const std::byte>(bytes.value()), *id)
+                                : "unreadable: " + bytes.error().message);
       } else {
-        entry.state = CacheAuditEntry::State::Intact;
+        entry.state = CacheAuditEntry::State::Orphaned;
+        entry.detail = "no intact frame (" + util::digest_hex(*id) + ".tfzn)";
       }
     } else {
       entry.kind = CacheAuditEntry::Kind::Orphan;
@@ -599,12 +598,7 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
       } else if (!decode_verdict_entry(std::span<const std::byte>(bytes.value()), *id)) {
         why = "bad verdict frame (checksum, structure or key mismatch)";
       }
-      if (why.empty()) {
-        entry.state = CacheAuditEntry::State::Intact;
-      } else {
-        entry.state = CacheAuditEntry::State::Corrupt;
-        entry.detail = std::move(why);
-      }
+      judge(entry, std::move(why));
     }
     finalize(std::move(entry));
   }

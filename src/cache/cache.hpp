@@ -1,31 +1,22 @@
 // Incremental analysis cache (the ROADMAP's "not doing the work at all"
 // multiplier). Real deployments re-scan near-identical classpaths; the
 // paper's Neo4j store exists precisely so a graph built once can be
-// re-queried. This module persists three kinds of artifacts under a cache
+// re-queried. This module persists two kinds of artifacts under a cache
 // directory, all keyed by content digests (util/digest.hpp):
 //
-//   snapshots/<key>.tsnp       whole-classpath CPG snapshot: CpgStats plus
-//                              the graph::serialize (version-2, checksummed)
-//                              bytes. Keyed by snapshot_key(): the
-//                              cpg::options_fingerprint folded with the
-//                              digest of every archive's raw bytes in
-//                              classpath order (order matters — the linker's
-//                              first-wins rule). A changed archive changes
-//                              the key, so the next run rebuilds the whole
-//                              classpath.
-//   snapshots/<key>.tfzn       frozen CSR companion: a raw graph::FrozenGraph
-//                              frame (see docs/GRAPH.md) whose embedded
-//                              content key is the snapshot key. Purely an
-//                              accelerator for the sibling .tsnp — a warm
-//                              run mmaps it zero-copy and skips the store
-//                              decode entirely. A .tfzn without an intact
-//                              sibling .tsnp is an orphan: the cache never
-//                              reads it (the .tsnp is the source of truth
-//                              the audit and warm store paths trust).
-//                              Frames carry an optional planner-stats section
-//                              (docs/GRAPH.md); the pipeline treats a
-//                              stats-less frame as a miss and republishes an
-//                              upgraded one from the decoded store.
+//   snapshots/<key>.tfzn       a classpath's whole cache entry: the frozen
+//                              graph::FrozenGraph frame (docs/GRAPH.md) whose
+//                              embedded content key is <key>. Besides the
+//                              graph it carries the planner's cardinality
+//                              stats and the CPG's build counts, so a warm
+//                              run mmaps it zero-copy and needs nothing else.
+//                              Keyed by snapshot_key(): the
+//                              cpg::options_fingerprint folded with the frame
+//                              format version and the digest of every
+//                              archive's raw bytes in classpath order (order
+//                              matters — the linker's first-wins rule). A
+//                              changed archive changes the key, so the next
+//                              run rebuilds the whole classpath.
 //   verdicts/<key>.tvdt        one chain-verification verdict (the `--verify`
 //                              post-pass, docs/ROBUSTNESS.md "Runtime
 //                              re-validation"): warm verify runs skip
@@ -35,7 +26,11 @@
 //
 // Archives themselves are not cached: a TJAR archive already is the lifted
 // form the analysis reads, and decoding one costs no more than loading a
-// cached copy would.
+// cached copy would. No product path writes or reads a store snapshot
+// (snapshots/<key>.tsnp: CpgStats plus a graph::serialize blob);
+// store_snapshot and load_snapshot serve the per-layer benchmark harness
+// (perfbench/), and the audit keeps a .tsnp only next to an intact frame of
+// its key.
 //
 // Invalidation is purely structural: there are no timestamps and no
 // in-place updates. A changed input or option produces a different key and
@@ -43,9 +38,8 @@
 // truncated or version-skewed cache entries are detected via the same
 // magic/version/checksum discipline as the graph store and are treated as
 // misses (the cache self-heals by recomputing and overwriting), never as
-// errors and never as data. A verdict carries a whole-entry checksum; a
-// snapshot checksums only its header and lets the embedded graph store's
-// own checksum cover the blob, so the warm path hashes the megabytes once.
+// errors and never as data. A frame and a verdict each carry a whole-entry
+// checksum.
 #pragma once
 
 #include <chrono>
@@ -90,9 +84,9 @@ struct CachedVerdict {
   std::string detail;
 };
 
-/// A warm-started CPG: the cold run's stats plus the deserialized graph.
-/// When load_snapshot() was asked to skip the decode (`need_db = false`),
-/// `db` is empty.
+/// A store snapshot read back: its stats plus the deserialized graph. When
+/// load_snapshot() was asked to skip the decode (`need_db = false`), `db` is
+/// empty.
 struct CachedCpg {
   cpg::CpgStats stats;
   graph::GraphDb db;
@@ -113,32 +107,34 @@ class AnalysisCache {
   static std::uint64_t snapshot_key(std::uint64_t options_fp,
                                     const std::vector<std::uint64_t>& archive_digests);
 
-  /// Warm-start lookup. nullopt on miss (absent, corrupt, truncated or
-  /// version-skewed snapshot). Updates stats(). With `need_db = false` the
-  /// embedded graph store is NOT deserialized (a frozen warm start already
-  /// has the graph); its trailing checksum is still verified so a corrupt
-  /// blob stays a miss either way.
+  /// Store-snapshot lookup (snapshots/<key>.tsnp). No product path calls
+  /// it; the per-layer benchmark harness does. nullopt on miss (absent,
+  /// corrupt, truncated or version-skewed snapshot). Updates stats(). With
+  /// `need_db = false` the embedded graph store is NOT deserialized; its
+  /// trailing checksum is still verified so a corrupt blob stays a miss
+  /// either way.
   std::optional<CachedCpg> load_snapshot(std::uint64_t key, bool need_db = true);
 
-  /// Persists a snapshot: `store` must be graph::serialize(db) of the CPG
-  /// the stats describe. Written atomically: each publish writes its own
-  /// temp file and renames it over the entry, so concurrent publishes of one
-  /// key never expose a torn file to a reader.
+  /// Persists a store snapshot: `store` must be graph::serialize(db) of the
+  /// CPG the stats describe. No product path calls it. Written atomically:
+  /// each publish writes its own temp file and renames it over the entry, so
+  /// concurrent publishes of one key never expose a torn file to a reader.
   util::Status store_snapshot(std::uint64_t key, const cpg::CpgStats& stats,
                               const std::vector<std::byte>& store);
 
-  /// Frozen warm-start lookup: mmaps snapshots/<key>.tfzn (zero-copy) and
-  /// validates the whole frame plus the embedded content key. nullopt on any
-  /// miss; when the file exists but fails validation, `corrupt_reason` (if
-  /// non-null) receives the structural reason — the caller's cue to emit a
-  /// degradation warning before falling back to the store decode. Absent
-  /// files leave it empty. Counters: cache.frozen_hits / cache.frozen_misses.
+  /// Warm-start lookup: mmaps snapshots/<key>.tfzn (zero-copy) and
+  /// validates the whole frame plus the embedded content key. Updates
+  /// stats(). nullopt on any miss; when the file exists but fails validation
+  /// (corrupt, truncated or version-skewed), `corrupt_reason` (if non-null)
+  /// receives the structural reason — the caller's cue to emit a degradation
+  /// warning before it rebuilds. Absent files leave it empty. Counters:
+  /// cache.snapshot_hits / cache.snapshot_misses.
   std::optional<graph::FrozenGraph> load_frozen(std::uint64_t key,
                                                 std::string* corrupt_reason = nullptr);
 
-  /// Publishes a frozen frame next to its snapshot. `frozen` must have been
-  /// built with content key == `key` (enforced; a mismatch is an error, not
-  /// a silent bad entry). Written atomically like every other cache file.
+  /// Publishes a classpath's entry, its frame. `frozen` must have been built
+  /// with content key == `key` (enforced; a mismatch is an error, not a
+  /// silent bad entry). Written atomically like every other cache file.
   util::Status store_frozen(std::uint64_t key, const graph::FrozenGraph& frozen);
 
   /// Verdict warm-start lookup: verdicts/<key>.tvdt. nullopt on miss
@@ -153,9 +149,9 @@ class AnalysisCache {
   CacheStats& stats() { return stats_; }
   const std::filesystem::path& dir() const { return dir_; }
 
-  /// Optional byte ledger for the transient snapshot file buffers (the
-  /// multi-megabyte read/assemble spans in load_snapshot/store_snapshot).
-  /// Telemetry only; never consulted for decisions. Borrowed, may be null.
+  /// Optional byte ledger for mapped frames and the transient store-snapshot
+  /// file buffers. Telemetry only; never consulted for decisions. Borrowed,
+  /// may be null.
   void set_memory(util::MemoryBudget* memory) { memory_ = memory; }
 
  private:
@@ -175,15 +171,15 @@ class AnalysisCache {
 // Lazy self-healing only repairs entries a run happens to touch; a cache
 // directory accumulates corrupt and orphaned files it never reads again.
 // audit_cache() walks the whole directory eagerly, re-validating every entry
-// with the exact discipline the hot path applies (header checksum +
-// embedded graph store deserialization for snapshots; full structural
-// attach + content-key binding for frozen frames; frame checksum + key
-// binding for verdicts) and flagging what the hot path would treat as a
-// miss — plus files the cache would never consult at all (orphans: stray
-// names, leftover .tmp files from interrupted publishes, frozen frames
-// whose sibling .tsnp is missing or corrupt — the hot path only trusts a
-// .tfzn alongside an intact snapshot — and every file under the fragments/
-// directory an older cache layout kept per archive).
+// with the exact discipline the hot path applies (full structural attach +
+// content-key binding for frames; frame checksum + key binding for
+// verdicts) and flagging what the hot path would treat as a miss — plus
+// files the cache would never consult at all (orphans: stray names,
+// leftover .tmp files from interrupted publishes, a .tsnp store snapshot
+// without an intact frame of its key, and every file under the fragments/
+// directory an older cache layout kept per archive). A .tsnp next to an
+// intact frame is validated like load_snapshot would (header checksum +
+// embedded graph store deserialization).
 
 /// One file examined by audit_cache(), in deterministic (sorted) walk order.
 struct CacheAuditEntry {

@@ -270,13 +270,12 @@ int usage(std::ostream& err) {
          "                hang on one chain demotes that chain to UNCONFIRMED\n"
          "                instead of killing the run. Verdicts are\n"
          "                byte-identical at any N.\n"
-         "  --cache DIR   incremental analysis cache: whole-classpath CPG\n"
-         "                snapshots, their frozen CSR graphs (docs/GRAPH.md)\n"
-         "                and --verify verdicts, keyed by content digests. A\n"
-         "                warm run on an unchanged classpath maps the frozen\n"
-         "                graph zero-copy, skips recomputation and produces\n"
-         "                identical output; a corrupt cached graph is rebuilt\n"
-         "                from the snapshot.\n"
+         "  --cache DIR   incremental analysis cache: one frozen CSR graph per\n"
+         "                classpath (docs/GRAPH.md) and the --verify verdicts,\n"
+         "                keyed by content digests. A warm run on an unchanged\n"
+         "                classpath maps the frozen graph zero-copy, skips\n"
+         "                recomputation and produces identical output; a\n"
+         "                corrupt cached graph is rebuilt from the classpath.\n"
          "  --trace FILE  write a Chrome trace-event JSON of the run (open in\n"
          "                chrome://tracing or https://ui.perfetto.dev; one track\n"
          "                per worker thread). Does not change any output.\n"
@@ -323,14 +322,24 @@ int usage(std::ostream& err) {
   return 2;
 }
 
-/// True when `path` starts with the graph-store magic: a `.tgdb` store that
-/// `analyze --store` wrote before it wrote frames.
-bool is_graph_store(const fs::path& path) {
+/// What an older `analyze --store` left in `path`, when this build cannot
+/// read it: "a graph store" (a `.tgdb` file, written before `--store` wrote
+/// frames) or "a version-N frozen graph" (an older frame layout). Empty
+/// otherwise.
+std::string older_store_kind(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
-  std::array<std::byte, 4> head{};
+  std::array<std::byte, 6> head{};
   in.read(reinterpret_cast<char*>(head.data()), head.size());
-  auto magic = util::ByteReader(head).u32();
-  return in.gcount() == 4 && magic.ok() && magic.value() == graph::kGraphStoreMagic;
+  util::ByteReader reader(head);
+  auto magic = reader.u32();
+  auto version = reader.u16();
+  if (in.gcount() < 4 || !magic.ok()) return {};
+  if (magic.value() == graph::kGraphStoreMagic) return "a graph store";
+  if (in.gcount() == 6 && magic.value() == graph::kFrozenMagic && version.ok() &&
+      version.value() < graph::kFrozenVersion) {
+    return "a version-" + std::to_string(version.value()) + " frozen graph";
+  }
+  return {};
 }
 
 /// Engine-lifetime configuration from the flag set: the pool, cache and
@@ -476,7 +485,7 @@ int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
       err << "error: " << saved.error().to_string() << "\n";
       return 1;
     }
-    out << "graph store written to " << args.store << "\n";
+    out << "frozen graph written to " << args.store << "\n";
   }
   return degradation_exit(outcome);
 }
@@ -557,9 +566,9 @@ int cmd_query(const Args& args, std::ostream& out, std::ostream& err) {
     std::unique_ptr<util::MemoryBudget> budget = make_budget(args);
     auto frozen = graph::FrozenGraph::map_file(args.store, budget.get());
     if (!frozen.ok()) {
-      if (is_graph_store(args.store)) {
-        err << "error: " << args.store
-            << " is a graph store from an older tabby; `query --store` reads the frame that "
+      if (std::string older = older_store_kind(args.store); !older.empty()) {
+        err << "error: " << args.store << " is " << older
+            << " from an older tabby; `query --store` reads the frame that "
                "`analyze --store` writes now. Regenerate it with `tabby analyze JAR... --store "
             << args.store << "`\n";
       } else {

@@ -50,6 +50,7 @@ class Builder {
     Cpg result;
     collect_stats();
     stats_.build_seconds = watch.elapsed_seconds();
+    db_.set_build_counts(build_counts(stats_));
     result.stats = stats_;
     result.deadline_hit = deadline_hit_;
     result.methods_skipped = methods_skipped_;
@@ -395,6 +396,24 @@ std::uint64_t options_fingerprint(const CpgOptions& options) {
   h.update_u64(options.sources.names().size());
   for (const std::string& name : options.sources.names()) h.update_sized(name);
   return h.digest();
+}
+
+graph::BuildCounts build_counts(const CpgStats& stats) {
+  return {stats.class_nodes,    stats.method_nodes, stats.relationship_edges,
+          stats.call_edges,     stats.alias_edges,  stats.pruned_call_sites,
+          stats.source_methods, stats.sink_methods};
+}
+
+CpgStats stats_from(const graph::BuildCounts& counts) {
+  CpgStats stats;
+  std::size_t* fields[] = {&stats.class_nodes,       &stats.method_nodes,
+                           &stats.relationship_edges, &stats.call_edges,
+                           &stats.alias_edges,        &stats.pruned_call_sites,
+                           &stats.source_methods,     &stats.sink_methods};
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    *fields[i] = static_cast<std::size_t>(counts[i]);
+  }
+  return stats;
 }
 
 Cpg build_cpg(const jir::Program& program, const CpgOptions& options) {

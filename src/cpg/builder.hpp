@@ -73,12 +73,21 @@ struct CpgStats {
   double build_seconds = 0.0;
 };
 
+/// The eight integer counts of `stats`, in field order, as the frozen frame
+/// carries them. build_seconds is left out: two builds of one classpath
+/// must freeze to the same bytes.
+graph::BuildCounts build_counts(const CpgStats& stats);
+/// The inverse, for a frame read back from the cache: build_seconds is 0,
+/// because nothing was built.
+CpgStats stats_from(const graph::BuildCounts& counts);
+
 struct Cpg {
+  /// The built graph; its build_counts() are `stats`' (see build_counts).
   graph::GraphDb db;
   CpgStats stats;
-  /// Degradation markers, deliberately outside CpgStats (which is serialized
-  /// into cache snapshots — a degraded build is never published, so these
-  /// never need to round-trip).
+  /// Degradation markers, deliberately outside CpgStats (whose counts the
+  /// frozen frame carries into the cache — a degraded build is never
+  /// published, so these never need to round-trip).
   bool deadline_hit = false;       // CpgOptions::deadline expired mid-build
   std::size_t methods_skipped = 0; // methods left unsummarised by the cut
 };

@@ -529,12 +529,6 @@ std::string result_to_string(const QueryResult& result, const FrozenGraph& db) {
 
 // --- Entry point -------------------------------------------------------------
 
-StatsView make_stats_view(const FrozenGraph& db) {
-  const auto& stats = db.stats();
-  return StatsView{db.node_count(), db.edge_count(),
-                   stats.has_value() ? &stats.value() : nullptr};
-}
-
 util::Result<QueryResult> run_query_impl(const FrozenGraph& db, std::string_view query_text,
                                          const QueryOptions& options) {
   // Fault seam for the chaos harness: evaluation faults surface as the
@@ -555,7 +549,7 @@ util::Result<QueryResult> run_query_impl(const FrozenGraph& db, std::string_view
       plan.reason = "failpoint: injected planner failure, fell back to naive evaluation";
       obs::counter_add("cypher.plan.fallback");
     } else {
-      plan = plan_query(query.value(), make_stats_view(db));
+      plan = plan_query(query.value(), db.stats());
       filters = build_filters(db, query.value(), plan, options);
       obs::counter_add(plan.mode == Plan::Mode::Planned ? "cypher.plan.planned"
                                                         : "cypher.plan.naive");

@@ -42,9 +42,8 @@ std::uint64_t shrink(std::uint64_t est, std::uint64_t divisor) {
 
 }  // namespace
 
-Plan plan_query(const Query& query, const StatsView& stats) {
+Plan plan_query(const Query& query, const graph::CardinalityStats& stats) {
   Plan plan;
-  plan.used_stats = stats.exact();
   const auto& nodes = query.pattern.nodes;
 
   // --- Empty proofs from WHERE shape -----------------------------------
@@ -80,8 +79,8 @@ Plan plan_query(const Query& query, const StatsView& stats) {
   plan.estimates.reserve(nodes.size());
   for (std::size_t j = 0; j < nodes.size(); ++j) {
     std::uint64_t est =
-        nodes[j].label.empty() ? stats.total_nodes : stats.label_count(nodes[j].label);
-    if (stats.exact() && !nodes[j].label.empty() && est == 0 && !plan.always_empty) {
+        nodes[j].label.empty() ? stats.nodes : stats.label_count(nodes[j].label);
+    if (!nodes[j].label.empty() && est == 0 && !plan.always_empty) {
       plan.always_empty = true;
       plan.empty_reason = "no node carries label '" + nodes[j].label + "'";
     }
@@ -133,9 +132,7 @@ std::string Plan::to_string(const Query& query) const {
     out += "\n  reason: " + reason + "\n";
     return out;
   }
-  out += "\n  stats: ";
-  out += used_stats ? "exact" : "fallback";
-  out += " (" + std::to_string(estimates.size()) + " pattern node(s))\n";
+  out += "\n  stats: exact (" + std::to_string(estimates.size()) + " pattern node(s))\n";
   out += "  estimates:";
   for (std::size_t j = 0; j < estimates.size() && j < nodes.size(); ++j) {
     out += " n" + std::to_string(j);

@@ -5,8 +5,8 @@
 // *pruning* — the enumeration order never changes, subtrees are skipped only
 // when they provably contribute zero rows.
 //
-//   - start estimates: per-pattern-node candidate counts from the stats
-//     (exact when a stats section is present, fallback defaults otherwise);
+//   - start estimates: per-pattern-node candidate counts from the exact
+//     label cardinalities every frozen frame carries;
 //   - anchor / direction reversal: when a later pattern node is clearly
 //     cheaper than the start, execution first computes backward reachability
 //     filters from that anchor (exact per-level walk sets over reversed
@@ -33,27 +33,6 @@
 
 namespace tabby::cypher {
 
-/// Planner's read-only view of graph statistics. `stats` is null when the
-/// carrier (an old frozen frame) predates the stats section — estimates then
-/// fall back to deterministic defaults so plans stay reproducible.
-struct StatsView {
-  std::uint64_t total_nodes = 0;
-  std::uint64_t total_edges = 0;
-  const graph::CardinalityStats* stats = nullptr;
-
-  bool exact() const { return stats != nullptr; }
-  /// Candidate count for a labeled node: exact when stats are present (0 is
-  /// a proof of emptiness), total/8+1 otherwise.
-  std::uint64_t label_count(std::string_view label) const {
-    if (stats != nullptr) return stats->label_count(label);
-    return total_nodes / 8 + 1;
-  }
-  std::uint64_t type_count(std::string_view type) const {
-    if (stats != nullptr) return stats->type_count(type);
-    return total_edges / 8 + 1;
-  }
-};
-
 /// When the query's LIMIT is at or under this, the naive evaluator's early
 /// exit is assumed to beat a whole-graph backward prepass.
 inline constexpr std::size_t kPlanLimitSkipThreshold = 8;
@@ -63,7 +42,6 @@ struct Plan {
 
   Mode mode = Mode::Naive;
   std::string reason;  // set when mode == Naive: why planning declined
-  bool used_stats = false;
 
   /// The result is provably empty; execution emits the header only.
   bool always_empty = false;
@@ -92,6 +70,8 @@ struct Plan {
   std::string to_string(const Query& query) const;
 };
 
-Plan plan_query(const Query& query, const StatsView& stats);
+/// Plans `query` against the graph's exact cardinalities: a label the stats
+/// count 0 proves the query empty.
+Plan plan_query(const Query& query, const graph::CardinalityStats& stats);
 
 }  // namespace tabby::cypher

@@ -33,13 +33,8 @@ namespace {
 using util::Error;
 using util::Result;
 
-// The directory is sized by the declared section count (16 stats-less, 17
-// with stats); the minimum uses the smaller of the two.
-constexpr std::size_t dir_size(std::size_t section_count) {
-  return section_count * kFrozenDirEntrySize;
-}
-constexpr std::size_t kMinFrameSize =
-    kFrozenHeaderSize + dir_size(kFrozenSectionCount) + kFrozenChecksumSize;
+constexpr std::size_t kDirSize = kFrozenSectionCount * kFrozenDirEntrySize;
+constexpr std::size_t kMinFrameSize = kFrozenHeaderSize + kDirSize + kFrozenChecksumSize;
 
 std::uint64_t align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
 
@@ -303,13 +298,12 @@ std::string_view FrozenColumn::mixed_string(std::uint64_t i) const {
 // --- Freeze -----------------------------------------------------------------
 
 util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t content_key,
-                                              util::MemoryBudget* memory, bool with_stats) {
+                                              util::MemoryBudget* memory) {
   if (util::failpoint::poll("graph.freeze")) {
     return Error{"failpoint: injected graph freeze failure", 0};
   }
 
-  // Ids are dense, so the frame keeps the builder's ids (and a freeze of a
-  // deserialized store reproduces the original freeze bit-exactly).
+  // Ids are dense, so the frame keeps the builder's ids.
   const std::vector<Node>& nodes = db.nodes();
   const std::vector<Edge>& edges = db.edges();
   const std::uint64_t n = nodes.size();
@@ -391,11 +385,9 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   w.u64(content_key);
   w.u64(n);
   w.u64(m);
-  const std::size_t section_count =
-      with_stats ? kFrozenSectionCountWithStats : kFrozenSectionCount;
-  w.u64(section_count);
+  w.u64(kFrozenSectionCount);
   const std::size_t dir_at = w.size();
-  w.zeros(dir_size(section_count));
+  w.zeros(kDirSize);
 
   std::uint32_t next_id = 0;
   std::size_t section_start = 0;
@@ -466,7 +458,7 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   raw_section(etype.data(), etype.size() * sizeof(std::uint16_t));      // 14
   prop_sections(node_cols, n);                                          // 15
   prop_sections(edge_cols, m);                                          // 16
-  if (with_stats) {                                                     // 17
+  {                                                                     // 17
     util::ByteWriter stats;
     encode_stats(stats, db.cardinality());
     std::vector<std::byte> stats_payload = stats.take();
@@ -475,6 +467,8 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     w.raw(stats_payload.data(), stats_payload.size());
     end_section();
   }
+  const BuildCounts& counts = db.build_counts();
+  raw_section(counts.data(), counts.size() * sizeof(std::uint64_t));    // 18
 
   w.patch_u64(8, w.size() + kFrozenChecksumSize);
   w.u64(util::fnv1a(std::span<const std::byte>(w.buf)));
@@ -527,11 +521,8 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
   std::uint64_t n = rd_u64(frame, 24);
   std::uint64_t m = rd_u64(frame, 32);
   std::uint64_t section_count = rd_u64(frame, 40);
-  if (section_count != kFrozenSectionCount && section_count != kFrozenSectionCountWithStats) {
+  if (section_count != kFrozenSectionCount) {
     return frozen_err("bad section count " + std::to_string(section_count), 40);
-  }
-  if (frame.size() < kFrozenHeaderSize + dir_size(section_count) + kFrozenChecksumSize) {
-    return frozen_err("truncated: frame too small for its section directory", 40);
   }
   if (n > UINT32_MAX || m > UINT32_MAX) {
     return frozen_err("node/edge count exceeds the dense 32-bit id space", 24);
@@ -545,10 +536,10 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
     std::uint64_t off = 0;
     std::uint64_t len = 0;
   };
-  std::vector<Section> sections(section_count);
+  std::vector<Section> sections(kFrozenSectionCount);
   const std::uint64_t body_end = frame.size() - kFrozenChecksumSize;
-  std::uint64_t prev_end = kFrozenHeaderSize + dir_size(section_count);
-  for (std::size_t i = 0; i < section_count; ++i) {
+  std::uint64_t prev_end = kFrozenHeaderSize + kDirSize;
+  for (std::size_t i = 0; i < kFrozenSectionCount; ++i) {
     std::size_t entry = kFrozenHeaderSize + i * kFrozenDirEntrySize;
     std::uint32_t id = rd_u32(frame, entry);
     if (id != i + 1) {
@@ -817,8 +808,8 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
     return st.error();
   }
 
-  // --- Cardinality stats (optional section 17) ---
-  if (section_count == kFrozenSectionCountWithStats) {
+  // --- Cardinality stats (section 17) ---
+  {
     const Section& s = sections[kSecStats - 1];
     if (s.len < 8) return frozen_err("stats section truncated", s.off);
     std::uint64_t payload_len = rd_u64(frame, s.off);
@@ -833,6 +824,13 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
       return frozen_err("stats section disagrees with the frame's node/edge counts", s.off);
     }
     g.stats_ = std::move(stats.value());
+  }
+
+  // --- Build counts (section 18) ---
+  {
+    auto counts = span_u64(kSecBuildCounts, g.build_counts_.size());
+    if (!counts.ok()) return counts.error();
+    std::copy(counts.value().begin(), counts.value().end(), g.build_counts_.begin());
   }
 
   g.owned_ = std::move(storage);

@@ -20,9 +20,11 @@
 // (same magic/version/length/trailing-checksum discipline as the graph
 // store v2): freeze() *is* the serializer — it builds the frame bytes and
 // attaches views into them, so save() is a plain write and a warm start
-// maps the file and re-attaches zero-copy. Validation is fail-closed: a
+// maps the file and re-attaches zero-copy. The frame is also the whole
+// cache entry of a classpath: besides the graph it carries the planner's
+// cardinality stats and the builder's counts. Validation is fail-closed: a
 // truncated, bit-flipped or version-skewed frame is a structured error,
-// never UB — a cache caller re-freezes from the store decode.
+// never UB — a cache caller rebuilds from the classpath.
 //
 // Memory governance: an owned or mapped frame charges its byte size to the
 // optional MemoryBudget for its lifetime (eviction = destruction = unmap).
@@ -45,26 +47,25 @@ namespace tabby::graph {
 // Frame layout constants (little-endian; see docs/GRAPH.md for the full
 // byte-level tables):
 //   magic        u32  = 0x5A524654 ("TFRZ" on disk)
-//   version      u16  = 1
+//   version      u16  = 2
 //   reserved     u16  = 0
 //   frame length u64  total bytes including the trailing checksum
 //   content key  u64  binds a cache-published frame to its snapshot key
 //                     (0 = unbound standalone frame)
 //   node count   u64
 //   edge count   u64
-//   section cnt  u64  = 16 (stats-less) or 17 (with the cardinality stats)
-//   directory    cnt x { id u32, reserved u32, offset u64, length u64 }
-//   sections     each 8-byte aligned (ids 1..cnt, see kSec* below)
+//   section cnt  u64  = 18
+//   directory    18 x { id u32, reserved u32, offset u64, length u64 }
+//   sections     each 8-byte aligned (ids 1..18, see kSec* below)
 //   checksum     u64  FNV-1a64 over every byte before it
-// The optional section 17 carries the graph's CardinalityStats for the
-// cypher planner (same payload codec as the store v2 stats block). The
-// version stays 1: frames written before the planner existed declare 16
-// sections and still attach — the planner falls back to defaults.
+// Section 17 carries the graph's CardinalityStats for the cypher planner
+// (same payload codec as the store v2 stats block); section 18 the
+// producer's BuildCounts. Version-1 frames (16 or 17 sections, no build
+// counts) fail attach as version skew.
 inline constexpr std::uint32_t kFrozenMagic = 0x5A524654;
-inline constexpr std::uint16_t kFrozenVersion = 1;
+inline constexpr std::uint16_t kFrozenVersion = 2;
 inline constexpr std::size_t kFrozenHeaderSize = 48;
-inline constexpr std::size_t kFrozenSectionCount = 16;
-inline constexpr std::size_t kFrozenSectionCountWithStats = 17;
+inline constexpr std::size_t kFrozenSectionCount = 18;
 inline constexpr std::size_t kFrozenDirEntrySize = 24;
 inline constexpr std::size_t kFrozenChecksumSize = 8;
 
@@ -85,7 +86,8 @@ inline constexpr std::uint32_t kSecEdgeTo = 13;       // u32[M]
 inline constexpr std::uint32_t kSecEdgeType = 14;     // u16[M]
 inline constexpr std::uint32_t kSecNodeProps = 15;    // column blocks
 inline constexpr std::uint32_t kSecEdgeProps = 16;    // column blocks
-inline constexpr std::uint32_t kSecStats = 17;        // u64 len + stats payload (optional)
+inline constexpr std::uint32_t kSecStats = 17;        // u64 len + stats payload
+inline constexpr std::uint32_t kSecBuildCounts = 18;  // u64[8]
 
 /// Column value encodings inside the property sections. A column is typed
 /// when every present value holds the same scalar alternative; anything else
@@ -185,18 +187,15 @@ class FrozenGraph {
 
   // --- Construction ---------------------------------------------------------
 
-  /// Freezes a GraphDb, keeping its dense node and edge ids (so a freeze of
-  /// a deserialized store equals a freeze of the original). Builds the
+  /// Freezes a GraphDb, keeping its dense node and edge ids. Builds the
   /// serialized frame and attaches views to it — freeze() output always
   /// round-trips save()/map_file().
   /// `content_key` binds the frame to a cache snapshot key (0 = unbound).
-  /// `with_stats` controls the optional cardinality-stats section (off
-  /// reproduces the pre-planner 16-section frame byte-exactly).
+  /// The frame carries db.cardinality() and db.build_counts() too.
   /// Fails when the graph exceeds the dense u32/u16 id spaces, or at the
   /// `graph.freeze` failpoint.
   static util::Result<FrozenGraph> freeze(const GraphDb& db, std::uint64_t content_key = 0,
-                                          util::MemoryBudget* memory = nullptr,
-                                          bool with_stats = true);
+                                          util::MemoryBudget* memory = nullptr);
 
   /// Validates and attaches a frame, copying the bytes into owned storage.
   static util::Result<FrozenGraph> from_bytes(std::span<const std::byte> frame,
@@ -292,12 +291,13 @@ class FrozenGraph {
   std::vector<NodeId> find_nodes(std::string_view label, std::string_view key,
                                  const Value& value) const;
 
-  // --- Planner statistics ---------------------------------------------------
+  // --- Stats ----------------------------------------------------------------
 
-  /// Cardinality stats decoded from the optional section 17; nullopt for
-  /// frames written before the planner existed (the planner then plans
-  /// against fallback defaults).
-  const std::optional<CardinalityStats>& stats() const { return stats_; }
+  /// The cardinality stats the cypher planner reads (section 17).
+  const CardinalityStats& stats() const { return stats_; }
+  /// The producer's build counts, as the frozen GraphDb held them
+  /// (section 18).
+  const BuildCounts& build_counts() const { return build_counts_; }
 
  private:
   struct StringTable {
@@ -372,7 +372,8 @@ class FrozenGraph {
   std::vector<std::pair<std::string_view, FrozenColumn>> node_columns_;
   std::vector<std::pair<std::string_view, FrozenColumn>> edge_columns_;
 
-  std::optional<CardinalityStats> stats_;
+  CardinalityStats stats_;
+  BuildCounts build_counts_{};
 };
 
 }  // namespace tabby::graph

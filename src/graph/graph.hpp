@@ -1,13 +1,15 @@
 // The CPG builder's append-only graph buffer: labeled nodes and typed
 // directed edges with properties, added in the builder's deterministic
 // order and never removed. It has no query API: besides the builder's own
-// counts (cardinality()), its only readers are the encoders that turn it
-// into something queryable, graph::serialize (graph/serialize.hpp) and
-// FrozenGraph::freeze (graph/frozen.hpp). Every query reads the frozen frame.
+// counts (cardinality(), build_counts()), its only readers are the encoders
+// that turn it into something queryable, FrozenGraph::freeze
+// (graph/frozen.hpp) and graph::serialize (graph/serialize.hpp), which no
+// product path calls. Every query reads the frozen frame.
 // Because nothing is removed, ids are dense and the frame's ids are the
 // builder's ids. Single-threaded by design.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -53,6 +55,12 @@ struct CardinalityStats {
   }
 };
 
+/// Counts the graph's producer recorded while building it, carried into the
+/// frozen frame so that a reader of the frame alone can report them. The
+/// CPG builder's are cpg::CpgStats without its wall time, in the order
+/// cpg/builder.hpp fixes; graph/ stores them without interpreting them.
+using BuildCounts = std::array<std::uint64_t, 8>;
+
 class GraphDb {
  public:
   GraphDb() = default;
@@ -86,9 +94,14 @@ class GraphDb {
   /// at every serialize/freeze.
   CardinalityStats cardinality() const;
 
+  /// The producer's build counts, which freeze() writes into the frame.
+  void set_build_counts(const BuildCounts& counts) { build_counts_ = counts; }
+  const BuildCounts& build_counts() const { return build_counts_; }
+
  private:
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
+  BuildCounts build_counts_{};
   std::unordered_map<std::string, std::uint64_t> label_counts_;
   std::unordered_map<std::string, std::uint64_t> type_counts_;
 };

@@ -281,42 +281,28 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       cache->set_memory(budget_.get());
     }
 
-    // Frozen-first warm start: mmap the cached CSR frame when one matches.
-    // The sibling .tsnp stays the source of truth — a frozen hit still
-    // requires it intact (its stats and a verified store), but lets
-    // load_snapshot skip the expensive graph decode. A corrupt frame is a
-    // structured degradation: the store is decoded and re-frozen below as
-    // if no frame existed; a frame without an intact snapshot is an orphan
-    // and is ignored.
-    std::optional<graph::FrozenGraph> warm_frozen;
-    std::optional<cache::CachedCpg> snapshot;
+    // Warm start: the frame is the classpath's whole cache entry. A hit maps
+    // it zero-copy and reports the build counts it carries; nothing is
+    // built, so build_seconds stays 0. A missing frame is a miss; a corrupt
+    // or version-skewed one is a miss with a warning, which the build below
+    // republishes over.
     if (cache.has_value() && key.has_value()) {
       std::string corrupt_reason;
-      auto frozen = cache->load_frozen(*key, &corrupt_reason);
-      if (frozen.has_value() && !frozen->stats().has_value()) {
-        // A frame from before the planner-stats section still attaches, but
-        // queries over it would plan with fallback estimates. Treat it like
-        // a miss: the store path below re-freezes (now with stats) and
-        // republishes, upgrading the cache in place.
-        outcome.warnings.push_back(
-            "cached frozen graph predates cardinality stats (re-freezing to upgrade)");
-        frozen.reset();
-      }
-      if (frozen.has_value()) {
-        warm_frozen = std::move(frozen);
+      if (auto frozen = cache->load_frozen(*key, &corrupt_reason)) {
+        outcome.frozen = std::move(*frozen);
+        outcome.stats = cpg::stats_from(outcome.frozen.build_counts());
+        outcome.warm = true;
       } else if (!corrupt_reason.empty()) {
         outcome.warnings.push_back("cached frozen graph rejected: " + corrupt_reason +
-                                   " (falling back to the graph store)");
+                                   " (rebuilding from the classpath)");
       }
-      snapshot = cache->load_snapshot(*key, /*need_db=*/!warm_frozen.has_value());
-      if (!snapshot.has_value()) warm_frozen.reset();
     }
 
-    if (!snapshot.has_value() || opts.need_program) {
+    if (!outcome.warm || opts.need_program) {
       auto program = load_program(std::move(files), options_.with_jdk, pool_.get(), ctx.policy,
                                   &outcome.degradation, load_deadline);
       if (!program.ok()) return program.error();
-      if (!snapshot.has_value() && deadline.expired()) {
+      if (!outcome.warm && deadline.expired()) {
         // A deadline that fires before the build leaves an empty CPG;
         // freezing it keeps find and query valid on the degraded outcome.
         if (ctx.policy != FailurePolicy::kQuarantine) {
@@ -325,7 +311,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
         outcome.degradation.deadline_hit = true;
         util::Status frozen = freeze(graph::GraphDb{}, /*content_key=*/0, budget_.get(), outcome);
         if (!frozen.ok()) return frozen.error();
-      } else if (!snapshot.has_value()) {
+      } else if (!outcome.warm) {
         cpg::CpgOptions cpg_options;
         cpg_options.executor = pool_.get();
         cpg_options.deadline = deadline;
@@ -341,20 +327,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       } else {
         TABBY_SPAN("pipeline.teardown");
         jir::Program dropped = std::move(program.value());
-      }
-    }
-    if (snapshot.has_value()) {
-      outcome.stats = snapshot->stats;
-      outcome.warm = true;
-      if (warm_frozen.has_value()) {
-        // Frozen warm start: the mmapped frame is the graph; the store
-        // decode was skipped.
-        outcome.frozen = std::move(*warm_frozen);
-      } else {
-        // The frame was absent, stale or corrupt: re-freeze from the
-        // decoded store and republish so the cache self-heals.
-        util::Status frozen = freeze(snapshot->db, *key, budget_.get(), outcome, &*cache);
-        if (!frozen.ok()) return frozen.error();
       }
     }
     if (cache.has_value()) outcome.cache_line = cache->stats().to_line();

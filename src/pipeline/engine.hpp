@@ -264,8 +264,8 @@ class Engine {
   /// Opens (or returns the resident) analysis for a classpath of .tjar
   /// files. Reads every archive exactly once, on the calling thread, and
   /// folds the digests into the classpath's key. A resident hit touches the
-  /// LRU and costs nothing beyond that read. Otherwise a cached snapshot is
-  /// looked up; on a miss, or when the open needs the linked program, the
+  /// LRU and costs nothing beyond that read. Otherwise the classpath's
+  /// cached frame is looked up; on a miss, or when the open needs the linked program, the
   /// archives are decoded and linked from the bytes already read, and on a
   /// miss the CPG is built, frozen and published. The result is then
   /// admitted: under a bounded budget, idle LRU analyses are evicted to make

@@ -4,7 +4,6 @@
 
 #include "corpus/jdk.hpp"
 #include "graph/frozen.hpp"
-#include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
@@ -186,8 +185,7 @@ util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key,
   if (publish_to != nullptr) {
     auto stored = publish_to->store_frozen(content_key, outcome.frozen);
     if (!stored.ok()) {
-      outcome.warnings.push_back(stored.error().to_string() +
-                                 " (continuing without frozen snapshot)");
+      outcome.warnings.push_back(stored.error().to_string() + " (continuing without snapshot)");
     }
   }
   return util::Status::ok_status();
@@ -215,22 +213,8 @@ util::Status build(const jir::Program& program, const cpg::CpgOptions& options,
   if (cache != nullptr && !publish) {
     outcome.warnings.push_back("snapshot not published (degraded run)");
   }
-  bool published = false;
-  if (publish) {
-    std::vector<std::byte> store;
-    {
-      TABBY_SPAN("graph.serialize");
-      store = graph::serialize(cpg.db);
-    }
-    auto stored = cache->store_snapshot(*key, outcome.stats, store);
-    if (stored.ok()) {
-      published = true;
-    } else {
-      outcome.warnings.push_back(stored.error().to_string() + " (continuing without snapshot)");
-    }
-  }
-  util::Status frozen = freeze(cpg.db, key.value_or(0), options.memory, outcome,
-                               published ? cache : nullptr);
+  util::Status frozen =
+      freeze(cpg.db, key.value_or(0), options.memory, outcome, publish ? cache : nullptr);
   if (!frozen.ok()) return frozen;
   {
     // The builder's graph is freed in its own span: on a large classpath

@@ -2,11 +2,11 @@
 // CPG": the read (every archive once, digested for the snapshot key), the
 // load (parallel salvage-decode and link into one jir::Program) and the
 // build (CPG construction, the freeze into the read-only CSR graph and the
-// snapshot publish). pipeline::Engine (pipeline/engine.hpp) is the one
-// front end that sequences them: it keys the classpath from the read,
-// serves resident analyses and cached snapshots, and runs the load and the
-// build only on a miss. The CLI, the examples and the `tabby serve` daemon
-// all go through it.
+// publish of that frame as the classpath's cache entry). pipeline::Engine
+// (pipeline/engine.hpp) is the one front end that sequences them: it keys
+// the classpath from the read, serves resident analyses and cached frames,
+// and runs the load and the build only on a miss. The CLI, the examples
+// and the `tabby serve` daemon all go through it.
 //
 // Errors are structured (util::Result), never pre-formatted text on a
 // stream: callers decide how to render them. Every stage records its own
@@ -95,11 +95,11 @@ struct DegradationReport {
 /// front half.
 ///
 /// The builder's append-only graph::GraphDb never leaves the build: it is
-/// frozen into `frozen` (docs/GRAPH.md), serialized when a cache needs the
-/// snapshot, and dropped. Cached opens publish the frame next to the
-/// snapshot (snapshots/<key>.tfzn); a warm start maps it zero-copy and skips
-/// the graph-store decode. A corrupt cached frame is re-frozen from the store
-/// and republished with a warning; a freeze that fails is an open error.
+/// frozen into `frozen` (docs/GRAPH.md) and dropped. Cached opens publish the
+/// frame as the classpath's cache entry (snapshots/<key>.tfzn); a warm start
+/// maps it zero-copy and reads `stats` from it. A corrupt cached frame is
+/// rebuilt from the classpath and republished with a warning; a freeze that
+/// fails is an open error.
 struct Outcome {
   /// The CPG every reader (finder, Cypher, verify) queries, and the bytes
   /// `analyze --store` writes. Frozen under the classpath's snapshot key
@@ -107,11 +107,13 @@ struct Outcome {
   /// cached or not. Always a valid frame — an empty graph (key 0) when a
   /// deadline cut the open before the build.
   graph::FrozenGraph frozen;
+  /// The build's stats; on a warm start, the counts the frame carries, with
+  /// build_seconds 0.
   cpg::CpgStats stats;
   /// The linked program, when the open asked for it
   /// (OpenOptions::need_program).
   std::optional<jir::Program> program;
-  /// True when the CPG came from a cache snapshot rather than a cold build.
+  /// True when the CPG came from the cache rather than a cold build.
   bool warm = false;
   /// The "cache:" stats line; empty when no cache was used.
   std::string cache_line;
@@ -170,8 +172,8 @@ util::Result<jir::Program> load_program(std::vector<ArchiveRead> files, bool wit
 /// `content_key`. A failed freeze (a graph too large for the dense id space,
 /// an injected graph.freeze fault) leaves nothing to read, so it is an
 /// error. With `publish_to`, the frame is then published under
-/// `content_key`; a failed publish only costs the next open its warm frozen
-/// start and is recorded in outcome.warnings.
+/// `content_key`; a failed publish only costs the next open its warm start
+/// and is recorded in outcome.warnings.
 util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key,
                     util::MemoryBudget* memory, Outcome& outcome,
                     cache::AnalysisCache* publish_to = nullptr);
@@ -180,8 +182,7 @@ util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key,
 /// stats, freezes it into `outcome` under `key` (0 without one) and drops
 /// the builder's graph. A deadline cut fails the build under the strict
 /// policy and is recorded as degradation under quarantine. With a cache and
-/// a key, a clean build is published under `key`: the snapshot first, then
-/// its frame, so a frame never exists without its snapshot. A degraded build
+/// a key, a clean build publishes its frame under `key`. A degraded build
 /// is never published: the key describes the on-disk classpath, and a later
 /// repaired open of the same bytes must not warm-start from the holes.
 util::Status build(const jir::Program& program, const cpg::CpgOptions& options,

@@ -14,14 +14,14 @@ namespace {
 // sweep picks it up automatically via catalog().
 constexpr const char* kSites[] = {
     "cache.publish.rename",    // the rename inside one atomic-publish attempt
-    "cache.snapshot.publish",  // whole-classpath snapshot publish
+    "cache.snapshot.publish",  // .tsnp store-snapshot publish (no product path)
     "cypher.eval",             // query evaluation entry (run_query)
     "cypher.plan",             // query planning (degrades to naive evaluation)
     "dist.dispatch",           // handing a shard to a worker (retriable, no kill)
     "dist.worker.crash",       // dispatched worker dies abruptly mid-shard
     "dist.worker.hang",        // dispatched worker goes silent (heartbeat miss)
     "fs.read",                 // any file read feeding the pipeline
-    "graph.deserialize",       // graph store / snapshot blob decode
+    "graph.deserialize",       // graph store decode (no product path)
     "graph.freeze",            // building the frozen CSR graph (fatal: nothing to read)
     "jar.decode",              // TJAR archive decode
     "pool.task",               // ThreadPool parallel_for task body

@@ -1,8 +1,9 @@
 // Tests for the cache self-repair satellite: cache::audit_cache and the
-// `tabby cache` subcommand. A bit-flipped snapshot or frozen frame must be
-// detected against its key, reported with reclaimable bytes and prunable,
-// without touching intact entries; the next analysis run republishes what
-// was pruned. Fragments left by the older per-archive layout are orphans.
+// `tabby cache` subcommand. A bit-flipped frame (a classpath's whole entry)
+// must be detected against its key, reported with reclaimable bytes and
+// prunable, without touching intact entries; the next analysis run
+// republishes what was pruned. Fragments left by the older per-archive
+// layout, and store snapshots without an intact frame, are orphans.
 // Also: concurrent publishes of one entry never tear a reader.
 #include <gtest/gtest.h>
 
@@ -75,22 +76,20 @@ class CacheAuditFixture : public ::testing::Test {
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("BeanShell1").jar, jar1_).ok());
     ASSERT_TRUE(jar::write_archive_file(corpus::build_component("Rome").jar, jar2_).ok());
     cache_ = (dir_ / "cache").string();
-    // Warm the cache: one whole-classpath snapshot and the frozen frame
-    // published next to it. Archives themselves are not cached.
+    // Warm the cache: the whole-classpath entry is one frozen frame.
+    // Archives themselves are not cached.
     CliRun cold = run({"analyze", jar1_, jar2_, "--cache", cache_});
     ASSERT_EQ(cold.code, 0) << cold.err;
     ASSERT_FALSE(fs::exists(fs::path(cache_) / "fragments"));
-    snapshots_ = files_in(fs::path(cache_) / "snapshots", ".tsnp");
     frames_ = files_in(fs::path(cache_) / "snapshots", ".tfzn");
-    ASSERT_EQ(snapshots_.size(), 1u);
     ASSERT_EQ(frames_.size(), 1u);
-    ASSERT_EQ(files_in(fs::path(cache_) / "snapshots").size(), 2u);
+    ASSERT_EQ(files_in(fs::path(cache_) / "snapshots").size(), 1u);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
   fs::path dir_;
   std::string jar1_, jar2_, cache_;
-  std::vector<fs::path> snapshots_, frames_;
+  std::vector<fs::path> frames_;
 };
 
 TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
@@ -98,7 +97,7 @@ TEST_F(CacheAuditFixture, CleanStoreAuditsClean) {
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_TRUE(report.value().clean());
   EXPECT_EQ(report.value().fragments_checked, 0u);
-  EXPECT_EQ(report.value().snapshots_checked, 1u);
+  EXPECT_EQ(report.value().snapshots_checked, 0u);
   EXPECT_EQ(report.value().frozen_checked, 1u);
   EXPECT_EQ(report.value().reclaimable_bytes, 0u);
 
@@ -133,7 +132,7 @@ TEST_F(CacheAuditFixture, BitFlipIsDetectedWithReclaimableBytes) {
 
 TEST_F(CacheAuditFixture, OrphanedTempFilesAreFlagged) {
   // A publisher that died between write and rename leaves its private temp.
-  fs::path leftover = snapshots_[0];
+  fs::path leftover = frames_[0];
   leftover += ".4242.0.tmp";
   std::ofstream(leftover) << "leftover";
   std::ofstream(fs::path(cache_) / "snapshots" / "junk.bin") << "noise";
@@ -180,26 +179,29 @@ TEST_F(CacheAuditFixture, PruneHealsAndTheNextRunRepublishesThePrunedEntries) {
   }
   std::vector<fs::path> verdicts = files_in(fs::path(cache_) / "verdicts");
   ASSERT_EQ(verdicts.size(), 1u);
-  // A corrupt snapshot takes its frame with it: the frame is an orphan.
-  flip_byte(snapshots_[0], fs::file_size(snapshots_[0]) - 8);
+  // A corrupt frame, and the store snapshot an older layout kept next to it:
+  // without an intact frame of its key the snapshot is an orphan.
+  flip_byte(frames_[0], fs::file_size(frames_[0]) - 8);
+  fs::path snapshot = frames_[0];
+  snapshot.replace_extension(".tsnp");
+  std::ofstream(snapshot) << "an older layout's store snapshot";
 
   auto report = cache::audit_cache(cache_, false);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_EQ(report.value().corrupt, 1u);
   EXPECT_EQ(report.value().orphaned, 1u);
   EXPECT_EQ(report.value().reclaimable_bytes,
-            fs::file_size(snapshots_[0]) + fs::file_size(frames_[0]));
+            fs::file_size(snapshot) + fs::file_size(frames_[0]));
 
   CliRun pruned = run({"cache", cache_, "--prune"});
   EXPECT_EQ(pruned.code, 0) << pruned.out;  // healed store = success
   EXPECT_NE(pruned.out.find("[pruned]"), std::string::npos) << pruned.out;
   EXPECT_NE(pruned.out.find("reclaimed"), std::string::npos) << pruned.out;
-  EXPECT_FALSE(fs::exists(snapshots_[0]));
-  EXPECT_FALSE(fs::exists(frames_[0])) << "the frame outlived its snapshot";
+  EXPECT_FALSE(fs::exists(frames_[0]));
+  EXPECT_FALSE(fs::exists(snapshot)) << "the snapshot outlived its frame";
   EXPECT_TRUE(fs::exists(verdicts[0])) << "prune touched an intact entry";
 
-  // The next run self-heals: it rebuilds and republishes the snapshot and
-  // its frame.
+  // The next run self-heals: it rebuilds and republishes the frame.
   CliRun rebuilt = run({"analyze", jar1_, jar2_, "--cache", cache_});
   EXPECT_EQ(rebuilt.code, 0) << rebuilt.err;
   EXPECT_NE(rebuilt.out.find("snapshot miss"), std::string::npos) << rebuilt.out;
@@ -207,7 +209,7 @@ TEST_F(CacheAuditFixture, PruneHealsAndTheNextRunRepublishesThePrunedEntries) {
   auto healed = cache::audit_cache(cache_, false);
   ASSERT_TRUE(healed.ok());
   EXPECT_TRUE(healed.value().clean()) << healed.value().to_string();
-  EXPECT_EQ(healed.value().snapshots_checked, 1u);
+  EXPECT_EQ(healed.value().snapshots_checked, 0u);
   EXPECT_EQ(healed.value().frozen_checked, 1u);
   EXPECT_EQ(healed.value().verdicts_checked, 1u);
   CliRun warm = run({"analyze", jar1_, jar2_, "--cache", cache_});

@@ -13,6 +13,7 @@
 #include "graph/frozen.hpp"
 #include "graph/serialize.hpp"
 #include "support/find_output.hpp"
+#include "support/freeze.hpp"
 #include "support/json_lite.hpp"
 
 namespace tabby::cli {
@@ -193,8 +194,14 @@ TEST_F(CliFixture, CacheStatsLineReportsMissThenHit) {
   CliRun warm = run({"analyze", path("BeanShell1.tjar"), "--cache", path("cache")});
   ASSERT_EQ(warm.code, 0) << warm.err;
   EXPECT_NE(warm.out.find("cache: snapshot hit"), std::string::npos) << warm.out;
-  // Warm stats are the cold run's stats, byte for byte.
-  EXPECT_EQ(cold.out.substr(cold.out.find("classes:")), warm.out.substr(warm.out.find("classes:")));
+  // Warm counts are the cold run's counts, byte for byte. The warm run
+  // built nothing, so its build time is 0.
+  auto counts = [](const std::string& out) {
+    std::string text = out.substr(out.find("classes:"));
+    return text.substr(0, text.find("build:"));
+  };
+  EXPECT_EQ(counts(cold.out), counts(warm.out));
+  EXPECT_NE(warm.out.find("\nbuild:    0.000 s\n"), std::string::npos) << warm.out;
 }
 
 TEST_F(CliFixture, CachedAnalyzeStoreQueryRoundTrip) {
@@ -298,6 +305,28 @@ TEST_F(CliFixture, QueryStoreRejectsAGraphStoreWithRegenerationAdvice) {
   EXPECT_TRUE(r.out.empty()) << r.out;
 }
 
+TEST_F(CliFixture, QueryStoreRejectsAVersionOneFrameWithRegenerationAdvice) {
+  CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  CliRun analyze = run({"analyze", path("BeanShell1.tjar"), "--store", path("cpg.tfzn")});
+  ASSERT_EQ(analyze.code, 0) << analyze.err;
+  std::string current = slurp_file(path("cpg.tfzn"));
+  std::vector<std::byte> old = tabby::testing::with_frame_version(
+      std::span<const std::byte>(reinterpret_cast<const std::byte*>(current.data()),
+                                 current.size()),
+      1);
+  {
+    std::ofstream out(path("old.tfzn"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(old.data()), static_cast<std::streamsize>(old.size()));
+  }
+  CliRun r = run({"query", "--store", path("old.tfzn"), "MATCH (m:Method) RETURN m.NAME"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("version-1 frozen graph"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("tabby analyze JAR... --store " + path("old.tfzn")), std::string::npos)
+      << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
 TEST_F(CliFixture, TraceFileIsWellFormedChromeJsonWithNestedSpans) {
   CliRun gen = run({"gen", "BeanShell1", "--out", dir_.string()});
   ASSERT_EQ(gen.code, 0) << gen.err;
@@ -383,7 +412,7 @@ TEST_F(CliFixture, TracingAndMetricsDoNotPerturbOutputs) {
     std::string out, line;
     while (std::getline(in, line)) {
       if (line.rfind("build:", 0) == 0) continue;
-      if (line.rfind("graph store written to", 0) == 0) continue;
+      if (line.rfind("frozen graph written to", 0) == 0) continue;
       out += line + "\n";
     }
     return out;

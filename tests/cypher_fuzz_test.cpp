@@ -186,23 +186,6 @@ TEST(CypherFuzz, PlannedMatchesNaiveAtAnyJobCount) {
   EXPECT_GE(cases, 200u);
 }
 
-// The same queries again with the stats section stripped from the frozen
-// frame (with_stats=false): the planner falls back to default estimates and
-// must still be byte-identical — stats change plans, never answers.
-TEST(CypherFuzz, StatsLessFrozenFramePlansDifferentlyButAnswersIdentically) {
-  for (std::uint64_t graph_seed = 1; graph_seed <= 12; ++graph_seed) {
-    graph::FrozenGraph bare =
-        testing::freeze(testsupport::random_graph(graph_seed), 0, nullptr, /*with_stats=*/false);
-    ASSERT_FALSE(bare.stats().has_value());
-    for (std::uint64_t q = 0; q < 4; ++q) {
-      std::uint64_t query_seed = graph_seed * 1000 + q;
-      util::Rng rng(query_seed);
-      std::string query = random_query(rng);
-      if (!check_case(bare, query, graph_seed, query_seed, nullptr)) return;
-    }
-  }
-}
-
 // Adversarial hand-picked patterns that target each planner decision: the
 // fuzz grammar hits these shapes rarely, so pin them explicitly.
 TEST(CypherFuzz, DirectedAdversarialPatterns) {

@@ -2,8 +2,8 @@
 // planner decision units (anchor flip on skewed cardinalities, predicate
 // pushdown safety, LIMIT-aware prepass skipping, empty proofs), golden
 // `--explain` renderings, the cardinality-stats layer (incremental GraphDb
-// counts, store/frozen round trips, stats-less backward compatibility), and
-// the CLI's --explain / --no-plan surface.
+// counts, store/frozen round trips, stats-less graph stores), and the CLI's
+// --explain / --no-plan surface.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -50,21 +50,18 @@ CardinalityStats skewed_stats() {
 
 TEST(CypherPlanner, FlipsStartToTheCheapEndOnSkewedCardinalities) {
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
-  Plan plan = plan_query(parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) RETURN a"), view);
+  Plan plan = plan_query(parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) RETURN a"), stats);
   EXPECT_EQ(plan.mode, Plan::Mode::Planned);
   EXPECT_TRUE(plan.reverse);
   EXPECT_EQ(plan.anchor, 1u);
   ASSERT_EQ(plan.estimates.size(), 2u);
   EXPECT_EQ(plan.estimates[0], 800u);
   EXPECT_EQ(plan.estimates[1], 4u);
-  EXPECT_TRUE(plan.used_stats);
 }
 
 TEST(CypherPlanner, KeepsTheStartWhenItIsAlreadyCheapest) {
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
-  Plan plan = plan_query(parse_or_die("MATCH (a:Class)-[:CALL]->(b:Method) RETURN a"), view);
+  Plan plan = plan_query(parse_or_die("MATCH (a:Class)-[:CALL]->(b:Method) RETURN a"), stats);
   EXPECT_EQ(plan.mode, Plan::Mode::Naive);
   EXPECT_FALSE(plan.reverse);
   EXPECT_EQ(plan.anchor, 0u);
@@ -75,8 +72,7 @@ TEST(CypherPlanner, DeclinesMarginalWins) {
   // est[1]=700 < est[0]=800 but not by the 2x margin the prepass must repay.
   CardinalityStats stats = skewed_stats();
   stats.labels.push_back({"Mid", 700});
-  StatsView view{1000, 3000, &stats};
-  Plan plan = plan_query(parse_or_die("MATCH (a:Method)-[:CALL]->(b:Mid) RETURN a"), view);
+  Plan plan = plan_query(parse_or_die("MATCH (a:Method)-[:CALL]->(b:Mid) RETURN a"), stats);
   EXPECT_EQ(plan.mode, Plan::Mode::Naive);
   EXPECT_FALSE(plan.reverse);
   EXPECT_EQ(plan.anchor, 1u);
@@ -85,25 +81,23 @@ TEST(CypherPlanner, DeclinesMarginalWins) {
 
 TEST(CypherPlanner, SmallLimitSkipsTheBackwardPrepass) {
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
   Plan small = plan_query(
-      parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) RETURN a LIMIT 5"), view);
+      parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) RETURN a LIMIT 5"), stats);
   EXPECT_FALSE(small.reverse);
   EXPECT_TRUE(small.limit_skip);
   EXPECT_EQ(small.mode, Plan::Mode::Naive);
   EXPECT_NE(small.reason.find("LIMIT 5"), std::string::npos);
 
   Plan large = plan_query(
-      parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) RETURN a LIMIT 20"), view);
+      parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) RETURN a LIMIT 20"), stats);
   EXPECT_TRUE(large.reverse);
   EXPECT_FALSE(large.limit_skip);
 }
 
 TEST(CypherPlanner, PushesSafeConditionsToTheirPatternNode) {
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
   Plan plan = plan_query(
-      parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) WHERE b.NAME = \"x\" RETURN a"), view);
+      parse_or_die("MATCH (a:Method)-[:CALL]->(b:Class) WHERE b.NAME = \"x\" RETURN a"), stats);
   EXPECT_TRUE(plan.has_pushdown());
   ASSERT_EQ(plan.pushed.size(), 2u);
   EXPECT_TRUE(plan.pushed[0].empty());
@@ -117,9 +111,8 @@ TEST(CypherPlanner, RefusesPushdownOnRepeatedVariables) {
   // (a)-->(a): the last binding wins at emission, so checking the condition
   // at the first occurrence would prune rows the naive evaluator emits.
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
   Plan plan = plan_query(
-      parse_or_die("MATCH (a:Method)-[:CALL]->(a) WHERE a.ORDER > 1 RETURN a"), view);
+      parse_or_die("MATCH (a:Method)-[:CALL]->(a) WHERE a.ORDER > 1 RETURN a"), stats);
   EXPECT_FALSE(plan.has_pushdown());
 }
 
@@ -127,49 +120,38 @@ TEST(CypherPlanner, RefusesInteriorPushdownWithTwoVariableSegments) {
   // bindings_from_path cannot place the interior var positionally when two
   // segments have elastic length, so the condition must wait for emission.
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
   Plan plan = plan_query(
       parse_or_die(
           "MATCH (a)-[*1..2]->(b:Class)-[*1..2]->(c) WHERE b.ORDER = 1 RETURN a"),
-      view);
+      stats);
   EXPECT_FALSE(plan.has_pushdown());
   // ...but the same condition on the pattern *ends* is always safe.
   Plan ends = plan_query(
       parse_or_die(
           "MATCH (a)-[*1..2]->(b:Class)-[*1..2]->(c) WHERE a.ORDER = 1 RETURN a"),
-      view);
+      stats);
   EXPECT_TRUE(ends.has_pushdown());
 }
 
 TEST(CypherPlanner, ProvesEmptinessFromWhereShape) {
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
   Plan unbound = plan_query(
-      parse_or_die("MATCH (a:Method) WHERE zz.X = 1 RETURN a"), view);
+      parse_or_die("MATCH (a:Method) WHERE zz.X = 1 RETURN a"), stats);
   EXPECT_TRUE(unbound.always_empty);
   EXPECT_NE(unbound.empty_reason.find("'zz'"), std::string::npos);
 
   // A path variable binds a Path, never a Node, so conditions on it can
   // never hold either.
   Plan path = plan_query(
-      parse_or_die("MATCH p = (a:Method)-[:CALL]->(b) WHERE p.X = 1 RETURN a"), view);
+      parse_or_die("MATCH p = (a:Method)-[:CALL]->(b) WHERE p.X = 1 RETURN a"), stats);
   EXPECT_TRUE(path.always_empty);
 }
 
 TEST(CypherPlanner, ProvesEmptinessFromAbsentLabels) {
   CardinalityStats stats = skewed_stats();
-  StatsView view{1000, 3000, &stats};
-  Plan plan = plan_query(parse_or_die("MATCH (a:Ghost) RETURN a"), view);
+  Plan plan = plan_query(parse_or_die("MATCH (a:Ghost) RETURN a"), stats);
   EXPECT_TRUE(plan.always_empty);
   EXPECT_EQ(plan.empty_reason, "no node carries label 'Ghost'");
-
-  // Fallback estimates carry no proof: absent stats must NOT imply absent
-  // labels.
-  StatsView fallback{1000, 3000, nullptr};
-  Plan guess = plan_query(parse_or_die("MATCH (a:Ghost) RETURN a"), fallback);
-  EXPECT_FALSE(guess.always_empty);
-  EXPECT_FALSE(guess.used_stats);
-  EXPECT_EQ(guess.estimates[0], 1000u / 8 + 1);
 }
 
 // --- Golden --explain renderings --------------------------------------------
@@ -232,16 +214,6 @@ TEST(CypherExplain, GoldenPlanningDisabled) {
             "  reason: planning disabled (--no-plan)\n");
 }
 
-TEST(CypherExplain, StatsLessFrozenFrameFallsBackToDefaults) {
-  graph::FrozenGraph bare =
-      tabby::testing::freeze(skewed_graph(), 0, nullptr, /*with_stats=*/false);
-  auto result = run_query(bare, "MATCH (a:Method)-[:CALL]->(b:Class) RETURN a.NAME");
-  ASSERT_TRUE(result.ok());
-  EXPECT_NE(result.value().plan.find("stats: fallback"), std::string::npos);
-  // Fallback plans differently but answers identically.
-  ASSERT_EQ(result.value().rows.size(), 1u);
-}
-
 // --- Cardinality stats layer ------------------------------------------------
 
 TEST(CypherStats, StoreRoundTripsWithAndWithoutStats) {
@@ -276,21 +248,12 @@ TEST(CypherStats, CodecRejectsUnsortedNames) {
 TEST(CypherStats, FrozenFrameCarriesStatsThroughAttach) {
   GraphDb db = testsupport::random_graph(5);
   graph::FrozenGraph frozen = tabby::testing::freeze(db);
-  ASSERT_TRUE(frozen.stats().has_value());
-  EXPECT_TRUE(*frozen.stats() == db.cardinality());
+  EXPECT_TRUE(frozen.stats() == db.cardinality());
 
   // Round-trip the frame bytes: the re-attached graph sees the same stats.
   auto reattached = graph::FrozenGraph::from_bytes(frozen.frame());
   ASSERT_TRUE(reattached.ok()) << reattached.error().to_string();
-  ASSERT_TRUE(reattached.value().stats().has_value());
-  EXPECT_TRUE(*reattached.value().stats() == db.cardinality());
-
-  // A pre-planner 16-section frame attaches with no stats.
-  graph::FrozenGraph bare = tabby::testing::freeze(db, 0, nullptr, /*with_stats=*/false);
-  EXPECT_FALSE(bare.stats().has_value());
-  auto bare_reattached = graph::FrozenGraph::from_bytes(bare.frame());
-  ASSERT_TRUE(bare_reattached.ok()) << bare_reattached.error().to_string();
-  EXPECT_FALSE(bare_reattached.value().stats().has_value());
+  EXPECT_TRUE(reattached.value().stats() == db.cardinality());
 }
 
 // --- CLI surface -------------------------------------------------------------

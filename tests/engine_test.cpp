@@ -19,6 +19,7 @@
 #include "jar/archive.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/engine.hpp"
+#include "util/digest.hpp"
 #include "util/failpoint.hpp"
 
 namespace tabby {
@@ -359,12 +360,14 @@ std::uint64_t reads_in_one_open(pipeline::Engine& engine,
 }
 
 /// What one traced, clean open did: its read spans (and the archive count
-/// the read recorded), its archive decodes and its snapshot lookups.
+/// the read recorded), its archive decodes, its frame lookups, and the
+/// spans of the store-snapshot path that no open should reach.
 struct OpenTrace {
   std::size_t reads = 0;
   std::string archives;
   std::size_t decodes = 0;
-  std::size_t snapshot_lookups = 0;
+  std::size_t frame_lookups = 0;
+  std::size_t store_snapshot_spans = 0;
 };
 
 OpenTrace traced_open(pipeline::Engine& engine, const std::vector<std::string>& classpath,
@@ -384,7 +387,11 @@ OpenTrace traced_open(pipeline::Engine& engine, const std::vector<std::string>& 
       }
     }
     if (span.name == "jar.decode") ++trace.decodes;
-    if (span.name == "cache.load_snapshot") ++trace.snapshot_lookups;
+    if (span.name == "cache.load_frozen") ++trace.frame_lookups;
+    if (span.name == "cache.load_snapshot" || span.name == "graph.serialize" ||
+        span.name == "cache.store_snapshot") {
+      ++trace.store_snapshot_spans;
+    }
   }
   return trace;
 }
@@ -426,15 +433,41 @@ TEST_F(EngineFixture, EveryOpenReadsEachArchiveOnce) {
     EXPECT_EQ(trace.archives, "2");
   }
   EXPECT_EQ(miss.decodes, 2u);
-  EXPECT_EQ(miss.snapshot_lookups, 1u);
+  EXPECT_EQ(miss.frame_lookups, 1u);
   EXPECT_EQ(resident.decodes, 0u);
-  EXPECT_EQ(resident.snapshot_lookups, 0u);
+  EXPECT_EQ(resident.frame_lookups, 0u);
   EXPECT_EQ(snapshot.decodes, 0u);
-  EXPECT_EQ(snapshot.snapshot_lookups, 1u);
+  EXPECT_EQ(snapshot.frame_lookups, 1u);
   EXPECT_EQ(linked.decodes, 2u);
-  EXPECT_EQ(linked.snapshot_lookups, 1u);
+  EXPECT_EQ(linked.frame_lookups, 1u);
   EXPECT_EQ(warm.stats().resident_hits, 0u);
   EXPECT_EQ(cold.stats().resident_hits, 1u);
+}
+
+// A classpath's cache entry is one file, its frame: a cold open publishes
+// only <key>.tfzn, and a warm open is one frame lookup that never touches
+// the store-snapshot path.
+TEST_F(EngineFixture, CachedOpensWriteAndReadOnlyTheFrame) {
+  const std::vector<std::string> classpath = {jar_a_, jar_b_};
+  pipeline::EngineOptions options;
+  options.cache_dir = (dir_ / "cache").string();
+  pipeline::Engine cold(options);
+  OpenTrace miss = traced_open(cold, classpath);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_ / "cache" / "snapshots")) {
+    files.push_back(entry.path().filename().string());
+  }
+  auto resident = cold.open(classpath, {});
+  ASSERT_TRUE(resident.ok());
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0], util::digest_hex(resident.value()->fingerprint()) + ".tfzn");
+  EXPECT_EQ(miss.store_snapshot_spans, 0u);
+
+  pipeline::Engine warm_engine(options);
+  OpenTrace warm = traced_open(warm_engine, classpath);
+  EXPECT_EQ(warm.frame_lookups, 1u);
+  EXPECT_EQ(warm.decodes, 0u);
+  EXPECT_EQ(warm.store_snapshot_spans, 0u);
 }
 
 // A transient read fault costs the one archive it hits, once: that open

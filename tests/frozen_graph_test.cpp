@@ -264,20 +264,22 @@ TEST(FrozenGraph, VersionSkewAndBadMagicAreStructuredErrors) {
   graph::FrozenGraph fg = testing::freeze(db);
   std::vector<std::byte> frame(fg.frame().begin(), fg.frame().end());
 
-  // Bump the version and re-sign so the checksum cannot mask the skew.
+  // A newer and an older version, re-signed so the checksum cannot mask
+  // the skew: version 1 is the layout before the stats section was fixed
+  // and the build counts were added.
+  for (std::uint16_t version : {std::uint16_t(graph::kFrozenVersion + 1), std::uint16_t{1}}) {
+    auto skewed = graph::FrozenGraph::from_bytes(testing::with_frame_version(frame, version));
+    ASSERT_FALSE(skewed.ok()) << version;
+    EXPECT_NE(skewed.error().message.find("version " + std::to_string(version)),
+              std::string::npos)
+        << skewed.error().message;
+  }
+
   auto resign = [](std::vector<std::byte>& f) {
     std::uint64_t sum = util::fnv1a(
         std::span<const std::byte>(f.data(), f.size() - graph::kFrozenChecksumSize));
     std::memcpy(f.data() + f.size() - graph::kFrozenChecksumSize, &sum, sizeof sum);
   };
-  std::vector<std::byte> stale = frame;
-  std::uint16_t future = graph::kFrozenVersion + 1;
-  std::memcpy(stale.data() + 4, &future, sizeof future);
-  resign(stale);
-  auto skewed = graph::FrozenGraph::from_bytes(stale);
-  ASSERT_FALSE(skewed.ok());
-  EXPECT_NE(skewed.error().message.find("version"), std::string::npos)
-      << skewed.error().message;
 
   std::vector<std::byte> wrong = frame;
   std::uint32_t magic = 0x12345678;
@@ -379,7 +381,7 @@ TEST_F(FrozenCacheFixture, StoreAndLoadFrozenRoundTrip) {
 }
 
 TEST_F(FrozenCacheFixture, AuditSeesFrozenFramesAndPrunesOrphans) {
-  // Warm the cache through the pipeline so the .tfzn sits next to its .tsnp.
+  // Warm the cache through the pipeline: the frame is the whole entry.
   CliRun cold = run({"find", jar_, "--cache", cache_dir_});
   ASSERT_EQ(cold.code, 0) << cold.err;
   ASSERT_EQ(frozen_frames().size(), 1u);
@@ -393,14 +395,35 @@ TEST_F(FrozenCacheFixture, AuditSeesFrozenFramesAndPrunesOrphans) {
     saw_frozen |= entry.kind == cache::CacheAuditEntry::Kind::FrozenSnapshot;
   EXPECT_TRUE(saw_frozen);
 
-  // Deleting the companion snapshot orphans the frame; prune reclaims it.
-  for (const auto& entry : fs::directory_iterator(fs::path(cache_dir_) / "snapshots"))
-    if (entry.path().extension() == ".tsnp") fs::remove(entry.path());
+  // A store snapshot under the frame's key (what an older layout published
+  // next to each frame) round-trips its stats, and is intact while the
+  // frame is.
+  const fs::path frame = frozen_frames()[0];
+  const std::uint64_t key = std::stoull(frame.stem().string(), nullptr, 16);
+  {
+    auto cache = cache::AnalysisCache::open(cache_dir_);
+    ASSERT_TRUE(cache.ok()) << cache.error().message;
+    cpg::CpgStats stats = cpg::stats_from({1, 2, 3, 4, 5, 6, 7, 8});
+    stats.build_seconds = 0.5;
+    graph::GraphDb db = kitchen_sink_graph();
+    ASSERT_TRUE(cache.value().store_snapshot(key, stats, graph::serialize(db)).ok());
+    auto loaded = cache.value().load_snapshot(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(cpg::build_counts(loaded->stats), cpg::build_counts(stats));
+    EXPECT_EQ(loaded->stats.build_seconds, 0.5);
+  }
+  auto paired = cache::audit_cache(cache_dir_, /*prune=*/false);
+  ASSERT_TRUE(paired.ok()) << paired.error().message;
+  EXPECT_TRUE(paired.value().clean()) << paired.value().to_string();
+  EXPECT_EQ(paired.value().snapshots_checked, 1u);
+
+  // Deleting the frame orphans the snapshot; prune reclaims it.
+  fs::remove(frame);
   auto orphaned = cache::audit_cache(cache_dir_, /*prune=*/true);
   ASSERT_TRUE(orphaned.ok()) << orphaned.error().message;
   EXPECT_EQ(orphaned.value().orphaned, 1u);
   EXPECT_GT(orphaned.value().reclaimed_bytes, 0u);
-  EXPECT_TRUE(frozen_frames().empty());
+  EXPECT_TRUE(fs::is_empty(fs::path(cache_dir_) / "snapshots"));
 }
 
 TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
@@ -414,7 +437,7 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   EXPECT_FALSE(cold.warm);
   EXPECT_FALSE(cold.frozen.mapped());
 
-  // The warm run maps the published frame instead of decoding the store.
+  // The warm run maps the published frame; there is nothing else to read.
   auto warm_open = open_fresh();
   ASSERT_TRUE(warm_open.ok()) << warm_open.error().message;
   const pipeline::Outcome& warm = warm_open.value()->outcome();
@@ -422,8 +445,8 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   EXPECT_TRUE(warm.frozen.mapped());
   EXPECT_TRUE(std::ranges::equal(warm.frozen.frame(), cold.frozen.frame()));
 
-  // Corrupt the cached frame: the next warm run degrades to the store
-  // decode with a warning — and self-heals by republishing a fresh frame.
+  // Corrupt the cached frame: the next run warns, rebuilds from the
+  // classpath — and self-heals by republishing the same frame.
   auto frames = frozen_frames();
   ASSERT_EQ(frames.size(), 1u);
   std::vector<char> before(fs::file_size(frames[0]));
@@ -432,8 +455,9 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   auto healed_open = open_fresh();
   ASSERT_TRUE(healed_open.ok()) << healed_open.error().message;
   const pipeline::Outcome& healed = healed_open.value()->outcome();
-  EXPECT_TRUE(healed.warm);
+  EXPECT_FALSE(healed.warm);
   EXPECT_FALSE(healed.frozen.mapped());
+  EXPECT_NE(healed.cache_line.find("snapshot miss"), std::string::npos) << healed.cache_line;
   bool warned = false;
   for (const auto& warning : healed.warnings)
     warned |= warning.find("frozen") != std::string::npos;
@@ -441,6 +465,63 @@ TEST_F(FrozenCacheFixture, WarmFrozenStartSkipsTheStoreDecode) {
   std::vector<char> after(fs::file_size(frames[0]));
   std::ifstream(frames[0], std::ios::binary).read(after.data(), after.size());
   EXPECT_EQ(before, after);  // byte-identical republish
+}
+
+// A warm open reports what the cold build counted, from the frame alone;
+// only the wall time differs, because nothing was built.
+TEST_F(FrozenCacheFixture, WarmStatsEqualTheColdBuildsCounts) {
+  pipeline::EngineOptions options;
+  options.cache_dir = cache_dir_;
+  auto cold_open = pipeline::Engine(options).open({jar_}, {});
+  auto warm_open = pipeline::Engine(options).open({jar_}, {});
+  ASSERT_TRUE(cold_open.ok()) << cold_open.error().message;
+  ASSERT_TRUE(warm_open.ok()) << warm_open.error().message;
+  const cpg::CpgStats& cold = cold_open.value()->outcome().stats;
+  const cpg::CpgStats& warm = warm_open.value()->outcome().stats;
+  ASSERT_TRUE(warm_open.value()->outcome().warm);
+  EXPECT_GT(cold.method_nodes, 0u);
+  EXPECT_GT(cold.sink_methods, 0u);
+  EXPECT_EQ(warm.class_nodes, cold.class_nodes);
+  EXPECT_EQ(warm.method_nodes, cold.method_nodes);
+  EXPECT_EQ(warm.relationship_edges, cold.relationship_edges);
+  EXPECT_EQ(warm.call_edges, cold.call_edges);
+  EXPECT_EQ(warm.alias_edges, cold.alias_edges);
+  EXPECT_EQ(warm.pruned_call_sites, cold.pruned_call_sites);
+  EXPECT_EQ(warm.source_methods, cold.source_methods);
+  EXPECT_EQ(warm.sink_methods, cold.sink_methods);
+  EXPECT_EQ(warm.build_seconds, 0.0);
+  EXPECT_EQ(cpg::build_counts(cold), warm_open.value()->outcome().frozen.build_counts());
+}
+
+// A version-1 frame under the classpath's key (what an older tabby left)
+// is a miss: the open rebuilds, republishes a current frame over it, and
+// the next open is a hit.
+TEST_F(FrozenCacheFixture, VersionOneFrameIsAMissThatRepublishes) {
+  pipeline::EngineOptions options;
+  options.cache_dir = cache_dir_;
+  auto cold_open = pipeline::Engine(options).open({jar_}, {});
+  ASSERT_TRUE(cold_open.ok()) << cold_open.error().message;
+  auto frames = frozen_frames();
+  ASSERT_EQ(frames.size(), 1u);
+  {
+    std::vector<std::byte> old =
+        testing::with_frame_version(cold_open.value()->outcome().frozen.frame(), 1);
+    std::ofstream out(frames[0], std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(old.data()), static_cast<std::streamsize>(old.size()));
+  }
+
+  auto upgraded = pipeline::Engine(options).open({jar_}, {});
+  ASSERT_TRUE(upgraded.ok()) << upgraded.error().message;
+  EXPECT_FALSE(upgraded.value()->outcome().warm);
+  EXPECT_NE(upgraded.value()->outcome().cache_line.find("snapshot miss"), std::string::npos);
+  auto republished = graph::FrozenGraph::map_file(frames[0]);
+  ASSERT_TRUE(republished.ok()) << republished.error().message;
+  EXPECT_TRUE(std::ranges::equal(republished.value().frame(),
+                                 cold_open.value()->outcome().frozen.frame()));
+
+  auto warm = pipeline::Engine(options).open({jar_}, {});
+  ASSERT_TRUE(warm.ok()) << warm.error().message;
+  EXPECT_TRUE(warm.value()->outcome().warm);
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ std::string filter_volatile(const std::string& text) {
   while (std::getline(in, line)) {
     if (line.rfind("cache:", 0) == 0) continue;
     if (line.rfind("build:", 0) == 0) continue;
-    if (line.rfind("graph store written to", 0) == 0) continue;  // file names differ
+    if (line.rfind("frozen graph written to", 0) == 0) continue;  // file names differ
     if (line.find(" s search") != std::string::npos) continue;
     out += line;
     out += '\n';
