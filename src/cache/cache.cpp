@@ -238,8 +238,6 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
 
   auto bytes = read_file_bytes(snapshot_path(key));
   if (!bytes.ok()) return std::nullopt;
-  // Account the snapshot file buffer for as long as this function pins it.
-  util::ScopedCharge buffer_charge(memory_, bytes.value().size());
 
   // Snapshot layout differs from the shared frame: the checksum covers only
   // the header (magic .. blob length), because the graph blob that follows
@@ -312,7 +310,6 @@ util::Status AnalysisCache::store_snapshot(std::uint64_t key, const cpg::CpgStat
   header.u64(util::fnv1a(header.data()));
   std::vector<std::byte> file = header.take();
   file.insert(file.end(), store.begin(), store.end());
-  util::ScopedCharge buffer_charge(memory_, file.size());
   if (util::failpoint::poll("cache.snapshot.publish")) {
     return util::Error{"failpoint: injected snapshot publish failure"};
   }
@@ -337,7 +334,7 @@ std::optional<graph::FrozenGraph> AnalysisCache::load_frozen(std::uint64_t key,
   fs::path path = frozen_path(key);
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) return std::nullopt;  // plain miss, not corruption
-  auto frozen = graph::FrozenGraph::map_file(path, memory_);
+  auto frozen = graph::FrozenGraph::map_file(path);
   if (!frozen.ok()) {
     if (corrupt_reason) *corrupt_reason = frozen.error().message;
     return std::nullopt;

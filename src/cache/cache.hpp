@@ -53,7 +53,6 @@
 #include "cpg/builder.hpp"
 #include "graph/frozen.hpp"
 #include "graph/graph.hpp"
-#include "util/memory_budget.hpp"
 #include "util/result.hpp"
 
 namespace tabby::cache {
@@ -149,11 +148,6 @@ class AnalysisCache {
   CacheStats& stats() { return stats_; }
   const std::filesystem::path& dir() const { return dir_; }
 
-  /// Optional byte ledger for mapped frames and the transient store-snapshot
-  /// file buffers. Telemetry only; never consulted for decisions. Borrowed,
-  /// may be null.
-  void set_memory(util::MemoryBudget* memory) { memory_ = memory; }
-
  private:
   explicit AnalysisCache(std::filesystem::path dir) : dir_(std::move(dir)) {}
 
@@ -163,7 +157,6 @@ class AnalysisCache {
 
   std::filesystem::path dir_;
   CacheStats stats_;
-  util::MemoryBudget* memory_ = nullptr;
 };
 
 // --- Offline audit (the `tabby cache` subcommand) --------------------------

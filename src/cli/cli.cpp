@@ -25,7 +25,6 @@
 #include "serve/serve.hpp"
 #include "util/bytes.hpp"
 #include "util/deadline.hpp"
-#include "util/memory_budget.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -44,7 +43,6 @@ struct BudgetSpec {
   std::optional<std::chrono::milliseconds> finder;  // --phase-budget finder=
   std::optional<std::chrono::milliseconds> verify;  // --phase-budget verify=
   std::optional<std::uint64_t> mem;                 // --mem-budget (bytes)
-  std::optional<std::uint64_t> finder_mem;          // --phase-budget finder-mem=
 };
 
 struct Args {
@@ -148,27 +146,19 @@ std::string parse_budgets(Args& args) {
       return "bad --phase-budget value: " + budget + " (expected PHASE=VALUE)";
     }
     std::string phase = budget.substr(0, eq);
-    std::string value = budget.substr(eq + 1);
-    // finder-mem is a byte size, every other phase is a wall-clock duration.
-    if (phase == "finder-mem") {
-      auto bytes = util::parse_size_bytes(value);
-      if (!bytes.ok()) return "bad --phase-budget value: " + budget + " (" + bytes.error().message + ")";
-      if (bytes.value() == 0) return "bad --phase-budget value: " + budget + " (budget must be positive)";
-      args.budgets.finder_mem = bytes.value();
-      continue;
-    }
-    auto ms = util::parse_duration_ms(value);
-    if (!ms.ok()) return "bad --phase-budget value: " + budget + " (" + ms.error().message + ")";
+    std::optional<std::chrono::milliseconds>* slot = nullptr;
     if (phase == "load") {
-      args.budgets.load = std::chrono::milliseconds{ms.value()};
+      slot = &args.budgets.load;
     } else if (phase == "finder") {
-      args.budgets.finder = std::chrono::milliseconds{ms.value()};
+      slot = &args.budgets.finder;
     } else if (phase == "verify") {
-      args.budgets.verify = std::chrono::milliseconds{ms.value()};
+      slot = &args.budgets.verify;
     } else {
-      return "unknown --phase-budget phase: " + phase +
-             " (known phases: load, finder, finder-mem, verify)";
+      return "unknown --phase-budget phase: " + phase + " (known phases: load, finder, verify)";
     }
+    auto ms = util::parse_duration_ms(budget.substr(eq + 1));
+    if (!ms.ok()) return "bad --phase-budget value: " + budget + " (" + ms.error().message + ")";
+    *slot = std::chrono::milliseconds{ms.value()};
   }
   return "";
 }
@@ -176,13 +166,6 @@ std::string parse_budgets(Args& args) {
 /// Anchors an optional budget as a Deadline starting now.
 util::Deadline maybe_after(const std::optional<std::chrono::milliseconds>& budget) {
   return budget.has_value() ? util::Deadline::after(*budget) : util::Deadline{};
-}
-
-/// Process-wide memory ledger for one command, or nullptr when --mem-budget
-/// is unset (the governed paths take their zero-cost branch).
-std::unique_ptr<util::MemoryBudget> make_budget(const Args& args) {
-  if (!args.budgets.mem.has_value()) return nullptr;
-  return std::make_unique<util::MemoryBudget>(static_cast<std::size_t>(*args.budgets.mem));
 }
 
 Args parse_args(const std::vector<std::string>& raw) {
@@ -285,16 +268,16 @@ int usage(std::ostream& err) {
          "                Cooperative: stages stop at the next unit boundary and\n"
          "                the run reports what it skipped.\n"
          "  --mem-budget SIZE\n"
-         "                byte budget for the run (e.g. 64m, 2g). The finder\n"
-         "                prunes its lowest-priority frontier branches instead of\n"
-         "                growing past the budget; affected sinks are reported\n"
-         "                partial (exit 3), chains found so far are kept.\n"
-         "  --phase-budget PHASE=V\n"
-         "                per-phase budget on top of --deadline/--mem-budget;\n"
-         "                phases: load (archive decode, duration), finder\n"
-         "                (per-sink search, duration), finder-mem (frontier byte\n"
-         "                pool, size), verify (runtime re-validation, duration).\n"
-         "                Repeatable.\n"
+         "                byte budget (e.g. 64m, 2g) for the finder's frontier\n"
+         "                pool, split evenly across sink searches, and for\n"
+         "                `tabby serve`'s resident analyses. A search prunes its\n"
+         "                lowest-priority frontier branches instead of growing\n"
+         "                past its share; affected sinks are reported partial\n"
+         "                (exit 3), chains found so far are kept.\n"
+         "  --phase-budget PHASE=D\n"
+         "                per-phase wall-clock budget on top of --deadline;\n"
+         "                phases: load (archive decode), finder (per-sink\n"
+         "                search), verify (runtime re-validation). Repeatable.\n"
          "  --explain     `tabby query` only: print the compiled query plan\n"
          "                (start selection, estimates, pushdowns) before the\n"
          "                rows. Purely additive — rows are unchanged.\n"
@@ -370,11 +353,9 @@ pipeline::ExecContext exec_context(const Args& args) {
   ctx.policy =
       args.strict ? pipeline::FailurePolicy::kStrict : pipeline::FailurePolicy::kQuarantine;
   ctx.max_depth = args.depth;
-  // finder-mem= carves a dedicated frontier pool; otherwise the whole
-  // --mem-budget doubles as the pool. Shard caps come from the pool size
-  // alone, so the chain set is identical at any --jobs count.
-  ctx.frontier_byte_pool = static_cast<std::size_t>(
-      args.budgets.finder_mem.value_or(args.budgets.mem.value_or(0)));
+  // --mem-budget is the finder's frontier pool. Shard caps come from the
+  // pool size alone, so the chain set is identical at any --jobs count.
+  ctx.frontier_byte_pool = static_cast<std::size_t>(args.budgets.mem.value_or(0));
   ctx.use_planner = args.plan;
   // Crash-isolated finder execution: shards run in forked worker processes
   // whose failures degrade (exit 3) instead of killing the run. Output is
@@ -563,8 +544,7 @@ int cmd_query(const Args& args, std::ostream& out, std::ostream& err) {
     // --store` wrote and query it. (The engine is for classpath-keyed
     // analyses.) It is the pipeline's own frame, stats section included, so
     // the plan is the one `query JAR...` gets.
-    std::unique_ptr<util::MemoryBudget> budget = make_budget(args);
-    auto frozen = graph::FrozenGraph::map_file(args.store, budget.get());
+    auto frozen = graph::FrozenGraph::map_file(args.store);
     if (!frozen.ok()) {
       if (std::string older = older_store_kind(args.store); !older.empty()) {
         err << "error: " << args.store << " is " << older
@@ -580,7 +560,6 @@ int cmd_query(const Args& args, std::ostream& out, std::ostream& err) {
     cypher::QueryOptions qopts;
     qopts.use_planner = args.plan;
     qopts.executor = pool.get();
-    qopts.memory = budget.get();
     auto query_result = cypher::run_query(frozen.value(), query_text, qopts);
     if (!query_result.ok()) {
       err << "query error: " << query_result.error().to_string() << "\n";
@@ -645,8 +624,7 @@ serve::Json client_request_base(const Args& args) {
   if (args.budgets.finder.has_value()) {
     request.set("finder_ms", static_cast<std::int64_t>(args.budgets.finder->count()));
   }
-  std::uint64_t pool = args.budgets.finder_mem.value_or(args.budgets.mem.value_or(0));
-  if (pool != 0) request.set("frontier_pool", pool);
+  if (args.budgets.mem.has_value()) request.set("frontier_pool", *args.budgets.mem);
   if (args.strict) request.set("strict", true);
   if (args.workers > 0) request.set("workers", static_cast<std::int64_t>(args.workers));
   if (args.verify) request.set("verify", true);

@@ -181,17 +181,6 @@ class Builder {
     std::size_t pruned = 0;
   };
 
-  /// Approximate heap bytes a method payload pins between the payload and
-  /// instantiation halves of a batch (the transient store --mem-budget
-  /// accounts for the build phase).
-  static std::size_t payload_bytes(const MethodPayload& payload) {
-    std::size_t bytes = payload.calls.capacity() * sizeof(CallPayload);
-    for (const CallPayload& call : payload.calls) {
-      bytes += call.pp.capacity() * sizeof(std::int64_t);
-    }
-    return bytes;
-  }
-
   void build_pcg() {
     analysis::ControllabilityAnalysis analysis(program_, hierarchy_, options_.analysis);
     util::Executor* executor = options_.executor;
@@ -205,9 +194,9 @@ class Builder {
     // all_methods() order. Batches run in method order too, so the built
     // graph is byte-identical to the historical single-pass build at any
     // worker count; the batch seams are where the deadline is polled (the
-    // documented overshoot bound is one batch, not one whole classpath) and
-    // where the transient payload bytes are charged/released. The size is a
-    // compile-time constant: determinism requires the seams to never move.
+    // documented overshoot bound is one batch, not one whole classpath). The
+    // size is a compile-time constant: determinism requires the seams to
+    // never move.
     constexpr std::size_t kPayloadBatch = 2048;
     for (std::size_t base = 0; base < methods.size(); base += kPayloadBatch) {
       if (!options_.deadline.unlimited() && options_.deadline.expired()) {
@@ -236,10 +225,6 @@ class Builder {
           add_call_payload(payload.calls, site);
         }
       });
-
-      std::size_t batch_bytes = 0;
-      for (const MethodPayload& payload : payloads) batch_bytes += payload_bytes(payload);
-      util::ScopedCharge charge(options_.memory, batch_bytes);
 
       // Instantiation phase: serial graph mutation, same order as ever.
       for (std::size_t i = 0; i < count; ++i) {

@@ -14,7 +14,6 @@
 #include "jir/hierarchy.hpp"
 #include "jir/model.hpp"
 #include "util/deadline.hpp"
-#include "util/memory_budget.hpp"
 
 namespace tabby::util {
 class Executor;
@@ -52,9 +51,6 @@ struct CpgOptions {
   /// never cache it. The default never expires. Not part of
   /// options_fingerprint(): it bounds the build, it does not select a graph.
   util::Deadline deadline;
-  /// Optional byte ledger the transient payload batches charge against
-  /// (telemetry; the batch size itself is fixed for determinism). Borrowed.
-  util::MemoryBudget* memory = nullptr;
 
   analysis::AnalysisOptions analysis;
   SinkRegistry sinks = SinkRegistry::defaults();

@@ -21,7 +21,6 @@
 #include "cypher/planner.hpp"
 #include "obs/obs.hpp"
 #include "util/failpoint.hpp"
-#include "util/memory_budget.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -203,7 +202,6 @@ struct FilterSet {
   std::size_t anchor = 0;
   std::vector<Bitset> allowed;
   std::vector<std::vector<std::uint8_t>> dist;
-  util::ScopedCharge charge;
 };
 
 /// One backward step across segment `rel`: the set of position-j nodes with
@@ -256,9 +254,6 @@ FilterSet build_filters(const FrozenGraph& db, const Query& query, const Plan& p
   filters.anchor = plan.anchor;
   filters.allowed.resize(plan.anchor + 1);
   filters.dist.resize(plan.anchor);
-  std::size_t bytes =
-      (plan.anchor + 1) * ((capacity + 63) / 64) * 8 + plan.anchor * capacity;
-  filters.charge = util::ScopedCharge(options.memory, bytes);
 
   // Anchor candidates (already the pattern's cheapest position).
   Bitset& anchor_set = filters.allowed[plan.anchor];
@@ -305,9 +300,8 @@ FilterSet build_filters(const FrozenGraph& db, const Query& query, const Plan& p
 
 class Executor {
  public:
-  Executor(const FrozenGraph& db, const Query& query, const Plan& plan, const FilterSet& filters,
-           util::MemoryBudget* memory)
-      : db_(db), query_(query), plan_(plan), filters_(filters), memory_(memory) {}
+  Executor(const FrozenGraph& db, const Query& query, const Plan& plan, const FilterSet& filters)
+      : db_(db), query_(query), plan_(plan), filters_(filters) {}
 
   std::uint64_t starts_pruned() const { return starts_pruned_; }
   std::uint64_t expansions_pruned() const { return expansions_pruned_; }
@@ -328,8 +322,6 @@ class Executor {
       extend(0, path, result);
       if (result.rows.size() >= query_.limit) break;
     }
-    util::maybe_release(memory_, rows_bytes_);
-    rows_bytes_ = 0;
     return result;
   }
 
@@ -419,13 +411,6 @@ class Executor {
         row.push_back(Binding::of_scalar(Value{}));
       }
     }
-    // Meter accumulated rows (ledger only: pressure never drops answers).
-    std::size_t delta = sizeof(row) + row.capacity() * sizeof(Binding);
-    for (const Binding& b : row) {
-      delta += (b.path.nodes.capacity() + b.path.edges.capacity()) * sizeof(std::uint64_t);
-    }
-    rows_bytes_ += delta;
-    util::maybe_charge(memory_, delta);
     result.rows.push_back(std::move(row));
   }
 
@@ -476,8 +461,6 @@ class Executor {
   const Query& query_;
   const Plan& plan_;
   const FilterSet& filters_;
-  util::MemoryBudget* memory_;
-  std::size_t rows_bytes_ = 0;
   std::uint64_t starts_pruned_ = 0;
   std::uint64_t expansions_pruned_ = 0;
 };
@@ -561,7 +544,7 @@ util::Result<QueryResult> run_query_impl(const FrozenGraph& db, std::string_view
     plan.reason = "planning disabled (--no-plan)";
   }
 
-  Executor executor(db, query.value(), plan, filters, options.memory);
+  Executor executor(db, query.value(), plan, filters);
   QueryResult result = executor.run();
   result.plan = plan.to_string(query.value());
   if (executor.starts_pruned() > 0) {

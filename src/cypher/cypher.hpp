@@ -22,7 +22,6 @@
 
 namespace tabby::util {
 class Executor;
-class MemoryBudget;
 }  // namespace tabby::util
 
 namespace tabby::cypher {
@@ -81,9 +80,6 @@ struct QueryOptions {
   /// Parallelizes the backward prepass chunks; results are identical at any
   /// concurrency (commutative bitset merges). Null = serial.
   util::Executor* executor = nullptr;
-  /// Meters the plan's filter bitsets and accumulated result rows (ledger
-  /// only — queries never prune on pressure, that would change answers).
-  util::MemoryBudget* memory = nullptr;
 };
 
 /// Parses and executes a query. Malformed queries report Error with a

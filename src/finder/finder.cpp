@@ -422,7 +422,6 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
   limits.max_expansions = options_.max_expansions;
   limits.deadline = options_.deadline;
   limits.max_frontier_bytes = frontier_cap;
-  limits.memory = options_.memory;
 
   graph::Traverser<TcState> traverser(
       g, expand, evaluate, graph::Uniqueness::NodePath, limits,

@@ -15,7 +15,6 @@
 #include "graph/frozen.hpp"
 #include "graph/traversal.hpp"
 #include "util/deadline.hpp"
-#include "util/memory_budget.hpp"
 
 namespace tabby::util {
 class Executor;
@@ -72,18 +71,15 @@ struct FinderOptions {
   /// expires, and a deadline that never fires leaves the report
   /// byte-identical to an unbounded run.
   util::Deadline deadline;
-  /// Finder-phase byte pool for traversal frontiers (--mem-budget /
-  /// --phase-budget finder-mem=). 0 = ungoverned. The pool is split
-  /// *deterministically* across sink shards (pool / sinks, floored at a
-  /// small minimum), and each shard polices only its own single-threaded
-  /// slice — never a shared live counter — so the chain set is bit-identical
-  /// at any --jobs count. A shard over its slice prunes shallowest frontier
-  /// branches first and reports the sink partial with a MemoryPressure
-  /// reason; chains already found are always kept.
+  /// Finder-phase byte pool for traversal frontiers (--mem-budget).
+  /// 0 = ungoverned. The pool is split *deterministically* across sink
+  /// shards (pool / sinks, floored at a small minimum), and each shard
+  /// polices only its own single-threaded slice — never a shared live
+  /// counter — so the chain set is bit-identical at any --jobs count. A
+  /// shard over its slice prunes shallowest frontier branches first and
+  /// reports the sink partial with a MemoryPressure reason; chains already
+  /// found are always kept.
   std::size_t frontier_byte_pool = 0;
-  /// Optional process-wide ledger the per-shard charges mirror into
-  /// (telemetry / stage checkpoints only). Borrowed, may be null.
-  util::MemoryBudget* memory = nullptr;
   /// Crash-isolated execution (--workers N): with dist.workers > 0,
   /// find_all() dispatches each sink shard to a supervised pool of forked
   /// worker processes instead of the in-process executor. The frozen CSR

@@ -15,10 +15,6 @@ namespace tabby::finder {
 
 namespace {
 
-/// Nominal live working set of one verification shard (frames, locals, the
-/// synthesized recipe) mirrored into the telemetry ledger while it runs.
-constexpr std::size_t kShardWorkingSetBytes = 64 * 1024;
-
 /// Strict decimal u64 parse for the verdict wire codec (counters travel as
 /// strings — the wire format's numbers are doubles).
 bool parse_u64(const std::string& text, std::uint64_t& out) {
@@ -233,7 +229,6 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
       v.detail = "verify deadline expired before the chain ran";
       return v;
     }
-    util::ScopedCharge charge(options.memory, kShardWorkingSetBytes);
     runtime::VmOptions vm;
     vm.max_steps = options.max_steps_per_chain;
     vm.max_call_depth = options.max_call_depth;

@@ -27,7 +27,6 @@
 #include "finder/finder.hpp"
 #include "finder/payload.hpp"
 #include "util/deadline.hpp"
-#include "util/memory_budget.hpp"
 
 namespace tabby::util {
 class Executor;
@@ -77,9 +76,6 @@ struct VerifyOptions {
   /// In-process parallelism (verify_workers == 0): per-chain shards on this
   /// executor, merged in chain order. Borrowed, may be null (serial).
   util::Executor* executor = nullptr;
-  /// Optional process-wide ledger charged with per-shard VM budgets
-  /// (telemetry only). Borrowed, may be null.
-  util::MemoryBudget* memory = nullptr;
   /// Crash isolation: dist.workers > 0 forks a supervised verifier pool and
   /// runs every chain in a worker process (heartbeats, hang-kill, bounded
   /// retry with deterministic backoff — the src/dist contract).

@@ -297,8 +297,7 @@ std::string_view FrozenColumn::mixed_string(std::uint64_t i) const {
 
 // --- Freeze -----------------------------------------------------------------
 
-util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t content_key,
-                                              util::MemoryBudget* memory) {
+util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t content_key) {
   if (util::failpoint::poll("graph.freeze")) {
     return Error{"failpoint: injected graph freeze failure", 0};
   }
@@ -475,15 +474,14 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
 
   std::vector<std::byte> bytes = std::move(w.buf);
   std::span<const std::byte> frame(bytes);
-  return attach(frame, std::move(bytes), nullptr, memory);
+  return attach(frame, std::move(bytes), nullptr);
 }
 
 // --- Attach (validate + wire views) -----------------------------------------
 
 util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
                                               std::vector<std::byte> storage,
-                                              std::shared_ptr<void> mapping,
-                                              util::MemoryBudget* memory) {
+                                              std::shared_ptr<void> mapping) {
   if ((reinterpret_cast<std::uintptr_t>(frame.data()) & 7) != 0) {
     return frozen_err("frame storage is not 8-byte aligned");
   }
@@ -836,24 +834,20 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
   g.owned_ = std::move(storage);
   g.mapping_ = std::move(mapping);
   g.frame_ = frame;
-  g.charge_ = util::ScopedCharge(memory, frame.size());
   return g;
 }
 
-util::Result<FrozenGraph> FrozenGraph::from_bytes(std::span<const std::byte> frame,
-                                                  util::MemoryBudget* memory) {
+util::Result<FrozenGraph> FrozenGraph::from_bytes(std::span<const std::byte> frame) {
   std::vector<std::byte> copy(frame.begin(), frame.end());
-  return adopt(std::move(copy), memory);
+  return adopt(std::move(copy));
 }
 
-util::Result<FrozenGraph> FrozenGraph::adopt(std::vector<std::byte> frame,
-                                             util::MemoryBudget* memory) {
+util::Result<FrozenGraph> FrozenGraph::adopt(std::vector<std::byte> frame) {
   std::span<const std::byte> view(frame);
-  return attach(view, std::move(frame), nullptr, memory);
+  return attach(view, std::move(frame), nullptr);
 }
 
-util::Result<FrozenGraph> FrozenGraph::map_file(const std::filesystem::path& path,
-                                                util::MemoryBudget* memory) {
+util::Result<FrozenGraph> FrozenGraph::map_file(const std::filesystem::path& path) {
 #ifdef TABBY_FROZEN_HAVE_MMAP
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd >= 0) {
@@ -870,14 +864,14 @@ util::Result<FrozenGraph> FrozenGraph::map_file(const std::filesystem::path& pat
     if (base != MAP_FAILED) {
       std::shared_ptr<void> mapping(base, [file_size](void* p) { ::munmap(p, file_size); });
       std::span<const std::byte> frame(static_cast<const std::byte*>(base), file_size);
-      return attach(frame, {}, std::move(mapping), memory);
+      return attach(frame, {}, std::move(mapping));
     }
     // mmap refused (an empty file, an unusual filesystem) — read instead.
   }
 #endif
   auto bytes = util::read_file(path);
   if (!bytes.ok()) return bytes.error();
-  return adopt(std::move(bytes.value()), memory);
+  return adopt(std::move(bytes.value()));
 }
 
 util::Status FrozenGraph::save(const std::filesystem::path& path) const {

@@ -25,9 +25,6 @@
 // cardinality stats and the builder's counts. Validation is fail-closed: a
 // truncated, bit-flipped or version-skewed frame is a structured error,
 // never UB — a cache caller rebuilds from the classpath.
-//
-// Memory governance: an owned or mapped frame charges its byte size to the
-// optional MemoryBudget for its lifetime (eviction = destruction = unmap).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +36,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/memory_budget.hpp"
 #include "util/result.hpp"
 
 namespace tabby::graph {
@@ -194,22 +190,17 @@ class FrozenGraph {
   /// The frame carries db.cardinality() and db.build_counts() too.
   /// Fails when the graph exceeds the dense u32/u16 id spaces, or at the
   /// `graph.freeze` failpoint.
-  static util::Result<FrozenGraph> freeze(const GraphDb& db, std::uint64_t content_key = 0,
-                                          util::MemoryBudget* memory = nullptr);
+  static util::Result<FrozenGraph> freeze(const GraphDb& db, std::uint64_t content_key = 0);
 
   /// Validates and attaches a frame, copying the bytes into owned storage.
-  static util::Result<FrozenGraph> from_bytes(std::span<const std::byte> frame,
-                                              util::MemoryBudget* memory = nullptr);
+  static util::Result<FrozenGraph> from_bytes(std::span<const std::byte> frame);
 
   /// Validates and attaches a frame the caller hands over (no copy).
-  static util::Result<FrozenGraph> adopt(std::vector<std::byte> frame,
-                                         util::MemoryBudget* memory = nullptr);
+  static util::Result<FrozenGraph> adopt(std::vector<std::byte> frame);
 
   /// Maps `path` read-only and attaches the frame it holds. Falls back to a
-  /// plain read when mmap is unavailable. Mapped bytes are charged to
-  /// `memory` until destruction.
-  static util::Result<FrozenGraph> map_file(const std::filesystem::path& path,
-                                            util::MemoryBudget* memory = nullptr);
+  /// plain read when mmap is unavailable.
+  static util::Result<FrozenGraph> map_file(const std::filesystem::path& path);
 
   /// Writes the frame verbatim (the exact bytes map_file/from_bytes accept).
   util::Status save(const std::filesystem::path& path) const;
@@ -340,13 +331,11 @@ class FrozenGraph {
   /// ownership (exactly one is set; both empty for borrowed test frames).
   static util::Result<FrozenGraph> attach(std::span<const std::byte> frame,
                                           std::vector<std::byte> storage,
-                                          std::shared_ptr<void> mapping,
-                                          util::MemoryBudget* memory);
+                                          std::shared_ptr<void> mapping);
 
   // Ownership: exactly one of owned_ / mapping_ backs frame_.
   std::vector<std::byte> owned_;
   std::shared_ptr<void> mapping_;  // munmaps (or frees) on release
-  util::ScopedCharge charge_;
   std::span<const std::byte> frame_;
 
   std::uint64_t content_key_ = 0;

@@ -29,7 +29,6 @@
 
 #include "graph/frozen.hpp"
 #include "util/deadline.hpp"
-#include "util/memory_budget.hpp"
 
 namespace tabby::graph {
 
@@ -99,10 +98,6 @@ struct TraversalLimits {
   /// never a live shared counter, so runs are bit-identical at any worker
   /// count.
   std::size_t max_frontier_bytes = SIZE_MAX;
-  /// Optional process-level ledger mirroring the frontier bytes (telemetry
-  /// and stage-boundary checkpoints; never consulted for prune decisions).
-  /// Borrowed; may be null.
-  util::MemoryBudget* memory = nullptr;
 };
 
 /// The engine walks the frozen CSR graph. Expansion and evaluation see the
@@ -179,15 +174,6 @@ class Traverser {
     // whole stack.
     std::vector<Frame> stack;
     std::size_t bottom = 0;
-    // Releases whatever is still charged on every exit path (early returns
-    // on budgets/deadlines leave a live frontier behind).
-    struct ChargeGuard {
-      Traverser* self;
-      ~ChargeGuard() {
-        util::maybe_release(self->limits_.memory, self->frontier_bytes_);
-        self->frontier_bytes_ = 0;
-      }
-    } guard{this};
 
     Frame root{start, kNoEdge, 0, std::move(initial)};
     charge(frame_cost(root));
@@ -310,12 +296,8 @@ class Traverser {
     frontier_bytes_ += bytes;
     bytes_charged_ += bytes;
     if (frontier_bytes_ > peak_frontier_bytes_) peak_frontier_bytes_ = frontier_bytes_;
-    util::maybe_charge(limits_.memory, bytes);
   }
-  void release(std::size_t bytes) {
-    frontier_bytes_ -= bytes;
-    util::maybe_release(limits_.memory, bytes);
-  }
+  void release(std::size_t bytes) { frontier_bytes_ -= bytes; }
 
   const FrozenGraph& db_;
   ExpandFn expand_;

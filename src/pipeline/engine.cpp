@@ -77,7 +77,6 @@ FindResult Analysis::find(const ExecContext& ctx) const {
   deadline.bind(ctx.cancel);
   options.deadline = deadline.tightened(anchor(ctx.finder_budget));
   options.frontier_byte_pool = ctx.frontier_byte_pool;
-  options.memory = memory_;
   options.dist.workers = ctx.workers;
 
   FindResult result;
@@ -103,7 +102,6 @@ FindResult Analysis::find(const ExecContext& ctx) const {
     verify_deadline.bind(ctx.cancel);
     vopts.deadline = verify_deadline.tightened(anchor(ctx.verify_budget));
     vopts.executor = executor_;
-    vopts.memory = memory_;
     vopts.dist.workers = ctx.verify_workers;
     if (verdict_cache_ != nullptr && fingerprint_ != 0) {
       // Key = classpath fingerprint × verdict-relevant options — a changed
@@ -149,7 +147,6 @@ util::Result<cypher::QueryResult> Analysis::query(std::string_view text,
   cypher::QueryOptions options;
   options.use_planner = ctx.use_planner;
   options.executor = executor_;
-  options.memory = memory_;
   return cypher::run_query(outcome_.frozen, text, options);
 }
 
@@ -199,9 +196,6 @@ std::string Analysis::render(const FindResult& result, std::vector<std::string>&
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   pool_ = make_pool(options_.jobs);
-  if (options_.memory_budget_bytes > 0) {
-    budget_ = std::make_unique<util::MemoryBudget>(options_.memory_budget_bytes);
-  }
   if (!options_.cache_dir.empty()) {
     // Best-effort: an unopenable cache directory disables verdict caching
     // without failing engine construction (open() reports the real error on
@@ -253,16 +247,17 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   // Cheap pre-admission check: when even the raw classpath bytes exceed the
   // whole budget, reject before decoding a single archive — no eviction
   // could make the analysis fit.
-  if (opts.require_admission && budget_ != nullptr && budget_->bounded()) {
+  const std::size_t cap = options_.memory_budget_bytes;
+  if (opts.require_admission && cap > 0) {
     std::size_t raw_bytes = 0;
     for (const ArchiveRead& file : files) raw_bytes += file.bytes.size();
-    if (raw_bytes > budget_->cap()) {
+    if (raw_bytes > cap) {
       std::lock_guard<std::mutex> lock(mutex_);
       ++over_capacity_;
       obs::counter_add("engine.over_capacity");
       return util::Error{std::string(kOverCapacityPrefix) + "classpath is " +
                          std::to_string(raw_bytes) + " raw byte(s); engine budget is " +
-                         std::to_string(budget_->cap()) + " byte(s)"};
+                         std::to_string(cap) + " byte(s)"};
     }
   }
 
@@ -278,7 +273,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       auto opened = cache::AnalysisCache::open(options_.cache_dir);
       if (!opened.ok()) return opened.error();
       cache.emplace(std::move(opened.value()));
-      cache->set_memory(budget_.get());
     }
 
     // Warm start: the frame is the classpath's whole cache entry. A hit maps
@@ -309,13 +303,12 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
           return util::Error{"deadline exceeded before CPG construction"};
         }
         outcome.degradation.deadline_hit = true;
-        util::Status frozen = freeze(graph::GraphDb{}, /*content_key=*/0, budget_.get(), outcome);
+        util::Status frozen = freeze(graph::GraphDb{}, /*content_key=*/0, outcome);
         if (!frozen.ok()) return frozen.error();
       } else if (!outcome.warm) {
         cpg::CpgOptions cpg_options;
         cpg_options.executor = pool_.get();
         cpg_options.deadline = deadline;
-        cpg_options.memory = budget_.get();
         // Cached or not, the build freezes under the classpath key, so the
         // frame is the same bytes either way; only a cached build publishes.
         util::Status built = build(program.value(), cpg_options, ctx.policy, outcome,
@@ -336,7 +329,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   analysis->outcome_ = std::move(outcome);
   analysis->fingerprint_ = key.value_or(0);
   analysis->executor_ = pool_.get();
-  analysis->memory_ = budget_.get();
   analysis->dist_ = &dist_telemetry_;
   analysis->verdict_cache_ = verdict_cache_.get();
   analysis->resident_bytes_ = resident_estimate(analysis->outcome_);
@@ -352,16 +344,16 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
     if (satisfies(it->second.analysis->outcome(), opts)) return AnalysisPtr(it->second.analysis);
     evict_locked(*key);
   }
-  if (budget_ != nullptr && budget_->bounded()) {
+  if (cap > 0) {
     make_room_locked(analysis->resident_bytes_);
-    if (resident_bytes_ + analysis->resident_bytes_ > budget_->cap()) {
+    if (resident_bytes_ + analysis->resident_bytes_ > cap) {
       if (opts.require_admission) {
         ++over_capacity_;
         obs::counter_add("engine.over_capacity");
         return util::Error{std::string(kOverCapacityPrefix) + "analysis needs " +
                            std::to_string(analysis->resident_bytes_) +
                            " resident byte(s); engine budget is " +
-                           std::to_string(budget_->cap()) + " byte(s) with " +
+                           std::to_string(cap) + " byte(s) with " +
                            std::to_string(resident_bytes_) + " already resident"};
       }
       // One-shot caller: hand the analysis back non-resident instead of
@@ -370,10 +362,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       return AnalysisPtr(std::move(analysis));
     }
   }
-  // Admitted: the resident bytes are charged to the engine ledger for the
-  // lifetime of residency (telemetry; admission itself compares the exact
-  // sums above, never the racy live total).
-  util::maybe_charge(budget_.get(), analysis->resident_bytes_);
   resident_bytes_ += analysis->resident_bytes_;
   lru_.push_front(*key);
   Entry entry;
@@ -415,7 +403,6 @@ util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecCo
   cpg::CpgOptions cpg_options;
   cpg_options.executor = pool_.get();
   cpg_options.deadline = deadline;
-  cpg_options.memory = budget_.get();
   Outcome outcome;
   // A deadline cut is always absorbed as degradation regardless of policy.
   util::Status built = build(program, cpg_options, FailurePolicy::kQuarantine, outcome);
@@ -424,7 +411,6 @@ util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecCo
   auto analysis = std::shared_ptr<Analysis>(new Analysis());
   analysis->outcome_ = std::move(outcome);
   analysis->executor_ = pool_.get();
-  analysis->memory_ = budget_.get();
   analysis->dist_ = &dist_telemetry_;
   analysis->verdict_cache_ = verdict_cache_.get();
   analysis->resident_bytes_ = resident_estimate(analysis->outcome_);
@@ -442,7 +428,6 @@ std::size_t Engine::evict_locked(std::uint64_t fingerprint) {
   lru_.erase(it->second.lru);
   resident_.erase(it);
   resident_bytes_ -= bytes;
-  util::maybe_release(budget_.get(), bytes);
   ++evictions_;
   obs::counter_add("engine.evictions");
   // The callback is the Katana-style eviction hook: by the time it fires
@@ -453,8 +438,9 @@ std::size_t Engine::evict_locked(std::uint64_t fingerprint) {
 }
 
 void Engine::make_room_locked(std::size_t needed) {
-  if (budget_ == nullptr || !budget_->bounded()) return;
-  while (resident_bytes_ + needed > budget_->cap() && !lru_.empty()) {
+  const std::size_t cap = options_.memory_budget_bytes;
+  if (cap == 0) return;
+  while (resident_bytes_ + needed > cap && !lru_.empty()) {
     bool evicted = false;
     for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
       auto it = resident_.find(*rit);
@@ -488,7 +474,7 @@ EngineStats Engine::stats() const {
   stats.resident_hits = resident_hits_;
   stats.evictions = evictions_;
   stats.over_capacity = over_capacity_;
-  stats.budget_bytes = budget_ != nullptr ? budget_->cap() : 0;
+  stats.budget_bytes = options_.memory_budget_bytes;
   stats.dist_workers_spawned = dist_telemetry_.workers_spawned.load(std::memory_order_relaxed);
   stats.dist_respawns = dist_telemetry_.respawns.load(std::memory_order_relaxed);
   stats.dist_crashes = dist_telemetry_.crashes.load(std::memory_order_relaxed);

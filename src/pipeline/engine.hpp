@@ -4,13 +4,12 @@
 // tooling).
 //
 //   Engine   owns the process-scale machinery a serving deployment shares
-//            across requests: the --jobs worker pool, the global
-//            util::MemoryBudget, the incremental cache directory, and an LRU
-//            of resident analyses keyed by classpath fingerprint (the
-//            snapshot cache's key). Every open reads and digests each
-//            archive once to compute that key; opening a classpath a second
-//            time returns the already-resident Analysis without decoding
-//            anything.
+//            across requests: the --jobs worker pool, the residency byte
+//            cap, the incremental cache directory, and an LRU of resident
+//            analyses keyed by classpath fingerprint (the snapshot cache's
+//            key). Every open reads and digests each archive once to
+//            compute that key; opening a classpath a second time returns
+//            the already-resident Analysis without decoding anything.
 //   Analysis one resident classpath: the pipeline Outcome (frozen CSR frame,
 //            stats, optional linked program) plus
 //            find()/query() entry points that reproduce the CLI's
@@ -96,7 +95,7 @@ struct ExecContext {
   FailurePolicy policy = FailurePolicy::kStrict;
   /// Finder: maximum chain length (edge count).
   int max_depth = 12;
-  /// Finder: frontier byte pool (--phase-budget finder-mem= / --mem-budget).
+  /// Finder: frontier byte pool (--mem-budget).
   /// 0 = ungoverned. Split deterministically across sink shards.
   std::size_t frontier_byte_pool = 0;
   /// Cypher: use the cost-based planner (--no-plan sets false). Rows are
@@ -143,9 +142,9 @@ struct EngineOptions {
   int jobs = 1;
   /// Incremental analysis cache directory; empty = no cache.
   std::string cache_dir;
-  /// Global byte budget (0 = ungoverned). Bounds residency: opens that
-  /// cannot fit after LRU eviction fail over-capacity. Also threaded into
-  /// the builder's, the cache's and the finder's byte telemetry.
+  /// Residency byte cap (0 = ungoverned): admission compares the sum of
+  /// resident_bytes() against it, and opens that cannot fit after LRU
+  /// eviction fail over-capacity.
   std::size_t memory_budget_bytes = 0;
   /// Maximum resident analyses (0 = unlimited count; bytes still governed).
   std::size_t max_resident = 0;
@@ -215,7 +214,6 @@ class Analysis {
   std::uint64_t fingerprint_ = 0;
   std::size_t resident_bytes_ = 0;
   util::Executor* executor_ = nullptr;   // borrowed from the engine
-  util::MemoryBudget* memory_ = nullptr; // borrowed from the engine
   DistTelemetry* dist_ = nullptr;        // borrowed from the engine
   cache::AnalysisCache* verdict_cache_ = nullptr;  // borrowed from the engine
 };
@@ -289,7 +287,6 @@ class Engine {
   EngineStats stats() const;
 
   util::Executor* executor() const { return pool_.get(); }
-  util::MemoryBudget* memory() const { return budget_.get(); }
   const EngineOptions& options() const { return options_; }
 
  private:
@@ -310,7 +307,6 @@ class Engine {
 
   EngineOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<util::MemoryBudget> budget_;
   /// Verdict-cache handle (cache_dir set and openable; else null). All its
   /// state is on the filesystem, so concurrent finds share it safely.
   std::unique_ptr<cache::AnalysisCache> verdict_cache_;

@@ -166,12 +166,11 @@ util::Result<jir::Program> load_program(std::vector<ArchiveRead> files, bool wit
   return jar::link(classpath);
 }
 
-util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key,
-                    util::MemoryBudget* memory, Outcome& outcome,
+util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key, Outcome& outcome,
                     cache::AnalysisCache* publish_to) {
   {
     obs::Span span("graph.freeze");
-    auto frozen = graph::FrozenGraph::freeze(db, content_key, memory);
+    auto frozen = graph::FrozenGraph::freeze(db, content_key);
     if (!frozen.ok()) {
       obs::counter_add("graph.freeze_failures");
       return util::Error{"graph freeze failed: " + frozen.error().message};
@@ -213,8 +212,7 @@ util::Status build(const jir::Program& program, const cpg::CpgOptions& options,
   if (cache != nullptr && !publish) {
     outcome.warnings.push_back("snapshot not published (degraded run)");
   }
-  util::Status frozen =
-      freeze(cpg.db, key.value_or(0), options.memory, outcome, publish ? cache : nullptr);
+  util::Status frozen = freeze(cpg.db, key.value_or(0), outcome, publish ? cache : nullptr);
   if (!frozen.ok()) return frozen;
   {
     // The builder's graph is freed in its own span: on a large classpath

@@ -33,7 +33,6 @@
 #include "graph/frozen.hpp"
 #include "jir/model.hpp"
 #include "util/deadline.hpp"
-#include "util/memory_budget.hpp"
 #include "util/result.hpp"
 #include "util/thread_pool.hpp"
 
@@ -174,8 +173,7 @@ util::Result<jir::Program> load_program(std::vector<ArchiveRead> files, bool wit
 /// error. With `publish_to`, the frame is then published under
 /// `content_key`; a failed publish only costs the next open its warm start
 /// and is recorded in outcome.warnings.
-util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key,
-                    util::MemoryBudget* memory, Outcome& outcome,
+util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key, Outcome& outcome,
                     cache::AnalysisCache* publish_to = nullptr);
 
 /// The build stage: builds the CPG of `program` with `options`, records its

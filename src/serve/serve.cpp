@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <ostream>
@@ -37,9 +38,54 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
-/// The per-request ExecContext, decoded from protocol fields. Deadlines are
-/// anchored here — at dispatch — so a request queued behind a slow neighbour
-/// still gets its full allowance once it actually starts.
+/// A numeric protocol field and the integers it accepts, [min, limit): the
+/// ranges of the CLI flags it mirrors, so every cast in context_from() is
+/// defined.
+struct IntegerField {
+  const char* name;
+  double min;
+  double limit;
+  const char* range;
+};
+
+constexpr IntegerField kIntegerFields[] = {
+    {"depth", 1, 0x1p31, "[1, 2^31)"},
+    {"workers", 0, 0x1p31, "[0, 2^31)"},
+    {"verify_workers", 0, 0x1p31, "[0, 2^31)"},
+    {"frontier_pool", 0, 0x1p64, "[0, 2^64)"},
+    {"deadline_ms", 0, 0x1p63, "[0, 2^63)"},
+    {"load_ms", 0, 0x1p63, "[0, 2^63)"},
+    {"finder_ms", 0, 0x1p63, "[0, 2^63)"},
+    {"verify_ms", 0, 0x1p63, "[0, 2^63)"},
+};
+
+constexpr const char* kBooleanFields[] = {"strict", "verify", "explain", "no_plan", "all"};
+
+/// The usage error for the first typed field of `request` that is present
+/// but malformed; empty when every one is well formed.
+std::string field_error(const Json& request) {
+  for (const IntegerField& field : kIntegerFields) {
+    const Json* value = request.find(field.name);
+    if (value == nullptr) continue;
+    double v = value->as_number();
+    if (value->kind() != Json::Kind::Number || std::trunc(v) != v || v < field.min ||
+        v >= field.limit) {
+      return "\"" + std::string(field.name) + "\" must be an integer in " + field.range;
+    }
+  }
+  for (const char* name : kBooleanFields) {
+    const Json* value = request.find(name);
+    if (value != nullptr && value->kind() != Json::Kind::Bool) {
+      return "\"" + std::string(name) + "\" must be a boolean";
+    }
+  }
+  return {};
+}
+
+/// The per-request ExecContext, decoded from protocol fields that
+/// field_error() accepted. Deadlines are anchored here — at dispatch — so a
+/// request queued behind a slow neighbour still gets its full allowance once
+/// it actually starts.
 pipeline::ExecContext context_from(const Json& request, int default_workers) {
   pipeline::ExecContext ctx;
   if (request.has("deadline_ms")) {
@@ -249,6 +295,10 @@ std::string Daemon::handle_line(const std::string& line) {
 }
 
 Json Daemon::dispatch(const Json& request) {
+  // Checked before any op runs, so a rejected request reads no archive.
+  if (std::string error = field_error(request); !error.empty()) {
+    return error_response("usage", "malformed request: " + error);
+  }
   std::string op = request.str("op");
   if (op == "open") return op_open(request);
   if (op == "find") return op_find(request);

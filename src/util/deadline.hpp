@@ -34,10 +34,15 @@ class Deadline {
 
   Deadline() = default;
 
-  /// A deadline `budget` from now. Non-positive budgets are already expired.
+  /// A deadline `budget` from now. Non-positive budgets are already expired;
+  /// a budget that does not fit before the clock's last tick saturates there,
+  /// giving a deadline that never expires.
   static Deadline after(std::chrono::milliseconds budget) {
+    const Clock::time_point now = Clock::now();
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::time_point::max() - now);
     Deadline d;
-    d.at_ = Clock::now() + budget;
+    d.at_ = budget < headroom ? now + budget : Clock::time_point::max();
     return d;
   }
 

@@ -161,6 +161,16 @@ TEST(Cli, NonPositiveCountsRejected) {
   EXPECT_NE(jobs.err.find("bad --jobs value: -2"), std::string::npos) << jobs.err;
 }
 
+TEST(Cli, MemoryIsNotAPhase) {
+  // --mem-budget is the one memory flag; a finder-mem phase is unknown.
+  CliRun r = run({"find", "x.tjar", "--phase-budget", "finder-mem=32m"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown --phase-budget phase: finder-mem (known phases: load, finder, "
+                       "verify)"),
+            std::string::npos)
+      << r.err;
+}
+
 TEST(Cli, MissingTraceValueFails) {
   CliRun r = run({"list", "--trace"});
   EXPECT_EQ(r.code, 2);

@@ -5,10 +5,10 @@
 // order — at any job count. This harness generates seeded random graphs
 // (tests/support/random_graph.hpp), freezes them, and runs seeded random
 // queries over the same label/type/key vocabulary through naive and planned
-// evaluation, plus a planned run with a thread pool and a memory budget
-// attached (the prepass parallelizes; results must not change). Any mismatch
-// prints the graph seed, query seed, and query text — rerunning with those
-// two seeds reproduces the case exactly.
+// evaluation, plus a planned run with a thread pool attached (the prepass
+// parallelizes; results must not change). Any mismatch prints the graph
+// seed, query seed, and query text — rerunning with those two seeds
+// reproduces the case exactly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,7 +18,6 @@
 #include "graph/frozen.hpp"
 #include "support/freeze.hpp"
 #include "support/random_graph.hpp"
-#include "util/memory_budget.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -128,7 +127,7 @@ Rendered run_one(const graph::FrozenGraph& db, const std::string& query,
   return out;
 }
 
-/// The naive/planned (plus parallel/metered) oracle for one (graph, query)
+/// The naive/planned (plus parallel) oracle for one (graph, query)
 /// pair. Returns false after recording a failure so callers can stop early.
 bool check_case(const graph::FrozenGraph& db, const std::string& query, std::uint64_t graph_seed,
                 std::uint64_t query_seed, util::Executor* pool) {
@@ -140,8 +139,6 @@ bool check_case(const graph::FrozenGraph& db, const std::string& query, std::uin
   cypher::QueryOptions planned;
   cypher::QueryOptions planned_parallel;
   planned_parallel.executor = pool;
-  util::MemoryBudget budget(64ull << 20);
-  planned_parallel.memory = &budget;
 
   Rendered reference = run_one(db, query, naive);
   struct Variant {
@@ -150,7 +147,7 @@ bool check_case(const graph::FrozenGraph& db, const std::string& query, std::uin
   };
   Variant variants[] = {
       {"planned", run_one(db, query, planned)},
-      {"planned+jobs+budget", run_one(db, query, planned_parallel)},
+      {"planned+jobs", run_one(db, query, planned_parallel)},
   };
   for (const Variant& v : variants) {
     EXPECT_EQ(reference.ok, v.result.ok) << ctx << "\nvariant: " << v.name;

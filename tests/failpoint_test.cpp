@@ -153,9 +153,14 @@ TEST(Deadline, ZeroBudgetIsAlreadyExpired) {
 }
 
 TEST(Deadline, GenerousBudgetHasNotExpired) {
-  Deadline d = Deadline::after(1h);
-  EXPECT_FALSE(d.expired());
-  EXPECT_GT(d.remaining().value(), 59min);
+  // The largest budget saturates at the clock's end instead of overflowing
+  // into the past.
+  for (std::chrono::milliseconds budget : {std::chrono::milliseconds{1h},
+                                           std::chrono::milliseconds::max()}) {
+    Deadline d = Deadline::after(budget);
+    EXPECT_FALSE(d.expired()) << budget.count() << " ms";
+    EXPECT_GT(d.remaining().value(), 59min) << budget.count() << " ms";
+  }
 }
 
 TEST(Deadline, CancelTokenReadsAsExpired) {

@@ -1,9 +1,9 @@
 // Tests for the frozen CSR snapshot (src/graph/frozen.hpp, docs/GRAPH.md):
 // accessor-level equivalence with the append-only GraphDb it freezes, byte-level
 // determinism of the frame, the fail-closed validation contract (truncation,
-// bit flips, version skew are structured errors, never UB), memory-budget
-// charging, and the cache's .tfzn publish/load/audit integration with the
-// pipeline's warm frozen start and self-healing republish.
+// bit flips, version skew are structured errors, never UB), and the cache's
+// .tfzn publish/load/audit integration with the pipeline's warm frozen start
+// and self-healing republish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "support/freeze.hpp"
 #include "support/random_graph.hpp"
 #include "util/digest.hpp"
-#include "util/memory_budget.hpp"
 #include "util/rng.hpp"
 
 namespace tabby {
@@ -286,16 +285,6 @@ TEST(FrozenGraph, VersionSkewAndBadMagicAreStructuredErrors) {
   std::memcpy(wrong.data(), &magic, sizeof magic);
   resign(wrong);
   EXPECT_FALSE(graph::FrozenGraph::from_bytes(wrong).ok());
-}
-
-TEST(FrozenGraph, MemoryBudgetChargesFrameForLifetime) {
-  util::MemoryBudget budget;
-  graph::GraphDb db = kitchen_sink_graph();
-  {
-    graph::FrozenGraph fg = testing::freeze(db, 0, &budget);
-    EXPECT_GE(budget.charged(), fg.frame().size());
-  }
-  EXPECT_EQ(budget.charged(), 0u);  // eviction == destruction == release
 }
 
 // --- Cache + pipeline + CLI integration -------------------------------------

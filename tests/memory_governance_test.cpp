@@ -14,11 +14,9 @@
 #include "corpus/stress.hpp"
 #include "cpg/builder.hpp"
 #include "finder/finder.hpp"
-#include "graph/serialize.hpp"
 #include "jar/archive.hpp"
 #include "support/freeze.hpp"
 #include "util/deadline.hpp"
-#include "util/memory_budget.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tabby {
@@ -39,13 +37,11 @@ const graph::FrozenGraph& fixture_db() {
   return cpg;
 }
 
-finder::FinderReport search(std::size_t frontier_pool, util::Executor* executor = nullptr,
-                            util::MemoryBudget* memory = nullptr) {
+finder::FinderReport search(std::size_t frontier_pool, util::Executor* executor = nullptr) {
   finder::FinderOptions options;
   options.max_depth = 16;
   options.frontier_byte_pool = frontier_pool;
   options.executor = executor;
-  options.memory = memory;
   finder::GadgetChainFinder finder(fixture_db(), options);
   return finder.find_all();
 }
@@ -158,15 +154,6 @@ TEST(MemoryGovernance, UngovernedFrontierGrowsLinearlyWithDepth) {
       << shallow.peak_frontier_bytes << " -> " << deep.peak_frontier_bytes << " bytes";
 }
 
-TEST(MemoryGovernance, ProcessLedgerDrainsToZero) {
-  util::MemoryBudget root(512u * 1024 * 1024);
-  finder::FinderReport report = search(64 * 1024, nullptr, &root);
-  EXPECT_GT(report.frontier_bytes_charged, 0u);
-  // Every frontier charge was released on pop, prune, spill or exit.
-  EXPECT_EQ(root.charged(), 0u);
-  EXPECT_GT(root.peak(), 0u);
-}
-
 jir::Program small_fixture_program() {
   corpus::FanoutStressSpec spec;
   spec.hops = 8;
@@ -192,16 +179,6 @@ TEST(MemoryGovernance, CpgUnsetGovernanceChangesNothing) {
   cpg::Cpg baseline = cpg::build_cpg(program, {});
   EXPECT_FALSE(baseline.deadline_hit);
   EXPECT_EQ(baseline.methods_skipped, 0u);
-
-  // A metered build (live budget, unlimited deadline) produces the
-  // identical graph and drains its ledger.
-  util::MemoryBudget budget(1u << 30);
-  cpg::CpgOptions metered;
-  metered.memory = &budget;
-  cpg::Cpg governed = cpg::build_cpg(program, metered);
-  EXPECT_EQ(graph::serialize(baseline.db), graph::serialize(governed.db));
-  EXPECT_GT(budget.peak(), 0u);
-  EXPECT_EQ(budget.charged(), 0u);
 }
 
 TEST(MemoryGovernance, LooseBudgetMatchesUngovernedChains) {

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.hpp"
@@ -308,6 +309,43 @@ TEST_F(ServeFixture, MalformedAndUnknownRequestsGetUsageErrors) {
   ASSERT_TRUE(no_classpath.has_value());
   EXPECT_FALSE(no_classpath->flag("ok"));
   EXPECT_EQ(no_classpath->str("kind"), "usage");
+
+  // Typed fields: a wrong JSON type, a fraction or a number outside the
+  // range the CLI accepts is a usage error naming the field, answered
+  // before the classpath is opened.
+  const std::pair<const char*, serve::Json> bad_fields[] = {
+      {"depth", serve::Json::number(-1)},
+      {"depth", serve::Json::number(0)},
+      {"depth", serve::Json::number(1e10)},
+      {"depth", serve::Json::number(2.5)},
+      {"depth", serve::Json::string("12")},
+      {"workers", serve::Json::number(-1)},
+      {"workers", serve::Json::number(0x1p31)},
+      {"verify_workers", serve::Json::number(-1)},
+      {"frontier_pool", serve::Json::number(-1)},
+      {"frontier_pool", serve::Json::number(0x1p64)},
+      {"deadline_ms", serve::Json::number(-5)},
+      {"deadline_ms", serve::Json::number(0x1p63)},
+      {"deadline_ms", serve::Json::number(1.5)},
+      {"load_ms", serve::Json::number(-1)},
+      {"finder_ms", serve::Json::string("10")},
+      {"verify_ms", serve::Json::boolean(true)},
+      {"strict", serve::Json::string("yes")},
+      {"verify", serve::Json::number(1)},
+      {"explain", serve::Json::number(1)},
+      {"no_plan", serve::Json::string("true")},
+      {"all", serve::Json::number(1)},
+  };
+  for (const auto& [field, value] : bad_fields) {
+    serve::Json request = request_for("find", {jar_a_});
+    request.set(field, value);
+    auto rejected = round_trip(request);
+    ASSERT_TRUE(rejected.has_value());
+    EXPECT_FALSE(rejected->flag("ok")) << request.dump();
+    EXPECT_EQ(rejected->str("kind"), "usage") << request.dump();
+    EXPECT_NE(rejected->str("error").find(std::string("\"") + field + "\""), std::string::npos)
+        << request.dump() << " -> " << rejected->str("error");
+  }
 }
 
 TEST_F(ServeFixture, BadQueryReportsTheQueryErrorKind) {

@@ -16,9 +16,8 @@
 
 namespace tabby::testing {
 
-inline graph::FrozenGraph freeze(const graph::GraphDb& db, std::uint64_t content_key = 0,
-                                 util::MemoryBudget* memory = nullptr) {
-  auto frozen = graph::FrozenGraph::freeze(db, content_key, memory);
+inline graph::FrozenGraph freeze(const graph::GraphDb& db, std::uint64_t content_key = 0) {
+  auto frozen = graph::FrozenGraph::freeze(db, content_key);
   if (!frozen.ok()) throw std::runtime_error("graph freeze failed: " + frozen.error().message);
   return std::move(frozen.value());
 }

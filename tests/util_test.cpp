@@ -1,5 +1,6 @@
 // Unit tests for the util module: strings, Result, Rng determinism, table
-// rendering and the bounds-checked byte cursor.
+// rendering, the bounds-checked byte cursor and the --mem-budget size
+// syntax.
 #include <gtest/gtest.h>
 
 #include "util/bytes.hpp"
@@ -220,6 +221,27 @@ TEST(ParseInt, ErrorNamesTheOffendingToken) {
   auto r = parse_int("12abc");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("12abc"), std::string::npos);
+}
+
+TEST(ParseSizeBytes, PlainAndSuffixed) {
+  EXPECT_EQ(parse_size_bytes("65536").value(), 65536u);
+  EXPECT_EQ(parse_size_bytes("512k").value(), 512u * 1024);
+  EXPECT_EQ(parse_size_bytes("512K").value(), 512u * 1024);
+  EXPECT_EQ(parse_size_bytes("64m").value(), 64u * 1024 * 1024);
+  EXPECT_EQ(parse_size_bytes("2g").value(), 2ull * 1024 * 1024 * 1024);
+  EXPECT_EQ(parse_size_bytes("0").value(), 0u);
+}
+
+TEST(ParseSizeBytes, RejectsMalformed) {
+  EXPECT_FALSE(parse_size_bytes("").ok());
+  EXPECT_FALSE(parse_size_bytes("64mb").ok());
+  EXPECT_FALSE(parse_size_bytes("m").ok());
+  EXPECT_FALSE(parse_size_bytes("-1").ok());
+  EXPECT_FALSE(parse_size_bytes("1.5g").ok());
+  EXPECT_FALSE(parse_size_bytes("12 k").ok());
+  // 2^64 overflows even before a suffix; 2^54 * 1g overflows via the scale.
+  EXPECT_FALSE(parse_size_bytes("18446744073709551616").ok());
+  EXPECT_FALSE(parse_size_bytes("18014398509481984g").ok());
 }
 
 }  // namespace
