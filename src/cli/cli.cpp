@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -611,29 +612,38 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// A flag value as a protocol number below the daemon's exclusive `limit`
+/// (2^63 ms, 2^64 bytes). Wire numbers are doubles, which round the top of
+/// each flag's range up to the limit itself; those values go out as the
+/// largest double below it instead (a deadline that far out never expires,
+/// a pool that large never prunes).
+double wire_integer(double value, double limit) {
+  return std::min(value, std::nextafter(limit, 0.0));
+}
+
 /// The request fields shared by every client op: phase budgets and policy,
 /// translated from the same flags the one-shot commands use.
 serve::Json client_request_base(const Args& args) {
   serve::Json request = serve::Json::object();
-  if (args.budgets.run.has_value()) {
-    request.set("deadline_ms", static_cast<std::int64_t>(args.budgets.run->count()));
+  const auto set_ms = [&request](const char* field,
+                                 const std::optional<std::chrono::milliseconds>& budget) {
+    if (budget.has_value()) {
+      request.set(field, wire_integer(static_cast<double>(budget->count()), 0x1p63));
+    }
+  };
+  set_ms("deadline_ms", args.budgets.run);
+  set_ms("load_ms", args.budgets.load);
+  set_ms("finder_ms", args.budgets.finder);
+  if (args.budgets.mem.has_value()) {
+    request.set("frontier_pool", wire_integer(static_cast<double>(*args.budgets.mem), 0x1p64));
   }
-  if (args.budgets.load.has_value()) {
-    request.set("load_ms", static_cast<std::int64_t>(args.budgets.load->count()));
-  }
-  if (args.budgets.finder.has_value()) {
-    request.set("finder_ms", static_cast<std::int64_t>(args.budgets.finder->count()));
-  }
-  if (args.budgets.mem.has_value()) request.set("frontier_pool", *args.budgets.mem);
   if (args.strict) request.set("strict", true);
   if (args.workers > 0) request.set("workers", static_cast<std::int64_t>(args.workers));
   if (args.verify) request.set("verify", true);
   if (args.verify_workers > 0) {
     request.set("verify_workers", static_cast<std::int64_t>(args.verify_workers));
   }
-  if (args.budgets.verify.has_value()) {
-    request.set("verify_ms", static_cast<std::int64_t>(args.budgets.verify->count()));
-  }
+  set_ms("verify_ms", args.budgets.verify);
   return request;
 }
 

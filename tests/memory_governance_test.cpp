@@ -118,8 +118,9 @@ TEST(MemoryGovernance, GovernedSearchIsBitIdenticalAtAnyJobCount) {
     for (std::size_t i = 0; i < serial.chains.size(); ++i) {
       EXPECT_EQ(serial.chains[i].key(), parallel.chains[i].key()) << jobs << " jobs, chain " << i;
     }
-    // The byte ledger itself is deterministic: per-sink shards charge
-    // single-threadedly against caps derived from the pool size alone.
+    // The frontier byte counts are deterministic too: per-sink shards
+    // charge single-threadedly against caps derived from the pool size
+    // alone.
     EXPECT_EQ(serial.frontier_pruned, parallel.frontier_pruned) << jobs << " jobs";
     EXPECT_EQ(serial.frontier_bytes_charged, parallel.frontier_bytes_charged) << jobs << " jobs";
     EXPECT_EQ(serial.peak_frontier_bytes, parallel.peak_frontier_bytes) << jobs << " jobs";

@@ -160,6 +160,21 @@ TEST_F(ServeFixture, ClientSubcommandMatchesOneShotCli) {
   CliRun query_client = run_cli_capture({"client", socket_, "query", jar_a_, query});
   EXPECT_EQ(query_client.code, query_direct.code);
   EXPECT_EQ(query_client.out, query_direct.out);
+
+  // The top of each budget flag's range rounds up past the daemon's limit
+  // as a JSON double; the client still gets the one-shot answer.
+  const std::vector<std::string> top = {"--mem-budget", "18446744073709551615", "--deadline",
+                                        "9223372036854775807ms", "--phase-budget",
+                                        "finder=9223372036854775807ms"};
+  std::vector<std::string> direct_args = {"find", jar_a_};
+  std::vector<std::string> client_args = {"client", socket_, "find", jar_a_};
+  direct_args.insert(direct_args.end(), top.begin(), top.end());
+  client_args.insert(client_args.end(), top.begin(), top.end());
+  CliRun top_direct = run_cli_capture(direct_args);
+  CliRun top_client = run_cli_capture(client_args);
+  EXPECT_EQ(top_direct.code, 0) << top_direct.err;
+  EXPECT_EQ(top_client.code, top_direct.code) << top_client.err;
+  EXPECT_EQ(strip_timing(top_client.out), strip_timing(top_direct.out));
 }
 
 TEST_F(ServeFixture, TwoTenantsShareOneDaemonAndHitResidency) {
@@ -346,6 +361,11 @@ TEST_F(ServeFixture, MalformedAndUnknownRequestsGetUsageErrors) {
     EXPECT_NE(rejected->str("error").find(std::string("\"") + field + "\""), std::string::npos)
         << request.dump() << " -> " << rejected->str("error");
   }
+  // Every rejection came before the open: no archive read, no worker forked.
+  auto stats = round_trip(request_for("stats"));
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->num("opens"), 0);
+  EXPECT_EQ(stats->num("dist_workers_spawned"), 0);
 }
 
 TEST_F(ServeFixture, BadQueryReportsTheQueryErrorKind) {
