@@ -32,10 +32,6 @@ using util::ByteWriter;
 using util::Error;
 using util::Result;
 
-Result<std::vector<std::byte>> read_file_bytes(const fs::path& path) {
-  return util::read_file(path);
-}
-
 /// One write+rename attempt. The temp file is private to this attempt (pid
 /// plus a per-process counter): two publishes of one entry, from two
 /// threads or two processes, must never write through the same file, or
@@ -191,9 +187,9 @@ Result<AnalysisCache> AnalysisCache::open(const fs::path& dir) {
 }
 
 Result<std::uint64_t> AnalysisCache::digest_file(const fs::path& file) {
-  auto bytes = read_file_bytes(file);
+  auto bytes = util::read_file(file);
   if (!bytes.ok()) return bytes.error();
-  return util::fnv1a(bytes.value());
+  return util::content_digest(bytes.value());
 }
 
 std::uint64_t AnalysisCache::snapshot_key(std::uint64_t options_fp,
@@ -236,7 +232,7 @@ std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool ne
     ~MissCounter() { obs::counter_add(hit ? "cache.snapshot_hits" : "cache.snapshot_misses"); }
   } outcome;
 
-  auto bytes = read_file_bytes(snapshot_path(key));
+  auto bytes = util::read_file(snapshot_path(key));
   if (!bytes.ok()) return std::nullopt;
 
   // Snapshot layout differs from the shared frame: the checksum covers only
@@ -364,7 +360,7 @@ util::Status AnalysisCache::store_frozen(std::uint64_t key, const graph::FrozenG
 }
 
 std::optional<CachedVerdict> AnalysisCache::load_verdict(std::uint64_t key) {
-  auto bytes = read_file_bytes(verdict_path(key));
+  auto bytes = util::read_file(verdict_path(key));
   if (!bytes.ok()) return std::nullopt;
   auto verdict = decode_verdict_entry(bytes.value(), key);
   obs::counter_add(verdict ? "cache.verdict_hits" : "cache.verdict_misses");
@@ -401,7 +397,7 @@ std::optional<std::uint64_t> parse_digest_hex(std::string_view text) {
 /// Full frame validation mirroring load_frozen: structural attach plus the
 /// content-key binding. Empty when intact, else why not.
 std::string validate_frame(const fs::path& file, std::uint64_t expected_key) {
-  auto bytes = read_file_bytes(file);
+  auto bytes = util::read_file(file);
   if (!bytes.ok()) return "unreadable: " + bytes.error().message;
   auto frozen = graph::FrozenGraph::adopt(std::move(bytes.value()));
   if (!frozen.ok()) return frozen.error().message;
@@ -559,7 +555,7 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
       entry.kind = CacheAuditEntry::Kind::Snapshot;
       ++report.snapshots_checked;
       if (intact_keys.count(*id)) {
-        auto bytes = read_file_bytes(file);
+        auto bytes = util::read_file(file);
         judge(entry, bytes.ok() ? validate_snapshot(std::span<const std::byte>(bytes.value()), *id)
                                 : "unreadable: " + bytes.error().message);
       } else {
@@ -588,7 +584,7 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
     } else {
       entry.kind = CacheAuditEntry::Kind::Verdict;
       ++report.verdicts_checked;
-      auto bytes = read_file_bytes(file);
+      auto bytes = util::read_file(file);
       std::string why;
       if (!bytes.ok()) {
         why = "unreadable: " + bytes.error().message;

@@ -97,7 +97,8 @@ class AnalysisCache {
   /// first use. Fails only when the directories cannot be created.
   static util::Result<AnalysisCache> open(const std::filesystem::path& dir);
 
-  /// Digest of a .tjar on disk (reads the file; no decode).
+  /// `util::content_digest` of a .tjar on disk (reads the file; no decode):
+  /// the same digest the pipeline keys a classpath with.
   static util::Result<std::uint64_t> digest_file(const std::filesystem::path& file);
 
   /// Combined snapshot key for a classpath: `options_fp` (see

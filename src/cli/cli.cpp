@@ -311,6 +311,8 @@ int usage(std::ostream& err) {
 /// frames) or "a version-N frozen graph" (an older frame layout). Empty
 /// otherwise.
 std::string older_store_kind(const fs::path& path) {
+  std::error_code ec;
+  if (!fs::is_regular_file(path, ec)) return {};  // opening a FIFO would block
   std::ifstream in(path, std::ios::binary);
   std::array<std::byte, 6> head{};
   in.read(reinterpret_cast<char*>(head.data()), head.size());

@@ -470,7 +470,7 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   raw_section(counts.data(), counts.size() * sizeof(std::uint64_t));    // 18
 
   w.patch_u64(8, w.size() + kFrozenChecksumSize);
-  w.u64(util::fnv1a(std::span<const std::byte>(w.buf)));
+  w.u64(util::content_digest(w.buf));
 
   std::vector<std::byte> bytes = std::move(w.buf);
   std::span<const std::byte> frame(bytes);
@@ -506,7 +506,8 @@ util::Result<FrozenGraph> FrozenGraph::attach(std::span<const std::byte> frame,
                       8);
   }
   std::uint64_t stored_sum = rd_u64(frame, frame.size() - kFrozenChecksumSize);
-  std::uint64_t actual_sum = util::fnv1a(frame.first(frame.size() - kFrozenChecksumSize));
+  std::uint64_t actual_sum =
+      util::content_digest(frame.first(frame.size() - kFrozenChecksumSize));
   if (stored_sum != actual_sum) {
     return frozen_err("checksum mismatch (corrupt or tampered snapshot): expected " +
                           util::digest_hex(stored_sum) + ", computed " +
@@ -849,7 +850,9 @@ util::Result<FrozenGraph> FrozenGraph::adopt(std::vector<std::byte> frame) {
 
 util::Result<FrozenGraph> FrozenGraph::map_file(const std::filesystem::path& path) {
 #ifdef TABBY_FROZEN_HAVE_MMAP
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // O_NONBLOCK: opening a FIFO must not wait for a writer. Only a regular
+  // file maps; anything else falls through to read_file, which refuses it.
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (fd >= 0) {
     struct stat st{};
     if (::fstat(fd, &st) != 0) {
@@ -858,15 +861,17 @@ util::Result<FrozenGraph> FrozenGraph::map_file(const std::filesystem::path& pat
     }
     auto file_size = static_cast<std::size_t>(st.st_size);
     // An empty file cannot be mapped; attach() reports it as truncated.
-    void* base = file_size == 0 ? MAP_FAILED
-                                : ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+    void* base = file_size == 0 || !S_ISREG(st.st_mode)
+                     ? MAP_FAILED
+                     : ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd);
     if (base != MAP_FAILED) {
       std::shared_ptr<void> mapping(base, [file_size](void* p) { ::munmap(p, file_size); });
       std::span<const std::byte> frame(static_cast<const std::byte*>(base), file_size);
       return attach(frame, {}, std::move(mapping));
     }
-    // mmap refused (an empty file, an unusual filesystem) — read instead.
+    // mmap refused (an empty file, an unusual filesystem) or not a regular
+    // file — read instead.
   }
 #endif
   auto bytes = util::read_file(path);

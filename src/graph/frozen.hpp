@@ -43,7 +43,7 @@ namespace tabby::graph {
 // Frame layout constants (little-endian; see docs/GRAPH.md for the full
 // byte-level tables):
 //   magic        u32  = 0x5A524654 ("TFRZ" on disk)
-//   version      u16  = 2
+//   version      u16  = 3
 //   reserved     u16  = 0
 //   frame length u64  total bytes including the trailing checksum
 //   content key  u64  binds a cache-published frame to its snapshot key
@@ -53,13 +53,14 @@ namespace tabby::graph {
 //   section cnt  u64  = 18
 //   directory    18 x { id u32, reserved u32, offset u64, length u64 }
 //   sections     each 8-byte aligned (ids 1..18, see kSec* below)
-//   checksum     u64  FNV-1a64 over every byte before it
+//   checksum     u64  util::content_digest over every byte before it
 // Section 17 carries the graph's CardinalityStats for the cypher planner
 // (same payload codec as the store v2 stats block); section 18 the
-// producer's BuildCounts. Version-1 frames (16 or 17 sections, no build
-// counts) fail attach as version skew.
+// producer's BuildCounts. Older frames fail attach as version skew:
+// version 1 (16 or 17 sections, no build counts) and version 2 (this
+// layout, signed with FNV-1a64 instead of the content digest).
 inline constexpr std::uint32_t kFrozenMagic = 0x5A524654;
-inline constexpr std::uint16_t kFrozenVersion = 2;
+inline constexpr std::uint16_t kFrozenVersion = 3;
 inline constexpr std::size_t kFrozenHeaderSize = 48;
 inline constexpr std::size_t kFrozenSectionCount = 18;
 inline constexpr std::size_t kFrozenDirEntrySize = 24;

@@ -48,7 +48,7 @@ std::optional<std::uint64_t> key_of(const std::vector<ArchiveRead>& files, bool 
   digests.reserve(files.size() + 1);
   if (with_jdk) {
     static const std::uint64_t jdk_digest =
-        util::fnv1a(jar::write_archive(corpus::jdk_base_archive()));
+        util::content_digest(jar::write_archive(corpus::jdk_base_archive()));
     digests.push_back(jdk_digest);
   }
   for (const ArchiveRead& file : files) {

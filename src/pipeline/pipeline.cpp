@@ -75,7 +75,7 @@ std::vector<ArchiveRead> read_classpath(const std::vector<std::string>& paths) {
       continue;
     }
     file.bytes = std::move(bytes.value());
-    file.digest = util::fnv1a(file.bytes);
+    file.digest = util::content_digest(file.bytes);
   }
   if (span.active()) {
     std::uint64_t total = 0;

@@ -321,20 +321,26 @@ TEST_F(CliFixture, QueryStoreRejectsAVersionOneFrameWithRegenerationAdvice) {
   CliRun analyze = run({"analyze", path("BeanShell1.tjar"), "--store", path("cpg.tfzn")});
   ASSERT_EQ(analyze.code, 0) << analyze.err;
   std::string current = slurp_file(path("cpg.tfzn"));
-  std::vector<std::byte> old = tabby::testing::with_frame_version(
-      std::span<const std::byte>(reinterpret_cast<const std::byte*>(current.data()),
-                                 current.size()),
-      1);
-  {
-    std::ofstream out(path("old.tfzn"), std::ios::binary);
-    out.write(reinterpret_cast<const char*>(old.data()), static_cast<std::streamsize>(old.size()));
+  for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<std::byte> old = tabby::testing::with_frame_version(
+        std::span<const std::byte>(reinterpret_cast<const std::byte*>(current.data()),
+                                   current.size()),
+        version);
+    {
+      std::ofstream out(path("old.tfzn"), std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(old.data()),
+                static_cast<std::streamsize>(old.size()));
+    }
+    CliRun r = run({"query", "--store", path("old.tfzn"), "MATCH (m:Method) RETURN m.NAME"});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("version-" + std::to_string(version) + " frozen graph"),
+              std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("tabby analyze JAR... --store " + path("old.tfzn")), std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
   }
-  CliRun r = run({"query", "--store", path("old.tfzn"), "MATCH (m:Method) RETURN m.NAME"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("version-1 frozen graph"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("tabby analyze JAR... --store " + path("old.tfzn")), std::string::npos)
-      << r.err;
-  EXPECT_TRUE(r.out.empty()) << r.out;
 }
 
 TEST_F(CliFixture, TraceFileIsWellFormedChromeJsonWithNestedSpans) {

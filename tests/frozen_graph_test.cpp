@@ -245,7 +245,7 @@ TEST(FrozenGraph, EveryBitFlipIsDetected) {
   graph::FrozenGraph fg = testing::freeze(db, 77);
   std::vector<std::byte> pristine(fg.frame().begin(), fg.frame().end());
   // Sample offsets across the whole frame (header, directory, sections,
-  // trailing checksum included); the trailing FNV must catch each flip.
+  // trailing checksum included); the trailing checksum must catch each flip.
   std::size_t step = std::max<std::size_t>(1, pristine.size() / 64);
   for (std::size_t off = 0; off < pristine.size(); off += step) {
     std::vector<std::byte> frame = pristine;
@@ -263,10 +263,19 @@ TEST(FrozenGraph, VersionSkewAndBadMagicAreStructuredErrors) {
   graph::FrozenGraph fg = testing::freeze(db);
   std::vector<std::byte> frame(fg.frame().begin(), fg.frame().end());
 
-  // A newer and an older version, re-signed so the checksum cannot mask
+  // Re-signing an untouched frame at the current version attaches, so the
+  // helper signs with the frame's own digest and the rejections below are
+  // the version's alone.
+  EXPECT_TRUE(
+      graph::FrozenGraph::from_bytes(testing::with_frame_version(frame, graph::kFrozenVersion))
+          .ok());
+
+  // A newer and two older versions, re-signed so the checksum cannot mask
   // the skew: version 1 is the layout before the stats section was fixed
-  // and the build counts were added.
-  for (std::uint16_t version : {std::uint16_t(graph::kFrozenVersion + 1), std::uint16_t{1}}) {
+  // and the build counts were added; version 2 is this layout signed with
+  // FNV-1a64.
+  for (std::uint16_t version :
+       {std::uint16_t(graph::kFrozenVersion + 1), std::uint16_t{1}, std::uint16_t{2}}) {
     auto skewed = graph::FrozenGraph::from_bytes(testing::with_frame_version(frame, version));
     ASSERT_FALSE(skewed.ok()) << version;
     EXPECT_NE(skewed.error().message.find("version " + std::to_string(version)),
@@ -275,10 +284,14 @@ TEST(FrozenGraph, VersionSkewAndBadMagicAreStructuredErrors) {
   }
 
   auto resign = [](std::vector<std::byte>& f) {
-    std::uint64_t sum = util::fnv1a(
+    std::uint64_t sum = util::content_digest(
         std::span<const std::byte>(f.data(), f.size() - graph::kFrozenChecksumSize));
     std::memcpy(f.data() + f.size() - graph::kFrozenChecksumSize, &sum, sizeof sum);
   };
+
+  std::vector<std::byte> untouched = frame;
+  resign(untouched);
+  EXPECT_TRUE(graph::FrozenGraph::from_bytes(untouched).ok());
 
   std::vector<std::byte> wrong = frame;
   std::uint32_t magic = 0x12345678;
@@ -482,9 +495,9 @@ TEST_F(FrozenCacheFixture, WarmStatsEqualTheColdBuildsCounts) {
   EXPECT_EQ(cpg::build_counts(cold), warm_open.value()->outcome().frozen.build_counts());
 }
 
-// A version-1 frame under the classpath's key (what an older tabby left)
-// is a miss: the open rebuilds, republishes a current frame over it, and
-// the next open is a hit.
+// A version-1 or version-2 frame under the classpath's key (what an older
+// tabby left) is a miss: the open rebuilds, republishes a current frame
+// over it, and the next open is a hit.
 TEST_F(FrozenCacheFixture, VersionOneFrameIsAMissThatRepublishes) {
   pipeline::EngineOptions options;
   options.cache_dir = cache_dir_;
@@ -492,25 +505,29 @@ TEST_F(FrozenCacheFixture, VersionOneFrameIsAMissThatRepublishes) {
   ASSERT_TRUE(cold_open.ok()) << cold_open.error().message;
   auto frames = frozen_frames();
   ASSERT_EQ(frames.size(), 1u);
-  {
-    std::vector<std::byte> old =
-        testing::with_frame_version(cold_open.value()->outcome().frozen.frame(), 1);
-    std::ofstream out(frames[0], std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(old.data()), static_cast<std::streamsize>(old.size()));
+  for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    {
+      std::vector<std::byte> old =
+          testing::with_frame_version(cold_open.value()->outcome().frozen.frame(), version);
+      std::ofstream out(frames[0], std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(old.data()),
+                static_cast<std::streamsize>(old.size()));
+    }
+
+    auto upgraded = pipeline::Engine(options).open({jar_}, {});
+    ASSERT_TRUE(upgraded.ok()) << upgraded.error().message;
+    EXPECT_FALSE(upgraded.value()->outcome().warm);
+    EXPECT_NE(upgraded.value()->outcome().cache_line.find("snapshot miss"), std::string::npos);
+    auto republished = graph::FrozenGraph::map_file(frames[0]);
+    ASSERT_TRUE(republished.ok()) << republished.error().message;
+    EXPECT_TRUE(std::ranges::equal(republished.value().frame(),
+                                   cold_open.value()->outcome().frozen.frame()));
+
+    auto warm = pipeline::Engine(options).open({jar_}, {});
+    ASSERT_TRUE(warm.ok()) << warm.error().message;
+    EXPECT_TRUE(warm.value()->outcome().warm);
   }
-
-  auto upgraded = pipeline::Engine(options).open({jar_}, {});
-  ASSERT_TRUE(upgraded.ok()) << upgraded.error().message;
-  EXPECT_FALSE(upgraded.value()->outcome().warm);
-  EXPECT_NE(upgraded.value()->outcome().cache_line.find("snapshot miss"), std::string::npos);
-  auto republished = graph::FrozenGraph::map_file(frames[0]);
-  ASSERT_TRUE(republished.ok()) << republished.error().message;
-  EXPECT_TRUE(std::ranges::equal(republished.value().frame(),
-                                 cold_open.value()->outcome().frozen.frame()));
-
-  auto warm = pipeline::Engine(options).open({jar_}, {});
-  ASSERT_TRUE(warm.ok()) << warm.error().message;
-  EXPECT_TRUE(warm.value()->outcome().warm);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // under --strict / total loss) — and that the surviving analysis is
 // byte-identical at any --jobs count.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <chrono>
 #include <cstddef>
@@ -167,6 +168,39 @@ TEST_F(MalformedCorpusFixture, CliExitCodesFollowTheTaxonomy) {
 
   CliRun usage = run_cli_capture({"analyze", clean_path_, "--deadline", "nope"});
   EXPECT_EQ(usage.code, 2);
+
+  // Entries that are not regular files are refused before they are opened:
+  // a directory (whose stream reports no usable size) and a FIFO (whose
+  // open would block until a writer came).
+  const std::string directory = (dir_ / "a_directory").string();
+  const std::string fifo = (dir_ / "a_fifo").string();
+  ASSERT_TRUE(fs::create_directory(directory));
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& entry : {directory, fifo}) {
+    SCOPED_TRACE(entry);
+    CliRun quarantined = run_cli_capture({"analyze", clean_path_, entry});
+    EXPECT_EQ(quarantined.code, 3) << quarantined.err;
+    std::size_t fs_read_lines = 0;
+    for (std::size_t at = quarantined.err.find("degraded: [fs-read]"); at != std::string::npos;
+         at = quarantined.err.find("degraded: [fs-read]", at + 1)) {
+      ++fs_read_lines;
+      std::string line = quarantined.err.substr(at, quarantined.err.find('\n', at) - at);
+      EXPECT_NE(line.find("not a regular file: " + entry), std::string::npos) << line;
+    }
+    EXPECT_EQ(fs_read_lines, 1u) << quarantined.err;
+
+    CliRun strict_entry = run_cli_capture({"analyze", clean_path_, entry, "--strict"});
+    EXPECT_EQ(strict_entry.code, 1);
+    EXPECT_NE(strict_entry.err.find(entry), std::string::npos) << strict_entry.err;
+
+    CliRun alone = run_cli_capture({"analyze", entry});
+    EXPECT_EQ(alone.code, 1);
+    EXPECT_EQ(alone.err.find("unhandled exception"), std::string::npos) << alone.err;
+
+    CliRun store = run_cli_capture({"query", "--store", entry, "MATCH (m:Method) RETURN m.NAME"});
+    EXPECT_EQ(store.code, 1);
+    EXPECT_EQ(store.err.find("unhandled exception"), std::string::npos) << store.err;
+  }
 }
 
 TEST_F(MalformedCorpusFixture, SurvivingChainsAreIdenticalAtAnyJobCount) {

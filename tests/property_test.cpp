@@ -180,11 +180,11 @@ TEST(DigestProperty, StableAcrossOrderingsAndJobCounts) {
 
   std::vector<std::uint64_t> forward(archives.size()), reverse(archives.size()),
       parallel(archives.size());
-  for (std::size_t i = 0; i < archives.size(); ++i) forward[i] = util::fnv1a(archives[i]);
-  for (std::size_t i = archives.size(); i-- > 0;) reverse[i] = util::fnv1a(archives[i]);
+  for (std::size_t i = 0; i < archives.size(); ++i) forward[i] = util::content_digest(archives[i]);
+  for (std::size_t i = archives.size(); i-- > 0;) reverse[i] = util::content_digest(archives[i]);
   util::ThreadPool pool(4);
   pool.parallel_for(archives.size(),
-                    [&](std::size_t i) { parallel[i] = util::fnv1a(archives[i]); });
+                    [&](std::size_t i) { parallel[i] = util::content_digest(archives[i]); });
 
   EXPECT_EQ(forward, reverse);
   EXPECT_EQ(forward, parallel);
@@ -195,20 +195,62 @@ TEST(DigestProperty, StableAcrossOrderingsAndJobCounts) {
   EXPECT_EQ(unique.size(), forward.size());
 }
 
-/// Every FNV-1a step (xor a byte, multiply by an odd prime) is a bijection
-/// on the 64-bit state, so for equal-length inputs a single-byte change
-/// *always* changes the digest — exhaustively checked at every offset. A
-/// stale snapshot can therefore never be served for a .tjar that was
-/// mutated in place.
+/// Every content-digest step is a bijection of the 64-bit state and
+/// injective in its input, so for equal-length inputs a single-byte change
+/// *always* changes the digest — exhaustively checked at every offset of a
+/// real archive. A stale snapshot can therefore never be served for a .tjar
+/// that was mutated in place.
 TEST(DigestProperty, AnySingleByteMutationChangesTheDigest) {
   std::vector<std::byte> bytes = jar::write_archive(corpus::build_component("BeanShell1").jar);
   ASSERT_FALSE(bytes.empty());
-  std::uint64_t original = util::fnv1a(bytes);
+  std::uint64_t original = util::content_digest(bytes);
   for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
     std::byte saved = bytes[offset];
     bytes[offset] ^= std::byte{0x01};
-    EXPECT_NE(util::fnv1a(bytes), original) << "digest collision at offset " << offset;
+    EXPECT_NE(util::content_digest(bytes), original) << "digest collision at offset " << offset;
     bytes[offset] = saved;
+  }
+}
+
+/// `length` bytes of a fixed pattern whose period (251) is prime to the
+/// 32-byte stripe, so no two stripes repeat.
+std::vector<std::byte> digest_pattern(std::size_t length) {
+  std::vector<std::byte> bytes(length);
+  for (std::size_t i = 0; i < length; ++i) bytes[i] = static_cast<std::byte>(i % 251);
+  return bytes;
+}
+
+/// The same guarantee at every length 0..130: every tail length (0..31)
+/// on both sides of the stripe boundary, every offset and every bit.
+TEST(DigestProperty, SingleBitFlipsChangeTheDigestAtEveryLengthAndOffset) {
+  for (std::size_t length = 0; length <= 130; ++length) {
+    std::vector<std::byte> bytes = digest_pattern(length);
+    const std::uint64_t original = util::content_digest(bytes);
+    for (std::size_t offset = 0; offset < length; ++offset) {
+      for (int bit = 0; bit < 8; ++bit) {
+        const std::byte mask = static_cast<std::byte>(1u << bit);
+        bytes[offset] ^= mask;
+        EXPECT_NE(util::content_digest(bytes), original)
+            << "collision at length " << length << ", offset " << offset << ", bit " << bit;
+        bytes[offset] ^= mask;
+      }
+    }
+  }
+}
+
+/// Cache keys and frame checksums are persisted, so the digest is a format:
+/// any change to it must be deliberate (it misses every cache entry and
+/// rejects every frame). Lengths cover the empty input, a tail alone, one
+/// stripe either side, and many stripes plus a tail.
+TEST(DigestProperty, ContentDigestMatchesPinnedValues) {
+  const std::vector<std::pair<std::size_t, std::uint64_t>> pinned = {
+      {0, 0xfa97fbe5e9d7f58aULL},  {1, 0x14496bb0aec68c04ULL},  {31, 0x84048f727450cd92ULL},
+      {32, 0x459c11f7ca08cb94ULL}, {33, 0x1cde536c97a32782ULL}, {1000, 0x98545f591ccd5745ULL},
+  };
+  for (const auto& [length, digest] : pinned) {
+    EXPECT_EQ(util::digest_hex(util::content_digest(digest_pattern(length))),
+              util::digest_hex(digest))
+        << "length " << length;
   }
 }
 

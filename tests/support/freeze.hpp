@@ -23,13 +23,14 @@ inline graph::FrozenGraph freeze(const graph::GraphDb& db, std::uint64_t content
 }
 
 /// `frame` with its header's version field set to `version` and its
-/// checksum recomputed, so only the version can reject it.
+/// checksum recomputed with the frame's own digest, so only the version can
+/// reject it.
 inline std::vector<std::byte> with_frame_version(std::span<const std::byte> frame,
                                                  std::uint16_t version) {
   std::vector<std::byte> out(frame.begin(), frame.end());
   std::memcpy(out.data() + 4, &version, sizeof version);
   const std::size_t body = out.size() - graph::kFrozenChecksumSize;
-  std::uint64_t sum = util::fnv1a(std::span<const std::byte>(out.data(), body));
+  std::uint64_t sum = util::content_digest(std::span<const std::byte>(out.data(), body));
   std::memcpy(out.data() + body, &sum, sizeof sum);
   return out;
 }
