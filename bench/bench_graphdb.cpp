@@ -179,13 +179,12 @@ void BM_FrozenTraversalDepth4(benchmark::State& state) {
   // Depth-4 DFS over a random single-typed graph (untyped CSR order is then
   // insertion order).
   graph::FrozenGraph fg = freeze(random_graph(2000, 8000));
-  auto expand = [](const graph::FrozenGraph& g, const graph::Path& path, const int& s) {
-    std::vector<graph::Step<int>> steps;
+  auto expand = [](const graph::FrozenGraph& g, const graph::Path& path, const int& s,
+                   std::vector<graph::Step<int>>& steps) {
     graph::AdjacencyView view = g.out_edges_view(path.end());
     for (std::size_t i = 0; i < view.size(); ++i) {
       steps.push_back(graph::Step<int>{view.edge[i], view.nbr[i], s});
     }
-    return steps;
   };
   auto evaluate = [](const graph::FrozenGraph&, const graph::Path& path, const int&) {
     return path.length() >= 4 ? graph::Evaluation::ExcludeAndPrune

@@ -14,8 +14,8 @@ namespace tabby::corpus {
 
 /// Shape of the fan-out classpath. The defaults give an ungoverned exhaustive
 /// search at --depth 60 a frontier of about 224,000 pending branches (about
-/// 12 MB of 48-byte records and trigger conditions) and 224,515 expansions,
-/// so the search itself, not the classpath, dominates a scan.
+/// 7 MB of 32-byte records) and 224,515 expansions, so the search itself,
+/// not the classpath, dominates a scan.
 struct FanoutStressSpec {
   /// Length of the real chain: Entry.readObject -> Hop_0.step -> ... ->
   /// Hop_{hops-1}.step -> Runtime.exec. Callers need --depth >= hops + 1.

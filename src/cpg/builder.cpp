@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -68,7 +69,34 @@ class Builder {
  private:
   // --- ORG: class/method nodes, EXTEND/INTERFACE/HAS --------------------
 
+  /// The classes that reach java.io.Serializable or java.io.Externalizable
+  /// over direct-supertype edges, those two included: one backward BFS over
+  /// the program's direct-subtype edges. It is exactly
+  /// Hierarchy::is_serializable for every class, cycles and phantom
+  /// supertypes included, without a supertype walk per class node and
+  /// method. Names are views into the program.
+  static std::unordered_set<std::string_view> serializable_classes(const jir::Program& program) {
+    std::unordered_map<std::string_view, std::vector<std::string_view>> subtypes;
+    for (const jir::ClassDecl& cls : program.classes()) {
+      if (!cls.super.empty()) subtypes[cls.super].push_back(cls.name);
+      for (const std::string& iface : cls.interfaces) subtypes[iface].push_back(cls.name);
+    }
+    std::unordered_set<std::string_view> reached{jir::kSerializableInterface,
+                                                 jir::kExternalizableInterface};
+    std::vector<std::string_view> work(reached.begin(), reached.end());
+    while (!work.empty()) {
+      auto it = subtypes.find(work.back());
+      work.pop_back();
+      if (it == subtypes.end()) continue;
+      for (std::string_view sub : it->second) {
+        if (reached.insert(sub).second) work.push_back(sub);
+      }
+    }
+    return reached;
+  }
+
   void build_org() {
+    serializable_ = serializable_classes(program_);
     for (const jir::ClassDecl& cls : program_.classes()) {
       NodeId cn = class_node(cls.name);
       for (std::size_t mi = 0; mi < cls.methods.size(); ++mi) {
@@ -101,7 +129,7 @@ class Builder {
     if (decl != nullptr) {
       props[std::string(kPropInterface)] = decl->is_interface;
       props[std::string(kPropAbstractClass)] = decl->mods.is_abstract;
-      props[std::string(kPropSerializable)] = hierarchy_.is_serializable(name);
+      props[std::string(kPropSerializable)] = serializable_.contains(name);
       props[std::string(kPropSuper)] = decl->super;
     }
     NodeId id = db_.add_node(std::string(kClassLabel), std::move(props));
@@ -117,7 +145,7 @@ class Builder {
     const jir::Method& m = program_.method(id);
     NodeId node = make_method_node(cls.name, m.name, m.nargs(), /*phantom=*/false,
                                    m.mods.is_static, m.mods.is_abstract,
-                                   m.has_body() && hierarchy_.is_serializable(cls.name));
+                                   m.has_body() && serializable_.contains(cls.name));
     method_nodes_.emplace(id, node);
     return node;
   }
@@ -283,8 +311,8 @@ class Builder {
 
   void build_mag() {
     // Payload phase: the supertype BFS per method is a pure read of the
-    // program and hierarchy, so it fans out; targets come back in BFS visit
-    // order. Edge creation stays serial below.
+    // program, so it fans out; targets come back in BFS visit order. Edge
+    // creation stays serial below.
     std::vector<jir::MethodId> methods = program_.all_methods();
     std::vector<std::vector<jir::MethodId>> targets(methods.size());
     util::run_indexed(options_.executor, methods.size(),
@@ -309,29 +337,30 @@ class Builder {
     std::vector<jir::MethodId> out;
     if (m.name == "<init>" || m.name == "<clinit>") return out;  // constructors never alias
 
-    auto supertypes_of = [this](const std::string& name) {
-      if (!options_.alias_superclass_only) return hierarchy_.direct_supertypes(name);
+    // Superclass first, then direct interfaces (views into the program).
+    std::deque<std::string_view> work;
+    auto push_supertypes = [&](std::string_view name) {
       const jir::ClassDecl* decl = program_.find_class(name);
-      std::vector<std::string> supers;
-      if (decl != nullptr && !decl->super.empty()) supers.push_back(decl->super);
-      return supers;
+      if (decl == nullptr) return;
+      if (!decl->super.empty()) work.push_back(decl->super);
+      if (!options_.alias_superclass_only) {
+        work.insert(work.end(), decl->interfaces.begin(), decl->interfaces.end());
+      }
     };
-
-    std::deque<std::string> work;
-    std::unordered_set<std::string> seen{cls.name};
-    for (const std::string& super : supertypes_of(cls.name)) work.push_back(super);
+    std::unordered_set<std::string_view> seen{cls.name};
+    push_supertypes(cls.name);
     while (!work.empty()) {
-      std::string current = std::move(work.front());
+      std::string_view current = work.front();
       work.pop_front();
       if (!seen.insert(current).second) continue;
       if (auto target = program_.find_method(current, m.name, m.nargs())) {
-        // Two supertype paths can reach one declaration; it gets one edge.
-        if (std::find(out.begin(), out.end(), *target) == out.end()) out.push_back(*target);
+        // No target repeats: `seen` admits each class once, and find_method
+        // returns only a method `current` itself declares. Two supertype
+        // paths to one declaration meet in `seen`, so it gets one edge.
+        out.push_back(*target);
         continue;  // nearest declaration on this path found
       }
-      for (const std::string& super : supertypes_of(current)) {
-        work.push_back(super);
-      }
+      push_supertypes(current);
     }
     return out;
   }
@@ -350,6 +379,7 @@ class Builder {
   const jir::Program& program_;
   jir::Hierarchy hierarchy_;
   const CpgOptions& options_;
+  std::unordered_set<std::string_view> serializable_;
   graph::GraphDb db_;
   CpgStats stats_;
   bool deadline_hit_ = false;
@@ -405,8 +435,8 @@ Cpg build_cpg(const jir::Program& program, const CpgOptions& options) {
   auto builder = std::make_unique<Builder>(program, options);
   Cpg cpg = builder->run();
   {
-    // The class hierarchy, node maps and per-method state outlive the
-    // graph's build; free them in their own span.
+    // The node maps and per-method state outlive the graph's build; free
+    // them in their own span.
     TABBY_SPAN("cpg.teardown");
     builder.reset();
   }

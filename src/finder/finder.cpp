@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <map>
 #include <span>
 #include <unordered_set>
 
@@ -21,28 +22,43 @@ using graph::EdgeId;
 using graph::NodeId;
 using graph::Path;
 
-/// The per-branch traversal state: the current Trigger_Condition, i.e. the
+/// The Trigger_Conditions of one sink search. A branch's condition is the
 /// set of positions (0 = receiver, i = param i) of the *frontier* method
-/// that must be attacker-controllable.
-struct TcState {
-  std::vector<std::int64_t> positions;  // sorted, unique
+/// that must be attacker-controllable; the branch carries its id, and the
+/// table stores each distinct sorted position set once. A position can be
+/// any controllable weight below 10^9, so a set is a list, not a bitmask.
+class TcTable {
+ public:
+  using Id = std::uint32_t;
+
+  Id intern(const std::vector<std::int64_t>& positions) {
+    auto [it, fresh] = ids_.try_emplace(positions, static_cast<Id>(sets_.size()));
+    if (fresh) sets_.push_back(&it->first);
+    return it->second;
+  }
+
+  const std::vector<std::int64_t>& operator[](Id id) const { return *sets_[id]; }
+
+ private:
+  std::map<std::vector<std::int64_t>, Id> ids_;
+  std::vector<const std::vector<std::int64_t>*> sets_;  // by id
 };
 
-/// Formula 4: TC_next = { PP[x] | x in TC }. Fails (nullopt) when any
-/// required position is uncontrollable. Takes a span so int-list pool
-/// slices feed it without materializing a vector.
-std::optional<TcState> traverse_tc(const TcState& tc, std::span<const std::int64_t> pp) {
-  TcState next;
-  for (std::int64_t x : tc.positions) {
-    if (x < 0 || x >= static_cast<std::int64_t>(pp.size())) return std::nullopt;
+/// Formula 4: TC_next = { PP[x] | x in TC }, sorted and unique, into `next`.
+/// Fails when any required position is uncontrollable. Takes a span so
+/// int-list pool slices feed it without materializing a vector.
+bool traverse_tc(const std::vector<std::int64_t>& tc, std::span<const std::int64_t> pp,
+                 std::vector<std::int64_t>& next) {
+  next.clear();
+  for (std::int64_t x : tc) {
+    if (x < 0 || x >= static_cast<std::int64_t>(pp.size())) return false;
     std::int64_t w = pp[static_cast<std::size_t>(x)];
-    if (!analysis::is_controllable(w)) return std::nullopt;
-    next.positions.push_back(w);
+    if (!analysis::is_controllable(w)) return false;
+    next.push_back(w);
   }
-  std::sort(next.positions.begin(), next.positions.end());
-  next.positions.erase(std::unique(next.positions.begin(), next.positions.end()),
-                       next.positions.end());
-  return next;
+  std::sort(next.begin(), next.end());
+  next.erase(std::unique(next.begin(), next.end()), next.end());
+  return true;
 }
 
 /// Strict decimal u64 parse for the dist wire codec (ids/counters travel as
@@ -62,6 +78,7 @@ const char* to_string(PartialReason reason) {
     case PartialReason::Deadline: return "Deadline";
     case PartialReason::MemoryPressure: return "MemoryPressure";
     case PartialReason::WorkerFailure: return "WorkerFailure";
+    case PartialReason::ExpansionBudget: return "ExpansionBudget";
   }
   return "Unknown";
 }
@@ -88,6 +105,13 @@ std::string degraded_line(const PartialSink& sink) {
       line += ": search cut short after ";
       line += std::to_string(sink.expansions);
       line += " expansion(s)";
+      break;
+    case PartialReason::ExpansionBudget:
+      line = "degraded: [finder-budget] ";
+      line += sink.signature;
+      line += ": search stopped at the expansion budget after ";
+      line += std::to_string(sink.expansions);
+      line += " expansion(s); chains found so far are kept";
       break;
   }
   return line;
@@ -336,26 +360,30 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
 
   std::string sink_type = col_string(sink_type_col, sink);
 
-  TcState initial;
+  std::vector<std::int64_t> initial;
   if (tc_col != nullptr) {
     if (tc_col->kind() == graph::FrozenColumnKind::IntList) {
       auto xs = tc_col->get_intlist(sink);
-      initial.positions.assign(xs.begin(), xs.end());
+      initial.assign(xs.begin(), xs.end());
     } else if (auto v = tc_col->get_value(sink); v.has_value()) {
-      if (const auto* xs = std::get_if<std::vector<std::int64_t>>(&v.value())) {
-        initial.positions = *xs;
-      }
+      if (const auto* xs = std::get_if<std::vector<std::int64_t>>(&v.value())) initial = *xs;
     }
   }
-  if (initial.positions.empty()) initial.positions = {0};
+  if (initial.empty()) initial = {0};
+  std::sort(initial.begin(), initial.end());
+  initial.erase(std::unique(initial.begin(), initial.end()), initial.end());
+  TcTable tcs;
+  const TcTable::Id root = tcs.intern(initial);
 
   // Algorithm 2: expand backwards over incoming CALL edges (to callers) and
   // forwards over outgoing ALIAS edges (to the overridden declaration whose
   // call sites dispatch here). A typed slice ascends by edge index, the
-  // builder's insertion order.
-  auto expand = [&, this](const graph::FrozenGraph& db, const Path& path,
-                          const TcState& tc) -> std::vector<graph::Step<TcState>> {
-    std::vector<graph::Step<TcState>> steps;
+  // builder's insertion order. ALIAS steps and unchecked CALL steps keep the
+  // branch's condition id; a checked CALL step computes Formula 4 into
+  // `next` and interns the result.
+  std::vector<std::int64_t> next;
+  auto expand = [&, this](const graph::FrozenGraph& db, const Path& path, const TcTable::Id& tc,
+                          std::vector<graph::Step<TcTable::Id>>& steps) {
     NodeId frontier = path.end();
 
     if (call_type.has_value()) {
@@ -363,23 +391,22 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
       for (std::size_t k = 0; k < calls.size(); ++k) {
         EdgeId eid = calls.edge[k];
         NodeId caller = calls.nbr[k];
-        if (options_.check_trigger_conditions) {
-          if (pp_col == nullptr || !pp_col->has(eid)) continue;
-          std::optional<TcState> next;
-          if (pp_col->kind() == graph::FrozenColumnKind::IntList) {
-            next = traverse_tc(tc, pp_col->get_intlist(eid));
-          } else {
-            auto v = pp_col->get_value(eid);
-            const auto* xs =
-                v.has_value() ? std::get_if<std::vector<std::int64_t>>(&v.value()) : nullptr;
-            if (xs == nullptr) continue;
-            next = traverse_tc(tc, *xs);
-          }
-          if (!next) continue;  // uncontrollable along this call: reject edge
-          steps.push_back(graph::Step<TcState>{eid, caller, std::move(*next)});
-        } else {
-          steps.push_back(graph::Step<TcState>{eid, caller, tc});
+        if (!options_.check_trigger_conditions) {
+          steps.push_back(graph::Step<TcTable::Id>{eid, caller, tc});
+          continue;
         }
+        if (pp_col == nullptr || !pp_col->has(eid)) continue;
+        bool controllable = false;
+        if (pp_col->kind() == graph::FrozenColumnKind::IntList) {
+          controllable = traverse_tc(tcs[tc], pp_col->get_intlist(eid), next);
+        } else {
+          auto v = pp_col->get_value(eid);
+          const auto* xs =
+              v.has_value() ? std::get_if<std::vector<std::int64_t>>(&v.value()) : nullptr;
+          controllable = xs != nullptr && traverse_tc(tcs[tc], *xs, next);
+        }
+        if (!controllable) continue;  // uncontrollable along this call: reject edge
+        steps.push_back(graph::Step<TcTable::Id>{eid, caller, tcs.intern(next)});
       }
     }
     if (options_.use_alias_edges && alias_type.has_value()) {
@@ -389,22 +416,21 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
       // dispatches between sibling overrides and is deliberately excluded.
       graph::AdjacencyView aliases = db.out_edges_typed_view(frontier, *alias_type);
       for (std::size_t k = 0; k < aliases.size(); ++k) {
-        steps.push_back(graph::Step<TcState>{aliases.edge[k], aliases.nbr[k], tc});
+        steps.push_back(graph::Step<TcTable::Id>{aliases.edge[k], aliases.nbr[k], tc});
       }
       if (options_.alias_bidirectional) {
         graph::AdjacencyView rev = db.in_edges_typed_view(frontier, *alias_type);
         for (std::size_t k = 0; k < rev.size(); ++k) {
-          steps.push_back(graph::Step<TcState>{rev.edge[k], rev.nbr[k], tc});
+          steps.push_back(graph::Step<TcTable::Id>{rev.edge[k], rev.nbr[k], tc});
         }
       }
     }
-    return steps;
   };
 
   // Algorithm 3: include when the frontier is a source (IS_SOURCE read
   // straight off the column bitmap); prune at max depth.
   auto evaluate = [&, this](const graph::FrozenGraph&, const Path& path,
-                            const TcState&) -> graph::Evaluation {
+                            const TcTable::Id&) -> graph::Evaluation {
     if (path.length() > 0) {
       NodeId n = path.end();
       bool source = is_source != nullptr ? (*is_source)(n)
@@ -423,17 +449,18 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
   limits.deadline = options_.deadline;
   limits.max_frontier_bytes = frontier_cap;
 
-  graph::Traverser<TcState> traverser(
-      g, expand, evaluate, graph::Uniqueness::NodePath, limits,
-      [](const TcState& tc) { return tc.positions.capacity() * sizeof(std::int64_t); });
+  // The condition table is not charged to the frontier: it holds one entry
+  // per distinct condition, not per branch (docs/ROBUSTNESS.md).
+  graph::Traverser<TcTable::Id, decltype(expand), decltype(evaluate)> traverser(
+      g, expand, evaluate, graph::Uniqueness::NodePath, limits);
 
   SinkSearch search;
   const bool governed = frontier_cap != SIZE_MAX;
   // Stream results out of the traversal: each accepted path is converted to
   // a compact GadgetChain on the spot ("spilled"), so completed paths never
   // count against the frontier byte cap.
-  traverser.run(sink, std::move(initial),
-                [&](graph::TraversalResult<TcState> result) {
+  traverser.run(sink, root,
+                [&](graph::TraversalResult<TcTable::Id> result) {
                   GadgetChain chain;
                   chain.sink_type = sink_type;
                   // Paths run sink -> source; chains are reported source-first.

@@ -44,7 +44,9 @@ struct FinderOptions {
   int max_depth = 12;
   /// Per-sink cap on accepted chains.
   std::size_t max_results_per_sink = 128;
-  /// Global expansion budget (guards path explosion).
+  /// Per-sink expansion budget (guards path explosion). A sink whose
+  /// search reaches it keeps the chains found so far and is reported
+  /// partial with an ExpansionBudget reason.
   std::size_t max_expansions = 4'000'000;
   /// Follow ALIAS edges (ablation: off breaks polymorphic chains).
   bool use_alias_edges = true;
@@ -93,17 +95,18 @@ struct FinderOptions {
 
 /// Why a sink's search stopped before exhausting the graph.
 enum class PartialReason : std::uint8_t {
-  Deadline,        // wall-clock budget expired mid-search
-  MemoryPressure,  // frontier byte cap forced branch pruning
-  WorkerFailure,   // dist worker crashed/hung and retries were exhausted
+  Deadline,         // wall-clock budget expired mid-search
+  MemoryPressure,   // frontier byte cap forced branch pruning
+  WorkerFailure,    // dist worker crashed/hung and retries were exhausted
+  ExpansionBudget,  // FinderOptions::max_expansions reached mid-search
 };
 
 const char* to_string(PartialReason reason);
 
-/// A sink whose search was cut short (deadline, memory pressure, or — in
-/// --workers mode — a worker failure that survived every retry): the chains
-/// it did find are in the report, but more may exist. A WorkerFailure sink
-/// contributes NO chains (the shard never completed).
+/// A sink whose search was cut short (deadline, expansion budget, memory
+/// pressure, or — in --workers mode — a worker failure that survived every
+/// retry): the chains it did find are in the report, but more may exist. A
+/// WorkerFailure sink contributes NO chains (the shard never completed).
 struct PartialSink {
   graph::NodeId sink = graph::kNoNode;
   std::string signature;
@@ -119,6 +122,8 @@ struct PartialSink {
 ///   "degraded: [finder-memory] <sig>: frontier pruned under memory pressure
 ///    after N expansion(s); chains found so far are kept"
 ///   "degraded: [finder-deadline] <sig>: search cut short after N expansion(s)"
+///   "degraded: [finder-budget] <sig>: search stopped at the expansion budget
+///    after N expansion(s); chains found so far are kept"
 ///   "degraded: [finder-worker] <sig>: <detail>"
 std::string degraded_line(const PartialSink& sink);
 
@@ -170,7 +175,8 @@ class GadgetChainFinder {
   const FinderOptions& options() const { return options_; }
   std::size_t last_expansions() const { return last_expansions_; }
   bool last_exhausted() const { return last_exhausted_; }
-  /// True when the last find_from_sink() was cut short (deadline or memory).
+  /// True when the last find_from_sink() was cut short (deadline, expansion
+  /// budget or memory).
   bool last_partial() const { return last_partial_; }
 
  private:
@@ -188,10 +194,14 @@ class GadgetChainFinder {
     bool worker_failed = false;      // dist shard exhausted its retry budget
     std::string worker_error;        // coordinator-rendered failure (worker_failed)
 
-    bool partial() const { return worker_failed || deadline_expired || frontier_pruned > 0; }
+    bool partial() const {
+      return worker_failed || deadline_expired || exhausted || frontier_pruned > 0;
+    }
+    /// What stopped the search comes first; pruning alone did not stop it.
     PartialReason reason() const {
       if (worker_failed) return PartialReason::WorkerFailure;
-      return deadline_expired ? PartialReason::Deadline : PartialReason::MemoryPressure;
+      if (deadline_expired) return PartialReason::Deadline;
+      return exhausted ? PartialReason::ExpansionBudget : PartialReason::MemoryPressure;
     }
   };
 

@@ -213,11 +213,10 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
     todo.push_back(i);
   }
 
-  // One class hierarchy for every replay, built only when some chain missed
-  // the cache and before the fork below, so forked verifiers inherit it.
-  // Every shard reads it concurrently; its methods are const.
-  std::optional<jir::Hierarchy> hierarchy;
-  if (!todo.empty()) hierarchy.emplace(program);
+  // One class hierarchy for every replay: a view of the program that costs
+  // nothing to build. Every shard reads it concurrently; its methods are
+  // const.
+  const jir::Hierarchy hierarchy(program);
 
   // Re-validate one chain under its own VM budgets. Runs on a pool thread
   // (in-process mode) or inside a forked verifier (--verify-workers).
@@ -233,7 +232,7 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
     vm.max_steps = options.max_steps_per_chain;
     vm.max_call_depth = options.max_call_depth;
     vm.deadline = options.deadline;
-    return classify(auto_verify(*hierarchy, aliases, chains[chain_index], vm));
+    return classify(auto_verify(hierarchy, aliases, chains[chain_index], vm));
   };
 
   if (!todo.empty() && options.dist.workers > 0) {

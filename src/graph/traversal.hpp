@@ -6,21 +6,24 @@
 // branches are fixed-size records {node, edge, depth, state}: their
 // ancestors live once, in the single current Path, which is rewound to a
 // branch's depth when the branch is popped. NODE_PATH uniqueness is an
-// on-path bitmap maintained by the same rewind.
+// on-path bitmap maintained by the same rewind. The expander appends into
+// one step buffer the engine clears and reuses, so an expansion allocates
+// nothing once the buffers have grown.
 //
 // Resource governance (docs/ROBUSTNESS.md): the run is bounded three ways —
 // expansions (TraversalLimits::max_expansions), wall clock (::deadline) and
 // frontier bytes (::max_frontier_bytes). The byte bound covers the DFS
 // stack, the store a pathological alias/CALL fan-out actually grows: one
-// record plus its state bytes per pending branch, so depth × fan-out
-// records. The current path is bounded by the evaluator's prune depth and
-// stays uncharged. When a push would cross the cap, the engine first
-// *spills* nothing (a result is handed to the caller the moment it is
-// found, so completed paths never sit in the frontier) and then *prunes*
-// the lowest-priority branches — shallowest first, in deterministic stack
-// order — until the child fits. Pruning only drops unexplored subtrees, so
-// results found under a byte cap are always a prefix-respecting subset of
-// the unbounded run's results.
+// fixed-size record per pending branch, so depth × fan-out records. A state
+// is charged at its size alone, so it should own no heap (the finder's is
+// an id into its own Trigger_Condition table). The current path is bounded
+// by the evaluator's prune depth and stays uncharged. When a push would
+// cross the cap, the engine first *spills* nothing (a result is handed to
+// the caller the moment it is found, so completed paths never sit in the
+// frontier) and then *prunes* the lowest-priority branches — shallowest
+// first, in deterministic stack order — until the child fits. Pruning only
+// drops unexplored subtrees, so results found under a byte cap are always a
+// prefix-respecting subset of the unbounded run's results.
 #pragma once
 
 #include <cstdint>
@@ -83,46 +86,54 @@ struct TraversalResult {
 struct TraversalLimits {
   std::size_t max_results = SIZE_MAX;
   std::size_t max_expansions = SIZE_MAX;
-  /// Wall-clock bound, polled every `deadline_stride` expansions (the
-  /// default keeps the clock off the hot path while still stopping within
-  /// microseconds of expiry). An expired deadline ends the run like an
-  /// exhausted expansion budget, but is reported separately via
-  /// Traverser::deadline_expired() — results found so far are kept.
+  /// Wall-clock bound, polled every kDeadlineStride expansions, which keeps
+  /// the clock off the hot path while still stopping within microseconds of
+  /// expiry. An expired deadline ends the run like an exhausted expansion
+  /// budget, but is reported separately via Traverser::deadline_expired() —
+  /// results found so far are kept.
   util::Deadline deadline;
-  std::size_t deadline_stride = 64;
-  /// Byte cap on the DFS frontier: one fixed-size record plus the state's
-  /// heap bytes per pending branch (the shared current path is bounded by
-  /// the search depth and not charged). SIZE_MAX = ungoverned. Crossing the
-  /// cap prunes shallowest branches first; see Traverser::frontier_pruned().
+  /// Byte cap on the DFS frontier: one fixed-size record per pending branch
+  /// (the shared current path is bounded by the search depth and not
+  /// charged). SIZE_MAX = ungoverned. Crossing the cap prunes shallowest
+  /// branches first; see Traverser::frontier_pruned().
   /// The cap must be a value derived deterministically (per-shard slice),
   /// never a live shared counter, so runs are bit-identical at any worker
   /// count.
   std::size_t max_frontier_bytes = SIZE_MAX;
 };
 
+/// Expansions between two polls of TraversalLimits::deadline.
+inline constexpr std::size_t kDeadlineStride = 64;
+
+/// Appends the steps out of the path's end to `steps`, which the engine
+/// hands over empty.
+template <typename State>
+using ExpandFunction = std::function<void(const FrozenGraph&, const Path&, const State&,
+                                          std::vector<Step<State>>& steps)>;
+template <typename State>
+using EvalFunction = std::function<Evaluation(const FrozenGraph&, const Path&, const State&)>;
+
 /// The engine walks the frozen CSR graph. Expansion and evaluation see the
 /// same `const FrozenGraph&` it was constructed with; the traversal order is
-/// the order in which the expand callback enumerates steps.
-template <typename State>
+/// the order in which the expand callback appends steps. The callbacks are
+/// std::function unless the caller names its own callable types, which
+/// lets the compiler inline them into the loop.
+template <typename State, typename Expand = ExpandFunction<State>,
+          typename Eval = EvalFunction<State>>
 class Traverser {
  public:
-  using ExpandFn =
-      std::function<std::vector<Step<State>>(const FrozenGraph&, const Path&, const State&)>;
-  using EvalFn = std::function<Evaluation(const FrozenGraph&, const Path&, const State&)>;
+  using ExpandFn = Expand;
+  using EvalFn = Eval;
   /// Streaming result sink: invoked in DFS discovery order, exactly when
   /// the accumulating run() would have appended. Taking the result by value
   /// lets the caller keep it in a compact form (the "spill" half of the byte
   /// governance: results never accumulate in the engine).
   using ResultFn = std::function<void(TraversalResult<State>)>;
-  /// Heap bytes of one per-branch state, for the frontier byte accounting.
-  /// Defaults to zero extra (sizeof(State) is already in the frame cost).
-  using StateBytesFn = std::function<std::size_t(const State&)>;
 
   Traverser(const FrozenGraph& db, ExpandFn expand, EvalFn evaluate,
-            Uniqueness uniqueness = Uniqueness::NodePath, TraversalLimits limits = {},
-            StateBytesFn state_bytes = {})
+            Uniqueness uniqueness = Uniqueness::NodePath, TraversalLimits limits = {})
       : db_(db), expand_(std::move(expand)), evaluate_(std::move(evaluate)),
-        uniqueness_(uniqueness), limits_(limits), state_bytes_(std::move(state_bytes)) {}
+        uniqueness_(uniqueness), limits_(limits) {}
 
   /// Runs a DFS from `start` with initial per-branch `state`. Returns every
   /// included path, in DFS discovery order.
@@ -163,11 +174,7 @@ class Traverser {
       std::size_t depth;
       State state;
     };
-    auto frame_cost = [this](const Frame& f) {
-      std::size_t cost = sizeof(Frame);
-      if (state_bytes_) cost += state_bytes_(f.state);
-      return cost;
-    };
+    constexpr std::size_t kFrameCost = sizeof(Frame);
     // Pending branches live in stack[bottom, size()); the pruned prefix below
     // `bottom` is erased only once it outgrows the live part, so dropping
     // shallowest-first costs O(1) amortized per branch, not a shift of the
@@ -175,20 +182,21 @@ class Traverser {
     std::vector<Frame> stack;
     std::size_t bottom = 0;
 
-    Frame root{start, kNoEdge, 0, std::move(initial)};
-    charge(frame_cost(root));
-    stack.push_back(std::move(root));
+    charge(kFrameCost);
+    stack.push_back(Frame{start, kNoEdge, 0, std::move(initial)});
 
     // The popped branch's full path, shared by every pending branch below it.
     Path path;
     // NodePath: the nodes on `path`, cleared on rewind. NodeGlobal: every
     // node visited so far, never cleared. None: unused.
     std::vector<bool> marked(uniqueness_ == Uniqueness::None ? 0 : db_.node_count(), false);
+    // The expander's output, reused across expansions.
+    std::vector<Step<State>> steps;
 
     while (stack.size() > bottom) {
       Frame frame = std::move(stack.back());
       stack.pop_back();
-      release(frame_cost(frame));
+      release(kFrameCost);
 
       if (uniqueness_ == Uniqueness::NodeGlobal && frame.depth > 0 && marked[frame.node]) continue;
 
@@ -223,19 +231,18 @@ class Traverser {
         exhausted_budget_ = true;
         return;
       }
-      if (!limits_.deadline.unlimited() && expansions_ % limits_.deadline_stride == 0 &&
+      if (!limits_.deadline.unlimited() && expansions_ % kDeadlineStride == 0 &&
           limits_.deadline.expired()) {
         deadline_expired_ = true;
         return;
       }
 
-      std::vector<Step<State>> steps = expand_(db_, path, frame.state);
+      steps.clear();
+      expand_(db_, path, frame.state, steps);
       // Push in reverse so the first step is explored first (stable DFS).
       for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
         if (uniqueness_ != Uniqueness::None && marked[it->next]) continue;
-        Frame child{it->next, it->edge, frame.depth + 1, std::move(it->state)};
-        std::size_t cost = frame_cost(child);
-        if (frontier_bytes_ + cost > limits_.max_frontier_bytes) {
+        if (frontier_bytes_ + kFrameCost > limits_.max_frontier_bytes) {
           // Over the byte cap: prune shallowest-first. The stack front holds
           // the shallowest unexplored branches (earliest siblings), i.e. the
           // biggest unexplored subtrees — dropping them caps growth while the
@@ -243,10 +250,9 @@ class Traverser {
           // stack order is a pure function of the traversal so far.
           std::size_t drop = 0, freed = 0;
           while (bottom + drop < stack.size() &&
-                 frontier_bytes_ - freed + cost > limits_.max_frontier_bytes) {
-            Frame& pruned = stack[bottom + drop++];
-            freed += frame_cost(pruned);
-            pruned.state = State{};  // free the state's heap bytes now
+                 frontier_bytes_ - freed + kFrameCost > limits_.max_frontier_bytes) {
+            ++drop;
+            freed += kFrameCost;
           }
           if (drop > 0) {
             bottom += drop;
@@ -257,14 +263,14 @@ class Traverser {
             release(freed);
             frontier_pruned_ += drop;
           }
-          if (frontier_bytes_ + cost > limits_.max_frontier_bytes) {
+          if (frontier_bytes_ + kFrameCost > limits_.max_frontier_bytes) {
             // Even an empty frontier cannot absorb this child: drop it too.
             ++frontier_pruned_;
             continue;
           }
         }
-        charge(cost);
-        stack.push_back(std::move(child));
+        charge(kFrameCost);
+        stack.push_back(Frame{it->next, it->edge, frame.depth + 1, std::move(it->state)});
       }
     }
   }
@@ -304,7 +310,6 @@ class Traverser {
   EvalFn evaluate_;
   Uniqueness uniqueness_;
   TraversalLimits limits_;
-  StateBytesFn state_bytes_;
   bool exhausted_budget_ = false;
   bool deadline_expired_ = false;
   std::size_t expansions_ = 0;

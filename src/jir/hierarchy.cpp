@@ -1,15 +1,9 @@
 #include "jir/hierarchy.hpp"
 
 #include <deque>
+#include <unordered_set>
 
 namespace tabby::jir {
-
-Hierarchy::Hierarchy(const Program& program) : program_(&program) {
-  for (const ClassDecl& cls : program.classes()) {
-    if (!cls.super.empty()) subtypes_[cls.super].push_back(cls.name);
-    for (const std::string& iface : cls.interfaces) subtypes_[iface].push_back(cls.name);
-  }
-}
 
 std::vector<std::string> Hierarchy::direct_supertypes(std::string_view cls) const {
   const ClassDecl* decl = program_->find_class(cls);
@@ -31,29 +25,6 @@ std::vector<std::string> Hierarchy::all_supertypes(std::string_view cls) const {
       if (seen.insert(super).second) {
         out.push_back(super);
         work.push_back(std::move(super));
-      }
-    }
-  }
-  return out;
-}
-
-const std::vector<std::string>& Hierarchy::direct_subtypes(std::string_view cls) const {
-  auto it = subtypes_.find(std::string(cls));
-  if (it == subtypes_.end()) return empty_;
-  return it->second;
-}
-
-std::vector<std::string> Hierarchy::all_subtypes(std::string_view cls) const {
-  std::vector<std::string> out;
-  std::unordered_set<std::string> seen{std::string(cls)};
-  std::deque<std::string> work{std::string(cls)};
-  while (!work.empty()) {
-    std::string current = std::move(work.front());
-    work.pop_front();
-    for (const std::string& sub : direct_subtypes(current)) {
-      if (seen.insert(sub).second) {
-        out.push_back(sub);
-        work.push_back(sub);
       }
     }
   }
@@ -92,19 +63,6 @@ std::optional<MethodId> Hierarchy::dispatch(std::string_view receiver_class, std
     current = decl->super;
   }
   return program_->resolve_method(receiver_class, name, nargs);
-}
-
-std::vector<std::string> Hierarchy::concrete_implementations(std::string_view cls) const {
-  std::vector<std::string> out;
-  auto consider = [&](std::string_view name) {
-    const ClassDecl* decl = program_->find_class(name);
-    if (decl != nullptr && !decl->is_interface && !decl->mods.is_abstract) {
-      out.emplace_back(name);
-    }
-  };
-  consider(cls);
-  for (const std::string& sub : all_subtypes(cls)) consider(sub);
-  return out;
 }
 
 }  // namespace tabby::jir

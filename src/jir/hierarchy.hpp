@@ -1,22 +1,24 @@
-// Class-hierarchy queries over a Program: supertype closures, serializability
-// (needed to classify deserialization sources), and override relations
-// (needed by the Method Alias Graph, Formula 1 of the paper).
+// Class-hierarchy queries over a Program: supertype closures, subtyping,
+// serializability and virtual dispatch, as the runtime VM replays a chain.
+// A Hierarchy is a view: every query walks the program's own declarations,
+// so it keeps no index and constructing one costs nothing. The CPG builder
+// computes serializability for a whole program in one pass of its own and
+// walks supertypes itself for the Method Alias Graph (Formula 1).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "jir/model.hpp"
 
 namespace tabby::jir {
 
-/// Immutable hierarchy index built once per Program snapshot.
+/// Read-only queries over one Program, which must outlive the view.
 class Hierarchy {
  public:
-  explicit Hierarchy(const Program& program);
+  explicit Hierarchy(const Program& program) : program_(&program) {}
 
   const Program& program() const { return *program_; }
 
@@ -27,12 +29,6 @@ class Hierarchy {
   /// Transitive supertype closure, excluding `cls` itself. Includes names of
   /// classes absent from the Program (phantom supertypes), as Soot does.
   std::vector<std::string> all_supertypes(std::string_view cls) const;
-
-  /// Direct subtypes present in the Program.
-  const std::vector<std::string>& direct_subtypes(std::string_view cls) const;
-
-  /// Transitive subtype closure present in the Program, excluding `cls`.
-  std::vector<std::string> all_subtypes(std::string_view cls) const;
 
   /// True if `sub` == `super` or `super` appears in sub's supertype closure.
   bool is_subtype_of(std::string_view sub, std::string_view super) const;
@@ -46,15 +42,8 @@ class Hierarchy {
   std::optional<MethodId> dispatch(std::string_view receiver_class, std::string_view name,
                                    int nargs) const;
 
-  /// Concrete (non-abstract, non-interface) classes in the subtype closure of
-  /// `cls`, including `cls` itself when concrete. Used by the runtime VM and
-  /// by the baselines' call-graph construction.
-  std::vector<std::string> concrete_implementations(std::string_view cls) const;
-
  private:
   const Program* program_;
-  std::unordered_map<std::string, std::vector<std::string>> subtypes_;
-  std::vector<std::string> empty_;
 };
 
 }  // namespace tabby::jir

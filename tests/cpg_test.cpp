@@ -13,6 +13,7 @@
 #include "cpg/schema.hpp"
 #include "cpg/sinks.hpp"
 #include "fixtures.hpp"
+#include "jir/hierarchy.hpp"
 #include "support/freeze.hpp"
 
 namespace tabby::cpg {
@@ -288,6 +289,93 @@ TEST(CpgOptionsTest, EvilObjectGraphShape) {
   std::vector<std::int64_t> pp = int_list(db.edge_prop(in_calls.edge[0], kPropPollutedPosition));
   ASSERT_EQ(pp.size(), 2u);
   EXPECT_EQ(pp[1], 0);  // cmd comes from this.val2
+}
+
+TEST(CpgOptionsTest, DiamondLatticeGetsOneAliasEdge) {
+  jir::ProgramBuilder pb;
+  pb.with_core_classes();
+  pb.add_interface("t.J").method("m").returns("void").set_abstract();
+  pb.add_interface("t.I1").implements("t.J");
+  pb.add_interface("t.I2").implements("t.J");
+  // Two interface paths to J#m.
+  auto c = pb.add_class("t.C");
+  c.implements("t.I1").implements("t.I2");
+  c.method("m").returns("void").ret();
+  // A superclass path and an interface path to J#m.
+  pb.add_class("t.Base").implements("t.J");
+  auto d = pb.add_class("t.D");
+  d.extends("t.Base").implements("t.I1");
+  d.method("m").returns("void").ret();
+  jir::Program p = pb.build();
+  FrozenGraph db = tabby::testing::freeze(build_cpg(p).db);
+
+  NodeId declared = method_node(db, "t.J", "m", 0);
+  for (const char* owner : {"t.C", "t.D"}) {
+    graph::AdjacencyView out =
+        db.out_edges_typed_view(method_node(db, owner, "m", 0), *db.edge_type_id(kAliasEdge));
+    ASSERT_EQ(out.size(), 1u) << owner;
+    EXPECT_EQ(out.nbr[0], declared) << owner;
+  }
+}
+
+/// Every class declares readObject, so the source flag of its method node
+/// shows the builder's serializability of the class. Lattice: two supertype
+/// cycles (one with a serializable member, listed first), phantom
+/// supertypes, a class reaching Externalizable alone, a diamond of
+/// interfaces, and an interface whose abstract readObject is no source.
+jir::Program awkward_lattice(bool with_core) {
+  jir::ProgramBuilder pb;
+  if (with_core) pb.with_core_classes();
+  auto with_read_object = [&](const char* name) {
+    jir::ClassBuilder cls = pb.add_class(name);
+    cls.method("readObject").param("java.io.ObjectInputStream").returns("void").ret();
+    return cls;
+  };
+  with_read_object("t.A").extends("t.B").serializable();
+  with_read_object("t.B").extends("t.A");
+  with_read_object("t.C").extends("t.D");
+  with_read_object("t.D").extends("t.C");
+  with_read_object("t.E").extends("t.Missing");
+  with_read_object("t.F").extends("t.Missing").implements("t.MissingI").implements(
+      jir::kExternalizableInterface);
+  pb.add_interface("t.J").implements(jir::kSerializableInterface);
+  pb.add_interface("t.I1").implements("t.J");
+  pb.add_interface("t.I2").implements("t.J");
+  with_read_object("t.G").implements("t.I1").implements("t.I2");
+  with_read_object("t.H").extends("t.G");
+  jir::ClassBuilder k = pb.add_interface("t.K");
+  k.implements(jir::kSerializableInterface);
+  k.method("readObject").param("java.io.ObjectInputStream").returns("void").set_abstract();
+  with_read_object("t.L").extends("t.C").implements("t.K");
+  return pb.build();
+}
+
+TEST(CpgOptionsTest, SerializabilityMatchesTheHierarchy) {
+  for (bool with_core : {false, true}) {
+    SCOPED_TRACE(with_core ? "with core classes" : "without core classes");
+    jir::Program p = awkward_lattice(with_core);
+    jir::Hierarchy hierarchy(p);
+    // Asked for A first, a memo with a cycle guard would wrongly settle B.
+    EXPECT_TRUE(hierarchy.is_serializable("t.B"));
+    EXPECT_FALSE(hierarchy.is_serializable("t.D"));
+    EXPECT_TRUE(hierarchy.is_serializable("t.F"));
+
+    FrozenGraph db = tabby::testing::freeze(build_cpg(p).db);
+    std::size_t serializable = 0, sources = 0;
+    for (const jir::ClassDecl& cls : p.classes()) {
+      bool want = hierarchy.is_serializable(cls.name);
+      serializable += want ? 1 : 0;
+      EXPECT_EQ(db.node_prop_bool(class_node(db, cls.name), kPropSerializable), want) << cls.name;
+      for (const jir::Method& m : cls.methods) {
+        if (m.name != "readObject") continue;
+        bool source = db.node_prop_bool(method_node(db, cls.name, m.name, m.nargs()), kPropIsSource);
+        EXPECT_EQ(source, m.has_body() && want) << cls.name;
+        sources += source ? 1 : 0;
+      }
+    }
+    EXPECT_GE(serializable, 10u);
+    EXPECT_EQ(sources, 6u);  // A, B, F, G, H, L
+  }
 }
 
 

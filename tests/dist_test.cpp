@@ -396,6 +396,30 @@ TEST_F(DistFixture, WorkerFailureMergesStablyWithMemoryPressure) {
   }
 }
 
+TEST_F(DistFixture, ExpansionBudgetPartialsCrossTheWorkerWire) {
+  finder::FinderOptions options;
+  options.max_depth = 16;
+  options.max_expansions = 1000;
+  finder::FinderReport local = finder::GadgetChainFinder(stress_db(), options).find_all();
+  options.dist = fast(1);
+  finder::FinderReport remote = finder::GadgetChainFinder(stress_db(), options).find_all();
+
+  EXPECT_TRUE(local.budget_exhausted);
+  EXPECT_TRUE(remote.budget_exhausted);
+  ASSERT_EQ(local.partial_sinks.size(), 2u);
+  ASSERT_EQ(remote.partial_sinks.size(), local.partial_sinks.size());
+  for (std::size_t i = 0; i < local.partial_sinks.size(); ++i) {
+    const finder::PartialSink& sink = remote.partial_sinks[i];
+    EXPECT_EQ(sink.reason, finder::PartialReason::ExpansionBudget);
+    EXPECT_EQ(sink.sink, local.partial_sinks[i].sink);
+    EXPECT_EQ(sink.expansions, local.partial_sinks[i].expansions);
+    EXPECT_EQ(finder::degraded_line(sink), finder::degraded_line(local.partial_sinks[i]));
+    EXPECT_NE(finder::degraded_line(sink).find("degraded: [finder-budget] "), std::string::npos);
+  }
+  EXPECT_EQ(chain_text(remote), chain_text(local));
+  EXPECT_EQ(remote.expansions, local.expansions);
+}
+
 TEST_F(DistFixture, WorkerFailureMergesStablyWithDeadlineExpiry) {
   util::failpoint::arm();
   util::failpoint::activate("dist.worker.crash", 1);

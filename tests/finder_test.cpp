@@ -3,13 +3,19 @@
 // (EnumMap), depth limits, and the Figure 6 exclusion example.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
+#include <set>
 
+#include "analysis/domain.hpp"
 #include "cpg/builder.hpp"
 #include "cpg/schema.hpp"
 #include "finder/finder.hpp"
 #include "fixtures.hpp"
 #include "support/freeze.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tabby::finder {
 namespace {
@@ -276,6 +282,259 @@ TEST(Finder, CancelTokenCutsTheSearchShort) {
   options.deadline.bind(&token);
   FinderReport report = GadgetChainFinder(cpg, options).find_all();
   EXPECT_TRUE(report.partial());
+}
+
+TEST(Finder, ExpansionBudgetMarksTheSinkPartial) {
+  jir::Program p = testing::urldns_program();
+  graph::FrozenGraph cpg = frozen_cpg(p);
+  FinderReport full = GadgetChainFinder(cpg).find_all();
+  ASSERT_FALSE(full.partial());
+  ASSERT_GT(full.expansions, 3u);
+
+  FinderOptions options;
+  options.max_expansions = 3;
+  GadgetChainFinder finder(cpg, options);
+  FinderReport cut = finder.find_all();
+  EXPECT_TRUE(cut.budget_exhausted);  // the baselines' "X" cells read this
+  EXPECT_TRUE(finder.last_partial());
+  ASSERT_EQ(cut.partial_sinks.size(), cut.sinks_considered);
+  for (const PartialSink& sink : cut.partial_sinks) {
+    EXPECT_EQ(sink.reason, PartialReason::ExpansionBudget);
+    EXPECT_STREQ(to_string(sink.reason), "ExpansionBudget");
+    EXPECT_EQ(degraded_line(sink), "degraded: [finder-budget] " + sink.signature +
+                                       ": search stopped at the expansion budget after " +
+                                       std::to_string(sink.expansions) +
+                                       " expansion(s); chains found so far are kept");
+  }
+  // A budget the search fits in leaves the report complete.
+  options.max_expansions = full.expansions;
+  FinderReport roomy = GadgetChainFinder(cpg, options).find_all();
+  EXPECT_FALSE(roomy.partial());
+  EXPECT_FALSE(roomy.budget_exhausted);
+  EXPECT_EQ(roomy.chains.size(), full.chains.size());
+}
+
+// --- Algorithms 2-3 against a recursive reference ----------------------------
+//
+// The finder threads each branch's Trigger_Condition through an explicit-stack
+// DFS over the frame. The reference below recurses, keeps every condition as a
+// plain sorted vector, applies Formula 4 as written, and reads the edges from
+// the list the graph was built from rather than from the frame.
+
+constexpr std::int64_t kInf = analysis::kUncontrollable;
+
+/// A seeded random method graph: CALL edges carrying Polluted_Position lists,
+/// ALIAS edges, several sinks with Trigger_Conditions and several sources.
+struct RandomCpg {
+  struct Edge {
+    NodeId from = 0, to = 0;
+    bool call = true;
+    std::optional<std::vector<std::int64_t>> pp;  // unset: no list (absent or not a list)
+  };
+  std::size_t nodes = 0;
+  std::vector<Edge> edges;  // edge id order
+  std::vector<bool> source;
+  std::vector<std::optional<std::vector<std::int64_t>>> trigger;  // per node; unset: none
+  std::vector<NodeId> sinks;                                      // ascending
+  graph::FrozenGraph frame;
+};
+
+std::string random_signature(NodeId n) { return "r.M" + std::to_string(n) + "#m/0"; }
+
+/// `mixed` stores some Polluted_Position and Trigger_Condition cells as
+/// non-lists, so both columns freeze as Mixed instead of IntList.
+RandomCpg random_cpg(std::uint64_t seed, bool mixed) {
+  util::Rng rng(seed);
+  RandomCpg out;
+  graph::GraphDb db;
+  out.nodes = 6 + rng.next_below(30);
+  const std::int64_t weights[] = {0, 1, 2, 3, 64, 65, kInf, -1, std::int64_t{1} << 40};
+  auto positions = [&](std::size_t n) {
+    std::vector<std::int64_t> xs;
+    for (std::size_t i = 0; i < n; ++i) xs.push_back(weights[rng.next_below(6)]);
+    return xs;
+  };
+  for (NodeId n = 0; n < out.nodes; ++n) {
+    bool sink = rng.chance(1, 5);
+    bool source = !sink && rng.chance(1, 4);
+    graph::PropertyMap props;
+    props[std::string(cpg::kPropSignature)] = random_signature(n);
+    props[std::string(cpg::kPropIsSource)] = source;
+    props[std::string(cpg::kPropIsSink)] = sink;
+    std::optional<std::vector<std::int64_t>> trigger;
+    if (sink) {
+      props[std::string(cpg::kPropSinkType)] = "T" + std::to_string(rng.next_below(3));
+      switch (rng.next_below(4)) {
+        case 0: break;  // no condition: the search starts from {0}
+        case 1:
+          if (mixed) {
+            props[std::string(cpg::kPropTriggerCondition)] = std::int64_t{1};
+            break;
+          }
+          [[fallthrough]];
+        default:
+          // Unsorted, with repeats, sometimes empty.
+          trigger = positions(rng.next_below(4));
+          props[std::string(cpg::kPropTriggerCondition)] = *trigger;
+      }
+      out.sinks.push_back(n);
+    }
+    out.source.push_back(source);
+    out.trigger.push_back(std::move(trigger));
+    db.add_node(std::string(cpg::kMethodLabel), std::move(props));
+  }
+  std::size_t edge_count = out.nodes * (1 + rng.next_below(3));
+  for (std::size_t i = 0; i < edge_count; ++i) {
+    RandomCpg::Edge edge;
+    edge.from = rng.next_below(out.nodes);
+    edge.to = rng.next_below(out.nodes);
+    edge.call = rng.chance(3, 4);
+    graph::PropertyMap props;
+    if (edge.call) {
+      std::size_t roll = rng.next_below(10);
+      if (roll == 0) {
+        // No Polluted_Position: a checked search never takes the edge.
+      } else if (roll == 1 && mixed) {
+        props[std::string(cpg::kPropPollutedPosition)] = std::string("not-a-list");
+      } else {
+        // Mostly short lists; sometimes long enough that 64 and 65 index them.
+        std::size_t len = rng.chance(1, 8) ? 66 + rng.next_below(4) : rng.next_below(6);
+        std::vector<std::int64_t> pp;
+        for (std::size_t k = 0; k < len; ++k) pp.push_back(weights[rng.next_below(9)]);
+        props[std::string(cpg::kPropPollutedPosition)] = pp;
+        edge.pp = std::move(pp);
+      }
+    }
+    db.add_edge(edge.from, edge.to, std::string(edge.call ? cpg::kCallEdge : cpg::kAliasEdge),
+                std::move(props));
+    out.edges.push_back(std::move(edge));
+  }
+  out.frame = tabby::testing::freeze(db);
+  return out;
+}
+
+/// Formula 4 on plain vectors: TC_next = { PP[x] | x in TC }, or nothing
+/// when some x is out of range or maps to an uncontrollable weight.
+std::optional<std::vector<std::int64_t>> formula4(const std::vector<std::int64_t>& tc,
+                                                  const std::vector<std::int64_t>& pp) {
+  std::set<std::int64_t> next;
+  for (std::int64_t x : tc) {
+    if (x < 0 || x >= static_cast<std::int64_t>(pp.size())) return std::nullopt;
+    std::int64_t w = pp[static_cast<std::size_t>(x)];
+    if (w >= kInf) return std::nullopt;
+    next.insert(w);
+  }
+  return std::vector<std::int64_t>(next.begin(), next.end());
+}
+
+struct ReferenceFinder {
+  const RandomCpg& g;
+  const FinderOptions& options;
+  std::vector<std::vector<NodeId>> chains;  // source-first, in discovery order
+  std::size_t expansions = 0;
+  std::size_t found = 0;  // results of the current sink
+
+  /// Returns false once the sink's result cap stops the search.
+  bool visit(std::vector<NodeId>& path, const std::vector<std::int64_t>& tc) {
+    NodeId end = path.back();
+    if (path.size() > 1 && g.source[end]) {
+      chains.emplace_back(path.rbegin(), path.rend());
+      return ++found < options.max_results_per_sink;
+    }
+    if (static_cast<int>(path.size()) - 1 >= options.max_depth) return true;
+    ++expansions;
+    std::vector<std::pair<NodeId, std::vector<std::int64_t>>> steps;
+    for (const RandomCpg::Edge& e : g.edges) {
+      if (!e.call || e.to != end) continue;
+      if (!options.check_trigger_conditions) {
+        steps.emplace_back(e.from, tc);
+      } else if (e.pp.has_value()) {
+        if (auto next = formula4(tc, *e.pp)) steps.emplace_back(e.from, std::move(*next));
+      }
+    }
+    if (options.use_alias_edges) {
+      for (const RandomCpg::Edge& e : g.edges) {
+        if (!e.call && e.from == end) steps.emplace_back(e.to, tc);
+      }
+      if (options.alias_bidirectional) {
+        for (const RandomCpg::Edge& e : g.edges) {
+          if (!e.call && e.to == end) steps.emplace_back(e.from, tc);
+        }
+      }
+    }
+    for (const auto& [next, next_tc] : steps) {
+      if (std::find(path.begin(), path.end(), next) != path.end()) continue;
+      path.push_back(next);
+      bool more = visit(path, next_tc);
+      path.pop_back();
+      if (!more) return false;
+    }
+    return true;
+  }
+
+  /// find_all(): sinks in ascending id order, first occurrence of a chain wins.
+  void run() {
+    std::set<std::vector<NodeId>> seen;
+    std::vector<std::vector<NodeId>> kept;
+    for (NodeId sink : g.sinks) {
+      chains.clear();
+      found = 0;
+      std::vector<std::int64_t> tc;
+      if (g.trigger[sink].has_value()) tc = *g.trigger[sink];
+      if (tc.empty()) tc = {0};
+      std::vector<NodeId> path{sink};
+      visit(path, tc);
+      for (std::vector<NodeId>& chain : chains) {
+        if (seen.insert(chain).second) kept.push_back(std::move(chain));
+      }
+    }
+    chains = std::move(kept);
+  }
+};
+
+TEST(Finder, MatchesAReferenceSearchOnRandomCpgs) {
+  util::ThreadPool pool(4);
+  std::size_t compared = 0, deep = 0, capped = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    RandomCpg g = random_cpg(seed, /*mixed=*/seed % 3 == 0);
+    FinderOptions options;
+    options.max_depth = 2 + static_cast<int>(seed % 7);
+    options.max_results_per_sink = seed % 4 == 0 ? 1 + seed % 3 : 128;
+    options.check_trigger_conditions = seed % 5 != 0;
+    options.alias_bidirectional = seed % 6 == 0;
+    options.use_alias_edges = seed % 11 != 0;
+
+    ReferenceFinder ref{g, options, {}, 0, 0};
+    ref.run();
+    for (const auto& chain : ref.chains) {
+      if (chain.size() > 3) ++deep;
+    }
+    if (options.max_results_per_sink < 128) capped += ref.chains.size();
+    compared += ref.chains.size();
+
+    for (util::Executor* executor : {static_cast<util::Executor*>(nullptr),
+                                     static_cast<util::Executor*>(&pool)}) {
+      std::string label = "seed " + std::to_string(seed) + (executor ? ", 4 jobs" : ", 1 job");
+      FinderOptions run_options = options;
+      run_options.executor = executor;
+      FinderReport report = GadgetChainFinder(g.frame, run_options).find_all();
+      EXPECT_EQ(report.expansions, ref.expansions) << label;
+      EXPECT_EQ(report.sinks_considered, g.sinks.size()) << label;
+      ASSERT_EQ(report.chains.size(), ref.chains.size()) << label;
+      for (std::size_t i = 0; i < ref.chains.size(); ++i) {
+        const GadgetChain& chain = report.chains[i];
+        EXPECT_EQ(chain.nodes, ref.chains[i]) << label << ", chain " << i;
+        ASSERT_EQ(chain.signatures.size(), ref.chains[i].size()) << label << ", chain " << i;
+        for (std::size_t k = 0; k < chain.signatures.size(); ++k) {
+          EXPECT_EQ(chain.signatures[k], random_signature(ref.chains[i][k])) << label;
+        }
+      }
+    }
+  }
+  // The seeds must actually find long chains, and under result caps too.
+  EXPECT_GT(compared, 500u);
+  EXPECT_GT(deep, 100u);
+  EXPECT_GT(capped, 20u);
 }
 
 }  // namespace

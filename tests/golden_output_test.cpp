@@ -1,10 +1,13 @@
 // Golden outputs of the whole engine. Every Table IX component and every
-// Table X scene (each with the simulated JDK), and the 26-archive ysoserial
-// classpath, are opened through pipeline::Engine and searched at the default
-// depth. Each case pins the chain count and an FNV-1a digest over the chain
-// keys in report order; the ysoserial classpath also pins its verdicts and
-// the rendered rows of three fixed queries. The test calls nothing but the
-// Engine API, so it holds whichever graph representation runs underneath.
+// Table X scene (each with the simulated JDK), the 26-archive ysoserial
+// classpath and a small fan-out classpath are opened through pipeline::Engine
+// and searched at the default depth. Each case pins the chain count and an
+// FNV-1a digest over the chain keys in report order; the scenes, ysoserial
+// and the fan-out also pin the content digest of the frozen frame the open
+// produced (the bytes `analyze --store` writes), and ysoserial pins its
+// verdicts and the rendered rows of three fixed queries. The test calls
+// nothing but the Engine API, so it holds whichever graph builder runs
+// underneath.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +20,7 @@
 
 #include "corpus/components.hpp"
 #include "corpus/scenes.hpp"
+#include "corpus/stress.hpp"
 #include "finder/verify.hpp"
 #include "jar/archive.hpp"
 #include "pipeline/engine.hpp"
@@ -30,7 +34,8 @@ namespace fs = std::filesystem;
 struct Golden {
   const char* name;
   std::size_t chains;
-  std::uint64_t digest;  // FNV-1a over GadgetChain::key() in report order
+  std::uint64_t digest;     // FNV-1a over GadgetChain::key() in report order
+  std::uint64_t frame = 0;  // util::content_digest of the frame (scenes only)
 };
 
 constexpr Golden kComponents[] = {
@@ -63,11 +68,11 @@ constexpr Golden kComponents[] = {
 };
 
 constexpr Golden kScenes[] = {
-    {"Spring", 10, 0xc3e9b26a9e27ff3bull},
-    {"JDK8", 13, 0xb6a245c01a1b51e6ull},
-    {"Tomcat", 4, 0x0130ca58b1d01aebull},
-    {"Jetty", 6, 0xdd26aafe966fa194ull},
-    {"Apache Dubbo", 5, 0x6d096d3dbe2beeeaull},
+    {"Spring", 10, 0xc3e9b26a9e27ff3bull, 0x42e40ed88e9c8578ull},
+    {"JDK8", 13, 0xb6a245c01a1b51e6ull, 0x39d8ccc335d6d235ull},
+    {"Tomcat", 4, 0x0130ca58b1d01aebull, 0xb3bc351a9d1a5c86ull},
+    {"Jetty", 6, 0xdd26aafe966fa194ull, 0xe02bd1e20502404bull},
+    {"Apache Dubbo", 5, 0x6d096d3dbe2beeeaull, 0x9627a205a7aba072ull},
 };
 
 void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.name; }
@@ -76,6 +81,10 @@ std::uint64_t chain_digest(const finder::FinderReport& report) {
   util::Fnv1a h;
   for (const finder::GadgetChain& chain : report.chains) h.update(chain.key());
   return h.digest();
+}
+
+std::uint64_t frame_digest(const pipeline::Analysis& analysis) {
+  return util::content_digest(analysis.outcome().frozen.frame());
 }
 
 /// A scratch directory of .tjar files, removed with the fixture.
@@ -102,14 +111,17 @@ class GoldenOutput : public ::testing::Test {
     return paths;
   }
 
-  /// Opens `jars` in a fresh engine and runs one default find.
-  pipeline::FindResult find(const std::vector<std::string>& jars, bool with_jdk) {
+  /// Opens `jars` in a fresh engine and runs one default find; `frame`
+  /// receives the digest of the opened frame.
+  pipeline::FindResult find(const std::vector<std::string>& jars, bool with_jdk,
+                            std::uint64_t* frame = nullptr) {
     pipeline::EngineOptions options;
     options.with_jdk = with_jdk;
     pipeline::Engine engine(options);
     auto analysis = engine.open(jars, {});
     EXPECT_TRUE(analysis.ok()) << (analysis.ok() ? "" : analysis.error().to_string());
     if (!analysis.ok()) return {};
+    if (frame != nullptr) *frame = frame_digest(*analysis.value());
     return analysis.value()->find({});
   }
 
@@ -137,9 +149,20 @@ TEST_P(GoldenComponent, ChainsMatch) {
 TEST_P(GoldenScene, ChainsMatch) {
   const Golden& want = GetParam();
   // A scene's classpath already starts with the simulated JDK.
-  pipeline::FindResult result = find(write(corpus::build_scene(want.name).jars), false);
+  std::uint64_t frame = 0;
+  pipeline::FindResult result = find(write(corpus::build_scene(want.name).jars), false, &frame);
   EXPECT_EQ(result.report.chains.size(), want.chains);
   EXPECT_EQ(chain_digest(result.report), want.digest);
+  EXPECT_EQ(frame, want.frame) << std::hex << "0x" << frame;
+}
+
+TEST_F(GoldenOutput, SmallFanoutChainsAndFrame) {
+  corpus::FanoutStressSpec spec{.hops = 8, .aliases = 64, .dual_sink = true};
+  std::uint64_t frame = 0;
+  pipeline::FindResult result = find(write({corpus::fanout_stress_archive(spec)}), true, &frame);
+  EXPECT_EQ(result.report.chains.size(), 2u);
+  EXPECT_EQ(chain_digest(result.report), 0x8a7bb60f398048bbull);
+  EXPECT_EQ(frame, 0xbba67c66a59ee184ull) << std::hex << "0x" << frame;
 }
 
 INSTANTIATE_TEST_SUITE_P(TableIX, GoldenComponent, ::testing::ValuesIn(kComponents), param_name);
@@ -169,6 +192,8 @@ TEST_F(GoldenOutput, YsoserialClasspathChainsVerdictsAndQueries) {
   pipeline::FindResult result = analysis.value()->find(ctx);
   EXPECT_EQ(result.report.chains.size(), 79u);
   EXPECT_EQ(chain_digest(result.report), 0xba89d14badbfdcc3ull);
+  EXPECT_EQ(frame_digest(*analysis.value()), 0x0b342d762a034906ull)
+      << std::hex << "0x" << frame_digest(*analysis.value());
   ASSERT_TRUE(result.verified);
   EXPECT_EQ(result.verify.effective, 53u);
   EXPECT_EQ(result.verify.refuted, 26u);

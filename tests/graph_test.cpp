@@ -195,13 +195,12 @@ FrozenGraph diamond() {
 
 /// Out-edges in insertion order (every test graph here has one edge type).
 Traverser<int>::ExpandFn forward_expand() {
-  return [](const FrozenGraph& db, const Path& path, const int& state) {
-    std::vector<Step<int>> steps;
+  return [](const FrozenGraph& db, const Path& path, const int& state,
+            std::vector<Step<int>>& steps) {
     AdjacencyView out = db.out_edges_view(path.end());
     for (std::size_t i = 0; i < out.size(); ++i) {
       steps.push_back(Step<int>{out.edge[i], out.nbr[i], state + 1});
     }
-    return steps;
   };
 }
 
@@ -334,15 +333,14 @@ constexpr std::size_t kReferenceDepth = 6;
 /// Both callbacks read the whole path, so a wrongly rewound path changes the
 /// steps, the verdicts and the threaded states.
 Traverser<Hash>::ExpandFn hashing_expand() {
-  return [](const FrozenGraph& db, const Path& path, const Hash& state) {
-    std::vector<Step<Hash>> steps;
+  return [](const FrozenGraph& db, const Path& path, const Hash& state,
+            std::vector<Step<Hash>>& steps) {
     AdjacencyView out = db.out_edges_view(path.end());
     for (std::size_t i = 0; i < out.size(); ++i) {
       EdgeId e = out.edge[i];
       if ((path_hash(path) + e) % 7 == 0) continue;
       steps.push_back(Step<Hash>{e, out.nbr[i], state * 31 + e + path.length()});
     }
-    return steps;
   };
 }
 
@@ -376,7 +374,9 @@ struct ReferenceDfs {
     }
     if (!continues(verdict)) return;
     ++expansions;
-    for (Step<Hash>& step : hashing_expand()(db, path, state)) {
+    std::vector<Step<Hash>> steps;
+    hashing_expand()(db, path, state, steps);
+    for (Step<Hash>& step : steps) {
       bool on_path = std::find(path.nodes.begin(), path.nodes.end(), step.next) != path.nodes.end();
       if (uniqueness == Uniqueness::NodePath && on_path) continue;
       if (uniqueness == Uniqueness::NodeGlobal && visited[step.next]) continue;

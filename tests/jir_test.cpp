@@ -176,9 +176,6 @@ TEST(Hierarchy, SupertypesAndSubtypes) {
   EXPECT_NE(std::find(supers.begin(), supers.end(), "demo.I"), supers.end());
   EXPECT_NE(std::find(supers.begin(), supers.end(), std::string(kObjectClass)), supers.end());
 
-  auto subs = h.all_subtypes("demo.I");
-  EXPECT_EQ(subs.size(), 2u);
-
   EXPECT_TRUE(h.is_subtype_of("demo.Leaf", "demo.I"));
   EXPECT_TRUE(h.is_subtype_of("demo.Leaf", kObjectClass));
   EXPECT_FALSE(h.is_subtype_of("demo.Mid", "demo.Leaf"));
@@ -217,21 +214,6 @@ TEST(Hierarchy, DispatchPrefersOverride) {
   auto base_target = h.dispatch("demo.Base", "run", 0);
   ASSERT_TRUE(base_target.has_value());
   EXPECT_EQ(p.class_of(*base_target).name, "demo.Base");
-}
-
-TEST(Hierarchy, ConcreteImplementations) {
-  ProgramBuilder pb;
-  pb.with_core_classes();
-  pb.add_interface("demo.I");
-  auto abs = pb.add_class("demo.Abs");
-  abs.implements("demo.I").set_abstract();
-  auto impl = pb.add_class("demo.Impl");
-  impl.extends("demo.Abs");
-  Program p = pb.build();
-  Hierarchy h(p);
-  auto concrete = h.concrete_implementations("demo.I");
-  ASSERT_EQ(concrete.size(), 1u);
-  EXPECT_EQ(concrete[0], "demo.Impl");
 }
 
 TEST(PrinterParser, ProgramRoundTrip) {
