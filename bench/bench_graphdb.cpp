@@ -193,7 +193,7 @@ void BM_FrozenTraversalDepth4(benchmark::State& state) {
   for (auto _ : state) {
     graph::TraversalLimits limits;
     limits.max_expansions = 200000;
-    graph::Traverser<int> t(fg, expand, evaluate, graph::Uniqueness::NodePath, limits);
+    graph::Traverser<int> t(fg, expand, evaluate, limits);
     auto results = t.run(0, 0);
     benchmark::DoNotOptimize(results);
   }

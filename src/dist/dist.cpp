@@ -31,6 +31,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Base of the exponential retry backoff, in microseconds.
+constexpr std::uint64_t kBackoffBaseUs = 1000;
+
 // ---------------------------------------------------------------------------
 // Wire helpers. One JSON document per line, EINTR-safe, like serve.cpp's
 // loops — but self-contained so tabby_dist does not pull in the daemon.
@@ -158,7 +161,6 @@ struct Worker {
   std::size_t shard = 0;    // in-flight shard (busy only)
   int shard_attempts = 0;   // failures the in-flight shard had before this try
   Clock::time_point last_activity{};
-  Clock::time_point dispatched_at{};
   std::string inbuf;
 };
 
@@ -342,7 +344,6 @@ class Coordinator {
       w.busy = true;
       w.shard = p.shard;
       w.shard_attempts = p.attempts;
-      w.dispatched_at = now;
       w.last_activity = now;
       if (!write_line(w.fd, msg)) handle_death(slot, "worker pipe broke at dispatch");
     }
@@ -354,17 +355,10 @@ class Coordinator {
     Clock::time_point now = Clock::now();
     auto timeout = std::chrono::milliseconds(50);
     for (const Worker& w : workers_) {
-      if (!w.alive || !w.busy) continue;
-      if (options_.hang_timeout.count() > 0) {
-        auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-            w.last_activity + options_.hang_timeout - now);
-        timeout = std::min(timeout, std::max(left, std::chrono::milliseconds(1)));
-      }
-      if (options_.shard_timeout.count() > 0) {
-        auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-            w.dispatched_at + options_.shard_timeout - now);
-        timeout = std::min(timeout, std::max(left, std::chrono::milliseconds(1)));
-      }
+      if (!w.alive || !w.busy || options_.hang_timeout.count() == 0) continue;
+      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          w.last_activity + options_.hang_timeout - now);
+      timeout = std::min(timeout, std::max(left, std::chrono::milliseconds(1)));
     }
     for (const PendingShard& p : pending_) {
       auto left = std::chrono::duration_cast<std::chrono::milliseconds>(p.not_before - now);
@@ -429,15 +423,11 @@ class Coordinator {
     Clock::time_point now = Clock::now();
     for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
       Worker& w = workers_[slot];
-      if (!w.alive || !w.busy) continue;
-      bool silent = options_.hang_timeout.count() > 0 &&
-                    now - w.last_activity > options_.hang_timeout;
-      bool overdue = options_.shard_timeout.count() > 0 &&
-                     now - w.dispatched_at > options_.shard_timeout;
-      if (!silent && !overdue) continue;
+      if (!w.alive || !w.busy || options_.hang_timeout.count() == 0) continue;
+      if (now - w.last_activity <= options_.hang_timeout) continue;
       ++report_.stats.heartbeat_misses;
       ::kill(w.pid, SIGKILL);
-      handle_death(slot, silent ? "worker hung (heartbeats stopped)" : "shard deadline exceeded");
+      handle_death(slot, "worker hung (heartbeats stopped)");
     }
   }
 
@@ -501,8 +491,7 @@ class Coordinator {
 std::chrono::microseconds retry_backoff(const DistOptions& options, std::size_t shard,
                                         int attempt) {
   int exponent = std::clamp(attempt - 1, 0, 20);
-  auto base = static_cast<std::uint64_t>(std::max<std::int64_t>(options.backoff_base.count(), 1));
-  std::uint64_t delay = base << exponent;
+  std::uint64_t delay = kBackoffBaseUs << exponent;
   util::Rng rng(options.backoff_seed ^ (static_cast<std::uint64_t>(shard) * 0x9E3779B97F4A7C15ULL) ^
                 (static_cast<std::uint64_t>(static_cast<unsigned>(attempt)) << 32));
   return std::chrono::microseconds(delay + rng.next_below(delay / 2 + 1));
@@ -512,23 +501,6 @@ DistReport run_shards(std::size_t shard_count, const ShardFn& fn, const DistOpti
   DistReport report;
   report.shards.resize(shard_count);
   if (shard_count == 0) return report;
-  if (options.workers <= 0) {
-    // Degenerate in-process mode, used by tests; production callers branch
-    // to the historical serial/threaded path before reaching here.
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      ShardResult& r = report.shards[i];
-      r.attempts = 1;
-      try {
-        r.payload = fn(i);
-        r.ok = true;
-      } catch (const std::exception& e) {
-        r.error = e.what();
-      } catch (...) {
-        r.error = "unknown shard exception";
-      }
-    }
-    return report;
-  }
   util::ignore_sigpipe();
   Coordinator coordinator(shard_count, fn, options);
   return coordinator.run();

@@ -16,8 +16,7 @@
 //     takes only its in-flight shard with it; the coordinator reaps the
 //     corpse, respawns a replacement, and retries the shard;
 //   - hang detection: workers heartbeat while executing a shard; a worker
-//     that stops heartbeating for `hang_timeout` (or blows through
-//     `shard_timeout` wall clock on one shard) is SIGKILLed and treated as
+//     that stops heartbeating for `hang_timeout` is SIGKILLed and treated as
 //     crashed;
 //   - bounded retry: each shard gets `max_attempts` tries with exponential
 //     backoff and DETERMINISTIC seeded jitter between them (chaos runs
@@ -49,8 +48,7 @@ namespace tabby::dist {
 /// Coordinator/worker tuning. The zero-workers default means "do not use
 /// dist at all" — callers check `workers > 0` before calling run_shards.
 struct DistOptions {
-  /// Worker processes to fork (capped at the shard count). 0 = in-process
-  /// execution, the caller's historical behavior.
+  /// Worker processes to fork (at least 1, capped at the shard count).
   int workers = 0;
   /// Attempts per shard (first try + retries). A shard failing this many
   /// times is reported failed, not retried forever.
@@ -60,14 +58,6 @@ struct DistOptions {
   /// A busy worker silent (no heartbeat, no result) for this long is
   /// declared hung and SIGKILLed. 0 disables heartbeat-miss detection.
   std::chrono::milliseconds hang_timeout{2000};
-  /// Per-shard wall-clock ceiling: one dispatch older than this is killed
-  /// even if heartbeats keep arriving (a runaway search loop heartbeats
-  /// happily forever). 0 disables the ceiling — the cooperative finder
-  /// deadline inside the shard remains the primary time governor.
-  std::chrono::milliseconds shard_timeout{0};
-  /// Base of the exponential retry backoff (attempt n sleeps roughly
-  /// base * 2^(n-1) plus jitter).
-  std::chrono::microseconds backoff_base{1000};
   /// Seed for the deterministic backoff jitter. Fixed default so identical
   /// runs — including chaos replays — sleep identically.
   std::uint64_t backoff_seed = 0x7ab1d157u;
@@ -98,7 +88,7 @@ struct DistStats {
   std::uint64_t crashes = 0;           // worker deaths observed (incl. kills)
   std::uint64_t retries = 0;           // shard re-dispatches
   std::uint64_t reassignments = 0;     // retries that landed on a different worker
-  std::uint64_t heartbeat_misses = 0;  // hang detections (silence or shard timeout)
+  std::uint64_t heartbeat_misses = 0;  // hang detections (heartbeats stopped)
 
   bool any() const {
     return workers_spawned + respawns + crashes + retries + reassignments + heartbeat_misses > 0;
@@ -120,15 +110,13 @@ using ShardFn = std::function<std::string(std::size_t shard)>;
 
 /// Runs `shard_count` shards across a supervised pool of forked workers.
 /// Blocks until every shard has either a payload or an exhausted-retries
-/// error; never throws for worker failures and never leaks children. With
-/// `options.workers <= 0` this degenerates to running every shard in-process
-/// (no forks) — callers normally branch earlier for that case.
+/// error; never throws for worker failures and never leaks children.
 DistReport run_shards(std::size_t shard_count, const ShardFn& fn, const DistOptions& options);
 
 /// The deterministic backoff-before-retry delay for `shard`'s attempt
-/// number `attempt` (1-based, the attempt that just failed): exponential in
-/// the attempt with seeded jitter. Exposed for tests — identical inputs
-/// yield identical delays on every platform.
+/// number `attempt` (1-based, the attempt that just failed): 1 ms doubled
+/// per earlier attempt, plus seeded jitter below half of that. Exposed for
+/// tests — identical inputs yield identical delays on every platform.
 std::chrono::microseconds retry_backoff(const DistOptions& options, std::size_t shard,
                                         int attempt);
 

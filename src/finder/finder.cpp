@@ -452,7 +452,7 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
   // The condition table is not charged to the frontier: it holds one entry
   // per distinct condition, not per branch (docs/ROBUSTNESS.md).
   graph::Traverser<TcTable::Id, decltype(expand), decltype(evaluate)> traverser(
-      g, expand, evaluate, graph::Uniqueness::NodePath, limits);
+      g, expand, evaluate, limits);
 
   SinkSearch search;
   const bool governed = frontier_cap != SIZE_MAX;

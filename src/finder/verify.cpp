@@ -126,8 +126,7 @@ bool decode_verdict(const std::string& payload, ChainVerdict& out) {
 ChainVerdict worker_failure_verdict(const std::string& error) {
   ChainVerdict v;
   v.verdict = Verdict::Unconfirmed;
-  bool hang = error.find("hung") != std::string::npos ||
-              error.find("deadline exceeded") != std::string::npos;
+  bool hang = error.find("hung") != std::string::npos;
   v.reason = hang ? UnconfirmedReason::Timeout : UnconfirmedReason::Crash;
   v.detail = error.empty() ? "verification worker failed" : error;
   return v;

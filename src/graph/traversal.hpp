@@ -5,10 +5,10 @@
 // pruning (Algorithm 3). The engine is an explicit-stack DFS whose pending
 // branches are fixed-size records {node, edge, depth, state}: their
 // ancestors live once, in the single current Path, which is rewound to a
-// branch's depth when the branch is popped. NODE_PATH uniqueness is an
-// on-path bitmap maintained by the same rewind. The expander appends into
-// one step buffer the engine clears and reuses, so an expansion allocates
-// nothing once the buffers have grown.
+// branch's depth when the branch is popped. Uniqueness is Neo4j's NODE_PATH
+// (no node twice within one path): an on-path bitmap maintained by the same
+// rewind. The expander appends into one step buffer the engine clears and
+// reuses, so an expansion allocates nothing once the buffers have grown.
 //
 // Resource governance (docs/ROBUSTNESS.md): the run is bounded three ways —
 // expansions (TraversalLimits::max_expansions), wall clock (::deadline) and
@@ -58,13 +58,6 @@ inline bool includes(Evaluation e) {
 inline bool continues(Evaluation e) {
   return e == Evaluation::IncludeAndContinue || e == Evaluation::ExcludeAndContinue;
 }
-
-/// How the engine prevents revisits. NodePath is Neo4j's NODE_PATH (no node
-/// twice within one path); NodeGlobal skips any node ever visited in the
-/// whole traversal — the GadgetInspector behaviour the paper criticises in
-/// §IV-F ("skips nodes that have already been traversed ... may also lead to
-/// the loss of potential chains").
-enum class Uniqueness : std::uint8_t { None, NodePath, NodeGlobal };
 
 /// One expansion step: follow `edge` to `next`, carrying `state`.
 template <typename State>
@@ -130,10 +123,8 @@ class Traverser {
   /// governance: results never accumulate in the engine).
   using ResultFn = std::function<void(TraversalResult<State>)>;
 
-  Traverser(const FrozenGraph& db, ExpandFn expand, EvalFn evaluate,
-            Uniqueness uniqueness = Uniqueness::NodePath, TraversalLimits limits = {})
-      : db_(db), expand_(std::move(expand)), evaluate_(std::move(evaluate)),
-        uniqueness_(uniqueness), limits_(limits) {}
+  Traverser(const FrozenGraph& db, ExpandFn expand, EvalFn evaluate, TraversalLimits limits = {})
+      : db_(db), expand_(std::move(expand)), evaluate_(std::move(evaluate)), limits_(limits) {}
 
   /// Runs a DFS from `start` with initial per-branch `state`. Returns every
   /// included path, in DFS discovery order.
@@ -187,9 +178,8 @@ class Traverser {
 
     // The popped branch's full path, shared by every pending branch below it.
     Path path;
-    // NodePath: the nodes on `path`, cleared on rewind. NodeGlobal: every
-    // node visited so far, never cleared. None: unused.
-    std::vector<bool> marked(uniqueness_ == Uniqueness::None ? 0 : db_.node_count(), false);
+    // The nodes on `path`, cleared on rewind.
+    std::vector<bool> on_path(db_.node_count(), false);
     // The expander's output, reused across expansions.
     std::vector<Step<State>> steps;
 
@@ -198,11 +188,9 @@ class Traverser {
       stack.pop_back();
       release(kFrameCost);
 
-      if (uniqueness_ == Uniqueness::NodeGlobal && frame.depth > 0 && marked[frame.node]) continue;
-
       // Rewind to the branch's parent, then step onto the branch.
       while (path.nodes.size() > frame.depth) {
-        if (uniqueness_ == Uniqueness::NodePath) marked[path.nodes.back()] = false;
+        on_path[path.nodes.back()] = false;
         path.nodes.pop_back();
       }
       if (frame.depth > 0) {
@@ -210,7 +198,7 @@ class Traverser {
         path.edges.push_back(frame.edge);
       }
       path.nodes.push_back(frame.node);
-      if (uniqueness_ != Uniqueness::None) marked[frame.node] = true;
+      on_path[frame.node] = true;
 
       Evaluation verdict = evaluate_(db_, path, frame.state);
       if (includes(verdict)) {
@@ -227,10 +215,13 @@ class Traverser {
       }
       if (!continues(verdict)) continue;
 
-      if (++expansions_ > limits_.max_expansions) {
+      // The refused expansion is not counted: a run stopped by a budget of
+      // N reports N.
+      if (expansions_ >= limits_.max_expansions) {
         exhausted_budget_ = true;
         return;
       }
+      ++expansions_;
       if (!limits_.deadline.unlimited() && expansions_ % kDeadlineStride == 0 &&
           limits_.deadline.expired()) {
         deadline_expired_ = true;
@@ -241,7 +232,7 @@ class Traverser {
       expand_(db_, path, frame.state, steps);
       // Push in reverse so the first step is explored first (stable DFS).
       for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-        if (uniqueness_ != Uniqueness::None && marked[it->next]) continue;
+        if (on_path[it->next]) continue;
         if (frontier_bytes_ + kFrameCost > limits_.max_frontier_bytes) {
           // Over the byte cap: prune shallowest-first. The stack front holds
           // the shallowest unexplored branches (earliest siblings), i.e. the
@@ -308,7 +299,6 @@ class Traverser {
   const FrozenGraph& db_;
   ExpandFn expand_;
   EvalFn evaluate_;
-  Uniqueness uniqueness_;
   TraversalLimits limits_;
   bool exhausted_budget_ = false;
   bool deadline_expired_ = false;

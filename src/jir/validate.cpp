@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tabby::jir {
 
@@ -141,13 +140,9 @@ class MethodValidator {
 
 }  // namespace
 
-std::vector<ValidationIssue> validate(const Program& program, bool allow_phantom_classes,
-                                      util::Executor* executor) {
-  const std::vector<ClassDecl>& classes = program.classes();
-  std::vector<std::vector<ValidationIssue>> per_class(classes.size());
-  util::run_indexed(executor, classes.size(), [&](std::size_t ci) {
-    const ClassDecl& cls = classes[ci];
-    std::vector<ValidationIssue>& issues = per_class[ci];
+std::vector<ValidationIssue> validate(const Program& program, bool allow_phantom_classes) {
+  std::vector<ValidationIssue> issues;
+  for (const ClassDecl& cls : program.classes()) {
     if (!cls.super.empty() && !allow_phantom_classes &&
         program.find_class(cls.super) == nullptr) {
       issues.push_back(ValidationIssue{cls.name, "", "unknown superclass: " + cls.super});
@@ -160,10 +155,6 @@ std::vector<ValidationIssue> validate(const Program& program, bool allow_phantom
       }
       MethodValidator(program, cls, m, allow_phantom_classes, issues).run();
     }
-  });
-  std::vector<ValidationIssue> issues;
-  for (std::vector<ValidationIssue>& chunk : per_class) {
-    for (ValidationIssue& found : chunk) issues.push_back(std::move(found));
   }
   return issues;
 }

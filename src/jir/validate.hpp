@@ -9,10 +9,6 @@
 
 #include "jir/model.hpp"
 
-namespace tabby::util {
-class Executor;
-}
-
 namespace tabby::jir {
 
 struct ValidationIssue {
@@ -30,10 +26,7 @@ struct ValidationIssue {
 /// Returns all issues found; empty means the program is well-formed.
 /// `allow_phantom_classes` tolerates references to classes absent from the
 /// Program (Soot's phantom-class mode; real jars always have these).
-/// Classes are checked independently, so with an executor the per-class work
-/// fans out; issues are concatenated in class order either way, keeping the
-/// report order identical.
-std::vector<ValidationIssue> validate(const Program& program, bool allow_phantom_classes = true,
-                                      util::Executor* executor = nullptr);
+/// Issues are reported in class order.
+std::vector<ValidationIssue> validate(const Program& program, bool allow_phantom_classes = true);
 
 }  // namespace tabby::jir

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "util/failpoint.hpp"
@@ -11,11 +12,23 @@ namespace tabby::util {
 
 namespace {
 
-/// Set while a pool worker is running a task; parallel_for uses it to detect
-/// nested calls (which run inline instead of waiting on their own workers).
+/// Set on pool worker threads; parallel_for uses it to detect nested calls
+/// (which run inline instead of waiting on their own workers).
 thread_local bool t_inside_pool_worker = false;
 
 }  // namespace
+
+/// One parallel_for call, on its caller's stack. `next`, `unfinished` and
+/// `error` are guarded by the pool mutex; the other fields never change.
+struct ThreadPool::Batch {
+  const std::function<void(std::size_t)>* fn;
+  std::size_t n;
+  std::size_t grain;         // indexes per chunk (the last may have fewer)
+  std::size_t chunks;
+  std::size_t next;          // the next chunk to claim
+  std::size_t unfinished;    // chunks not yet run to the end
+  std::exception_ptr error;  // the first exception a chunk threw
+};
 
 unsigned ThreadPool::default_jobs() {
   unsigned hw = std::thread::hardware_concurrency();
@@ -23,10 +36,7 @@ unsigned ThreadPool::default_jobs() {
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
-  unsigned count = threads == 0 ? default_jobs() : threads;
-  count = std::max(1u, count);
-  workers_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) workers_.push_back(std::make_unique<Worker>());
+  unsigned count = std::max(1u, threads == 0 ? default_jobs() : threads);
   threads_.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -34,59 +44,12 @@ ThreadPool::ThreadPool(unsigned threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  wait_idle();
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t slot = next_queue_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  {
-    std::lock_guard<std::mutex> lock(workers_[slot]->mutex);
-    workers_[slot]->tasks.push_back(std::move(task));
-  }
-  // Pairing the notify with the wake mutex closes the "checked empty, then
-  // slept" race in worker_loop.
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-  }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::queues_empty() const {
-  for (const auto& w : workers_) {
-    std::lock_guard<std::mutex> lock(w->mutex);
-    if (!w->tasks.empty()) return false;
-  }
-  return true;
-}
-
-bool ThreadPool::take_task(unsigned self, std::function<void()>& out) {
-  {
-    Worker& own = *workers_[self];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      out = std::move(own.tasks.back());  // LIFO on the owner side
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  for (std::size_t offset = 1; offset < workers_.size(); ++offset) {
-    Worker& victim = *workers_[(self + offset) % workers_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.front());  // FIFO on the thief side
-      victim.tasks.pop_front();
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
 }
 
 void ThreadPool::worker_loop(unsigned self) {
@@ -94,77 +57,53 @@ void ThreadPool::worker_loop(unsigned self) {
   // One trace track per worker: spans recorded on this thread land on the
   // "worker-N" track in the Chrome trace export.
   obs::set_thread_name("worker-" + std::to_string(self));
-  std::function<void()> task;
-  while (true) {
-    if (take_task(self, task)) {
-      task();
-      task = nullptr;
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    if (stop_) return;
-    wake_cv_.wait(lock, [this] { return stop_ || !queues_empty(); });
-    if (stop_) return;
-  }
-}
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    cv_.wait(lock, [this] { return stop_ || !batches_.empty(); });
+    if (batches_.empty()) return;  // stopping, and no caller is waiting
+    Batch& batch = *batches_.front();
+    std::size_t first = batch.next++ * batch.grain;
+    if (batch.next == batch.chunks) batches_.pop_front();
+    lock.unlock();
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(wake_mutex_);
-  idle_cv_.wait(lock, [this] { return pending_.load(std::memory_order_acquire) == 0; });
+    std::exception_ptr error;
+    try {
+      // Chaos seam: a lost/crashed worker task surfaces exactly like a
+      // throwing fn — rethrown at the parallel_for caller, never swallowed.
+      if (failpoint::poll("pool.task")) {
+        throw std::runtime_error("failpoint: injected worker task failure");
+      }
+      std::size_t last = std::min(batch.n, first + batch.grain);
+      for (std::size_t i = first; i < last; ++i) (*batch.fn)(i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+
+    lock.lock();
+    if (error && !batch.error) batch.error = std::move(error);
+    // The caller may return as soon as the lock is released: do not touch
+    // the batch after this.
+    if (--batch.unfinished == 0) cv_.notify_all();
+  }
 }
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (t_inside_pool_worker || workers_.size() == 1 || n == 1) {
+  if (t_inside_pool_worker || threads_.size() == 1 || n < 2) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-
-  // Chunk so each worker sees several chunks (stealing can rebalance) while
-  // keeping per-task overhead negligible.
-  std::size_t chunks = std::min<std::size_t>(n, workers_.size() * 4);
+  // Several chunks per worker even out uneven items at a negligible
+  // per-chunk cost.
+  std::size_t chunks = std::min<std::size_t>(n, threads_.size() * 4);
   std::size_t grain = (n + chunks - 1) / chunks;
   chunks = (n + grain - 1) / grain;
+  Batch batch{&fn, n, grain, chunks, 0, chunks, nullptr};
 
-  struct Batch {
-    std::atomic<std::size_t> remaining;
-    std::mutex mutex;
-    std::condition_variable done;
-    std::exception_ptr error;
-  };
-  auto batch = std::make_shared<Batch>();
-  batch->remaining.store(chunks, std::memory_order_relaxed);
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t first = c * grain;
-    std::size_t last = std::min(n, first + grain);
-    submit([batch, first, last, &fn] {
-      try {
-        // Chaos seam: a lost/crashed worker task surfaces exactly like a
-        // throwing fn — rethrown at the parallel_for caller, never swallowed.
-        if (failpoint::poll("pool.task")) {
-          throw std::runtime_error("failpoint: injected worker task failure");
-        }
-        for (std::size_t i = first; i < last; ++i) fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(batch->mutex);
-        if (!batch->error) batch->error = std::current_exception();
-      }
-      if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(batch->mutex);
-        batch->done.notify_all();
-      }
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(batch->mutex);
-  batch->done.wait(lock, [&] { return batch->remaining.load(std::memory_order_acquire) == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  std::unique_lock<std::mutex> lock(mutex_);
+  batches_.push_back(&batch);
+  cv_.notify_all();
+  cv_.wait(lock, [&batch] { return batch.unfinished == 0; });
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 }  // namespace tabby::util

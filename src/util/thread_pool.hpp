@@ -2,14 +2,12 @@
 //
 //   - Executor: the minimal interface the analysis/cpg/finder stages program
 //     against. `parallel_for(n, fn)` runs fn(0..n-1) and returns when every
-//     index finished. A null Executor* (or SerialExecutor) means "run inline
-//     in index order" — the `--jobs 1` path, byte-identical to the historical
-//     single-threaded pipeline.
-//   - ThreadPool: a work-stealing implementation. Each worker owns a deque;
-//     it pops its own work LIFO (cache-warm) and steals FIFO from the other
-//     workers when dry (the classic Chase–Lev discipline, here with a plain
-//     mutex per deque — the pipeline's tasks are coarse enough that lock
-//     traffic is noise).
+//     index finished. A null Executor* means "run inline in index order" —
+//     the `--jobs 1` path, byte-identical to the historical single-threaded
+//     pipeline.
+//   - ThreadPool: the one implementation. A parallel_for call is a batch of
+//     chunks that waits in one FIFO; idle workers claim its chunks in order
+//     while the caller sleeps until the last one finishes.
 //
 // Every parallel stage in the pipeline is written as: compute immutable
 // per-item results with parallel_for, then publish/instantiate them in a
@@ -18,12 +16,10 @@
 // primitive the callers use. See docs/CONCURRENCY.md.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -56,16 +52,9 @@ inline void run_indexed(Executor* executor, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
-/// Inline executor: parallel_for degenerates to an ordered serial loop.
-class SerialExecutor final : public Executor {
- public:
-  unsigned concurrency() const override { return 1; }
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) override {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-};
-
-/// Work-stealing thread pool.
+/// A fixed set of worker threads serving parallel_for batches, first come
+/// first served. Several threads may call parallel_for on one pool at once
+/// (the daemon's connections share the engine's pool).
 class ThreadPool final : public Executor {
  public:
   /// Spawns `threads` workers; 0 means default_jobs().
@@ -75,51 +64,29 @@ class ThreadPool final : public Executor {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned concurrency() const override { return static_cast<unsigned>(workers_.size()); }
+  unsigned concurrency() const override { return static_cast<unsigned>(threads_.size()); }
 
-  /// Enqueues one fire-and-forget task (round-robin across worker deques,
-  /// stolen freely afterwards). The task must not throw.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task (including tasks submitted by tasks)
-  /// has finished.
-  void wait_idle();
-
-  /// Chunked parallel loop with a completion barrier. Called from a pool
-  /// worker thread it runs inline (serially) instead of deadlocking on its
-  /// own barrier — nested parallelism degrades gracefully.
+  /// Splits [0, n) into at most 4 chunks per worker, queues them as one
+  /// batch and sleeps until the workers have run them all; the first
+  /// exception a chunk threw is then rethrown. Called from a pool worker
+  /// (nested parallelism), on a 1-thread pool or with n < 2 it runs inline
+  /// instead.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) override;
 
   /// The `--jobs` default: hardware_concurrency, floored at 1.
   static unsigned default_jobs();
 
-  /// Total tasks executed since construction (telemetry for tests/benches).
-  std::size_t tasks_executed() const { return tasks_executed_.load(std::memory_order_relaxed); }
-  /// How many of those were taken from another worker's deque.
-  std::size_t tasks_stolen() const { return tasks_stolen_.load(std::memory_order_relaxed); }
-
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Batch;
 
   void worker_loop(unsigned self);
-  /// Pops own-deque back, else steals another deque's front.
-  bool take_task(unsigned self, std::function<void()>& out);
-  bool queues_empty() const;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-
-  mutable std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;  // workers sleep here when all deques dry
-  std::condition_variable idle_cv_;  // wait_idle sleeps here
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<std::size_t> tasks_executed_{0};
-  std::atomic<std::size_t> tasks_stolen_{0};
-  bool stop_ = false;  // guarded by wake_mutex_
+  std::mutex mutex_;
+  // Workers wait here for a batch; callers wait here for theirs to finish.
+  std::condition_variable cv_;
+  std::deque<Batch*> batches_;  // batches with unclaimed chunks, oldest first
+  bool stop_ = false;
 };
 
 }  // namespace tabby::util

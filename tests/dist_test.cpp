@@ -94,30 +94,6 @@ TEST_F(DistFixture, PoolIsCappedAtTheShardCount) {
   EXPECT_EQ(report.stats.workers_spawned, 2u);  // never more workers than work
 }
 
-TEST_F(DistFixture, ZeroWorkersRunsInProcessWithoutForking) {
-  dist::DistReport report =
-      dist::run_shards(3, [](std::size_t shard) { return std::to_string(shard); }, fast(0));
-  ASSERT_EQ(report.shards.size(), 3u);
-  for (const dist::ShardResult& shard : report.shards) EXPECT_TRUE(shard.ok);
-  EXPECT_EQ(report.stats.workers_spawned, 0u);
-  EXPECT_FALSE(report.stats.any());
-}
-
-TEST_F(DistFixture, InProcessExceptionIsAStructuredFailure) {
-  dist::DistReport report = dist::run_shards(
-      3,
-      [](std::size_t shard) -> std::string {
-        if (shard == 1) throw std::runtime_error("boom");
-        return "ok";
-      },
-      fast(0));
-  ASSERT_EQ(report.shards.size(), 3u);
-  EXPECT_TRUE(report.shards[0].ok);
-  EXPECT_FALSE(report.shards[1].ok);
-  EXPECT_NE(report.shards[1].error.find("boom"), std::string::npos) << report.shards[1].error;
-  EXPECT_TRUE(report.shards[2].ok);
-}
-
 TEST_F(DistFixture, WorkerExceptionIsRetriedThenReportedStructurally) {
   // A deterministic ShardFn throw fails on every attempt but never kills the
   // worker: the child catches, replies ok:false and stays in the pool.

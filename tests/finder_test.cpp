@@ -301,6 +301,7 @@ TEST(Finder, ExpansionBudgetMarksTheSinkPartial) {
   for (const PartialSink& sink : cut.partial_sinks) {
     EXPECT_EQ(sink.reason, PartialReason::ExpansionBudget);
     EXPECT_STREQ(to_string(sink.reason), "ExpansionBudget");
+    EXPECT_EQ(sink.expansions, 3u);  // the refused expansion is not counted
     EXPECT_EQ(degraded_line(sink), "degraded: [finder-budget] " + sink.signature +
                                        ": search stopped at the expansion budget after " +
                                        std::to_string(sink.expansions) +

@@ -1,8 +1,8 @@
 // Tests for the builder's append-only graph buffer, the store codec and the
 // traversal framework: insertion and counts, reads of the frozen frame the
 // buffer freezes into (adjacency, typed filters, property lookup), store and
-// frame round trips, and the Expander/Evaluator engine with all uniqueness
-// modes.
+// frame round trips, and the Expander/Evaluator engine under NODE_PATH
+// uniqueness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,18 +219,6 @@ TEST(Traversal, FindsAllPathsToTarget) {
   }
 }
 
-TEST(Traversal, NodeGlobalUniquenessLosesOnePath) {
-  FrozenGraph db = diamond();
-  auto evaluate = [](const FrozenGraph&, const Path& path, const int&) {
-    if (path.end() == 4) return Evaluation::IncludeAndPrune;
-    return Evaluation::ExcludeAndContinue;
-  };
-  Traverser<int> t(db, forward_expand(), evaluate, Uniqueness::NodeGlobal);
-  // The GadgetInspector behaviour: node 3 is visited once, so only one of
-  // the two diamond paths survives.
-  EXPECT_EQ(t.run(0, 0).size(), 1u);
-}
-
 TEST(Traversal, NodePathUniquenessBreaksCycles) {
   GraphDb cyclic;
   cyclic.add_node("N");
@@ -241,7 +229,7 @@ TEST(Traversal, NodePathUniquenessBreaksCycles) {
   auto evaluate = [](const FrozenGraph&, const Path&, const int&) {
     return Evaluation::ExcludeAndContinue;
   };
-  Traverser<int> t(db, forward_expand(), evaluate, Uniqueness::NodePath);
+  Traverser<int> t(db, forward_expand(), evaluate);
   auto results = t.run(0, 0);  // must terminate
   EXPECT_TRUE(results.empty());
 }
@@ -254,7 +242,7 @@ TEST(Traversal, MaxResultsStopsEarly) {
   };
   TraversalLimits limits;
   limits.max_results = 1;
-  Traverser<int> t(db, forward_expand(), evaluate, Uniqueness::NodePath, limits);
+  Traverser<int> t(db, forward_expand(), evaluate, limits);
   EXPECT_EQ(t.run(0, 0).size(), 1u);
 }
 
@@ -265,10 +253,10 @@ TEST(Traversal, ExpansionBudgetReportsExhaustion) {
   };
   TraversalLimits limits;
   limits.max_expansions = 2;
-  Traverser<int> t(db, forward_expand(), evaluate, Uniqueness::None, limits);
+  Traverser<int> t(db, forward_expand(), evaluate, limits);
   t.run(0, 0);
   EXPECT_TRUE(t.exhausted_budget());
-  EXPECT_GE(t.expansions(), 2u);
+  EXPECT_EQ(t.expansions(), 2u);  // the refused third expansion is not counted
 }
 
 TEST(Traversal, EvaluatorCanIncludeAndContinue) {
@@ -297,7 +285,7 @@ TEST(Traversal, StressRandomGraphTerminates) {
   };
   TraversalLimits limits;
   limits.max_expansions = 100000;
-  Traverser<int> t(db, forward_expand(), evaluate, Uniqueness::NodePath, limits);
+  Traverser<int> t(db, forward_expand(), evaluate, limits);
   t.run(0, 0);
   SUCCEED();  // termination is the assertion
 }
@@ -359,14 +347,11 @@ Evaluation hashing_evaluate(const FrozenGraph&, const Path& path, const Hash& st
 
 struct ReferenceDfs {
   const FrozenGraph& db;
-  Uniqueness uniqueness;
   std::vector<TraversalResult<Hash>> results;
   std::vector<std::size_t> found_after;  // expansions taken before each result
   std::size_t expansions = 0;
-  std::vector<bool> visited;
 
   void visit(Path& path, Hash state) {
-    visited[path.end()] = true;
     Evaluation verdict = hashing_evaluate(db, path, state);
     if (includes(verdict)) {
       results.push_back(TraversalResult<Hash>{path, state});
@@ -377,9 +362,7 @@ struct ReferenceDfs {
     std::vector<Step<Hash>> steps;
     hashing_expand()(db, path, state, steps);
     for (Step<Hash>& step : steps) {
-      bool on_path = std::find(path.nodes.begin(), path.nodes.end(), step.next) != path.nodes.end();
-      if (uniqueness == Uniqueness::NodePath && on_path) continue;
-      if (uniqueness == Uniqueness::NodeGlobal && visited[step.next]) continue;
+      if (std::find(path.nodes.begin(), path.nodes.end(), step.next) != path.nodes.end()) continue;
       path.nodes.push_back(step.next);
       path.edges.push_back(step.edge);
       visit(path, step.state);
@@ -402,39 +385,37 @@ void expect_same_results(const std::vector<TraversalResult<Hash>>& got,
 
 TEST(Traversal, MatchesRecursiveReferenceOnRandomGraphs) {
   std::size_t compared = 0, continued = 0;
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
     FrozenGraph db = random_digraph(seed);
-    for (Uniqueness uniqueness : {Uniqueness::NodePath, Uniqueness::NodeGlobal, Uniqueness::None}) {
-      std::string label = "seed " + std::to_string(seed) + ", uniqueness " +
-                          std::to_string(static_cast<int>(uniqueness));
-      ReferenceDfs ref{db, uniqueness, {}, {}, 0, std::vector<bool>(db.node_count(), false)};
-      Path root;
-      root.nodes.push_back(0);
-      ref.visit(root, seed);
+    std::string label = "seed " + std::to_string(seed);
+    ReferenceDfs ref{db, {}, {}, 0};
+    Path root;
+    root.nodes.push_back(0);
+    ref.visit(root, seed);
 
-      Traverser<Hash> full(db, hashing_expand(), hashing_evaluate, uniqueness);
-      expect_same_results(full.run(0, seed), ref.results, ref.results.size(), label);
-      EXPECT_EQ(full.expansions(), ref.expansions) << label;
-      compared += ref.results.size();
-      for (const auto& r : ref.results) {
-        if (hashing_evaluate(db, r.path, r.state) == Evaluation::IncludeAndContinue) ++continued;
-      }
-
-      // Limits cut the same run short: a prefix of the reference results.
-      TraversalLimits few_results;
-      few_results.max_results = ref.results.size() / 2 + 1;
-      Traverser<Hash> capped(db, hashing_expand(), hashing_evaluate, uniqueness, few_results);
-      expect_same_results(capped.run(0, seed), ref.results,
-                          std::min(ref.results.size(), few_results.max_results), label + ", max_results");
-
-      TraversalLimits few_expansions;
-      few_expansions.max_expansions = ref.expansions / 2;
-      Traverser<Hash> budgeted(db, hashing_expand(), hashing_evaluate, uniqueness, few_expansions);
-      std::size_t within = static_cast<std::size_t>(
-          std::count_if(ref.found_after.begin(), ref.found_after.end(),
-                        [&](std::size_t n) { return n <= few_expansions.max_expansions; }));
-      expect_same_results(budgeted.run(0, seed), ref.results, within, label + ", max_expansions");
+    Traverser<Hash> full(db, hashing_expand(), hashing_evaluate);
+    expect_same_results(full.run(0, seed), ref.results, ref.results.size(), label);
+    EXPECT_EQ(full.expansions(), ref.expansions) << label;
+    compared += ref.results.size();
+    for (const auto& r : ref.results) {
+      if (hashing_evaluate(db, r.path, r.state) == Evaluation::IncludeAndContinue) ++continued;
     }
+
+    // Limits cut the same run short: a prefix of the reference results.
+    TraversalLimits few_results;
+    few_results.max_results = ref.results.size() / 2 + 1;
+    Traverser<Hash> capped(db, hashing_expand(), hashing_evaluate, few_results);
+    expect_same_results(capped.run(0, seed), ref.results,
+                        std::min(ref.results.size(), few_results.max_results),
+                        label + ", max_results");
+
+    TraversalLimits few_expansions;
+    few_expansions.max_expansions = ref.expansions / 2;
+    Traverser<Hash> budgeted(db, hashing_expand(), hashing_evaluate, few_expansions);
+    std::size_t within = static_cast<std::size_t>(
+        std::count_if(ref.found_after.begin(), ref.found_after.end(),
+                      [&](std::size_t n) { return n <= few_expansions.max_expansions; }));
+    expect_same_results(budgeted.run(0, seed), ref.results, within, label + ", max_expansions");
   }
   // The seeds must actually exercise deep results and include-and-continue.
   EXPECT_GT(compared, 1000u);

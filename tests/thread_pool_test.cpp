@@ -1,6 +1,7 @@
-// The work-stealing thread pool and the Executor contract: completion
-// barriers, exception propagation, nested parallel_for degradation, steal
-// telemetry, and the run_indexed serial/parallel dispatch rule.
+// The batch-queue thread pool and the Executor contract: completion
+// barriers, exception propagation, nested parallel_for degradation,
+// concurrent callers sharing one pool, and the run_indexed serial/parallel
+// dispatch rule.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -82,27 +83,39 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_EQ(inner_total.load(), 4u * 8u);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdleDrainsEverything) {
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  // Two threads queue batches on one pool at once, as the daemon's
+  // connection threads do on the engine's pool. One caller's batches throw:
+  // each rethrow must reach that caller, and the other's batches must run
+  // every index.
   ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-  EXPECT_GE(pool.tasks_executed(), 200u);
-}
-
-TEST(ThreadPool, TasksSubmittedByTasksComplete) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  constexpr std::size_t kN = 2'000;
+  constexpr int kBatches = 50;
+  std::vector<std::atomic<int>> hits(kN);
+  int rethrows = 0;
+  std::thread clean([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      pool.parallel_for(kN,
+                        [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
     }
   });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
+  std::thread throwing([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      try {
+        pool.parallel_for(kN, [](std::size_t i) {
+          if (i == 1'000) throw std::runtime_error("boom");
+        });
+      } catch (const std::runtime_error&) {
+        ++rethrows;
+      }
+    }
+  });
+  clean.join();
+  throwing.join();
+  EXPECT_EQ(rethrows, kBatches);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), kBatches) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, WorkIsActuallyDistributed) {
@@ -120,14 +133,6 @@ TEST(ThreadPool, WorkIsActuallyDistributed) {
   EXPECT_LE(seen.size(), 4u);
 }
 
-TEST(SerialExecutor, RunsInIndexOrder) {
-  SerialExecutor exec;
-  EXPECT_EQ(exec.concurrency(), 1u);
-  std::vector<std::size_t> order;
-  exec.parallel_for(5, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
 TEST(RunIndexed, NullExecutorRunsInlineInOrder) {
   std::vector<std::size_t> order;
   run_indexed(nullptr, 4, [&](std::size_t i) { order.push_back(i); });
@@ -135,9 +140,9 @@ TEST(RunIndexed, NullExecutorRunsInlineInOrder) {
 }
 
 TEST(RunIndexed, SingleWorkerExecutorStaysSerial) {
-  SerialExecutor exec;
+  ThreadPool pool(1);
   std::vector<std::size_t> order;
-  run_indexed(&exec, 4, [&](std::size_t i) { order.push_back(i); });
+  run_indexed(&pool, 4, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
