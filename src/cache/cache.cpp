@@ -69,8 +69,8 @@ util::Status write_file_atomic_once(const fs::path& path, std::span<const std::b
 /// be observable, so concurrent runs either see a whole entry or none.
 /// Transient IO faults are retried up to 3 attempts total with jittered
 /// backoff (~1ms, ~2ms); a still-failing publish returns the last error,
-/// which every caller downgrades (frame: a warning; verdict: ignored) —
-/// cache publication is never a run failure.
+/// which the caller downgrades to a warning — cache publication is never a
+/// run failure.
 util::Status write_file_atomic(const fs::path& path, std::span<const std::byte> bytes) {
   constexpr int kAttempts = 3;
   util::Status status = util::Status::ok_status();
@@ -82,63 +82,6 @@ util::Status write_file_atomic(const fs::path& path, std::span<const std::byte> 
     std::this_thread::sleep_for(publish_backoff(path.string(), attempt));
   }
   return status;
-}
-
-/// Shared entry framing: magic + version + body + FNV-1a64 checksum. The
-/// same fail-closed discipline as the graph store, except a bad entry is a
-/// cache miss, not an error.
-std::vector<std::byte> frame_entry(std::uint32_t magic, std::uint16_t version,
-                                   const ByteWriter& body) {
-  ByteWriter out;
-  out.u32(magic);
-  out.u16(version);
-  for (std::byte b : body.data()) out.u8(static_cast<std::uint8_t>(b));
-  out.u64(util::fnv1a(out.data()));
-  return std::vector<std::byte>(out.data());
-}
-
-/// Validates the frame and returns the body span, or nullopt (miss).
-std::optional<std::span<const std::byte>> open_entry(std::span<const std::byte> data,
-                                                     std::uint32_t magic,
-                                                     std::uint16_t version) {
-  constexpr std::size_t kFrameOverhead = 4 + 2 + 8;
-  if (data.size() < kFrameOverhead) return std::nullopt;
-  ByteReader head(data);
-  auto m = head.u32();
-  auto v = head.u16();
-  if (!m.ok() || !v.ok() || m.value() != magic || v.value() != version) return std::nullopt;
-  ByteReader tail(data.subspan(data.size() - 8));
-  auto stored = tail.u64();
-  if (!stored.ok()) return std::nullopt;
-  if (stored.value() != util::fnv1a(data.first(data.size() - 8))) return std::nullopt;
-  return data.subspan(4 + 2, data.size() - kFrameOverhead);
-}
-
-/// Decodes a verdict frame; nullopt on any structural problem or a stored
-/// key that does not match the caller's — every such case is a self-healing
-/// miss, never an error.
-std::optional<CachedVerdict> decode_verdict_entry(std::span<const std::byte> data,
-                                                  std::uint64_t expected_key) {
-  auto body = open_entry(data, kVerdictMagic, kVerdictVersion);
-  if (!body) return std::nullopt;
-  ByteReader in(*body);
-  auto stored_key = in.u64();
-  if (!stored_key.ok() || stored_key.value() != expected_key) return std::nullopt;
-  auto verdict = in.u8();
-  auto reason = in.u8();
-  if (!verdict.ok() || !reason.ok() || verdict.value() > 2 || reason.value() > 4) {
-    return std::nullopt;
-  }
-  auto steps = in.uvarint();
-  if (!steps.ok()) return std::nullopt;
-  auto detail = in.bytes();
-  if (!detail.ok() || !in.at_end()) return std::nullopt;
-  CachedVerdict out;
-  out.verdict = verdict.value();
-  out.reason = reason.value();
-  out.steps = steps.value();
-  out.detail = std::move(detail.value());
-  return out;
 }
 
 void write_stats(ByteWriter& out, const cpg::CpgStats& stats) {
@@ -181,8 +124,6 @@ Result<AnalysisCache> AnalysisCache::open(const fs::path& dir) {
   std::error_code ec;
   fs::create_directories(dir / "snapshots", ec);
   if (ec) return Error{"cannot create cache directory: " + (dir / "snapshots").string()};
-  fs::create_directories(dir / "verdicts", ec);
-  if (ec) return Error{"cannot create cache directory: " + (dir / "verdicts").string()};
   return AnalysisCache(dir);
 }
 
@@ -212,10 +153,6 @@ fs::path AnalysisCache::snapshot_path(std::uint64_t key) const {
 
 fs::path AnalysisCache::frozen_path(std::uint64_t key) const {
   return dir_ / "snapshots" / (util::digest_hex(key) + ".tfzn");
-}
-
-fs::path AnalysisCache::verdict_path(std::uint64_t key) const {
-  return dir_ / "verdicts" / (util::digest_hex(key) + ".tvdt");
 }
 
 std::optional<CachedCpg> AnalysisCache::load_snapshot(std::uint64_t key, bool need_db) {
@@ -359,25 +296,6 @@ util::Status AnalysisCache::store_frozen(std::uint64_t key, const graph::FrozenG
   return write_file_atomic(frozen_path(key), frozen.frame());
 }
 
-std::optional<CachedVerdict> AnalysisCache::load_verdict(std::uint64_t key) {
-  auto bytes = util::read_file(verdict_path(key));
-  if (!bytes.ok()) return std::nullopt;
-  auto verdict = decode_verdict_entry(bytes.value(), key);
-  obs::counter_add(verdict ? "cache.verdict_hits" : "cache.verdict_misses");
-  return verdict;
-}
-
-util::Status AnalysisCache::store_verdict(std::uint64_t key, const CachedVerdict& verdict) {
-  ByteWriter body;
-  body.u64(key);
-  body.u8(verdict.verdict);
-  body.u8(verdict.reason);
-  body.uvarint(verdict.steps);
-  body.bytes(verdict.detail);
-  obs::counter_add("cache.verdicts_published");
-  return write_file_atomic(verdict_path(key), frame_entry(kVerdictMagic, kVerdictVersion, body));
-}
-
 // --- Offline audit ---------------------------------------------------------
 
 namespace {
@@ -437,8 +355,6 @@ std::string validate_snapshot(std::span<const std::byte> data, std::uint64_t exp
 std::string CacheAuditReport::to_string() const {
   std::string out = "cache audit: " + std::to_string(snapshots_checked) + " snapshot(s), " +
                     std::to_string(frozen_checked) + " frozen frame(s), " +
-                    (verdicts_checked > 0 ? std::to_string(verdicts_checked) + " verdict(s), "
-                                          : std::string()) +
                     std::to_string(corrupt) + " corrupt, " + std::to_string(orphaned) +
                     " orphaned, " + std::to_string(reclaimable_bytes) + " byte(s) reclaimable";
   for (const CacheAuditEntry& entry : entries) {
@@ -516,17 +432,28 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
     entry.detail = std::move(why);
   };
 
-  // Legacy per-archive fragments (fragments/<digest>.tfrag): nothing reads
-  // them any more, so every file an older cache layout left there is an
-  // orphan; pruning also drops the emptied directory.
-  fs::path fragments_dir = dir / "fragments";
-  for (const fs::path& file : list_files(fragments_dir)) {
-    CacheAuditEntry entry = make_entry(file);
-    entry.detail = file.extension() == ".tfrag" ? "per-archive fragment (no longer read)"
-                                                : orphan_detail(file);
-    finalize(std::move(entry));
+  // Directories older cache layouts kept: per-archive fragments
+  // (fragments/<digest>.tfrag) and per-chain `--verify` verdicts
+  // (verdicts/<key>.tvdt). Nothing reads them any more, so every file left
+  // there is an orphan; pruning also drops the emptied directory.
+  struct Legacy {
+    const char* dir;
+    const char* extension;
+    const char* detail;
+  };
+  constexpr Legacy kLegacy[] = {
+      {"fragments", ".tfrag", "per-archive fragment (no longer read)"},
+      {"verdicts", ".tvdt", "cached verdict (no longer read)"},
+  };
+  for (const Legacy& legacy : kLegacy) {
+    fs::path legacy_dir = dir / legacy.dir;
+    for (const fs::path& file : list_files(legacy_dir)) {
+      CacheAuditEntry entry = make_entry(file);
+      entry.detail = file.extension() == legacy.extension ? legacy.detail : orphan_detail(file);
+      finalize(std::move(entry));
+    }
+    if (prune) fs::remove(legacy_dir, ec);  // only succeeds once empty
   }
-  if (prune) fs::remove(fragments_dir, ec);  // only succeeds once empty
 
   // Snapshots: a classpath's entry is its frame, <key>.tfzn, judged on its
   // own. A .tsnp (the store snapshot an older layout published next to
@@ -566,32 +493,6 @@ util::Result<CacheAuditReport> audit_cache(const fs::path& dir, bool prune) {
       entry.kind = CacheAuditEntry::Kind::Orphan;
       entry.state = CacheAuditEntry::State::Orphaned;
       entry.detail = orphan_detail(file);
-    }
-    finalize(std::move(entry));
-  }
-
-  // Verdicts: one entry kind, one pass. The key is both the file name and
-  // an interior field, so a renamed verdict is caught the same way the hot
-  // path's load_verdict would treat it: as not-this-chain's.
-  for (const fs::path& file : list_files(dir / "verdicts")) {
-    CacheAuditEntry entry = make_entry(file);
-    std::optional<std::uint64_t> id;
-    if (file.extension() == ".tvdt") id = parse_digest_hex(file.stem().string());
-    if (!id) {
-      entry.kind = CacheAuditEntry::Kind::Orphan;
-      entry.state = CacheAuditEntry::State::Orphaned;
-      entry.detail = orphan_detail(file);
-    } else {
-      entry.kind = CacheAuditEntry::Kind::Verdict;
-      ++report.verdicts_checked;
-      auto bytes = util::read_file(file);
-      std::string why;
-      if (!bytes.ok()) {
-        why = "unreadable: " + bytes.error().message;
-      } else if (!decode_verdict_entry(std::span<const std::byte>(bytes.value()), *id)) {
-        why = "bad verdict frame (checksum, structure or key mismatch)";
-      }
-      judge(entry, std::move(why));
     }
     finalize(std::move(entry));
   }

@@ -1,8 +1,8 @@
 // Incremental analysis cache (the ROADMAP's "not doing the work at all"
 // multiplier). Real deployments re-scan near-identical classpaths; the
 // paper's Neo4j store exists precisely so a graph built once can be
-// re-queried. This module persists two kinds of artifacts under a cache
-// directory, all keyed by content digests (util/digest.hpp):
+// re-queried. A cache directory holds one entry per classpath, keyed by
+// content digests (util/digest.hpp):
 //
 //   snapshots/<key>.tfzn       a classpath's whole cache entry: the frozen
 //                              graph::FrozenGraph frame (docs/GRAPH.md) whose
@@ -17,16 +17,13 @@
 //                              matters — the linker's first-wins rule). A
 //                              changed archive changes the key, so the next
 //                              run rebuilds the whole classpath.
-//   verdicts/<key>.tvdt        one chain-verification verdict (the `--verify`
-//                              post-pass, docs/ROBUSTNESS.md "Runtime
-//                              re-validation"): warm verify runs skip
-//                              re-executing chains whose verdict is already
-//                              known. Keyed by the chain digest folded with
-//                              the classpath and verify-options fingerprints.
 //
 // Archives themselves are not cached: a TJAR archive already is the lifted
 // form the analysis reads, and decoding one costs no more than loading a
-// cached copy would. No product path writes or reads a store snapshot
+// cached copy would. Nor are `--verify` verdicts: replaying all 79 chains
+// of the 26-archive ysoserial classpath in the mini-VM takes about 2 ms,
+// and reading cached verdicts back saved about 1 ms of a 120-200 ms warm
+// run. No product path writes or reads a store snapshot
 // (snapshots/<key>.tsnp: CpgStats plus a graph::serialize blob);
 // store_snapshot and load_snapshot serve the per-layer benchmark harness
 // (perfbench/), and the audit keeps a .tsnp only next to an intact frame of
@@ -38,8 +35,7 @@
 // truncated or version-skewed cache entries are detected via the same
 // magic/version/checksum discipline as the graph store and are treated as
 // misses (the cache self-heals by recomputing and overwriting), never as
-// errors and never as data. A frame and a verdict each carry a whole-entry
-// checksum.
+// errors and never as data. A frame carries a whole-entry checksum.
 #pragma once
 
 #include <chrono>
@@ -59,8 +55,6 @@ namespace tabby::cache {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x54534E50;  // "TSNP"
 inline constexpr std::uint16_t kSnapshotVersion = 1;
-inline constexpr std::uint32_t kVerdictMagic = 0x54564454;  // "TVDT"
-inline constexpr std::uint16_t kVerdictVersion = 1;
 
 /// Hit/miss telemetry for one pipeline run, rendered as the CLI's
 /// "cache:" stats line.
@@ -70,17 +64,6 @@ struct CacheStats {
   std::uint64_t snapshot_key = 0;
 
   std::string to_line() const;
-};
-
-/// One cached chain-verification verdict (see src/finder/verify.hpp; the
-/// cache stores the taxonomy as raw codes so it does not depend on the
-/// finder's types). Keyed by (chain digest × verify-options fingerprint ×
-/// classpath fingerprint) — computed by the pipeline, opaque here.
-struct CachedVerdict {
-  std::uint8_t verdict = 0;
-  std::uint8_t reason = 0;
-  std::uint64_t steps = 0;
-  std::string detail;
 };
 
 /// A store snapshot read back: its stats plus the deserialized graph. When
@@ -137,15 +120,6 @@ class AnalysisCache {
   /// silent bad entry). Written atomically like every other cache file.
   util::Status store_frozen(std::uint64_t key, const graph::FrozenGraph& frozen);
 
-  /// Verdict warm-start lookup: verdicts/<key>.tvdt. nullopt on miss
-  /// (absent, corrupt, version-skewed, or key mismatch — all self-healing).
-  std::optional<CachedVerdict> load_verdict(std::uint64_t key);
-
-  /// Persists one verdict atomically (temp file + rename), like every other
-  /// cache artifact. Best-effort: a failed publish is not an error the
-  /// verify stage surfaces.
-  util::Status store_verdict(std::uint64_t key, const CachedVerdict& verdict);
-
   CacheStats& stats() { return stats_; }
   const std::filesystem::path& dir() const { return dir_; }
 
@@ -154,7 +128,6 @@ class AnalysisCache {
 
   std::filesystem::path snapshot_path(std::uint64_t key) const;
   std::filesystem::path frozen_path(std::uint64_t key) const;
-  std::filesystem::path verdict_path(std::uint64_t key) const;
 
   std::filesystem::path dir_;
   CacheStats stats_;
@@ -166,18 +139,18 @@ class AnalysisCache {
 // directory accumulates corrupt and orphaned files it never reads again.
 // audit_cache() walks the whole directory eagerly, re-validating every entry
 // with the exact discipline the hot path applies (full structural attach +
-// content-key binding for frames; frame checksum + key binding for
-// verdicts) and flagging what the hot path would treat as a miss — plus
-// files the cache would never consult at all (orphans: stray names,
-// leftover .tmp files from interrupted publishes, a .tsnp store snapshot
-// without an intact frame of its key, and every file under the fragments/
-// directory an older cache layout kept per archive). A .tsnp next to an
-// intact frame is validated like load_snapshot would (header checksum +
-// embedded graph store deserialization).
+// content-key binding for frames) and flagging what the hot path would
+// treat as a miss — plus files the cache would never consult at all
+// (orphans: stray names, leftover .tmp files from interrupted publishes, a
+// .tsnp store snapshot without an intact frame of its key, and every file
+// under the fragments/ and verdicts/ directories that older cache layouts
+// kept per archive and per verified chain). A .tsnp next to an intact frame
+// is validated like load_snapshot would (header checksum + embedded graph
+// store deserialization).
 
 /// One file examined by audit_cache(), in deterministic (sorted) walk order.
 struct CacheAuditEntry {
-  enum class Kind : std::uint8_t { Snapshot, FrozenSnapshot, Verdict, Orphan };
+  enum class Kind : std::uint8_t { Snapshot, FrozenSnapshot, Orphan };
   enum class State : std::uint8_t { Intact, Corrupt, Orphaned };
 
   std::filesystem::path path;
@@ -195,7 +168,6 @@ struct CacheAuditReport {
   std::size_t fragments_checked = 0;
   std::size_t snapshots_checked = 0;
   std::size_t frozen_checked = 0;
-  std::size_t verdicts_checked = 0;
   std::size_t corrupt = 0;
   std::size_t orphaned = 0;
   /// Bytes held by corrupt + orphaned entries (what prune mode reclaims).

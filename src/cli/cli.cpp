@@ -245,8 +245,7 @@ int usage(std::ostream& err) {
          "                EFFECTIVE, REFUTED, or UNCONFIRMED(reason) when the\n"
          "                VM could not decide (budget | timeout | crash |\n"
          "                fault) — undecided chains are kept and the run\n"
-         "                degrades (exit 3; --strict: 1). With --cache,\n"
-         "                verdicts are cached and warm runs skip re-execution.\n"
+         "                degrades (exit 3; --strict: 1).\n"
          "  --verify-workers N\n"
          "                crash-isolated verification: replay chains in N\n"
          "                supervised forked verifier processes (default 0 =\n"
@@ -255,11 +254,11 @@ int usage(std::ostream& err) {
          "                instead of killing the run. Verdicts are\n"
          "                byte-identical at any N.\n"
          "  --cache DIR   incremental analysis cache: one frozen CSR graph per\n"
-         "                classpath (docs/GRAPH.md) and the --verify verdicts,\n"
-         "                keyed by content digests. A warm run on an unchanged\n"
-         "                classpath maps the frozen graph zero-copy, skips\n"
-         "                recomputation and produces identical output; a\n"
-         "                corrupt cached graph is rebuilt from the classpath.\n"
+         "                classpath (docs/GRAPH.md), keyed by content digests.\n"
+         "                A warm run on an unchanged classpath maps the frozen\n"
+         "                graph zero-copy, skips recomputation and produces\n"
+         "                identical output; a corrupt cached graph is rebuilt\n"
+         "                from the classpath.\n"
          "  --trace FILE  write a Chrome trace-event JSON of the run (open in\n"
          "                chrome://tracing or https://ui.perfetto.dev; one track\n"
          "                per worker thread). Does not change any output.\n"
@@ -700,7 +699,6 @@ int render_client_response(const std::string& op, const Args& args, const serve:
         << "resident_hits:  " << static_cast<std::uint64_t>(response.num("resident_hits")) << "\n"
         << "evictions:      " << static_cast<std::uint64_t>(response.num("evictions")) << "\n"
         << "over_capacity:  " << static_cast<std::uint64_t>(response.num("over_capacity")) << "\n"
-        << "audits:         " << static_cast<std::uint64_t>(response.num("audits")) << "\n"
         << "resident_bytes: " << static_cast<std::uint64_t>(response.num("resident_bytes")) << "\n"
         << "budget_bytes:   " << static_cast<std::uint64_t>(response.num("budget_bytes")) << "\n";
     // Worker-pool churn, shown once any --workers find has run so the

@@ -7,7 +7,6 @@
 #include "jir/hierarchy.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
-#include "util/digest.hpp"
 #include "util/failpoint.hpp"
 #include "util/thread_pool.hpp"
 
@@ -168,23 +167,6 @@ std::string degraded_line(const GadgetChain& chain, const ChainVerdict& verdict)
   return line;
 }
 
-std::uint64_t verdict_key(std::uint64_t fingerprint, const GadgetChain& chain) {
-  util::Fnv1a h;
-  h.update("tabby-verdict-key-v1");
-  h.update_u64(fingerprint);
-  h.update_sized(chain.key());
-  h.update_sized(chain.sink_type);
-  return h.digest();
-}
-
-std::uint64_t verify_options_fingerprint(const VerifyOptions& options) {
-  util::Fnv1a h;
-  h.update("tabby-verify-options-v1");
-  h.update_u64(static_cast<std::uint64_t>(options.max_steps_per_chain));
-  h.update_u64(static_cast<std::uint64_t>(options.max_call_depth));
-  return h.digest();
-}
-
 VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases,
                            const std::vector<GadgetChain>& chains, const VerifyOptions& options) {
   obs::Span span("runtime.verify");
@@ -193,24 +175,6 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
   VerifyReport report;
   report.verdicts.resize(chains.size());
   if (chains.empty()) return report;
-
-  const bool cached = options.cache_fingerprint != 0 && options.cache_load != nullptr;
-
-  // Cache probe, serial in chain order: hits keep their recorded verdicts;
-  // misses queue for execution.
-  std::vector<std::size_t> todo;
-  todo.reserve(chains.size());
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    if (cached) {
-      if (auto hit = options.cache_load(verdict_key(options.cache_fingerprint, chains[i]))) {
-        report.verdicts[i] = std::move(*hit);
-        report.verdicts[i].from_cache = true;
-        ++report.cache_hits;
-        continue;
-      }
-    }
-    todo.push_back(i);
-  }
 
   // One class hierarchy for every replay: a view of the program that costs
   // nothing to build. Every shard reads it concurrently; its methods are
@@ -234,7 +198,7 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
     return classify(auto_verify(hierarchy, aliases, chains[chain_index], vm));
   };
 
-  if (!todo.empty() && options.dist.workers > 0) {
+  if (options.dist.workers > 0) {
     // Crash-isolated mode: every chain is a shard in the supervised forked
     // pool. The coordinator injects chaos through the runtime.verify.*
     // failpoints (substituted below so `site*N` budgets target this stage,
@@ -245,42 +209,41 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
     dopts.crash_failpoint = "runtime.verify.crash";
     dopts.hang_failpoint = "runtime.verify.hang";
     dist::DistReport dist_report = dist::run_shards(
-        todo.size(), [&](std::size_t shard) { return encode_verdict(run_one(todo[shard])); },
-        dopts);
+        chains.size(), [&](std::size_t i) { return encode_verdict(run_one(i)); }, dopts);
     report.dist_stats = dist_report.stats;
-    for (std::size_t s = 0; s < todo.size(); ++s) {
-      dist::ShardResult& shard = dist_report.shards[s];
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      dist::ShardResult& shard = dist_report.shards[i];
       ChainVerdict v;
       if (shard.ok && decode_verdict(shard.payload, v)) {
-        report.verdicts[todo[s]] = std::move(v);
+        report.verdicts[i] = std::move(v);
       } else {
-        report.verdicts[todo[s]] = worker_failure_verdict(
+        report.verdicts[i] = worker_failure_verdict(
             shard.ok ? "shard payload decode failed" : shard.error);
       }
     }
-  } else if (!todo.empty()) {
+  } else {
     // In-process mode: per-chain shards on the executor, written straight
     // into their slots (deterministic merge by construction). Chaos is
     // decided serially in ascending chain order BEFORE the parallel loop so
     // `site*N` budgets land on the same chains at any --jobs count.
     enum : std::uint8_t { kNone = 0, kCrash = 1, kHang = 2 };
-    std::vector<std::uint8_t> chaos(todo.size(), kNone);
-    for (std::size_t s = 0; s < todo.size(); ++s) {
+    std::vector<std::uint8_t> chaos(chains.size(), kNone);
+    for (std::size_t i = 0; i < chains.size(); ++i) {
       if (util::failpoint::poll("runtime.verify.crash")) {
-        chaos[s] = kCrash;
+        chaos[i] = kCrash;
       } else if (util::failpoint::poll("runtime.verify.hang")) {
-        chaos[s] = kHang;
+        chaos[i] = kHang;
       }
     }
-    util::run_indexed(options.executor, todo.size(), [&](std::size_t s) {
+    util::run_indexed(options.executor, chains.size(), [&](std::size_t i) {
       ChainVerdict v;
-      if (chaos[s] == kCrash) {
+      if (chaos[i] == kCrash) {
         v = worker_failure_verdict("verifier crashed (failpoint runtime.verify.crash)");
-      } else if (chaos[s] == kHang) {
+      } else if (chaos[i] == kHang) {
         v = worker_failure_verdict("verifier hung (failpoint runtime.verify.hang)");
       } else {
         try {
-          v = run_one(todo[s]);
+          v = run_one(i);
         } catch (const std::exception& e) {
           v.verdict = Verdict::Unconfirmed;
           v.reason = UnconfirmedReason::Fault;
@@ -291,18 +254,8 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
           v.detail = "verifier fault: unknown exception";
         }
       }
-      report.verdicts[todo[s]] = std::move(v);
+      report.verdicts[i] = std::move(v);
     });
-  }
-
-  // Publish freshly-computed deterministic verdicts (transient outcomes —
-  // timeouts, crashes, injected faults — are never cached).
-  if (options.cache_fingerprint != 0 && options.cache_store != nullptr) {
-    for (std::size_t i : todo) {
-      const ChainVerdict& v = report.verdicts[i];
-      if (v.verdict == Verdict::Unconfirmed && v.reason != UnconfirmedReason::Budget) continue;
-      options.cache_store(verdict_key(options.cache_fingerprint, chains[i]), v);
-    }
   }
 
   for (const ChainVerdict& v : report.verdicts) {
@@ -320,7 +273,6 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
   if (report.effective > 0) obs::counter_add("runtime.verify_effective", report.effective);
   if (report.refuted > 0) obs::counter_add("runtime.verify_refuted", report.refuted);
   if (report.unconfirmed > 0) obs::counter_add("runtime.verify_unconfirmed", report.unconfirmed);
-  if (report.cache_hits > 0) obs::counter_add("runtime.verify_cache_hits", report.cache_hits);
   if (report.steps_total > 0) obs::counter_add("runtime.vm_steps", report.steps_total);
   if (span.active()) {
     span.attr("effective", std::to_string(report.effective));

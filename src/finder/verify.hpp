@@ -18,8 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,8 +49,6 @@ struct ChainVerdict {
   std::string detail;
   /// VM steps the re-validation consumed (0 when the shard never ran).
   std::size_t steps = 0;
-  /// True when the verdict was answered from the verdict cache.
-  bool from_cache = false;
 };
 
 /// "EFFECTIVE" / "REFUTED" / "UNCONFIRMED(budget)" — the single rendering
@@ -80,14 +76,6 @@ struct VerifyOptions {
   /// runs every chain in a worker process (heartbeats, hang-kill, bounded
   /// retry with deterministic backoff — the src/dist contract).
   dist::DistOptions dist;
-  /// Verdict-cache hooks, wired by the pipeline layer (the finder does not
-  /// link src/cache). load returns the cached verdict or nullopt; store is
-  /// best-effort. Only deterministic verdicts (EFFECTIVE / REFUTED /
-  /// UNCONFIRMED(budget)) are ever stored — transient outcomes are not.
-  std::function<std::optional<ChainVerdict>(std::uint64_t key)> cache_load;
-  std::function<void(std::uint64_t key, const ChainVerdict&)> cache_store;
-  /// Folded into every cache key; 0 disables the cache entirely.
-  std::uint64_t cache_fingerprint = 0;
 };
 
 struct VerifyReport {
@@ -97,23 +85,14 @@ struct VerifyReport {
   std::size_t effective = 0;
   std::size_t refuted = 0;
   std::size_t unconfirmed = 0;
-  /// Total VM steps across all shards (cache hits contribute their recorded
-  /// cost).
+  /// Total VM steps across all shards.
   std::size_t steps_total = 0;
-  std::size_t cache_hits = 0;
   /// Supervision telemetry (all zero outside --verify-workers mode).
   dist::DistStats dist_stats;
 
   /// Any chain left undecided degrades the run.
   bool degraded() const { return unconfirmed > 0; }
 };
-
-/// Cache key for one chain's verdict: options fingerprint × chain identity.
-std::uint64_t verdict_key(std::uint64_t fingerprint, const GadgetChain& chain);
-
-/// The verdict-relevant options fingerprint (budgets that change the verdict;
-/// wall-clock settings deliberately excluded — timeouts are never cached).
-std::uint64_t verify_options_fingerprint(const VerifyOptions& options);
 
 /// Re-validate every chain; verdicts come back parallel to `chains`.
 VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases,

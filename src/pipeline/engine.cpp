@@ -103,33 +103,6 @@ FindResult Analysis::find(const ExecContext& ctx) const {
     vopts.deadline = verify_deadline.tightened(anchor(ctx.verify_budget));
     vopts.executor = executor_;
     vopts.dist.workers = ctx.verify_workers;
-    if (verdict_cache_ != nullptr && fingerprint_ != 0) {
-      // Key = classpath fingerprint × verdict-relevant options — a changed
-      // archive or budget produces different keys, never a stale hit.
-      util::Fnv1a key;
-      key.update_u64(fingerprint_);
-      key.update_u64(finder::verify_options_fingerprint(vopts));
-      vopts.cache_fingerprint = key.digest();
-      cache::AnalysisCache* cache = verdict_cache_;
-      vopts.cache_load = [cache](std::uint64_t k) -> std::optional<finder::ChainVerdict> {
-        auto hit = cache->load_verdict(k);
-        if (!hit.has_value()) return std::nullopt;
-        finder::ChainVerdict verdict;
-        verdict.verdict = static_cast<finder::Verdict>(hit->verdict);
-        verdict.reason = static_cast<finder::UnconfirmedReason>(hit->reason);
-        verdict.steps = static_cast<std::size_t>(hit->steps);
-        verdict.detail = std::move(hit->detail);
-        return verdict;
-      };
-      vopts.cache_store = [cache](std::uint64_t k, const finder::ChainVerdict& verdict) {
-        cache::CachedVerdict stored;
-        stored.verdict = static_cast<std::uint8_t>(verdict.verdict);
-        stored.reason = static_cast<std::uint8_t>(verdict.reason);
-        stored.steps = verdict.steps;
-        stored.detail = verdict.detail;
-        (void)cache->store_verdict(k, stored);  // best-effort publish
-      };
-    }
     result.verify = finder::verify_chains(*outcome_.program, finder::AliasView(outcome_.frozen),
                                           result.report.chains, vopts);
     result.verified = true;
@@ -194,18 +167,8 @@ std::string Analysis::render(const FindResult& result, std::vector<std::string>&
 
 // --- Engine -----------------------------------------------------------------
 
-Engine::Engine(EngineOptions options) : options_(std::move(options)) {
-  pool_ = make_pool(options_.jobs);
-  if (!options_.cache_dir.empty()) {
-    // Best-effort: an unopenable cache directory disables verdict caching
-    // without failing engine construction (open() reports the real error on
-    // the snapshot path).
-    auto cache = cache::AnalysisCache::open(options_.cache_dir);
-    if (cache.ok()) {
-      verdict_cache_ = std::make_unique<cache::AnalysisCache>(std::move(cache.value()));
-    }
-  }
-}
+Engine::Engine(EngineOptions options)
+    : options_(std::move(options)), pool_(make_pool(options_.jobs)) {}
 
 Engine::~Engine() = default;
 
@@ -330,7 +293,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   analysis->fingerprint_ = key.value_or(0);
   analysis->executor_ = pool_.get();
   analysis->dist_ = &dist_telemetry_;
-  analysis->verdict_cache_ = verdict_cache_.get();
   analysis->resident_bytes_ = resident_estimate(analysis->outcome_);
 
   if (!key.has_value()) return AnalysisPtr(std::move(analysis));
@@ -412,7 +374,6 @@ util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecCo
   analysis->outcome_ = std::move(outcome);
   analysis->executor_ = pool_.get();
   analysis->dist_ = &dist_telemetry_;
-  analysis->verdict_cache_ = verdict_cache_.get();
   analysis->resident_bytes_ = resident_estimate(analysis->outcome_);
   {
     std::lock_guard<std::mutex> lock(mutex_);

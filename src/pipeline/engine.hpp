@@ -215,7 +215,6 @@ class Analysis {
   std::size_t resident_bytes_ = 0;
   util::Executor* executor_ = nullptr;   // borrowed from the engine
   DistTelemetry* dist_ = nullptr;        // borrowed from the engine
-  cache::AnalysisCache* verdict_cache_ = nullptr;  // borrowed from the engine
 };
 
 using AnalysisPtr = std::shared_ptr<const Analysis>;
@@ -307,9 +306,6 @@ class Engine {
 
   EngineOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Verdict-cache handle (cache_dir set and openable; else null). All its
-  /// state is on the filesystem, so concurrent finds share it safely.
-  std::unique_ptr<cache::AnalysisCache> verdict_cache_;
   /// Shared by every Analysis this engine opens (atomics, no lock).
   mutable DistTelemetry dist_telemetry_;
 

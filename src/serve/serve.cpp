@@ -8,13 +8,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <ostream>
+#include <system_error>
 #include <thread>
 #include <vector>
 
-#include "cache/cache.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
 #include "util/failpoint.hpp"
@@ -130,6 +131,8 @@ class Daemon {
 
  private:
   void serve_connection(int fd);
+  /// Called by a connection's thread as its last act.
+  void end_connection();
   std::string handle_line(const std::string& line);
   Json dispatch(const Json& request);
 
@@ -159,12 +162,13 @@ class Daemon {
   std::atomic<bool> stop_{false};
   int listen_fd_ = -1;
   std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> failpoint_failures_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> audits_{0};
   std::atomic<int> in_flight_{0};
-  std::uint64_t last_audited_ = 0;  // audit thread only
+  /// Connections still being served; shutdown waits for it to reach 0.
+  std::mutex connections_mutex_;
+  std::condition_variable connections_done_;
+  int open_connections_ = 0;
 };
 
 util::Status Daemon::run(const std::string& socket_path, std::ostream& out, std::ostream& err) {
@@ -194,29 +198,10 @@ util::Status Daemon::run(const std::string& socket_path, std::ostream& out, std:
   }
   listen_fd_ = fd;
 
-  // Opportunistic cache audit: between requests (no request in flight, and
-  // at least one completed since the last pass) re-validate the cache
-  // directory so corrupt or orphaned entries are spotted while the daemon
-  // idles rather than on some future cold start.
-  std::thread auditor;
-  if (!engine_->options().cache_dir.empty()) {
-    auditor = std::thread([this] {
-      while (!stop_.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        std::uint64_t done = completed_.load(std::memory_order_relaxed);
-        if (in_flight_.load(std::memory_order_relaxed) != 0 || done == last_audited_) continue;
-        auto report = cache::audit_cache(engine_->options().cache_dir, /*prune=*/false);
-        (void)report;  // only the count surfaces (stats op); `tabby cache` shows findings
-        last_audited_ = done;
-        audits_.fetch_add(1, std::memory_order_relaxed);
-        obs::counter_add("serve.audits");
-      }
-    });
-  }
-
   out << "serving on " << socket_path << "\n" << std::flush;
 
-  std::vector<std::thread> connections;
+  // Each connection runs on a detached thread, so its stack is released as
+  // soon as the connection ends rather than held until shutdown.
   while (!stop_.load(std::memory_order_relaxed)) {
     int conn = ::accept(fd, nullptr, nullptr);
     if (conn < 0) {
@@ -226,17 +211,37 @@ util::Status Daemon::run(const std::string& socket_path, std::ostream& out, std:
       }
       break;
     }
-    connections.emplace_back(&Daemon::serve_connection, this, conn);
+    {
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      ++open_connections_;
+    }
+    try {
+      std::thread([this, conn] {
+        serve_connection(conn);
+        end_connection();
+      }).detach();
+    } catch (const std::system_error& e) {
+      ::close(conn);
+      end_connection();
+      err << "serve: cannot start a connection thread: " << e.what() << "\n";
+    }
   }
 
-  for (std::thread& t : connections) t.join();
-  if (auditor.joinable()) {
-    stop_.store(true, std::memory_order_relaxed);
-    auditor.join();
+  // Shutdown waits for the open connections to end.
+  {
+    std::unique_lock<std::mutex> lock(connections_mutex_);
+    connections_done_.wait(lock, [this] { return open_connections_ == 0; });
   }
   ::close(fd);
   ::unlink(socket_path.c_str());
   return util::Status::ok_status();
+}
+
+void Daemon::end_connection() {
+  // Notified under the lock: once run() sees 0 it may destroy the daemon,
+  // so this thread must be done with it before the unlock.
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  if (--open_connections_ == 0) connections_done_.notify_all();
 }
 
 void Daemon::serve_connection(int fd) {
@@ -290,7 +295,6 @@ std::string Daemon::handle_line(const std::string& line) {
     if (const Json* id = request->find("id")) response.set("id", *id);
   }
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  completed_.fetch_add(1, std::memory_order_relaxed);
   return response.dump();
 }
 
@@ -386,7 +390,6 @@ Json Daemon::op_find(const Json& request) {
     response.set("effective", static_cast<std::uint64_t>(result.verify.effective));
     response.set("refuted", static_cast<std::uint64_t>(result.verify.refuted));
     response.set("unconfirmed", static_cast<std::uint64_t>(result.verify.unconfirmed));
-    response.set("verify_cache_hits", static_cast<std::uint64_t>(result.verify.cache_hits));
   }
   if (!outcome.cache_line.empty()) response.set("cache_line", outcome.cache_line);
   Json warnings = Json::array();
@@ -436,7 +439,9 @@ Json Daemon::op_stats() const {
   response.set("resident_hits", stats.resident_hits);
   response.set("evictions", evictions_.load(std::memory_order_relaxed));
   response.set("over_capacity", stats.over_capacity);
-  response.set("audits", audits_.load(std::memory_order_relaxed));
+  // Always 0: the daemon does not audit its cache directory (`tabby cache
+  // DIR` does). The field stays because perfbench/run.py reads it.
+  response.set("audits", std::uint64_t{0});
   response.set("resident_bytes", static_cast<std::uint64_t>(stats.resident_bytes));
   response.set("budget_bytes", static_cast<std::uint64_t>(stats.budget_bytes));
   // Worker-pool churn (all zero until a --workers find runs): operators see

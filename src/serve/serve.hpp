@@ -12,8 +12,7 @@
 // and a human-readable "error". Opens run with admission control: a tenant
 // whose classpath cannot fit in the engine's --mem-budget — even after
 // evicting idle LRU analyses — gets a structured over-capacity error, never
-// an OOM. Evictions increment serve.evictions (visible in the stats op), and
-// the cache directory is audited opportunistically between requests.
+// an OOM. Evictions increment serve.evictions (visible in the stats op).
 //
 // The `tabby client` subcommand drives this protocol from the command line;
 // find/query responses embed the exact text the one-shot CLI would print, so

@@ -2,8 +2,9 @@
 // `tabby cache` subcommand. A bit-flipped frame (a classpath's whole entry)
 // must be detected against its key, reported with reclaimable bytes and
 // prunable, without touching intact entries; the next analysis run
-// republishes what was pruned. Fragments left by the older per-archive
-// layout, and store snapshots without an intact frame, are orphans.
+// republishes what was pruned. Fragments and verdicts left by older layouts
+// (one file per archive, one per verified chain), and store snapshots
+// without an intact frame, are orphans.
 // Also: concurrent publishes of one entry never tear a reader.
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include "graph/graph.hpp"
 #include "jar/archive.hpp"
 #include "support/freeze.hpp"
-#include "util/digest.hpp"
 
 namespace tabby {
 namespace {
@@ -170,15 +170,48 @@ TEST_F(CacheAuditFixture, LegacyFragmentsAreOrphansThatPruneReclaims) {
   EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
 }
 
+TEST_F(CacheAuditFixture, LegacyVerdictsAreOrphansThatPruneReclaims) {
+  // An older cache layout kept one `--verify` verdict per chain; nothing
+  // reads them.
+  fs::path verdicts = fs::path(cache_) / "verdicts";
+  fs::create_directories(verdicts);
+  std::ofstream(verdicts / "0123456789abcdef.tvdt") << "verdict";
+  std::ofstream(verdicts / "0123456789abcdef.tvdt.4242.0.tmp") << "leftover";
+
+  auto report = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report.value().orphaned, 2u);
+  EXPECT_EQ(report.value().corrupt, 0u);
+  EXPECT_EQ(report.value().frozen_checked, 1u);
+  std::string text = report.value().to_string();
+  EXPECT_NE(text.find("orphaned: verdicts/0123456789abcdef.tvdt"), std::string::npos) << text;
+  EXPECT_NE(text.find("cached verdict (no longer read)"), std::string::npos) << text;
+  EXPECT_NE(text.find("leftover temp file"), std::string::npos) << text;
+  CliRun audit = run({"cache", cache_});
+  EXPECT_EQ(audit.code, 3) << audit.out;
+
+  CliRun pruned = run({"cache", cache_, "--prune"});
+  EXPECT_EQ(pruned.code, 0) << pruned.out;
+  EXPECT_FALSE(fs::exists(verdicts));
+  auto healed = cache::audit_cache(cache_, false);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_TRUE(healed.value().clean()) << healed.value().to_string();
+  CliRun warm = run({"find", jar1_, jar2_, "--verify", "--cache", cache_});
+  EXPECT_EQ(warm.code, 0) << warm.err;
+  EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
+  EXPECT_FALSE(fs::exists(verdicts)) << "a verify run wrote verdicts again";
+}
+
 TEST_F(CacheAuditFixture, PruneHealsAndTheNextRunRepublishesThePrunedEntries) {
-  // An intact bystander entry that prune must leave alone.
-  {
-    auto opened = cache::AnalysisCache::open(cache_);
-    ASSERT_TRUE(opened.ok()) << opened.error().message;
-    ASSERT_TRUE(opened.value().store_verdict(0x77, cache::CachedVerdict{}).ok());
+  // An intact bystander entry that prune must leave alone: a second
+  // classpath's frame.
+  CliRun other = run({"analyze", jar1_, "--cache", cache_});
+  ASSERT_EQ(other.code, 0) << other.err;
+  std::vector<fs::path> bystanders;
+  for (const fs::path& frame : files_in(fs::path(cache_) / "snapshots", ".tfzn")) {
+    if (frame != frames_[0]) bystanders.push_back(frame);
   }
-  std::vector<fs::path> verdicts = files_in(fs::path(cache_) / "verdicts");
-  ASSERT_EQ(verdicts.size(), 1u);
+  ASSERT_EQ(bystanders.size(), 1u);
   // A corrupt frame, and the store snapshot an older layout kept next to it:
   // without an intact frame of its key the snapshot is an orphan.
   flip_byte(frames_[0], fs::file_size(frames_[0]) - 8);
@@ -199,7 +232,7 @@ TEST_F(CacheAuditFixture, PruneHealsAndTheNextRunRepublishesThePrunedEntries) {
   EXPECT_NE(pruned.out.find("reclaimed"), std::string::npos) << pruned.out;
   EXPECT_FALSE(fs::exists(frames_[0]));
   EXPECT_FALSE(fs::exists(snapshot)) << "the snapshot outlived its frame";
-  EXPECT_TRUE(fs::exists(verdicts[0])) << "prune touched an intact entry";
+  EXPECT_TRUE(fs::exists(bystanders[0])) << "prune touched an intact entry";
 
   // The next run self-heals: it rebuilds and republishes the frame.
   CliRun rebuilt = run({"analyze", jar1_, jar2_, "--cache", cache_});
@@ -210,73 +243,9 @@ TEST_F(CacheAuditFixture, PruneHealsAndTheNextRunRepublishesThePrunedEntries) {
   ASSERT_TRUE(healed.ok());
   EXPECT_TRUE(healed.value().clean()) << healed.value().to_string();
   EXPECT_EQ(healed.value().snapshots_checked, 0u);
-  EXPECT_EQ(healed.value().frozen_checked, 1u);
-  EXPECT_EQ(healed.value().verdicts_checked, 1u);
+  EXPECT_EQ(healed.value().frozen_checked, 2u);
   CliRun warm = run({"analyze", jar1_, jar2_, "--cache", cache_});
   EXPECT_NE(warm.out.find("snapshot hit"), std::string::npos) << warm.out;
-}
-
-TEST_F(CacheAuditFixture, VerdictFramesRoundTripAndRejectKeyMismatches) {
-  auto opened = cache::AnalysisCache::open(cache_);
-  ASSERT_TRUE(opened.ok()) << opened.error().message;
-  cache::AnalysisCache& store = opened.value();
-
-  cache::CachedVerdict verdict;
-  verdict.verdict = 1;  // REFUTED
-  verdict.reason = 0;
-  verdict.steps = 42;
-  verdict.detail = "guard not taken";
-  ASSERT_TRUE(store.store_verdict(0xabc123, verdict).ok());
-
-  auto loaded = store.load_verdict(0xabc123);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->verdict, verdict.verdict);
-  EXPECT_EQ(loaded->reason, verdict.reason);
-  EXPECT_EQ(loaded->steps, verdict.steps);
-  EXPECT_EQ(loaded->detail, verdict.detail);
-  EXPECT_FALSE(store.load_verdict(0xdef456).has_value());
-
-  // A frame copied to another key's slot (collision, tampering) misses: the
-  // embedded key must match the requested one.
-  fs::path verdicts = fs::path(cache_) / "verdicts";
-  fs::copy_file(verdicts / (util::digest_hex(0xabc123) + ".tvdt"),
-                verdicts / (util::digest_hex(0xdef456) + ".tvdt"));
-  EXPECT_FALSE(store.load_verdict(0xdef456).has_value());
-}
-
-TEST_F(CacheAuditFixture, CorruptVerdictFrameIsDetectedAndPruned) {
-  {
-    auto opened = cache::AnalysisCache::open(cache_);
-    ASSERT_TRUE(opened.ok()) << opened.error().message;
-    cache::CachedVerdict verdict;
-    verdict.verdict = 0;
-    verdict.steps = 7;
-    ASSERT_TRUE(opened.value().store_verdict(0x77, verdict).ok());
-  }
-
-  auto clean = cache::audit_cache(cache_, /*prune=*/false);
-  ASSERT_TRUE(clean.ok());
-  EXPECT_TRUE(clean.value().clean());
-  EXPECT_EQ(clean.value().verdicts_checked, 1u);
-  EXPECT_NE(clean.value().to_string().find("1 verdict(s)"), std::string::npos)
-      << clean.value().to_string();
-
-  std::vector<fs::path> frames = files_in(fs::path(cache_) / "verdicts");
-  ASSERT_EQ(frames.size(), 1u);
-  flip_byte(frames[0], fs::file_size(frames[0]) / 2);
-
-  auto report = cache::audit_cache(cache_, false);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().corrupt, 1u);
-  EXPECT_EQ(report.value().reclaimable_bytes, fs::file_size(frames[0]));
-
-  CliRun pruned = run({"cache", cache_, "--prune"});
-  EXPECT_EQ(pruned.code, 0) << pruned.out;
-  EXPECT_FALSE(fs::exists(frames[0]));
-  auto healed = cache::audit_cache(cache_, false);
-  ASSERT_TRUE(healed.ok());
-  EXPECT_TRUE(healed.value().clean());
-  EXPECT_EQ(healed.value().verdicts_checked, 0u);
 }
 
 // Two daemon requests that open the same uncached classpath, or two `find

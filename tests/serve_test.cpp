@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -384,6 +385,35 @@ TEST_F(ServeFixture, ShutdownStopsTheDaemonCleanly) {
   EXPECT_EQ(shutdown.code, 0) << shutdown.err;
   daemon_.join();
   EXPECT_EQ(daemon_code_, 0) << daemon_err_.str();
+  EXPECT_NE(daemon_out_.str().find("serving on " + socket_), std::string::npos);
+}
+
+/// This process's virtual size in kB (VmSize in /proc/self/status); 0 when
+/// the line is missing.
+long long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return 0;
+}
+
+TEST_F(ServeFixture, ConnectionThreadsAreReleasedWhenTheirConnectionsEnd) {
+  // A daemon that kept each connection's thread until shutdown held one
+  // thread stack (8 MB of address space) per connection it had served.
+  start_daemon();
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(round_trip(request_for("stats")).has_value());
+  long long before = vm_size_kb();
+  ASSERT_GT(before, 0);
+  const std::string stats = request_for("stats").dump();
+  for (int i = 0; i < 200; ++i) {
+    auto reply = serve::client_request(socket_, stats);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  }
+  long long grown_kb = vm_size_kb() - before;
+  EXPECT_LT(grown_kb, 128 * 1024) << "VmSize grew by " << grown_kb << " kB over 200 connections";
+  stop_daemon();  // and shutdown is still clean
   EXPECT_NE(daemon_out_.str().find("serving on " + socket_), std::string::npos);
 }
 

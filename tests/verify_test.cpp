@@ -9,13 +9,13 @@
 //      UNCONFIRMED (kept, never dropped; exit 3, --strict: 1) and never
 //      kills the coordinator;
 //   3. every chain gets exactly one verdict, with a machine-readable reason,
-//      and only deterministic verdicts ever reach the verdict cache.
+//      replayed on every run: a cache directory holds frames only.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -125,7 +125,6 @@ TEST_F(VerifyFixture, EveryChainGetsExactlyOneClassifiedVerdict) {
       EXPECT_EQ(v.reason, finder::UnconfirmedReason::None);
       EXPECT_GT(v.steps, 0u);
     }
-    EXPECT_FALSE(v.from_cache);
   }
 }
 
@@ -269,75 +268,6 @@ TEST_F(VerifyFixture, DistRetryExhaustionDemotesEveryChainNotTheCoordinator) {
   }
 }
 
-// --- verdict cache hooks ---------------------------------------------------
-
-struct MapCache {
-  std::map<std::uint64_t, finder::ChainVerdict> entries;
-  std::size_t loads = 0;
-
-  void wire(finder::VerifyOptions& options) {
-    options.cache_fingerprint = 0x7ab1;
-    options.cache_load = [this](std::uint64_t key) -> std::optional<finder::ChainVerdict> {
-      ++loads;
-      auto it = entries.find(key);
-      if (it == entries.end()) return std::nullopt;
-      return it->second;
-    };
-    options.cache_store = [this](std::uint64_t key, const finder::ChainVerdict& v) {
-      entries[key] = v;
-    };
-  }
-};
-
-TEST_F(VerifyFixture, WarmCacheAnswersEveryChainWithoutReExecution) {
-  MapCache cache;
-  finder::VerifyOptions options;
-  cache.wire(options);
-
-  finder::VerifyReport cold = run_verify(options);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(cache.entries.size(), world().chains.size());  // all deterministic
-
-  finder::VerifyReport warm = run_verify(options);
-  EXPECT_EQ(warm.cache_hits, world().chains.size());
-  for (const finder::ChainVerdict& v : warm.verdicts) EXPECT_TRUE(v.from_cache);
-  EXPECT_EQ(verdict_text(warm), verdict_text(cold));
-  EXPECT_EQ(warm.steps_total, cold.steps_total);  // hits replay their recorded cost
-}
-
-TEST_F(VerifyFixture, TransientVerdictsAreNeverCached) {
-  MapCache cache;
-  finder::VerifyOptions options;
-  cache.wire(options);
-  util::failpoint::arm();
-  util::failpoint::activate("runtime.verify.crash");  // every chain demoted
-  finder::VerifyReport report = run_verify(options);
-  EXPECT_EQ(report.unconfirmed, world().chains.size());
-  EXPECT_TRUE(cache.entries.empty());  // crash demotions must not poison warm runs
-}
-
-TEST_F(VerifyFixture, ZeroFingerprintDisablesTheCacheEntirely) {
-  MapCache cache;
-  finder::VerifyOptions options;
-  cache.wire(options);
-  options.cache_fingerprint = 0;
-  finder::VerifyReport report = run_verify(options);
-  EXPECT_EQ(report.cache_hits, 0u);
-  EXPECT_EQ(cache.loads, 0u);
-  EXPECT_TRUE(cache.entries.empty());
-}
-
-TEST_F(VerifyFixture, CacheKeysTrackBudgetsAndChainIdentity) {
-  finder::VerifyOptions a, b;
-  b.max_steps_per_chain = a.max_steps_per_chain + 1;
-  EXPECT_NE(finder::verify_options_fingerprint(a), finder::verify_options_fingerprint(b));
-  ASSERT_GE(world().chains.size(), 2u);
-  std::uint64_t fp = finder::verify_options_fingerprint(a);
-  EXPECT_NE(finder::verdict_key(fp, world().chains[0]), finder::verdict_key(fp, world().chains[1]));
-  EXPECT_NE(finder::verdict_key(fp, world().chains[0]),
-            finder::verdict_key(fp + 1, world().chains[0]));
-}
-
 // --- CLI -------------------------------------------------------------------
 
 struct CliRun {
@@ -450,22 +380,15 @@ TEST_F(VerifyCliFixture, CliVmFaultChaosDegradesInsteadOfCrashing) {
 }
 
 TEST_F(VerifyCliFixture, CliWarmVerdictCacheIsByteIdenticalAndAuditable) {
+  // No verdict is cached: a warm run replays every chain and prints the
+  // cold run's bytes; only the snapshot-cache header flips miss -> hit.
   std::string cache_dir = (dir_ / "cache").string();
   CliRun cold = run_cli_capture({"find", jar_, "--verify", "--cache", cache_dir});
   ASSERT_EQ(cold.code, 0) << cold.err;
-
-  // The deterministic verdicts were published as .tvdt frames.
-  fs::path verdicts = fs::path(cache_dir) / "verdicts";
-  ASSERT_TRUE(fs::exists(verdicts));
-  std::size_t frames = 0;
-  for (const auto& entry : fs::directory_iterator(verdicts)) {
-    EXPECT_EQ(entry.path().extension(), ".tvdt");
-    ++frames;
-  }
-  EXPECT_GE(frames, 1u);
-
-  // The snapshot-cache header legitimately flips miss -> hit; everything
-  // else (chains, verdicts, summary) must not move a byte.
+  EXPECT_NE(cold.out.find("cache: snapshot miss"), std::string::npos) << cold.out;
+  CliRun warm = run_cli_capture({"find", jar_, "--verify", "--cache", cache_dir});
+  EXPECT_EQ(warm.code, 0) << warm.err;
+  EXPECT_NE(warm.out.find("cache: snapshot hit"), std::string::npos) << warm.out;
   auto strip_cache_header = [](const std::string& text) {
     std::istringstream lines(text);
     std::string line, kept;
@@ -476,15 +399,25 @@ TEST_F(VerifyCliFixture, CliWarmVerdictCacheIsByteIdenticalAndAuditable) {
     }
     return kept;
   };
-  CliRun warm = run_cli_capture({"find", jar_, "--verify", "--cache", cache_dir});
-  EXPECT_EQ(warm.code, 0) << warm.err;
   EXPECT_EQ(strip_cache_header(strip_timing(warm.out)), strip_cache_header(strip_timing(cold.out)));
+  EXPECT_EQ(warm.err, cold.err);
 
-  // The offline audit knows about verdict frames and reports them healthy.
+  // The directory holds exactly the classpath's frame, snapshots/<key>.tfzn
+  // under the key the cache line names, and no verdicts/.
+  std::size_t key_at = cold.out.find("(key ");
+  ASSERT_NE(key_at, std::string::npos) << cold.out;
+  std::string key = cold.out.substr(key_at + 5, 16);
+  std::vector<std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(cache_dir)) {
+    files.push_back(fs::relative(entry.path(), cache_dir).generic_string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"snapshots", "snapshots/" + key + ".tfzn"}));
+
   CliRun audit = run_cli_capture({"cache", cache_dir});
-  EXPECT_EQ(audit.code, 0) << audit.err;
-  EXPECT_NE(audit.out.find("verdict(s)"), std::string::npos) << audit.out;
-  EXPECT_NE(audit.out.find("0 corrupt"), std::string::npos) << audit.out;
+  EXPECT_EQ(audit.code, 0) << audit.out;
+  EXPECT_NE(audit.out.find("1 frozen frame(s), 0 corrupt, 0 orphaned"), std::string::npos)
+      << audit.out;
 }
 
 // --- serve -----------------------------------------------------------------
