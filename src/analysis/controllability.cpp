@@ -41,8 +41,13 @@ std::string static_key(const std::string& owner, const std::string& field) {
   return "S:" + owner + "." + field;
 }
 
-std::string field_key(const std::string& base, const std::string& field) {
-  return base + "." + field;
+std::string field_key(const std::string& base, std::string_view field) {
+  std::string key;
+  key.reserve(base.size() + 1 + field.size());
+  key += base;
+  key += '.';
+  key += field;
+  return key;
 }
 
 std::string array_key(const std::string& base) { return base + ".[]"; }
@@ -50,6 +55,11 @@ std::string array_key(const std::string& base) { return base + ".[]"; }
 Origin origin_of(const LocalMap& state, const std::string& var) {
   auto it = state.find(var);
   return it == state.end() ? Origin::unknown() : it->second;
+}
+
+Weight weight_of(const LocalMap& state, const std::string& var) {
+  auto it = state.find(var);
+  return it == state.end() ? kUncontrollable : it->second.weight();
 }
 
 /// Inverse of Origin::weight(): the lossy weight -> origin mapping used when
@@ -79,29 +89,33 @@ bool merge_into(LocalMap& into, const LocalMap& from) {
   return changed;
 }
 
-/// Drop all "base.*" field entries (object identity changed: `a = new T`).
-void destroy_fields_of(LocalMap& state, const std::string& base) {
-  std::string prefix = base + ".";
-  for (auto it = state.begin(); it != state.end();) {
-    if (it->first.size() > prefix.size() && it->first.compare(0, prefix.size(), prefix) == 0) {
-      it = state.erase(it);
-    } else {
-      ++it;
-    }
+/// The entries "base.*" of `state`, which are contiguous in key order from
+/// the first key not below "base.". (`prefix` is "base.".)
+template <typename Fn>
+void for_each_field_of(LocalMap& state, const std::string& prefix, Fn&& fn) {
+  for (auto it = state.lower_bound(prefix);
+       it != state.end() && it->first.compare(0, prefix.size(), prefix) == 0;) {
+    it = it->first.size() > prefix.size() ? fn(it) : std::next(it);
   }
 }
 
+/// Drop all "base.*" field entries (object identity changed: `a = new T`).
+void destroy_fields_of(LocalMap& state, const std::string& base) {
+  for_each_field_of(state, base + ".", [&state](LocalMap::iterator it) { return state.erase(it); });
+}
+
 /// Copy field entries across an assignment "target = source" so the alias
-/// keeps the source's known field controllability.
+/// keeps the source's known field controllability. The copies are collected
+/// first: a target key may itself fall in the source's range.
 void copy_fields(LocalMap& state, const std::string& target, const std::string& source) {
-  std::string prefix = source + ".";
+  const std::string prefix = source + ".";
   std::vector<std::pair<std::string, Origin>> copies;
-  for (const auto& [key, origin] : state) {
-    if (key.size() > prefix.size() && key.compare(0, prefix.size(), prefix) == 0) {
-      copies.emplace_back(target + "." + key.substr(prefix.size()), origin);
-    }
-  }
-  for (auto& [key, origin] : copies) state[key] = std::move(origin);
+  for_each_field_of(state, prefix, [&](LocalMap::iterator it) {
+    copies.emplace_back(field_key(target, std::string_view(it->first).substr(prefix.size())),
+                        it->second);
+    return std::next(it);
+  });
+  for (auto& [key, origin] : copies) state.insert_or_assign(std::move(key), std::move(origin));
 }
 
 /// Statement transfer function (Table IV) + call handling (Algorithm 1
@@ -186,37 +200,24 @@ class Transfer {
     // Polluted_Position: receiver weight then argument weights.
     PollutedPosition pp;
     pp.reserve(s.args.size() + 1);
-    Origin receiver =
-        s.kind == jir::InvokeKind::Static ? Origin::unknown() : origin_of(state, s.base);
-    pp.push_back(receiver.weight());
-    std::vector<Origin> arg_origins;
-    arg_origins.reserve(s.args.size());
-    for (const std::string& arg : s.args) {
-      arg_origins.push_back(origin_of(state, arg));
-      pp.push_back(arg_origins.back().weight());
-    }
+    pp.push_back(s.kind == jir::InvokeKind::Static ? kUncontrollable : weight_of(state, s.base));
+    for (const std::string& arg : s.args) pp.push_back(weight_of(state, arg));
 
     std::optional<jir::MethodId> resolved =
         program_.resolve_method(s.callee.owner, s.callee.name, s.callee.nargs);
 
-    if (collector_ != nullptr) {
-      collector_->push_back(CallSite{stmt_index_, s.callee, s.kind, resolved, pp});
-    }
+    // The callee's summary is read where it lives; only a bodyless callee
+    // (or the intraprocedural mode) gets one built here.
+    std::optional<Action> bodyless;
+    const Action& action =
+        options_.interprocedural && resolved && program_.method(*resolved).has_body()
+            ? provider_.callee_action_of(*resolved)
+            : bodyless.emplace(bodyless_action(s, pp));
 
-    // in = caller-frame weights of the callee's inputs (Fig. 5(d)).
-    InWeights in;
-    in["this"] = pp[0];
-    for (std::size_t i = 0; i < s.args.size(); ++i) {
-      in["init-param-" + std::to_string(i + 1)] = pp[i + 1];
-    }
-
-    Action action = options_.interprocedural
-                        ? callee_action(s, resolved, receiver, arg_origins)
-                        : bodyless_action(s, receiver, arg_origins);
-    std::map<std::string, Weight> out = calc(action, in);
-
-    // correct (Formula 3): fold callee outputs back into caller names.
-    for (const auto& [key, weight] : out) {
+    // correct (Formula 3): fold each callee output, weighed against the PP
+    // by calc (Formula 2), back into caller names, in the Action's order.
+    for (const auto& [key, origin] : action.entries) {
+      Weight weight = calc(origin, pp);
       if (key == kReturnKey) {
         if (!s.target.empty()) {
           destroy_fields_of(state, s.target);
@@ -226,18 +227,22 @@ class Transfer {
       }
       apply_out_entry(key, weight, s, state);
     }
+
+    if (collector_ != nullptr) {
+      collector_->push_back(CallSite{stmt_index_, s.callee, s.kind, resolved, std::move(pp)});
+    }
   }
 
  private:
   /// Routes one `out` entry ("this", "this.x", "final-param-i",
   /// "final-param-i.x") onto the caller-side expression it denotes.
-  void apply_out_entry(const std::string& key, Weight weight, const jir::InvokeStmt& s,
+  void apply_out_entry(std::string_view key, Weight weight, const jir::InvokeStmt& s,
                        LocalMap& state) {
     auto set_var = [&state](const std::string& var, Weight w) {
       if (var.empty()) return;
       state[var] = origin_from_weight(w);
     };
-    auto set_field = [&state](const std::string& var, const std::string& f, Weight w) {
+    auto set_field = [&state](const std::string& var, std::string_view f, Weight w) {
       if (var.empty()) return;
       state[field_key(var, f)] = origin_from_weight(w);
     };
@@ -246,19 +251,18 @@ class Transfer {
       if (s.kind != jir::InvokeKind::Static) set_var(s.base, weight);
       return;
     }
-    if (key.rfind("this.", 0) == 0) {
+    if (key.starts_with("this.")) {
       if (s.kind != jir::InvokeKind::Static) set_field(s.base, key.substr(5), weight);
       return;
     }
     constexpr std::string_view kFinal = "final-param-";
-    if (key.rfind(kFinal, 0) == 0) {
-      std::string rest = key.substr(kFinal.size());
+    if (key.starts_with(kFinal)) {
+      std::string_view rest = key.substr(kFinal.size());
       std::size_t dot = rest.find('.');
-      std::string index_text = dot == std::string::npos ? rest : rest.substr(0, dot);
-      int index = std::atoi(index_text.c_str());
+      int index = std::atoi(std::string(rest.substr(0, dot)).c_str());
       if (index < 1 || index > static_cast<int>(s.args.size())) return;
       const std::string& arg_var = s.args[static_cast<std::size_t>(index - 1)];
-      if (dot == std::string::npos) {
+      if (dot == std::string_view::npos) {
         set_var(arg_var, weight);
       } else {
         set_field(arg_var, rest.substr(dot + 1), weight);
@@ -266,32 +270,22 @@ class Transfer {
     }
   }
 
-  Action callee_action(const jir::InvokeStmt& s, std::optional<jir::MethodId> resolved,
-                       const Origin& receiver, const std::vector<Origin>& args) {
-    if (resolved && program_.method(*resolved).has_body()) {
-      return provider_.callee_action_of(*resolved);
-    }
-    return bodyless_action(s, receiver, args);
-  }
-
-  Action bodyless_action(const jir::InvokeStmt& s, const Origin& receiver,
-                         const std::vector<Origin>& args) {
+  /// The Action assumed for a callee without a body: identity, or under the
+  /// permissive option a result as controllable as the best input.
+  Action bodyless_action(const jir::InvokeStmt& s, const PollutedPosition& pp) {
     Action action = Action::identity(s.callee.nargs, s.kind == jir::InvokeKind::Static);
     if (options_.unknown_return_controllable) {
       // Permissive model: result controllable if any input is. The Action
       // value must name the *callee-frame input slot* that was controllable
       // (this / init-param-i), so calc() maps it back to the caller weight.
-      int best_slot = -1;  // -1 = receiver, i >= 0 = argument index
-      Weight best = receiver.weight();
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i].weight() < best) {
-          best = args[i].weight();
-          best_slot = static_cast<int>(i);
-        }
+      std::size_t best_slot = 0;  // 0 = receiver, i >= 1 = argument i
+      for (std::size_t i = 1; i < pp.size(); ++i) {
+        if (pp[i] < pp[best_slot]) best_slot = i;
       }
-      if (is_controllable(best)) {
+      if (is_controllable(pp[best_slot])) {
         action.set(std::string(kReturnKey),
-                   best_slot < 0 ? Origin::this_origin() : Origin::param_origin(best_slot + 1));
+                   best_slot == 0 ? Origin::this_origin()
+                                  : Origin::param_origin(static_cast<int>(best_slot)));
       }
     }
     return action;
@@ -430,15 +424,12 @@ MethodSummary compute_summary(const jir::Program& program, const AnalysisOptions
 
   // Identity entries for anything an exit never mentioned (e.g. a method
   // whose every path throws) plus the static-this marker.
-  Action identity = Action::identity(method.nargs(), method.mods.is_static);
-  for (const auto& [key, origin] : identity.entries) {
-    summary.action.entries.emplace(key, origin);
+  auto& entries = summary.action.entries;
+  for (int i = 1; i <= method.nargs(); ++i) {
+    entries.try_emplace(final_param_key(i), Origin::param_origin(i));
   }
-  if (!method.mods.is_static) {
-    summary.action.entries.emplace("this", Origin::this_origin());
-  } else {
-    summary.action.entries.emplace("this", Origin::unknown());
-  }
+  entries.try_emplace(std::string(kReturnKey), Origin::unknown());
+  entries.try_emplace("this", method.mods.is_static ? Origin::unknown() : Origin::this_origin());
   return summary;
 }
 
@@ -454,28 +445,28 @@ class RecursiveProvider final : public ActionProvider {
 };
 
 /// Parallel provider: reads the published snapshot table. A self-call (direct
-/// recursion) yields the same identity bottom the serial path produces.
+/// recursion) yields the same identity bottom the serial path produces,
+/// built on the first such call.
 class TableProvider final : public ActionProvider {
  public:
   TableProvider(const std::vector<std::uint32_t>& class_offset,
                 const std::vector<MethodSummary>& table, std::uint32_t self,
                 const jir::Method& self_method)
-      : class_offset_(class_offset),
-        table_(table),
-        self_(self),
-        bottom_(Action::identity(self_method.nargs(), self_method.mods.is_static)) {}
+      : class_offset_(class_offset), table_(table), self_(self), self_method_(self_method) {}
 
   const Action& callee_action_of(jir::MethodId id) override {
     std::uint32_t index = class_offset_[id.class_index] + id.method_index;
-    if (index == self_) return bottom_;
-    return table_[index].action;
+    if (index != self_) return table_[index].action;
+    if (!bottom_) bottom_ = Action::identity(self_method_.nargs(), self_method_.mods.is_static);
+    return *bottom_;
   }
 
  private:
   const std::vector<std::uint32_t>& class_offset_;
   const std::vector<MethodSummary>& table_;
   std::uint32_t self_;
-  Action bottom_;
+  const jir::Method& self_method_;
+  std::optional<Action> bottom_;
 };
 
 }  // namespace
@@ -691,6 +682,7 @@ void ControllabilityAnalysis::precompute(util::Executor* executor) {
   // order the CPG builder has always demanded summaries in, so the cycle
   // entries (and with them every downstream result) match a pure serial run
   // bit for bit.
+  cache_.reserve(cache_.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!tainted[i]) cache_.emplace(methods[i], std::move(table[i]));
   }

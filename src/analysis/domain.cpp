@@ -82,24 +82,18 @@ std::string Action::to_string() const {
   return out + "}";
 }
 
-std::map<std::string, Weight> calc(const Action& action, const InWeights& in) {
-  auto lookup = [&in](const Origin& origin) -> Weight {
-    if (origin.is_unknown()) return kUncontrollable;
-    // Field suffixes inherit the weight of their base input: the caller
-    // controls the whole object graph of a controllable input.
-    std::string base_key;
-    if (origin.kind == Origin::Kind::This) {
-      base_key = "this";
-    } else {
-      base_key = "init-param-" + std::to_string(origin.param);
-    }
-    auto it = in.find(base_key);
-    return it == in.end() ? kUncontrollable : it->second;
-  };
-
-  std::map<std::string, Weight> out;
-  for (const auto& [key, origin] : action.entries) out[key] = lookup(origin);
-  return out;
+Weight calc(const Origin& origin, const PollutedPosition& pp) {
+  switch (origin.kind) {
+    case Origin::Kind::Unknown:
+      return kUncontrollable;
+    case Origin::Kind::This:
+      return pp.empty() ? kUncontrollable : pp[0];
+    case Origin::Kind::Param:
+      return origin.param >= 1 && static_cast<std::size_t>(origin.param) < pp.size()
+                 ? pp[static_cast<std::size_t>(origin.param)]
+                 : kUncontrollable;
+  }
+  return kUncontrollable;
 }
 
 std::string pp_to_string(const PollutedPosition& pp) {

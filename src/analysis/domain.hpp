@@ -117,22 +117,22 @@ inline std::string this_key(const std::string& field = {}) {
 }
 inline constexpr std::string_view kReturnKey = "return";
 
-// --- Formulas 2 and 3 -------------------------------------------------------
-
-/// Caller-frame weights of the callee's inputs: in["this"], in["init-param-i"].
-/// Built at a call site from the receiver/argument origins.
-using InWeights = std::map<std::string, Weight>;
-
-/// out = f_calc(Action, in): Formula 2. Evaluates every Action entry's
-/// origin against `in`, yielding caller-frame weights for the callee's
-/// outputs ("this", "final-param-i", "final-param-i.x", "return").
-std::map<std::string, Weight> calc(const Action& action, const InWeights& in);
-
 // --- Polluted_Position ------------------------------------------------------
 
 /// PP[0] = receiver weight (∞ for static calls), PP[i] = weight of argument
 /// i. Stored on CALL edges as an int list.
 using PollutedPosition = std::vector<Weight>;
+
+// --- Formulas 2 and 3 -------------------------------------------------------
+
+/// f_calc for one Action entry: Formula 2. The caller-frame weight of a
+/// callee output whose callee-frame origin is `origin`, given the call
+/// site's PP, which holds the caller-frame weights of the callee's inputs
+/// (the paper's `in`): "this" weighs pp[0], "init-param-i" weighs pp[i] for
+/// 1 <= i < pp.size(), and anything else is ∞. A field suffix inherits its
+/// base input's weight: the caller controls the whole object graph of a
+/// controllable input.
+Weight calc(const Origin& origin, const PollutedPosition& pp);
 
 std::string pp_to_string(const PollutedPosition& pp);
 

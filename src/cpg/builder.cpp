@@ -31,6 +31,7 @@ class Builder {
     util::Stopwatch watch;
     {
       TABBY_SPAN("cpg.org");
+      reserve_graph();
       build_org();
     }
     {
@@ -95,13 +96,36 @@ class Builder {
     return reached;
   }
 
+  /// Sizes the graph from the program: a node per class and method plus room
+  /// for a phantom callee per call site, and an edge per method (HAS), per
+  /// direct supertype (EXTEND, INTERFACE) and per call site (a CALL edge
+  /// folds one or more). build_mag() reserves for the ALIAS edges once it
+  /// has them.
+  void reserve_graph() {
+    std::size_t methods = 0, supertypes = 0, call_sites = 0;
+    for (const jir::ClassDecl& cls : program_.classes()) {
+      methods += cls.methods.size();
+      supertypes += (cls.super.empty() ? 0 : 1) + cls.interfaces.size();
+      for (const jir::Method& m : cls.methods) {
+        for (const jir::Stmt& stmt : m.body) {
+          if (std::holds_alternative<jir::InvokeStmt>(stmt)) ++call_sites;
+        }
+      }
+    }
+    db_.reserve(program_.class_count() + methods + call_sites,
+                methods + supertypes + call_sites);
+    class_nodes_.reserve(program_.class_count());
+    method_nodes_.reserve(methods);
+  }
+
   void build_org() {
     serializable_ = serializable_classes(program_);
-    for (const jir::ClassDecl& cls : program_.classes()) {
+    const std::vector<jir::ClassDecl>& classes = program_.classes();
+    for (std::uint32_t ci = 0; ci < classes.size(); ++ci) {
+      const jir::ClassDecl& cls = classes[ci];
       NodeId cn = class_node(cls.name);
-      for (std::size_t mi = 0; mi < cls.methods.size(); ++mi) {
-        jir::MethodId id{*program_.class_index(cls.name), static_cast<std::uint32_t>(mi)};
-        NodeId mn = method_node_for(id);
+      for (std::uint32_t mi = 0; mi < cls.methods.size(); ++mi) {
+        NodeId mn = method_node_for(jir::MethodId{ci, mi});
         db_.add_edge(cn, mn, std::string(kHasEdge));
       }
     }
@@ -123,6 +147,7 @@ class Builder {
 
     const jir::ClassDecl* decl = program_.find_class(name);
     PropertyMap props;
+    props.reserve(2 + (options_.jar_name.empty() ? 0 : 1) + (decl != nullptr ? 4 : 0));
     props[std::string(kPropName)] = name;
     props[std::string(kPropPhantom)] = decl == nullptr;
     if (!options_.jar_name.empty()) props[std::string(kPropJar)] = options_.jar_name;
@@ -144,7 +169,7 @@ class Builder {
     const jir::ClassDecl& cls = program_.class_of(id);
     const jir::Method& m = program_.method(id);
     NodeId node = make_method_node(cls.name, m.name, m.nargs(), /*phantom=*/false,
-                                   m.mods.is_static, m.mods.is_abstract,
+                                   m.mods.is_static, m.mods.is_abstract, m.has_body(),
                                    m.has_body() && serializable_.contains(cls.name));
     method_nodes_.emplace(id, node);
     return node;
@@ -157,15 +182,22 @@ class Builder {
     auto it = phantom_methods_.find(sig);
     if (it != phantom_methods_.end()) return it->second;
     NodeId node = make_method_node(owner, name, nargs, /*phantom=*/true, /*is_static=*/false,
-                                   /*is_abstract=*/true, /*source_eligible=*/false);
+                                   /*is_abstract=*/true, /*has_body=*/false,
+                                   /*source_eligible=*/false);
     db_.add_edge(class_node(owner), node, std::string(kHasEdge));
     phantom_methods_.emplace(std::move(sig), node);
     return node;
   }
 
+  /// A method node with its nine fixed properties, the sink pair when it is
+  /// a sink, and room for the ACTION that build_pcg() sets on a method with
+  /// a body.
   NodeId make_method_node(const std::string& owner, const std::string& name, int nargs,
-                          bool phantom, bool is_static, bool is_abstract, bool source_eligible) {
+                          bool phantom, bool is_static, bool is_abstract, bool has_body,
+                          bool source_eligible) {
+    const SinkSpec* sink = options_.sinks.match(owner, name);
     PropertyMap props;
+    props.reserve(9 + (sink != nullptr ? 2 : 0) + (has_body ? 1 : 0));
     props[std::string(kPropName)] = name;
     props[std::string(kPropClassName)] = owner;
     props[std::string(kPropSignature)] = method_signature(owner, name, nargs);
@@ -178,7 +210,6 @@ class Builder {
     props[std::string(kPropIsSource)] = is_source;
     if (is_source) ++stats_.source_methods;
 
-    const SinkSpec* sink = options_.sinks.match(owner, name);
     props[std::string(kPropIsSink)] = sink != nullptr;
     if (sink != nullptr) {
       ++stats_.sink_methods;
@@ -269,6 +300,7 @@ class Builder {
                                     : phantom_method_node(call.declared.owner, call.declared.name,
                                                           call.declared.nargs);
           PropertyMap props;
+          props.reserve(3);
           props[std::string(kPropPollutedPosition)] = std::move(call.pp);
           props[std::string(kPropStmtIndex)] = static_cast<std::int64_t>(call.stmt_index);
           props[std::string(kPropInvokeKind)] = std::string(jir::to_string(call.kind));
@@ -318,6 +350,9 @@ class Builder {
     util::run_indexed(options_.executor, methods.size(),
                       [&](std::size_t i) { targets[i] = alias_targets(methods[i]); });
 
+    std::size_t aliases = 0;
+    for (const std::vector<jir::MethodId>& t : targets) aliases += t.size();
+    db_.reserve(db_.node_count(), db_.edge_count() + aliases);
     for (std::size_t i = 0; i < methods.size(); ++i) {
       if (targets[i].empty()) continue;
       NodeId from = method_nodes_.at(methods[i]);

@@ -42,6 +42,7 @@ std::uint64_t align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
 
 /// Append-only little-endian buffer with 8-byte alignment control and
 /// back-patching — what the ByteWriter (varint, byte-at-a-time) is not.
+/// freeze() sizes it once up front, so appends never regrow it.
 struct FrameWriter {
   std::vector<std::byte> buf;
 
@@ -54,11 +55,19 @@ struct FrameWriter {
   void u16(std::uint16_t v) { raw(&v, sizeof v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
   void zeros(std::size_t n) { buf.insert(buf.end(), n, std::byte{0}); }
   void pad8() { zeros(align8(buf.size()) - buf.size()); }
-  void patch_u64(std::size_t at, std::uint64_t v) { std::memcpy(buf.data() + at, &v, sizeof v); }
-  void patch_u32(std::size_t at, std::uint32_t v) { std::memcpy(buf.data() + at, &v, sizeof v); }
+  /// Overwrites the bytes of `v` at `at`, inside what is already written.
+  template <typename T>
+  void put(std::size_t at, T v) {
+    std::memcpy(buf.data() + at, &v, sizeof v);
+  }
+  /// ORs `bits` into the u64 at `at`.
+  void or_u64(std::size_t at, std::uint64_t bits) {
+    std::uint64_t v;
+    std::memcpy(&v, buf.data() + at, sizeof v);
+    put(at, v | bits);
+  }
 };
 
 // --- Frame reading ----------------------------------------------------------
@@ -93,14 +102,22 @@ Error frozen_err(std::string msg, std::size_t at = 0) {
   return Error{"frozen graph: " + std::move(msg), at};
 }
 
-// --- Column classification --------------------------------------------------
+// --- Column planning ----------------------------------------------------------
 
-/// Present cells of one property key, in ascending element order.
-struct ColumnCells {
+/// One property key's column, planned before the frame is written: its
+/// present cells in ascending element order, its encoding, and the length of
+/// its pool (Str: chars, IntList: ints, Mixed: serialized-value bytes). A
+/// Mixed column serializes its values here, because their length sizes the
+/// frame.
+struct ColumnPlan {
   std::vector<std::pair<std::uint32_t, const Value*>> cells;
+  FrozenColumnKind kind = FrozenColumnKind::Mixed;
+  std::uint64_t pool = 0;
+  util::ByteWriter blob;                 // Mixed: every cell's value, in order
+  std::vector<std::uint64_t> cell_ends;  // Mixed: blob length after each cell
 };
 
-FrozenColumnKind classify(const ColumnCells& col) {
+FrozenColumnKind classify(const ColumnPlan& col) {
   std::size_t first = std::variant_npos;
   for (const auto& [idx, v] : col.cells) {
     std::size_t alt = v->index();
@@ -128,103 +145,120 @@ FrozenColumnKind classify(const ColumnCells& col) {
   }
 }
 
-void write_column(FrameWriter& w, std::string_view key, const ColumnCells& col, std::uint64_t n) {
+void plan_column(ColumnPlan& col) {
+  col.kind = classify(col);
+  switch (col.kind) {
+    case FrozenColumnKind::Str:
+      for (const auto& [idx, v] : col.cells) col.pool += std::get<std::string>(*v).size();
+      break;
+    case FrozenColumnKind::IntList:
+      for (const auto& [idx, v] : col.cells) {
+        col.pool += std::get<std::vector<std::int64_t>>(*v).size();
+      }
+      break;
+    case FrozenColumnKind::Mixed:
+      // Per-cell serialized values (graph-store wire encoding).
+      col.cell_ends.reserve(col.cells.size());
+      for (const auto& [idx, v] : col.cells) {
+        write_value(col.blob, *v);
+        col.cell_ends.push_back(col.blob.size());
+      }
+      col.pool = col.blob.size();
+      break;
+    default:
+      break;
+  }
+}
+
+/// The bytes write_column() emits for `col` over `n` elements.
+std::uint64_t column_bytes(std::string_view key, const ColumnPlan& col, std::uint64_t n) {
+  const std::uint64_t words = (n + 63) / 64;
+  const std::uint64_t head = 8 + align8(key.size()) + 8 + 8 + words * 8;
+  switch (col.kind) {
+    case FrozenColumnKind::Bool:
+      return head + words * 8;
+    case FrozenColumnKind::Int:
+    case FrozenColumnKind::Real:
+      return head + n * 8;
+    case FrozenColumnKind::Str:
+    case FrozenColumnKind::Mixed:
+      return head + (n + 1) * 8 + 8 + align8(col.pool);
+    case FrozenColumnKind::IntList:
+      return head + (n + 1) * 8 + 8 + col.pool * 8;
+  }
+  return head;
+}
+
+void write_column(FrameWriter& w, std::string_view key, const ColumnPlan& col, std::uint64_t n) {
   w.u64(key.size());
   w.raw(key.data(), key.size());
   w.pad8();
+  w.u64(static_cast<std::uint64_t>(col.kind));
 
-  FrozenColumnKind kind = classify(col);
-  w.u64(static_cast<std::uint64_t>(kind));
-
-  std::uint64_t words = (n + 63) / 64;
-  std::vector<std::uint64_t> presence(words, 0);
-  for (const auto& [idx, v] : col.cells) presence[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+  const std::uint64_t words = (n + 63) / 64;
   w.u64(words);
-  w.raw(presence.data(), presence.size() * sizeof(std::uint64_t));
+  // A bitmap over the elements, one bit per cell for which `bit` holds.
+  auto bitmap = [&](auto&& bit) {
+    const std::size_t at = w.size();
+    w.zeros(words * 8);
+    for (const auto& [idx, v] : col.cells) {
+      if (bit(*v)) w.or_u64(at + (idx >> 6) * 8, std::uint64_t{1} << (idx & 63));
+    }
+  };
+  bitmap([](const Value&) { return true; });  // presence
 
-  switch (kind) {
-    case FrozenColumnKind::Bool: {
-      std::vector<std::uint64_t> bits(words, 0);
-      for (const auto& [idx, v] : col.cells) {
-        if (std::get<bool>(*v)) bits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-      }
-      w.raw(bits.data(), bits.size() * sizeof(std::uint64_t));
-      break;
-    }
-    case FrozenColumnKind::Int: {
-      std::vector<std::int64_t> vals(n, 0);
-      for (const auto& [idx, v] : col.cells) vals[idx] = std::get<std::int64_t>(*v);
-      w.raw(vals.data(), vals.size() * sizeof(std::int64_t));
-      break;
-    }
-    case FrozenColumnKind::Real: {
-      std::vector<std::uint64_t> vals(n, 0);
-      for (const auto& [idx, v] : col.cells) {
-        std::uint64_t bits;
-        double d = std::get<double>(*v);
-        std::memcpy(&bits, &d, sizeof bits);
-        vals[idx] = bits;
-      }
-      w.raw(vals.data(), vals.size() * sizeof(std::uint64_t));
-      break;
-    }
-    case FrozenColumnKind::Str: {
-      std::vector<std::uint64_t> offsets(n + 1, 0);
-      std::uint64_t total = 0;
-      auto cell = col.cells.begin();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        offsets[i] = total;
-        if (cell != col.cells.end() && cell->first == i) {
-          total += std::get<std::string>(*cell->second).size();
-          ++cell;
-        }
-      }
-      offsets[n] = total;
-      w.raw(offsets.data(), offsets.size() * sizeof(std::uint64_t));
+  // Offsets into the pool, element by element; an absent element is empty.
+  auto pool_offsets = [&](auto&& cell_length) {
+    std::uint64_t total = 0;
+    auto cell = col.cells.begin();
+    for (std::uint64_t i = 0; i < n; ++i) {
       w.u64(total);
+      if (cell != col.cells.end() && cell->first == i) total += cell_length(cell++);
+    }
+    w.u64(total);  // offsets[n]
+    w.u64(total);
+  };
+  // A fixed-width array over the elements; an absent element is zero.
+  auto values = [&](auto&& word) {
+    const std::size_t at = w.size();
+    w.zeros(n * 8);
+    for (const auto& [idx, v] : col.cells) w.put(at + std::size_t{idx} * 8, word(*v));
+  };
+
+  switch (col.kind) {
+    case FrozenColumnKind::Bool:
+      bitmap([](const Value& v) { return std::get<bool>(v); });
+      break;
+    case FrozenColumnKind::Int:
+      values([](const Value& v) { return std::get<std::int64_t>(v); });
+      break;
+    case FrozenColumnKind::Real:
+      values([](const Value& v) { return std::bit_cast<std::uint64_t>(std::get<double>(v)); });
+      break;
+    case FrozenColumnKind::Str:
+      pool_offsets([](auto cell) { return std::get<std::string>(*cell->second).size(); });
       for (const auto& [idx, v] : col.cells) {
         const std::string& s = std::get<std::string>(*v);
         w.raw(s.data(), s.size());
       }
       w.pad8();
       break;
-    }
-    case FrozenColumnKind::IntList: {
-      std::vector<std::uint64_t> offsets(n + 1, 0);
-      std::uint64_t total = 0;
-      auto cell = col.cells.begin();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        offsets[i] = total;
-        if (cell != col.cells.end() && cell->first == i) {
-          total += std::get<std::vector<std::int64_t>>(*cell->second).size();
-          ++cell;
-        }
-      }
-      offsets[n] = total;
-      w.raw(offsets.data(), offsets.size() * sizeof(std::uint64_t));
-      w.u64(total);
+    case FrozenColumnKind::IntList:
+      pool_offsets([](auto cell) {
+        return std::get<std::vector<std::int64_t>>(*cell->second).size();
+      });
       for (const auto& [idx, v] : col.cells) {
         const auto& xs = std::get<std::vector<std::int64_t>>(*v);
         w.raw(xs.data(), xs.size() * sizeof(std::int64_t));
       }
       break;
-    }
     case FrozenColumnKind::Mixed: {
-      // Per-cell serialized values (graph-store wire encoding).
-      std::vector<std::uint64_t> offsets(n + 1, 0);
-      util::ByteWriter blob;
-      auto cell = col.cells.begin();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        offsets[i] = blob.size();
-        if (cell != col.cells.end() && cell->first == i) {
-          write_value(blob, *cell->second);
-          ++cell;
-        }
-      }
-      offsets[n] = blob.size();
-      w.raw(offsets.data(), offsets.size() * sizeof(std::uint64_t));
-      w.u64(blob.size());
-      w.raw(blob.data().data(), blob.size());
+      const auto first = col.cells.begin();
+      pool_offsets([&](auto cell) {
+        const std::size_t k = static_cast<std::size_t>(cell - first);
+        return col.cell_ends[k] - (k == 0 ? 0 : col.cell_ends[k - 1]);
+      });
+      w.raw(col.blob.data().data(), col.blob.size());
       w.pad8();
       break;
     }
@@ -331,39 +365,32 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     node_label[i] = intern(label_ids, label_names, nodes[i].label);
   }
 
-  struct AdjEntry {
-    std::uint16_t type;
-    std::uint32_t edge;
-    std::uint32_t nbr;
-  };
-  std::vector<std::vector<AdjEntry>> out_adj(n), in_adj(n);
+  // The edge table, interning types in ascending edge order.
   std::vector<std::uint32_t> efrom(m), eto(m);
   std::vector<std::uint16_t> etype(m);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     if (type_names.size() > 0xFFFF) {
       return frozen_err("edge-type table exceeds the 16-bit id space");
     }
-    auto from = static_cast<std::uint32_t>(edges[e].from);
-    auto to = static_cast<std::uint32_t>(edges[e].to);
-    std::uint16_t t = intern(type_ids, type_names, edges[e].type);
-    efrom[e] = from;
-    eto[e] = to;
-    etype[e] = t;
-    auto de = static_cast<std::uint32_t>(e);
-    out_adj[from].push_back({t, de, to});
-    in_adj[to].push_back({t, de, from});
+    efrom[e] = static_cast<std::uint32_t>(edges[e].from);
+    eto[e] = static_cast<std::uint32_t>(edges[e].to);
+    etype[e] = intern(type_ids, type_names, edges[e].type);
   }
-  // Sort each node's adjacency by (type, edge): typed lookups become one
+  // The edge ids grouped by type id, ascending within each type (a counting
+  // sort). Scattering edges onto their endpoints in this order leaves every
+  // node's adjacency ordered by (type, edge): typed lookups become one
   // binary search, and within a type the ascending edge order *is* the
   // builder's insertion order (the byte-identical-output invariant).
-  auto by_type_then_edge = [](const AdjEntry& a, const AdjEntry& b) {
-    return a.type != b.type ? a.type < b.type : a.edge < b.edge;
-  };
-  for (auto& adj : out_adj) std::sort(adj.begin(), adj.end(), by_type_then_edge);
-  for (auto& adj : in_adj) std::sort(adj.begin(), adj.end(), by_type_then_edge);
+  std::vector<std::uint32_t> by_type(m);
+  {
+    std::vector<std::uint64_t> next(type_names.size() + 1, 0);
+    for (std::uint16_t t : etype) ++next[t + 1];
+    for (std::size_t t = 1; t < next.size(); ++t) next[t] += next[t - 1];
+    for (std::uint32_t e = 0; e < m; ++e) by_type[next[etype[e]]++] = e;
+  }
 
   // Property columns, keyed ascending (std::map order == file order).
-  std::map<std::string_view, ColumnCells> node_cols, edge_cols;
+  std::map<std::string_view, ColumnPlan> node_cols, edge_cols;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (const auto& [key, value] : nodes[i].props) {
       node_cols[key].cells.emplace_back(static_cast<std::uint32_t>(i), &value);
@@ -374,9 +401,34 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
       edge_cols[key].cells.emplace_back(static_cast<std::uint32_t>(e), &value);
     }
   }
+  for (auto& [key, col] : node_cols) plan_column(col);
+  for (auto& [key, col] : edge_cols) plan_column(col);
+
+  util::ByteWriter stats;
+  encode_stats(stats, db.cardinality());
+
+  // --- Size the frame, so that it is written into one allocation ---
+  auto table_bytes = [](const std::vector<std::string_view>& names) {
+    std::uint64_t chars = 0;
+    for (std::string_view s : names) chars += s.size();
+    return align8(8 * (names.size() + 2) + chars);
+  };
+  auto columns_bytes = [](const std::map<std::string_view, ColumnPlan>& cols,
+                          std::uint64_t count) {
+    std::uint64_t bytes = 8;
+    for (const auto& [key, col] : cols) bytes += column_bytes(key, col, count);
+    return bytes;
+  };
+  const std::uint64_t csr_bytes = 8 * (n + 1) + 2 * align8(4 * m) + align8(2 * m);
+  const std::uint64_t frame_bytes =
+      kFrozenHeaderSize + kDirSize + table_bytes(label_names) + table_bytes(type_names) +
+      align8(2 * n) + 2 * csr_bytes + 2 * align8(4 * m) + align8(2 * m) +
+      columns_bytes(node_cols, n) + columns_bytes(edge_cols, m) + align8(8 + stats.size()) +
+      sizeof(BuildCounts) + kFrozenChecksumSize;
 
   // --- Emit the frame ---
   FrameWriter w;
+  w.buf.reserve(frame_bytes);
   w.u32(kFrozenMagic);
   w.u16(kFrozenVersion);
   w.u16(0);
@@ -397,9 +449,9 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   auto end_section = [&] {
     w.pad8();
     std::size_t entry = dir_at + next_id * kFrozenDirEntrySize;
-    w.patch_u32(entry, next_id + 1);  // ids are 1-based
-    w.patch_u64(entry + 8, section_start);
-    w.patch_u64(entry + 16, w.size() - section_start);
+    w.put<std::uint32_t>(entry, next_id + 1);  // ids are 1-based
+    w.put<std::uint64_t>(entry + 8, section_start);
+    w.put<std::uint64_t>(entry + 16, w.size() - section_start);
     ++next_id;
   };
   auto string_table = [&](const std::vector<std::string_view>& names) {
@@ -419,27 +471,38 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
     w.raw(p, bytes);
     end_section();
   };
-  auto csr_sections = [&](const std::vector<std::vector<AdjEntry>>& adj) {
-    std::vector<std::uint64_t> offsets(n + 1, 0);
-    std::vector<std::uint32_t> nbr(m), edge(m);
-    std::vector<std::uint16_t> type(m);
-    std::uint64_t at = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      offsets[i] = at;
-      for (const AdjEntry& a : adj[i]) {
-        nbr[at] = a.nbr;
-        edge[at] = a.edge;
-        type[at] = a.type;
-        ++at;
-      }
-    }
-    offsets[n] = at;
-    raw_section(offsets.data(), offsets.size() * sizeof(std::uint64_t));
-    raw_section(nbr.data(), nbr.size() * sizeof(std::uint32_t));
-    raw_section(edge.data(), edge.size() * sizeof(std::uint32_t));
-    raw_section(type.data(), type.size() * sizeof(std::uint16_t));
+  auto zeroed_section = [&](std::size_t bytes) {
+    begin_section();
+    const std::size_t at = w.size();
+    w.zeros(bytes);
+    end_section();
+    return at;
   };
-  auto prop_sections = [&](const std::map<std::string_view, ColumnCells>& cols,
+  // One direction's CSR, by counting sort on the endpoint `key`: one n+1
+  // offsets array, the entries scattered straight into their sections.
+  std::vector<std::uint64_t> offsets(n + 1);
+  auto csr_sections = [&](const std::vector<std::uint32_t>& key,
+                          const std::vector<std::uint32_t>& nbr) {
+    std::fill(offsets.begin(), offsets.end(), 0);
+    for (std::uint32_t k : key) ++offsets[k + 1];
+    for (std::uint64_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+    const std::size_t offsets_at = zeroed_section(offsets.size() * sizeof(std::uint64_t));
+    const std::size_t nbr_at = zeroed_section(m * sizeof(std::uint32_t));
+    const std::size_t edge_at = zeroed_section(m * sizeof(std::uint32_t));
+    const std::size_t type_at = zeroed_section(m * sizeof(std::uint16_t));
+    // While scattering, offsets[k] is node k's next free slot; it ends as
+    // node k + 1's start, so the array shifts back by one afterwards.
+    for (std::uint32_t e : by_type) {
+      const std::uint64_t slot = offsets[key[e]]++;
+      w.put(nbr_at + slot * sizeof(std::uint32_t), nbr[e]);
+      w.put(edge_at + slot * sizeof(std::uint32_t), e);
+      w.put(type_at + slot * sizeof(std::uint16_t), etype[e]);
+    }
+    std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+    offsets[0] = 0;
+    std::memcpy(w.buf.data() + offsets_at, offsets.data(), offsets.size() * sizeof(std::uint64_t));
+  };
+  auto prop_sections = [&](const std::map<std::string_view, ColumnPlan>& cols,
                            std::uint64_t count) {
     begin_section();
     w.u64(cols.size());
@@ -450,27 +513,26 @@ util::Result<FrozenGraph> FrozenGraph::freeze(const GraphDb& db, std::uint64_t c
   string_table(label_names);                                            // 1
   string_table(type_names);                                             // 2
   raw_section(node_label.data(), node_label.size() * sizeof(std::uint16_t));  // 3
-  csr_sections(out_adj);                                                // 4..7
-  csr_sections(in_adj);                                                 // 8..11
+  csr_sections(efrom, eto);                                             // 4..7
+  csr_sections(eto, efrom);                                             // 8..11
   raw_section(efrom.data(), efrom.size() * sizeof(std::uint32_t));      // 12
   raw_section(eto.data(), eto.size() * sizeof(std::uint32_t));          // 13
   raw_section(etype.data(), etype.size() * sizeof(std::uint16_t));      // 14
   prop_sections(node_cols, n);                                          // 15
   prop_sections(edge_cols, m);                                          // 16
-  {                                                                     // 17
-    util::ByteWriter stats;
-    encode_stats(stats, db.cardinality());
-    std::vector<std::byte> stats_payload = stats.take();
-    begin_section();
-    w.u64(stats_payload.size());
-    w.raw(stats_payload.data(), stats_payload.size());
-    end_section();
-  }
+  begin_section();                                                      // 17
+  w.u64(stats.size());
+  w.raw(stats.data().data(), stats.size());
+  end_section();
   const BuildCounts& counts = db.build_counts();
   raw_section(counts.data(), counts.size() * sizeof(std::uint64_t));    // 18
 
-  w.patch_u64(8, w.size() + kFrozenChecksumSize);
+  w.put<std::uint64_t>(8, w.size() + kFrozenChecksumSize);
   w.u64(util::content_digest(w.buf));
+  if (w.size() != frame_bytes) {
+    return frozen_err("frame is " + std::to_string(w.size()) + " byte(s), sized for " +
+                      std::to_string(frame_bytes));
+  }
 
   std::vector<std::byte> bytes = std::move(w.buf);
   std::span<const std::byte> frame(bytes);

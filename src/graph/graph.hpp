@@ -72,7 +72,8 @@ class GraphDb {
   GraphDb& operator=(GraphDb&&) = default;
 
   /// Pre-sizes the node/edge stores (deserialize knows both counts up
-  /// front; growth-doubling dominates bulk loads otherwise).
+  /// front, the CPG builder estimates them from the program; growth-doubling
+  /// dominates bulk loads otherwise).
   void reserve(std::size_t nodes, std::size_t edges);
 
   NodeId add_node(std::string label, PropertyMap props = {});

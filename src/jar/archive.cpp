@@ -1,5 +1,6 @@
 #include "jar/archive.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <unordered_map>
 
@@ -329,6 +330,7 @@ class Reader {
 
     auto class_count = in_.count("class");
     if (!class_count.ok()) return class_count.error();
+    reserve(archive.classes, class_count.value(), kMinClassBytes);
     for (std::size_t i = 0; i < class_count.value(); ++i) {
       auto cls = read_class();
       if (!cls.ok()) return cls.error();
@@ -358,6 +360,7 @@ class Reader {
     }
     auto class_count = in_.count("class");
     if (!class_count.ok()) return fail(class_count.error(), 0);
+    reserve(archive.classes, class_count.value(), kMinClassBytes);
     for (std::size_t i = 0; i < class_count.value(); ++i) {
       auto cls = read_class();
       if (!cls.ok()) return fail(cls.error(), class_count.value());
@@ -400,6 +403,24 @@ class Reader {
   }
 
  private:
+  // The fewest bytes each record can be encoded in (a string is one varint
+  // pool index, a type an index and a dims byte, a statement one opcode).
+  static constexpr std::size_t kMinClassBytes = 6;   // name, flags, super, 3 counts
+  static constexpr std::size_t kMinFieldBytes = 4;   // name, type, flags
+  static constexpr std::size_t kMinMethodBytes = 6;  // name, flags, type, 2 counts
+  static constexpr std::size_t kMinTypeBytes = 2;
+  static constexpr std::size_t kMinStmtBytes = 1;
+  static constexpr std::size_t kMinStringBytes = 1;
+
+  /// Sizes `items` for `count` records at once, so a decoded list holds no
+  /// growth slack. The reservation is capped at what the unread bytes can
+  /// encode: a lying count reserves no more than an honest archive of the
+  /// same length would fill.
+  template <typename T>
+  void reserve(std::vector<T>& items, std::size_t count, std::size_t min_bytes) {
+    items.reserve(std::min(count, in_.remaining() / min_bytes));
+  }
+
   Result<std::string> str() {
     auto idx = in_.uvarint();
     if (!idx.ok()) return idx.error();
@@ -430,6 +451,7 @@ class Reader {
 
     auto iface_count = in_.count("interface");
     if (!iface_count.ok()) return iface_count.error();
+    reserve(cls.interfaces, iface_count.value(), kMinStringBytes);
     for (std::size_t i = 0; i < iface_count.value(); ++i) {
       auto iface = str();
       if (!iface.ok()) return iface.error();
@@ -438,6 +460,7 @@ class Reader {
 
     auto field_count = in_.count("field");
     if (!field_count.ok()) return field_count.error();
+    reserve(cls.fields, field_count.value(), kMinFieldBytes);
     for (std::size_t i = 0; i < field_count.value(); ++i) {
       jir::Field f;
       auto fname = str();
@@ -454,6 +477,7 @@ class Reader {
 
     auto method_count = in_.count("method");
     if (!method_count.ok()) return method_count.error();
+    reserve(cls.methods, method_count.value(), kMinMethodBytes);
     for (std::size_t i = 0; i < method_count.value(); ++i) {
       auto m = read_method();
       if (!m.ok()) return m.error();
@@ -476,6 +500,7 @@ class Reader {
 
     auto param_count = in_.count("parameter");
     if (!param_count.ok()) return param_count.error();
+    reserve(m.params, param_count.value(), kMinTypeBytes);
     for (std::size_t i = 0; i < param_count.value(); ++i) {
       auto p = type();
       if (!p.ok()) return p.error();
@@ -484,6 +509,7 @@ class Reader {
 
     auto stmt_count = in_.count("statement");
     if (!stmt_count.ok()) return stmt_count.error();
+    reserve(m.body, stmt_count.value(), kMinStmtBytes);
     for (std::size_t i = 0; i < stmt_count.value(); ++i) {
       auto s = read_stmt();
       if (!s.ok()) return s.error();
@@ -613,6 +639,7 @@ class Reader {
         inv.base = std::move(base.value());
         auto argc = in_.count("invoke argument");
         if (!argc.ok()) return argc.error();
+        reserve(inv.args, argc.value(), kMinStringBytes);
         for (std::size_t i = 0; i < argc.value(); ++i) {
           auto a = str();
           if (!a.ok()) return a.error();
@@ -701,18 +728,21 @@ util::Result<Archive> read_archive_file(const std::filesystem::path& path) {
   return read_archive(bytes.value());
 }
 
-jir::Program link(const std::vector<Archive>& classpath, std::size_t* duplicates_skipped) {
+jir::Program link(std::vector<Archive> classpath, std::size_t* duplicates_skipped) {
   obs::Span span("jar.link");
   span.attr("archives", static_cast<std::uint64_t>(classpath.size()));
   jir::Program program;
+  std::size_t declared = 0;
+  for (const Archive& archive : classpath) declared += archive.classes.size();
+  program.reserve(declared);
   std::size_t skipped = 0;
-  for (const Archive& archive : classpath) {
-    for (const jir::ClassDecl& cls : archive.classes) {
+  for (Archive& archive : classpath) {
+    for (jir::ClassDecl& cls : archive.classes) {
       if (program.find_class(cls.name) != nullptr) {
         ++skipped;  // classpath order: first definition wins
         continue;
       }
-      program.add_class(cls);
+      program.add_class(std::move(cls));
     }
   }
   if (duplicates_skipped != nullptr) *duplicates_skipped = skipped;

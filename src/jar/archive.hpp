@@ -72,7 +72,8 @@ util::Result<Archive> read_archive_file(const std::filesystem::path& path);
 /// Links archives into one closed-world Program, classpath style: when two
 /// archives define the same class, the first archive on the path wins.
 /// Returns the number of duplicate classes skipped via `duplicates_skipped`
-/// when non-null.
-jir::Program link(const std::vector<Archive>& classpath, std::size_t* duplicates_skipped = nullptr);
+/// when non-null. Each linked class is moved out of `classpath`; pass it with
+/// std::move unless the caller keeps its archives (then they are copied).
+jir::Program link(std::vector<Archive> classpath, std::size_t* duplicates_skipped = nullptr);
 
 }  // namespace tabby::jar

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -80,6 +82,9 @@ class Program {
   /// std::invalid_argument) — archives must be deduplicated by the loader.
   std::uint32_t add_class(ClassDecl cls);
 
+  /// Pre-sizes the class list and name index for `classes` classes.
+  void reserve(std::size_t classes);
+
   const std::vector<ClassDecl>& classes() const { return classes_; }
   std::size_t class_count() const { return classes_.size(); }
   std::size_t method_count() const;
@@ -96,8 +101,9 @@ class Program {
   std::optional<MethodId> find_method(std::string_view owner, std::string_view name,
                                       int nargs) const;
 
-  /// JVM-style resolution: search `owner`, then superclasses, then
-  /// superinterfaces (breadth-first). Returns the declaring method.
+  /// JVM-style resolution: search `owner`, then its supertypes breadth-first,
+  /// each class's superclass queued ahead of its interfaces. Returns the
+  /// first declaration reached; absent classes end their path.
   std::optional<MethodId> resolve_method(std::string_view owner, std::string_view name,
                                          int nargs) const;
 
@@ -105,8 +111,16 @@ class Program {
   std::vector<MethodId> all_methods() const;
 
  private:
+  /// Lets by_name_ answer a string_view without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<ClassDecl> classes_;
-  std::unordered_map<std::string, std::uint32_t> by_name_;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>> by_name_;
 };
 
 }  // namespace tabby::jir

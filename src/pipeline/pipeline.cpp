@@ -163,7 +163,7 @@ util::Result<jir::Program> load_program(std::vector<ArchiveRead> files, bool wit
     // entirely garbage — when nothing survives, the load fails like strict.
     return *first_loss;
   }
-  return jar::link(classpath);
+  return jar::link(std::move(classpath));
 }
 
 util::Status freeze(const graph::GraphDb& db, std::uint64_t content_key, Outcome& outcome,

@@ -90,17 +90,21 @@ TEST(Domain, CalcFollowsFigure5) {
   action.set("return", Origin::param_origin(2));
   action.set("this", Origin::unknown());
 
-  // in (Fig. 5(d)).
-  InWeights in{{"this", kUncontrollable},
-               {"init-param-1", kUncontrollable},
-               {"init-param-2", 2}};
+  // in (Fig. 5(d)) is the call site's PP: the static receiver, then a and b.
+  PollutedPosition pp{kUncontrollable, kUncontrollable, 2};
 
-  auto out = calc(action, in);
-  EXPECT_EQ(out.at("this"), kUncontrollable);
-  EXPECT_EQ(out.at("final-param-1"), kUncontrollable);
-  EXPECT_EQ(out.at("final-param-1.b"), 2);
-  EXPECT_EQ(out.at("final-param-2"), kUncontrollable);
-  EXPECT_EQ(out.at("return"), 2);
+  auto out = [&](const std::string& key) { return calc(action.entries.at(key), pp); };
+  EXPECT_EQ(out("this"), kUncontrollable);
+  EXPECT_EQ(out("final-param-1"), kUncontrollable);
+  EXPECT_EQ(out("final-param-1.b"), 2);
+  EXPECT_EQ(out("final-param-2"), kUncontrollable);
+  EXPECT_EQ(out("return"), 2);
+
+  // An input the call site does not pass weighs ∞; a field weighs its base.
+  EXPECT_EQ(calc(Origin::param_origin(3), pp), kUncontrollable);
+  EXPECT_EQ(calc(Origin::param_origin(0), pp), kUncontrollable);
+  EXPECT_EQ(calc(Origin::this_origin("f"), PollutedPosition{0, 1}), 0);
+  EXPECT_EQ(calc(Origin::param_origin(1, "f"), PollutedPosition{0, 1}), 1);
 }
 
 TEST(Domain, PpHelpers) {
@@ -323,6 +327,54 @@ TEST(TableIV, CalleeCanDestroyArgumentControllability) {
   EXPECT_EQ(summary_of(a, "t.C", "m", 1).action.entries.at("return"), Origin::unknown());
 }
 
+// Variables whose names share a prefix ("a" and "ab") keep separate field
+// entries: a rebind or a copy of "a" touches "a.*" and never "ab.*".
+TEST(TableIV, RebindDropsOnlyTheVariablesOwnFields) {
+  jir::ProgramBuilder pb;
+  auto cls = pb.add_class("t.C");
+  cls.method("m")
+      .param("t.X")
+      .param("t.X")
+      .returns("void")
+      .assign("a", "@p1")
+      .assign("ab", "@p1")
+      .field_store("a", "f", "@p2")
+      .field_store("ab", "f", "@p2")
+      .new_object("a", "t.X")
+      .field_load("r1", "a", "f")
+      .field_load("r2", "ab", "f")
+      .field_store("@this", "g1", "r1")
+      .field_store("@this", "g2", "r2")
+      .ret();
+  Analyzed a = analyze(pb);
+  const Action& action = summary_of(a, "t.C", "m", 2).action;
+  EXPECT_FALSE(is_controllable(action.entries.at("this.g1").weight()));  // a.f dropped
+  EXPECT_EQ(action.entries.at("this.g2"), Origin::param_origin(2));     // ab.f kept
+}
+
+TEST(TableIV, CopyTakesOnlyTheSourcesOwnFields) {
+  jir::ProgramBuilder pb;
+  auto cls = pb.add_class("t.C");
+  cls.method("m")
+      .param("t.X")
+      .param("t.X")
+      .returns("void")
+      .assign("a", "@p1")
+      .assign("ab", "@p1")
+      .field_store("a", "f", "@p2")
+      .field_store("ab", "g", "@p2")
+      .assign("x", "a")
+      .field_load("r1", "x", "f")
+      .field_load("r2", "x", "g")
+      .field_store("@this", "g1", "r1")
+      .field_store("@this", "g2", "r2")
+      .ret();
+  Analyzed a = analyze(pb);
+  const Action& action = summary_of(a, "t.C", "m", 2).action;
+  EXPECT_EQ(action.entries.at("this.g1"), Origin::param_origin(2));       // a.f copied
+  EXPECT_EQ(action.entries.at("this.g2"), Origin::param_origin(1, "g"));  // ab.g not copied
+}
+
 // --- Control flow ------------------------------------------------------------
 
 TEST(ControlFlow, JoinMergesOptimistically) {
@@ -483,6 +535,60 @@ TEST(Interprocedural, PpRecordedPerCallSite) {
   EXPECT_EQ(sites[0].pp, (PollutedPosition{0, 1}));
   EXPECT_EQ(sites[1].pp, (PollutedPosition{0, 0}));
   EXPECT_EQ(sites[2].pp, (PollutedPosition{0, kUncontrollable}));
+}
+
+/// The Action of `cls#name/nargs`, demanded serially and computed by a
+/// precompute() wave schedule, which must agree.
+std::string action_both_ways(jir::ProgramBuilder& pb, AnalysisOptions options,
+                             std::string_view cls, std::string_view name, int nargs) {
+  Analyzed serial = analyze(pb, options);
+  std::string demanded = summary_of(serial, cls, name, nargs).action.to_string();
+  ControllabilityAnalysis waves(serial.program, *serial.hierarchy, options);
+  waves.precompute(nullptr);
+  auto id = serial.program.find_method(cls, name, nargs);
+  EXPECT_EQ(waves.cached_summary(*id).action.to_string(), demanded);
+  return demanded;
+}
+
+TEST(Interprocedural, SelfRecursiveActionIsStable) {
+  jir::ProgramBuilder pb;
+  auto cls = pb.add_class("t.C");
+  cls.method("rec")
+      .set_static()
+      .param("t.X")
+      .param("t.X")
+      .returns("t.X")
+      .field_store("@p1", "f", "@p2")
+      .invoke_static("r", "t.C", "rec", {"@p2", "@p1"})
+      .ret("r");
+  EXPECT_EQ(action_both_ways(pb, {}, "t.C", "rec", 2),
+            "{final-param-1: init-param-1, final-param-1.f: init-param-2, "
+            "final-param-2: init-param-2, return: null, this: null}");
+}
+
+TEST(Interprocedural, BodylessCalleeActionIsStable) {
+  for (bool permissive : {false, true}) {
+    SCOPED_TRACE(permissive ? "permissive" : "conservative");
+    jir::ProgramBuilder pb;
+    auto iface = pb.add_interface("t.I");
+    iface.method("get").param("t.X").returns("t.X").set_abstract();
+    auto cls = pb.add_class("t.C");
+    cls.method("m")
+        .param("t.I")
+        .param("t.X")
+        .returns("t.X")
+        .invoke_interface("r", "@p1", "t.I", "get", {"@p2"})
+        .field_store("@this", "g", "r")
+        .invoke_static("s", "ghost.Lib", "make", {"@p2", "@this"})
+        .ret("s");
+    AnalysisOptions options;
+    options.unknown_return_controllable = permissive;
+    EXPECT_EQ(action_both_ways(pb, options, "t.C", "m", 2),
+              permissive ? "{final-param-1: init-param-1, final-param-2: init-param-2, "
+                           "return: this, this: this, this.g: init-param-1}"
+                         : "{final-param-1: init-param-1, final-param-2: init-param-2, "
+                           "return: null, this: this, this.g: null}");
+  }
 }
 
 TEST(Interprocedural, AbstractMethodGetsIdentityAction) {

@@ -218,10 +218,70 @@ TEST(FrozenGraph, SaveMapFileAndFromBytesRoundTrip) {
   fs::remove(path);
 }
 
+/// Hand-built adjacency shapes that a per-node bucketing of edges gets wrong
+/// first: no edges at all, self-loops, one node's out- and in-edges of three
+/// types arriving interleaved, and nodes that only receive edges.
+std::vector<std::pair<std::string, graph::GraphDb>> adjacency_edge_cases() {
+  std::vector<std::pair<std::string, graph::GraphDb>> cases;
+  cases.emplace_back("empty", graph::GraphDb{});
+  {
+    graph::GraphDb db;
+    for (int i = 0; i < 5; ++i) db.add_node(i % 2 == 0 ? "Method" : "Class");
+    cases.emplace_back("edgeless", std::move(db));
+  }
+  {
+    graph::GraphDb db;
+    auto a = db.add_node("Method");
+    auto b = db.add_node("Method");
+    db.add_edge(a, a, "CALL");
+    db.add_edge(a, b, "ALIAS");
+    db.add_edge(a, a, "ALIAS");
+    db.add_edge(b, b, "CALL");
+    db.add_edge(a, a, "CALL", {{"W", graph::Value{std::int64_t{3}}}});
+    cases.emplace_back("self-loops", std::move(db));
+  }
+  {
+    graph::GraphDb db;
+    auto hub = db.add_node("Method");
+    auto x = db.add_node("Class");
+    auto y = db.add_node("Method");
+    const char* types[] = {"HAS", "CALL", "ALIAS"};
+    for (int k = 0; k < 12; ++k) {
+      const char* type = types[(k * 7) % 3];
+      if (k % 2 == 0) {
+        db.add_edge(hub, k % 4 == 0 ? x : y, type);
+      } else {
+        db.add_edge(k % 3 == 0 ? y : x, hub, type);
+      }
+    }
+    cases.emplace_back("interleaved-types", std::move(db));
+  }
+  {
+    graph::GraphDb db;
+    auto src = db.add_node("Method");
+    auto sink1 = db.add_node("Method");
+    auto sink2 = db.add_node("Class");
+    db.add_node("Class");  // isolated between receivers
+    auto sink3 = db.add_node("Method");
+    db.add_edge(src, sink3, "CALL");
+    db.add_edge(src, sink1, "CALL");
+    db.add_edge(src, sink2, "HAS");
+    db.add_edge(src, sink1, "ALIAS");
+    db.add_edge(src, sink3, "CALL");
+    cases.emplace_back("in-edges-only", std::move(db));
+  }
+  return cases;
+}
+
 TEST(FrozenGraph, EquivalenceFuzz) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     graph::GraphDb db = random_graph(seed);
+    graph::FrozenGraph fg = testing::freeze(db);
+    expect_equivalent(db, fg);
+  }
+  for (const auto& [name, db] : adjacency_edge_cases()) {
+    SCOPED_TRACE(name);
     graph::FrozenGraph fg = testing::freeze(db);
     expect_equivalent(db, fg);
   }

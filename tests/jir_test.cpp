@@ -146,6 +146,88 @@ TEST(Program, FindAndResolveMethods) {
   EXPECT_FALSE(p.resolve_method("demo.Derived", "nope", 0).has_value());
 }
 
+/// The declaring class of `owner#name/nargs` after resolution, or "" when it
+/// does not resolve.
+std::string resolved_owner(const Program& p, std::string_view owner, std::string_view name,
+                           int nargs) {
+  auto id = p.resolve_method(owner, name, nargs);
+  return id ? p.class_of(*id).name : std::string();
+}
+
+TEST(Program, ResolveSearchesTheSuperclassBeforeInterfaces) {
+  ProgramBuilder pb;
+  auto iface = pb.add_interface("t.I");
+  iface.method("m").returns("void").set_abstract();
+  auto base = pb.add_class("t.B");
+  base.method("m").returns("void").ret();
+  auto cls = pb.add_class("t.C");
+  cls.extends("t.B").implements("t.I");
+  auto derived = pb.add_class("t.D");
+  derived.extends("t.C");
+  Program p = pb.build();
+
+  // At each level the superclass is queued ahead of the interfaces.
+  EXPECT_EQ(resolved_owner(p, "t.C", "m", 0), "t.B");
+  EXPECT_EQ(resolved_owner(p, "t.D", "m", 0), "t.B");
+  // The owner itself is tried first, and the arity must match.
+  EXPECT_EQ(resolved_owner(p, "t.I", "m", 0), "t.I");
+  EXPECT_EQ(resolved_owner(p, "t.C", "m", 1), "");
+}
+
+TEST(Program, ResolveTakesTheFirstDeclarationTheBreadthFirstWalkReaches) {
+  ProgramBuilder pb;
+  auto root = pb.add_interface("t.I0");
+  root.method("m").returns("void").set_abstract();
+  root.method("n").returns("void").set_abstract();
+  auto left = pb.add_interface("t.I1");
+  left.implements("t.I0");
+  auto right = pb.add_interface("t.I2");
+  right.implements("t.I0");
+  right.method("m").returns("void").set_abstract();
+  auto deep = pb.add_class("t.Deep");
+  deep.method("m").returns("void").ret();
+  auto mid = pb.add_class("t.Mid");
+  mid.extends("t.Deep");
+  auto cls = pb.add_class("t.C");
+  cls.extends("t.Mid").implements("t.I1").implements("t.I2");
+  Program p = pb.build();
+
+  // Level 1 is t.Mid, t.I1, t.I2: t.I2's declaration is reached before
+  // t.Deep's (level 2), and before t.I0's through either side of the diamond.
+  EXPECT_EQ(resolved_owner(p, "t.C", "m", 0), "t.I2");
+  // Nothing on level 1 declares n; both diamond sides lead to the one t.I0.
+  EXPECT_EQ(resolved_owner(p, "t.C", "n", 0), "t.I0");
+  EXPECT_EQ(resolved_owner(p, "t.I1", "m", 0), "t.I0");
+}
+
+TEST(Program, ResolveTerminatesOnCyclicSupertypes) {
+  ProgramBuilder pb;
+  auto a = pb.add_class("t.A");
+  a.extends("t.B").implements("t.A");
+  auto b = pb.add_class("t.B");
+  b.extends("t.A");
+  b.method("m").returns("void").ret();
+  Program p = pb.build();
+
+  EXPECT_EQ(resolved_owner(p, "t.A", "m", 0), "t.B");
+  EXPECT_EQ(resolved_owner(p, "t.A", "nope", 0), "");
+  EXPECT_EQ(resolved_owner(p, "t.B", "nope", 0), "");
+}
+
+TEST(Program, ResolveThroughAbsentClassesFindsNothing) {
+  ProgramBuilder pb;
+  auto cls = pb.add_class("t.C");
+  cls.extends("ghost.Base").implements("ghost.Iface");
+  cls.method("own").returns("void").ret();
+  Program p = pb.build();
+
+  // An absent owner resolves nothing, not even a method some class declares.
+  EXPECT_EQ(resolved_owner(p, "ghost.Owner", "own", 0), "");
+  // A method declared only on an absent supertype does not resolve.
+  EXPECT_EQ(resolved_owner(p, "t.C", "inherited", 0), "");
+  EXPECT_EQ(resolved_owner(p, "t.C", "own", 0), "t.C");
+}
+
 TEST(Program, AllMethodsDeterministicOrder) {
   ProgramBuilder pb;
   auto a = pb.add_class("demo.A");

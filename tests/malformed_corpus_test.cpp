@@ -203,6 +203,46 @@ TEST_F(MalformedCorpusFixture, CliExitCodesFollowTheTaxonomy) {
   }
 }
 
+TEST_F(MalformedCorpusFixture, LyingStatementCountIsOneClassDecodeQuarantine) {
+  // The archive's last record is a method with an empty body; its statement
+  // count is raised to the largest the reader accepts, every byte left, and
+  // those bytes hold no statement (0xFF is no opcode).
+  jar::Archive archive = corpus::build_component("BeanShell1").jar;
+  jir::ClassDecl liar;
+  liar.name = "t.Liar";
+  liar.super = "java.lang.Object";
+  liar.methods.emplace_back().name = "m";
+  archive.classes.push_back(std::move(liar));
+  std::vector<std::byte> bytes = jar::write_archive(archive);
+  ASSERT_EQ(bytes.back(), std::byte{0});  // t.Liar#m's statement count
+  bytes.pop_back();
+  constexpr std::uint64_t kLeft = 1 << 16;
+  for (std::uint64_t v = kLeft; v != 0; v >>= 7) {
+    bytes.push_back(std::byte(static_cast<std::uint8_t>((v & 0x7F) | (v >= 0x80 ? 0x80 : 0))));
+  }
+  bytes.insert(bytes.end(), kLeft, std::byte{0xFF});
+
+  jar::DecodeDegradation degradation;
+  jar::Archive salvaged = jar::read_archive_salvage(bytes, degradation);
+  ASSERT_TRUE(degradation.error.has_value());
+  EXPECT_NE(degradation.error->message.find("opcode"), std::string::npos)
+      << degradation.error->message;
+  EXPECT_EQ(salvaged.classes.size(), archive.classes.size() - 1);
+  EXPECT_EQ(degradation.classes_dropped, 1u);
+
+  CliRun run = run_cli_capture({"analyze", write("liar.tjar", bytes)});
+  EXPECT_EQ(run.code, 3) << run.err;
+  EXPECT_EQ(run.err.find("bad_alloc"), std::string::npos) << run.err;
+  const std::string class_decode = "degraded: [class-decode] ";
+  std::size_t degraded_lines = 0;
+  for (std::size_t at = run.err.find("degraded: "); at != std::string::npos;
+       at = run.err.find("degraded: ", at + 1)) {
+    ++degraded_lines;
+    EXPECT_EQ(run.err.compare(at, class_decode.size(), class_decode), 0) << run.err;
+  }
+  EXPECT_EQ(degraded_lines, 1u) << run.err;
+}
+
 TEST_F(MalformedCorpusFixture, SurvivingChainsAreIdenticalAtAnyJobCount) {
   // A classpath with one bit-flipped and one truncated member: the salvage
   // decision is a pure function of the bytes, so the surviving chains (and
