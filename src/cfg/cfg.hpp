@@ -6,15 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "jir/model.hpp"
-
-namespace tabby::util {
-class Executor;
-}
 
 namespace tabby::cfg {
 
@@ -63,13 +58,5 @@ class ControlFlowGraph {
   const jir::Method* method_;
   std::vector<BasicBlock> blocks_;
 };
-
-/// Builds the CFG of every method, indexed like Program::all_methods().
-/// Bodyless (abstract/native) methods yield nullopt. Construction is
-/// independent per method, so with an executor the loop fans out across
-/// workers; the result is identical either way (each CFG is a pure function
-/// of its method body). The Program must outlive the returned graphs.
-std::vector<std::optional<ControlFlowGraph>> build_graphs(const jir::Program& program,
-                                                          util::Executor* executor = nullptr);
 
 }  // namespace tabby::cfg
