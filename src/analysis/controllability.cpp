@@ -14,10 +14,13 @@
 
 namespace tabby::analysis {
 
+/// Fixpoint bound per method CFG; loops converge in 2-3 rounds in practice.
+constexpr int kMaxBlockIterations = 8;
+
 std::uint64_t options_fingerprint(const AnalysisOptions& options) {
   util::Fnv1a h;
   h.update("analysis-options-v1");
-  h.update_u64(static_cast<std::uint64_t>(options.max_block_iterations));
+  h.update_u64(kMaxBlockIterations);
   h.update_bool(options.interprocedural);
   h.update_bool(options.unknown_return_controllable);
   return h.digest();
@@ -385,7 +388,7 @@ MethodSummary compute_summary(const LoweredBody& body, ActionProvider& provider,
     auto has_in = [&in_states](cfg::BlockId block) { return !in_states[block].vars.empty(); };
     in_states[graph.entry()] = entry_state(method, body.slots);
     LocalMap state;
-    for (int round = 0; round < options.max_block_iterations; ++round) {
+    for (int round = 0; round < kMaxBlockIterations; ++round) {
       bool changed = false;
       for (cfg::BlockId block_id : order) {
         if (!has_in(block_id)) continue;
@@ -475,10 +478,9 @@ void append_field_names(const jir::Method& method, std::vector<std::string_view>
 }  // namespace
 
 ControllabilityAnalysis::ControllabilityAnalysis(const jir::Program& program,
-                                                 const jir::Hierarchy& hierarchy,
+                                                 const jir::Hierarchy& /*hierarchy*/,
                                                  AnalysisOptions options)
     : program_(&program),
-      hierarchy_(&hierarchy),
       options_(options),
       class_offset_(program.class_count() + 1, 0),
       methods_(program.all_methods()),
@@ -502,7 +504,6 @@ const MethodSummary& ControllabilityAnalysis::summary_at(std::uint32_t index) {
   switch (states_[index]) {
     case State::Done:
     case State::Bottom:
-      ++cache_hits_;
       return summaries_[index];
     case State::InProgress: {
       // Recursive cycle: bottom out at the identity summary. Stored so the

@@ -22,8 +22,6 @@ class Executor;
 namespace tabby::analysis {
 
 struct AnalysisOptions {
-  /// Fixpoint bound per method CFG; loops converge in 2-3 rounds in practice.
-  int max_block_iterations = 8;
   /// When false, bodies of callees are ignored and every call uses the
   /// identity summary — the imprecise mode the paper attributes to
   /// GadgetInspector/Serianalyzer ("default to it not changing"). Ablation
@@ -76,7 +74,8 @@ class ControllabilityAnalysis {
  public:
   /// Numbers the program's methods. Its field names are numbered before the
   /// first summary is computed, from the whole program, so the ids are the
-  /// same whichever path computes a summary.
+  /// same whichever path computes a summary. Calls resolve against the
+  /// program alone; the hierarchy is not read.
   ControllabilityAnalysis(const jir::Program& program, const jir::Hierarchy& hierarchy,
                           AnalysisOptions options = {});
   ~ControllabilityAnalysis();
@@ -107,11 +106,8 @@ class ControllabilityAnalysis {
   /// The names behind every FieldId in this analysis's summaries.
   const FieldNames& field_names() const { return fields_; }
 
-  const AnalysisOptions& options() const { return options_; }
-  const jir::Program& program() const { return *program_; }
-
+  /// Summaries computed so far (each method at most once).
   std::size_t analyzed_count() const { return analyzed_; }
-  std::size_t cache_hits() const { return cache_hits_; }
 
  private:
   /// Where a method's summary stands in summaries_.
@@ -128,7 +124,6 @@ class ControllabilityAnalysis {
   void name_fields(util::Executor* executor);
 
   const jir::Program* program_;
-  const jir::Hierarchy* hierarchy_;
   AnalysisOptions options_;
   FieldNames fields_;
   bool fields_named_ = false;
@@ -138,7 +133,6 @@ class ControllabilityAnalysis {
   std::vector<State> states_;                // by dense index
   std::vector<std::vector<Call>> calls_;     // resolved ahead by precompute(), until lowered
   std::size_t analyzed_ = 0;
-  std::size_t cache_hits_ = 0;
   PrecomputeStats precompute_stats_;
 };
 

@@ -76,8 +76,6 @@ struct Origin {
     return Origin{Kind::Param, index_1_based, field};
   }
 
-  bool is_unknown() const { return kind == Kind::Unknown; }
-
   /// Table V weight of this origin.
   Weight weight() const {
     switch (kind) {

@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "cpg/schema.hpp"
+#include "cpg/sinks.hpp"
 #include "obs/obs.hpp"
 #include "util/digest.hpp"
 #include "util/thread_pool.hpp"
@@ -41,7 +42,7 @@ class Builder {
     if (options_.build_alias_edges) {
       // A deadline that fired during the PCG also skips the MAG: the build is
       // already degraded, and alias BFS over a big hierarchy is not free.
-      if (!options_.deadline.unlimited() && options_.deadline.expired()) {
+      if (options_.deadline.expired()) {
         deadline_hit_ = true;
       } else {
         TABBY_SPAN("cpg.mag");
@@ -147,10 +148,9 @@ class Builder {
 
     const jir::ClassDecl* decl = program_.find_class(name);
     PropertyMap props;
-    props.reserve(2 + (options_.jar_name.empty() ? 0 : 1) + (decl != nullptr ? 4 : 0));
+    props.reserve(2 + (decl != nullptr ? 4 : 0));
     props[std::string(kPropName)] = name;
     props[std::string(kPropPhantom)] = decl == nullptr;
-    if (!options_.jar_name.empty()) props[std::string(kPropJar)] = options_.jar_name;
     if (decl != nullptr) {
       props[std::string(kPropInterface)] = decl->is_interface;
       props[std::string(kPropAbstractClass)] = decl->mods.is_abstract;
@@ -195,7 +195,7 @@ class Builder {
   NodeId make_method_node(const std::string& owner, const std::string& name, int nargs,
                           bool phantom, bool is_static, bool is_abstract, bool has_body,
                           bool source_eligible) {
-    const SinkSpec* sink = options_.sinks.match(owner, name);
+    const SinkSpec* sink = SinkRegistry::table().match(owner, name);
     PropertyMap props;
     props.reserve(9 + (sink != nullptr ? 2 : 0) + (has_body ? 1 : 0));
     props[std::string(kPropName)] = name;
@@ -206,7 +206,7 @@ class Builder {
     props[std::string(kPropAbstract)] = is_abstract;
     props[std::string(kPropPhantom)] = phantom;
 
-    bool is_source = source_eligible && options_.sources.is_source_name(name);
+    bool is_source = source_eligible && SourceRegistry::table().is_source_name(name);
     props[std::string(kPropIsSource)] = is_source;
     if (is_source) ++stats_.source_methods;
 
@@ -259,7 +259,7 @@ class Builder {
     // never move.
     constexpr std::size_t kPayloadBatch = 2048;
     for (std::size_t base = 0; base < methods.size(); base += kPayloadBatch) {
-      if (!options_.deadline.unlimited() && options_.deadline.expired()) {
+      if (options_.deadline.expired()) {
         deadline_hit_ = true;
         methods_skipped_ += methods.size() - base;
         break;
@@ -433,18 +433,22 @@ std::uint64_t options_fingerprint(const CpgOptions& options) {
   h.update_bool(options.prune_uncontrollable_calls);
   h.update_bool(options.build_alias_edges);
   h.update_bool(options.alias_superclass_only);
-  h.update_sized(options.jar_name);
+  // The key format folds an empty string here; changing it would change
+  // every snapshot key.
+  h.update_sized("");
   h.update_u64(analysis::options_fingerprint(options.analysis));
-  h.update_u64(options.sinks.size());
-  for (const SinkSpec& sink : options.sinks.all()) {
+  const SinkRegistry& sinks = SinkRegistry::table();
+  h.update_u64(sinks.size());
+  for (const SinkSpec& sink : sinks.all()) {
     h.update_sized(sink.owner);
     h.update_sized(sink.name);
     h.update_sized(sink.type);
     h.update_u64(sink.trigger.size());
     for (int pos : sink.trigger) h.update_u64(static_cast<std::uint64_t>(pos));
   }
-  h.update_u64(options.sources.names().size());
-  for (const std::string& name : options.sources.names()) h.update_sized(name);
+  const std::vector<std::string>& sources = SourceRegistry::table().names();
+  h.update_u64(sources.size());
+  for (const std::string& name : sources) h.update_sized(name);
   return h.digest();
 }
 

@@ -6,10 +6,7 @@
 // deserialization sources.
 #pragma once
 
-#include <string>
-
 #include "analysis/controllability.hpp"
-#include "cpg/sinks.hpp"
 #include "graph/graph.hpp"
 #include "jir/hierarchy.hpp"
 #include "jir/model.hpp"
@@ -33,8 +30,6 @@ struct CpgOptions {
   /// "incomplete handling of Java polymorphism" the paper attributes to
   /// GadgetInspector (§IV-F). Used by the baseline tools.
   bool alias_superclass_only = false;
-  /// Jar/archive name recorded on class nodes (provenance).
-  std::string jar_name;
 
   /// When set (and offering >1 worker), the side-effect-free stages fan out
   /// across it: controllability summaries (SCC waves), per-method call/alias
@@ -53,8 +48,6 @@ struct CpgOptions {
   util::Deadline deadline;
 
   analysis::AnalysisOptions analysis;
-  SinkRegistry sinks = SinkRegistry::defaults();
-  SourceRegistry sources = SourceRegistry::defaults();
 };
 
 struct CpgStats {
@@ -88,13 +81,14 @@ struct Cpg {
   std::size_t methods_skipped = 0; // methods left unsummarised by the cut
 };
 
-/// Builds the full CPG for a linked program.
+/// Builds the full CPG for a linked program, marking sinks and sources from
+/// SinkRegistry::table() and SourceRegistry::table().
 Cpg build_cpg(const jir::Program& program, const CpgOptions& options = {});
 
 /// Stable digest of every CpgOptions field that can change the built graph
-/// (flags, jar name, analysis options, sink/source registries). Part of the
-/// incremental cache's snapshot key: two runs share a snapshot only if they
-/// would build the identical CPG.
+/// (flags and analysis options), folded with the sink and source tables.
+/// Part of the incremental cache's snapshot key: two runs share a snapshot
+/// only if they would build the identical CPG.
 std::uint64_t options_fingerprint(const CpgOptions& options);
 
 }  // namespace tabby::cpg

@@ -29,7 +29,6 @@ inline constexpr std::string_view kPropInterface = "IS_INTERFACE";
 inline constexpr std::string_view kPropSerializable = "IS_SERIALIZABLE";
 inline constexpr std::string_view kPropAbstractClass = "IS_ABSTRACT";
 inline constexpr std::string_view kPropSuper = "SUPER";
-inline constexpr std::string_view kPropJar = "JAR";
 
 // Method node properties.
 inline constexpr std::string_view kPropClassName = "CLASSNAME";

@@ -25,10 +25,9 @@ class SinkRegistry {
  public:
   /// The paper's 38 sink methods (Table VII plus the published full list's
   /// categories reconstructed from the text: lookup/getConnection/invoke are
-  /// named in §IV-D3).
-  static SinkRegistry defaults();
-
-  void add(SinkSpec spec);
+  /// named in §IV-D3). One table per process, built on first use; the CPG
+  /// builder and the VM both read it.
+  static const SinkRegistry& table();
 
   /// Match by declaring class + method name (arity-insensitive, as the
   /// paper's table lists no arities).
@@ -38,16 +37,17 @@ class SinkRegistry {
   std::size_t size() const { return sinks_.size(); }
 
  private:
+  void add(SinkSpec spec);
+
   std::vector<SinkSpec> sinks_;
   std::unordered_map<std::string, std::size_t> by_key_;
 };
 
 class SourceRegistry {
  public:
-  /// readObject/readExternal/readResolve/validateObject/finalize overrides.
-  static SourceRegistry defaults();
-
-  void add(std::string method_name);
+  /// readObject/readExternal/readResolve/validateObject/readObjectNoData/
+  /// finalize overrides. One table per process, like SinkRegistry::table().
+  static const SourceRegistry& table();
 
   /// True if a method with this name, declared with a body in a serializable
   /// class, is a deserialization source.

@@ -144,7 +144,7 @@ std::string GadgetChain::key() const {
 GadgetChainFinder::GadgetChainFinder(const graph::FrozenGraph& cpg, FinderOptions options)
     : cpg_(&cpg), options_(options) {}
 
-FinderReport GadgetChainFinder::find_all() {
+FinderReport GadgetChainFinder::find_all() const {
   obs::Span span("finder.find_all");
   util::Stopwatch watch;
   FinderReport report;
@@ -200,9 +200,6 @@ FinderReport GadgetChainFinder::find_all() {
                                                  search.expansions, search.reason(),
                                                  std::move(search.worker_error)});
     }
-    last_expansions_ = search.expansions;
-    last_exhausted_ = search.exhausted;
-    last_partial_ = search.partial();
   }
   report.search_seconds = watch.elapsed_seconds();
   obs::counter_add("finder.chains_found", report.chains.size());
@@ -222,24 +219,6 @@ FinderReport GadgetChainFinder::find_all() {
     }
   }
   return report;
-}
-
-std::vector<GadgetChain> GadgetChainFinder::find_from_sink(graph::NodeId sink) {
-  // A single-sink search owns the whole pool.
-  SinkSearch search = search_sink(sink, shard_cap(1));
-  last_expansions_ = search.expansions;
-  last_exhausted_ = search.exhausted;
-  last_partial_ = search.partial();
-  return std::move(search.chains);
-}
-
-std::vector<GadgetChain> GadgetChainFinder::find_from_sink(
-    graph::NodeId sink, const std::function<bool(graph::NodeId)>& is_source) {
-  SinkSearch search = search_sink(sink, shard_cap(1), &is_source);
-  last_expansions_ = search.expansions;
-  last_exhausted_ = search.exhausted;
-  last_partial_ = search.partial();
-  return std::move(search.chains);
 }
 
 std::string GadgetChainFinder::encode_sink_search(const SinkSearch& search) {
@@ -334,9 +313,8 @@ std::size_t GadgetChainFinder::shard_cap(std::size_t sink_count) const {
   return std::max(slice, kMinShardBytes);
 }
 
-GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
-    graph::NodeId sink, std::size_t frontier_cap,
-    const std::function<bool(graph::NodeId)>* is_source) const {
+GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(graph::NodeId sink,
+                                                             std::size_t frontier_cap) const {
   const graph::FrozenGraph& g = *cpg_;
   // Resolve every column and type id once per shard; the hot loop then only
   // touches flat arrays.
@@ -409,7 +387,7 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
         steps.push_back(graph::Step<TcTable::Id>{eid, caller, tcs.intern(next)});
       }
     }
-    if (options_.use_alias_edges && alias_type.has_value()) {
+    if (alias_type.has_value()) {
       // Forward only (override -> overridden declaration): callers invoke
       // the declared supertype method, so walking up the alias chain exposes
       // their CALL edges. Walking ALIAS edges in reverse would fabricate
@@ -431,11 +409,8 @@ GadgetChainFinder::SinkSearch GadgetChainFinder::search_sink(
   // straight off the column bitmap); prune at max depth.
   auto evaluate = [&, this](const graph::FrozenGraph&, const Path& path,
                             const TcTable::Id&) -> graph::Evaluation {
-    if (path.length() > 0) {
-      NodeId n = path.end();
-      bool source = is_source != nullptr ? (*is_source)(n)
-                                         : source_col != nullptr && source_col->get_bool(n);
-      if (source) return graph::Evaluation::IncludeAndPrune;
+    if (path.length() > 0 && source_col != nullptr && source_col->get_bool(path.end())) {
+      return graph::Evaluation::IncludeAndPrune;
     }
     if (static_cast<int>(path.length()) >= options_.max_depth) {
       return graph::Evaluation::ExcludeAndPrune;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,6 @@ struct FinderOptions {
   /// search reaches it keeps the chains found so far and is reported
   /// partial with an ExpansionBudget reason.
   std::size_t max_expansions = 4'000'000;
-  /// Follow ALIAS edges (ablation: off breaks polymorphic chains).
-  bool use_alias_edges = true;
   /// Also traverse ALIAS edges in reverse (overridden -> override), the way
   /// the paper's Figure 6 example walks C -> C1. Sound dispatch only needs
   /// the forward direction because CALL edges already target the resolved
@@ -160,24 +157,7 @@ class GadgetChainFinder {
 
   /// Search from every sink node in the CPG; chains are deduplicated by
   /// signature sequence.
-  FinderReport find_all();
-
-  /// Search backwards from one sink node.
-  std::vector<GadgetChain> find_from_sink(graph::NodeId sink);
-
-  /// Custom search: user-supplied source predicate (the RQ4 workflow —
-  /// "check for the existence of a gadget chain between any source and sink
-  /// according to their needs"). The predicate is asked about each frontier
-  /// node in place of its IS_SOURCE flag.
-  std::vector<GadgetChain> find_from_sink(graph::NodeId sink,
-                                          const std::function<bool(graph::NodeId)>& is_source);
-
-  const FinderOptions& options() const { return options_; }
-  std::size_t last_expansions() const { return last_expansions_; }
-  bool last_exhausted() const { return last_exhausted_; }
-  /// True when the last find_from_sink() was cut short (deadline, expansion
-  /// budget or memory).
-  bool last_partial() const { return last_partial_; }
+  FinderReport find_all() const;
 
  private:
   /// Result of one sink's traversal, self-contained so sinks can be searched
@@ -209,9 +189,8 @@ class GadgetChainFinder {
   /// adjacency slices and columnar properties (IS_SOURCE bitmap,
   /// Polluted_Position int-list pool) resolved once per sink shard.
   /// `frontier_cap` is this shard's deterministic byte slice (SIZE_MAX =
-  /// ungoverned); a non-null `is_source` replaces the IS_SOURCE column.
-  SinkSearch search_sink(graph::NodeId sink, std::size_t frontier_cap,
-                         const std::function<bool(graph::NodeId)>* is_source = nullptr) const;
+  /// ungoverned).
+  SinkSearch search_sink(graph::NodeId sink, std::size_t frontier_cap) const;
 
   /// The deterministic pool split: pool / sinks, floored so a huge sink
   /// count cannot starve every shard to zero.
@@ -231,9 +210,6 @@ class GadgetChainFinder {
 
   const graph::FrozenGraph* cpg_;
   FinderOptions options_;
-  std::size_t last_expansions_ = 0;
-  bool last_exhausted_ = false;
-  bool last_partial_ = false;
 };
 
 }  // namespace tabby::finder

@@ -192,8 +192,6 @@ VerifyReport verify_chains(const jir::Program& program, const AliasView& aliases
       return v;
     }
     runtime::VmOptions vm;
-    vm.max_steps = options.max_steps_per_chain;
-    vm.max_call_depth = options.max_call_depth;
     vm.deadline = options.deadline;
     return classify(auto_verify(hierarchy, aliases, chains[chain_index], vm));
   };

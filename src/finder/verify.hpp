@@ -62,12 +62,10 @@ std::string verdict_line(const ChainVerdict& verdict);
 std::string degraded_line(const GadgetChain& chain, const ChainVerdict& verdict);
 
 struct VerifyOptions {
-  /// Per-chain VM budgets (each shard gets its own, so one adversarial chain
-  /// cannot starve the rest).
-  std::size_t max_steps_per_chain = 200'000;
-  std::size_t max_call_depth = 128;
   /// Whole-stage wall-clock budget; chains not started before expiry become
-  /// UNCONFIRMED(timeout) without executing.
+  /// UNCONFIRMED(timeout) without executing. Each chain also runs under the
+  /// VM's own step and call-depth budgets (runtime::VmOptions' defaults), so
+  /// one adversarial chain cannot starve the rest.
   util::Deadline deadline;
   /// In-process parallelism (verify_workers == 0): per-chain shards on this
   /// executor, merged in chain order. Borrowed, may be null (serial).

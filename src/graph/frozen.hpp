@@ -1,7 +1,7 @@
 // FrozenGraph: a build-once, immutable CSR freeze of a constructed CPG
 // (docs/GRAPH.md). The append-only GraphDb is only what the builder writes;
-// every reader (finder shards, cypher evaluation, verify, the baselines,
-// the CSV export) reads this, and `analyze --store` writes it:
+// every reader (finder shards, cypher evaluation, verify, the baselines)
+// reads this, and `analyze --store` writes it:
 //
 //   - adjacency is two CSR layouts (out/in): one offset array per direction
 //     plus three parallel flat arrays (neighbor, dense edge index, interned
@@ -118,13 +118,6 @@ class FrozenColumn {
     if (kind_ != FrozenColumnKind::Int) return mixed_int(i, fallback);
     if (!has(i)) return fallback;
     return ints_[i];
-  }
-  double get_real(std::uint64_t i, double fallback = 0.0) const {
-    if (kind_ != FrozenColumnKind::Real || !has(i)) return fallback;
-    double d;
-    std::uint64_t bits = words_[i];
-    __builtin_memcpy(&d, &bits, sizeof d);
-    return d;
   }
   /// Empty for absent entries and non-string values (matches prop_string).
   /// A string inside a Mixed column reads as a view into its serialized

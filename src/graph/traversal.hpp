@@ -148,9 +148,9 @@ class Traverser {
     frontier_bytes_ = 0;
     peak_frontier_bytes_ = 0;
     bytes_charged_ = 0;
-    // An already-expired deadline (e.g. a cancelled run) does no work at
-    // all: the start node is never evaluated, no results are produced.
-    if (!limits_.deadline.unlimited() && limits_.deadline.expired()) {
+    // An already-expired deadline does no work at all: the start node is
+    // never evaluated, no results are produced.
+    if (limits_.deadline.expired()) {
       deadline_expired_ = true;
       return;
     }

@@ -31,15 +31,6 @@ std::vector<std::string> Hierarchy::all_supertypes(std::string_view cls) const {
   return out;
 }
 
-bool Hierarchy::is_subtype_of(std::string_view sub, std::string_view super) const {
-  if (sub == super) return true;
-  if (super == kObjectClass) return true;  // every reference type
-  for (const std::string& s : all_supertypes(sub)) {
-    if (s == super) return true;
-  }
-  return false;
-}
-
 bool Hierarchy::is_serializable(std::string_view cls) const {
   if (cls == kSerializableInterface || cls == kExternalizableInterface) return true;
   for (const std::string& s : all_supertypes(cls)) {

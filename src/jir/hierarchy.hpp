@@ -30,9 +30,6 @@ class Hierarchy {
   /// classes absent from the Program (phantom supertypes), as Soot does.
   std::vector<std::string> all_supertypes(std::string_view cls) const;
 
-  /// True if `sub` == `super` or `super` appears in sub's supertype closure.
-  bool is_subtype_of(std::string_view sub, std::string_view super) const;
-
   /// True if the class transitively implements java.io.Serializable or
   /// java.io.Externalizable.
   bool is_serializable(std::string_view cls) const;

@@ -42,7 +42,6 @@ struct Method {
 
   int nargs() const { return static_cast<int>(params.size()); }
   bool has_body() const { return !mods.is_abstract && !mods.is_native; }
-  MethodRef ref_in(const std::string& owner) const { return MethodRef{owner, name, nargs()}; }
 };
 
 struct ClassDecl {

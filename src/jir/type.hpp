@@ -40,9 +40,5 @@ struct Type {
 Type parse_type(std::string_view text);
 
 inline Type void_type() { return Type{"void", 0}; }
-inline Type int_type() { return Type{"int", 0}; }
-inline Type object_type() { return Type{std::string(kObjectClass), 0}; }
-inline Type string_type() { return Type{std::string(kStringClass), 0}; }
-inline Type ref_type(std::string_view cls) { return Type{std::string(cls), 0}; }
 
 }  // namespace tabby::jir

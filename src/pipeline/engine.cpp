@@ -73,9 +73,7 @@ FindResult Analysis::find(const ExecContext& ctx) const {
   options.executor = executor_;
   // The finder races whatever is left of the request budget, tightened with
   // its own phase budget anchored now, at finder start.
-  util::Deadline deadline = ctx.deadline;
-  deadline.bind(ctx.cancel);
-  options.deadline = deadline.tightened(anchor(ctx.finder_budget));
+  options.deadline = ctx.deadline.tightened(anchor(ctx.finder_budget));
   options.frontier_byte_pool = ctx.frontier_byte_pool;
   options.dist.workers = ctx.workers;
 
@@ -98,9 +96,7 @@ FindResult Analysis::find(const ExecContext& ctx) const {
   // whenever --verify is set.
   if (ctx.verify && outcome_.program.has_value()) {
     finder::VerifyOptions vopts;
-    util::Deadline verify_deadline = ctx.deadline;
-    verify_deadline.bind(ctx.cancel);
-    vopts.deadline = verify_deadline.tightened(anchor(ctx.verify_budget));
+    vopts.deadline = ctx.deadline.tightened(anchor(ctx.verify_budget));
     vopts.executor = executor_;
     vopts.dist.workers = ctx.verify_workers;
     result.verify = finder::verify_chains(*outcome_.program, finder::AliasView(outcome_.frozen),
@@ -176,8 +172,6 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
                                        const ExecContext& ctx, const OpenOptions& opts) try {
   obs::Span span("engine.open");
   obs::counter_add("engine.opens");
-  util::Deadline deadline = ctx.deadline;
-  deadline.bind(ctx.cancel);
 
   // The one read of the classpath: its digests key the resident and
   // snapshot lookups, and on a miss its bytes feed the loader. An
@@ -187,7 +181,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
   std::vector<ArchiveRead> files = read_classpath(jar_paths);
   const std::optional<std::uint64_t> key = key_of(files, options_.with_jdk);
   // The load budget bounds what follows the read, which every open pays.
-  const util::Deadline load_deadline = deadline.tightened(anchor(ctx.load_budget));
+  const util::Deadline load_deadline = ctx.deadline.tightened(anchor(ctx.load_budget));
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -259,7 +253,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       auto program = load_program(std::move(files), options_.with_jdk, pool_.get(), ctx.policy,
                                   &outcome.degradation, load_deadline);
       if (!program.ok()) return program.error();
-      if (!outcome.warm && deadline.expired()) {
+      if (!outcome.warm && ctx.deadline.expired()) {
         // A deadline that fires before the build leaves an empty CPG;
         // freezing it keeps find and query valid on the degraded outcome.
         if (ctx.policy != FailurePolicy::kQuarantine) {
@@ -271,7 +265,7 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
       } else if (!outcome.warm) {
         cpg::CpgOptions cpg_options;
         cpg_options.executor = pool_.get();
-        cpg_options.deadline = deadline;
+        cpg_options.deadline = ctx.deadline;
         // Cached or not, the build freezes under the classpath key, so the
         // frame is the same bytes either way; only a cached build publishes.
         util::Status built = build(program.value(), cpg_options, ctx.policy, outcome,
@@ -360,11 +354,9 @@ util::Result<AnalysisPtr> Engine::open(const std::vector<std::string>& jar_paths
 util::Result<AnalysisPtr> Engine::open(const jir::Program& program, const ExecContext& ctx,
                                        const OpenOptions& opts) {
   obs::Span span("engine.open");
-  util::Deadline deadline = ctx.deadline;
-  deadline.bind(ctx.cancel);
   cpg::CpgOptions cpg_options;
   cpg_options.executor = pool_.get();
-  cpg_options.deadline = deadline;
+  cpg_options.deadline = ctx.deadline;
   Outcome outcome;
   // A deadline cut is always absorbed as degradation regardless of policy.
   util::Status built = build(program, cpg_options, FailurePolicy::kQuarantine, outcome);
@@ -391,10 +383,6 @@ std::size_t Engine::evict_locked(std::uint64_t fingerprint) {
   resident_bytes_ -= bytes;
   ++evictions_;
   obs::counter_add("engine.evictions");
-  // The callback is the Katana-style eviction hook: by the time it fires
-  // the engine no longer references the analysis, so once request holders
-  // drop their handles the frozen frame is unmapped.
-  if (options_.on_evict) options_.on_evict(fingerprint, bytes);
   return bytes;
 }
 

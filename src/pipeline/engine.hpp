@@ -26,15 +26,13 @@
 // analyses first and, when that is still not enough, fails with a structured
 // over-capacity error (is_over_capacity()) instead of growing past the
 // budget — one tenant's 10 GB classpath degrades that tenant, never the
-// process. Evictions invoke EngineOptions::on_evict (the Katana
-// tsuba/Cache.h residency pattern) so a server can count and log them.
+// process. EngineStats::evictions counts every eviction.
 //
 // Every result is byte-identical at any --jobs count.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -88,8 +86,6 @@ struct ExecContext {
   std::optional<std::chrono::milliseconds> load_budget;
   /// Extra finder-phase budget (--phase-budget finder=), anchored at find().
   std::optional<std::chrono::milliseconds> finder_budget;
-  /// Optional cancellation flag, observed wherever the deadline is.
-  const util::CancelToken* cancel = nullptr;
   /// Per-unit failure handling for open(); find/query run on whatever
   /// survived. The CLI passes kQuarantine, the library default is kStrict.
   FailurePolicy policy = FailurePolicy::kStrict;
@@ -150,10 +146,6 @@ struct EngineOptions {
   std::size_t max_resident = 0;
   /// Prefix the simulated JDK archive to every classpath.
   bool with_jdk = true;
-  /// Invoked (under the engine lock) for every eviction, LRU or explicit:
-  /// fingerprint + resident bytes released. The `tabby serve` daemon counts
-  /// these as serve.evictions.
-  std::function<void(std::uint64_t fingerprint, std::size_t bytes)> on_evict;
 };
 
 /// One find() request's result: the finder report plus the degradation view
@@ -284,9 +276,6 @@ class Engine {
   std::size_t evict_all();
 
   EngineStats stats() const;
-
-  util::Executor* executor() const { return pool_.get(); }
-  const EngineOptions& options() const { return options_; }
 
  private:
   struct Entry {

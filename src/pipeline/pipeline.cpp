@@ -103,7 +103,7 @@ util::Result<jir::Program> load_program(std::vector<ArchiveRead> files, bool wit
     obs::Span span("jar.decode");
     if (span.active()) span.attr("path", files[i].path);
     LoadedFile& file = loaded[i];
-    // Cooperative cancellation: entries whose turn comes after expiry are
+    // A cooperative deadline: entries whose turn comes after expiry are
     // skipped whole and say so, rather than racing the clock mid-decode.
     if (deadline.expired()) {
       file.deadline_skipped = true;

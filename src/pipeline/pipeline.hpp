@@ -17,8 +17,8 @@
 // (archives, class records) are recorded in a structured
 // DegradationReport and analysis continues with the surviving program —
 // the CPG builder and finder already tolerate the resulting holes via
-// phantom nodes. Wall-clock budgets and cancellation (util::Deadline) are
-// cooperative: stages poll at unit boundaries and report what they skipped.
+// phantom nodes. Wall-clock budgets (util::Deadline) are cooperative:
+// stages poll at unit boundaries and report what they skipped.
 #pragma once
 
 #include <cstddef>

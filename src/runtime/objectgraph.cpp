@@ -23,8 +23,19 @@ VmValue resolve(const FieldSpec& spec, const std::map<std::string, ObjectPtr>& i
 ObjectPtr instantiate(const ObjectGraphSpec& spec) {
   if (spec.empty()) return nullptr;
 
+  // The recipe's objects share one owner, which the returned root pointer
+  // keeps alive. Dropping the last such pointer empties every object, so a
+  // cyclic recipe is freed with it.
+  struct Graph {
+    std::map<std::string, ObjectPtr> instances;
+    ~Graph() {
+      for (auto& [name, object] : instances) object->clear();
+    }
+  };
+  auto graph = std::make_shared<Graph>();
+  std::map<std::string, ObjectPtr>& instances = graph->instances;
+
   // Two-phase build so cyclic references resolve.
-  std::map<std::string, ObjectPtr> instances;
   for (const auto& [name, object_spec] : spec.objects) {
     instances.emplace(name, std::make_shared<Object>(object_spec.class_name));
   }
@@ -39,7 +50,7 @@ ObjectPtr instantiate(const ObjectGraphSpec& spec) {
   }
 
   auto it = instances.find(spec.root);
-  return it == instances.end() ? nullptr : it->second;
+  return it == instances.end() ? nullptr : ObjectPtr(graph, it->second.get());
 }
 
 }  // namespace tabby::runtime

@@ -34,7 +34,10 @@ struct ObjectGraphSpec {
 };
 
 /// Materialise the graph. References to undefined names become null.
-/// Returns nullptr when the spec is empty or the root is undefined.
+/// Returns nullptr when the spec is empty or the root is undefined. The
+/// returned pointer owns every object of the graph: when its last copy is
+/// dropped, their fields and elements are cleared, so a cyclic graph is
+/// freed too. Hold it while using objects reached from it.
 ObjectPtr instantiate(const ObjectGraphSpec& spec);
 
 }  // namespace tabby::runtime

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "cpg/schema.hpp"
+#include "cpg/sinks.hpp"
 #include "util/failpoint.hpp"
 
 namespace tabby::runtime {
@@ -142,7 +143,7 @@ ExecutionResult Interpreter::deserialize(const ObjectPtr& root) {
     // bodied override declared in a serializable class.
     if (!hierarchy_->is_serializable(cls)) continue;
     for (const jir::Method& m : decl->methods) {
-      if (!options_.sources.is_source_name(m.name) || !m.has_body()) continue;
+      if (!cpg::SourceRegistry::table().is_source_name(m.name) || !m.has_body()) continue;
       any_run = true;
       std::vector<VmValue> args(static_cast<std::size_t>(m.nargs()),
                                 VmValue::of(stream, /*taint=*/true));
@@ -169,7 +170,8 @@ VmValue Interpreter::invoke(RunState& state, const jir::InvokeStmt& stmt,
                             std::vector<VmValue> args) {
   // Sink observation happens at the *declared* target (the resolution point
   // the static analyses reason about).
-  const cpg::SinkSpec* sink = options_.sinks.match(stmt.callee.owner, stmt.callee.name);
+  const cpg::SinkSpec* sink =
+      cpg::SinkRegistry::table().match(stmt.callee.owner, stmt.callee.name);
   if (sink != nullptr) {
     SinkHit hit;
     hit.signature = stmt.callee.to_string();

@@ -5,7 +5,8 @@
 // effectiveness"): an attack object graph is built (every attacker-supplied
 // value tainted), deserialization is simulated by invoking the root's source
 // method, and the VM observes whether a sink method executes with tainted
-// values at its Trigger_Condition positions.
+// values at its Trigger_Condition positions. Sinks and sources are the CPG's
+// (cpg::SinkRegistry::table(), cpg::SourceRegistry::table()).
 #pragma once
 
 #include <map>
@@ -14,7 +15,6 @@
 #include <variant>
 #include <vector>
 
-#include "cpg/sinks.hpp"
 #include "jir/hierarchy.hpp"
 #include "jir/model.hpp"
 #include "util/deadline.hpp"
@@ -55,6 +55,12 @@ class Object {
 
   std::vector<VmValue>& elements() { return elements_; }
   const std::vector<VmValue>& elements() const { return elements_; }
+
+  /// Drops every field and element (the references that can form cycles).
+  void clear() {
+    fields_.clear();
+    elements_.clear();
+  }
 
  private:
   std::string class_name_;
@@ -115,8 +121,6 @@ struct VmOptions {
   /// Wall-clock bound, polled periodically at the step site; expiry aborts
   /// with a FaultKind::Timeout fault. Defaults to never.
   util::Deadline deadline;
-  cpg::SinkRegistry sinks = cpg::SinkRegistry::defaults();
-  cpg::SourceRegistry sources = cpg::SourceRegistry::defaults();
 };
 
 class Interpreter {

@@ -135,6 +135,12 @@ std::string Json::dump() const {
 
 namespace {
 
+/// Deepest nesting of arrays and objects a document may have. The parser
+/// recurses per level, so a deeper line fails to parse instead of
+/// overflowing the stack of the thread parsing it. The protocol nests 2
+/// levels deep and the dist payloads 4.
+constexpr int kMaxNesting = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -217,10 +223,12 @@ class Parser {
     return std::nullopt;  // unterminated
   }
 
-  std::optional<Json> parse_value() {
+  /// `depth` counts the arrays and objects enclosing the value.
+  std::optional<Json> parse_value(int depth = 0) {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth == kMaxNesting) return std::nullopt;
     if (c == '{') {
       ++pos_;
       Json value = Json::object();
@@ -229,7 +237,7 @@ class Parser {
         skip_ws();
         auto key = parse_string();
         if (!key || !eat(':')) return std::nullopt;
-        auto member = parse_value();
+        auto member = parse_value(depth + 1);
         if (!member) return std::nullopt;
         value.set(std::move(*key), std::move(*member));
         if (eat(',')) continue;
@@ -242,7 +250,7 @@ class Parser {
       Json value = Json::array();
       if (eat(']')) return value;
       while (true) {
-        auto element = parse_value();
+        auto element = parse_value(depth + 1);
         if (!element) return std::nullopt;
         value.push(std::move(*element));
         if (eat(',')) continue;

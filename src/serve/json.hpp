@@ -46,7 +46,6 @@ class Json {
   bool is_array() const { return kind_ == Kind::Array; }
   bool is_string() const { return kind_ == Kind::String; }
 
-  bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
   const std::string& as_string() const { return string_; }
   const std::vector<Json>& items() const { return items_; }
@@ -78,7 +77,8 @@ class Json {
   /// Serializes to one line (no raw newlines — they are escaped in strings).
   std::string dump() const;
 
-  /// Strict single-document parse; nullopt on any malformed input.
+  /// Strict single-document parse; nullopt on any malformed input,
+  /// including arrays and objects nested more than 64 deep.
   static std::optional<Json> parse(std::string_view text);
 
  private:

@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -65,6 +66,11 @@ constexpr const char* kBooleanFields[] = {"strict", "verify", "explain", "no_pla
 /// The usage error for the first typed field of `request` that is present
 /// but malformed; empty when every one is well formed.
 std::string field_error(const Json& request) {
+  const Json* classpath = request.find("classpath");
+  if (classpath != nullptr && (!classpath->is_array() ||
+                               !std::ranges::all_of(classpath->items(), &Json::is_string))) {
+    return "\"classpath\" must be an array of strings";
+  }
   for (const IntegerField& field : kIntegerFields) {
     const Json* value = request.find(field.name);
     if (value == nullptr) continue;
@@ -116,16 +122,9 @@ pipeline::ExecContext context_from(const Json& request, int default_workers) {
 
 class Daemon {
  public:
-  explicit Daemon(ServeOptions options) : default_workers_(options.default_workers) {
-    pipeline::EngineOptions engine_options = std::move(options.engine);
-    auto chained = std::move(engine_options.on_evict);
-    engine_options.on_evict = [this, chained](std::uint64_t fingerprint, std::size_t bytes) {
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      obs::counter_add("serve.evictions");
-      if (chained) chained(fingerprint, bytes);
-    };
-    engine_ = std::make_unique<pipeline::Engine>(std::move(engine_options));
-  }
+  explicit Daemon(ServeOptions options)
+      : engine_(std::make_unique<pipeline::Engine>(std::move(options.engine))),
+        default_workers_(options.default_workers) {}
 
   util::Status run(const std::string& socket_path, std::ostream& out, std::ostream& err);
 
@@ -163,7 +162,6 @@ class Daemon {
   int listen_fd_ = -1;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> failpoint_failures_{0};
-  std::atomic<std::uint64_t> evictions_{0};
   std::atomic<int> in_flight_{0};
   /// Connections still being served; shutdown waits for it to reach 0.
   std::mutex connections_mutex_;
@@ -437,7 +435,7 @@ Json Daemon::op_stats() const {
   response.set("failpoint_failures", failpoint_failures_.load(std::memory_order_relaxed));
   response.set("opens", stats.opens);
   response.set("resident_hits", stats.resident_hits);
-  response.set("evictions", evictions_.load(std::memory_order_relaxed));
+  response.set("evictions", stats.evictions);
   response.set("over_capacity", stats.over_capacity);
   // Always 0: the daemon does not audit its cache directory (`tabby cache
   // DIR` does). The field stays because perfbench/run.py reads it.

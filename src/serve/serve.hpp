@@ -12,7 +12,7 @@
 // and a human-readable "error". Opens run with admission control: a tenant
 // whose classpath cannot fit in the engine's --mem-budget — even after
 // evicting idle LRU analyses — gets a structured over-capacity error, never
-// an OOM. Evictions increment serve.evictions (visible in the stats op).
+// an OOM. The stats op reports the engine's eviction count.
 //
 // The `tabby client` subcommand drives this protocol from the command line;
 // find/query responses embed the exact text the one-shot CLI would print, so
@@ -29,8 +29,7 @@ namespace tabby::serve {
 
 struct ServeOptions {
   /// Engine configuration (jobs, cache_dir, memory budget, max_resident,
-  /// with_jdk). The daemon chains its eviction counter
-  /// onto any on_evict already set here.
+  /// with_jdk).
   pipeline::EngineOptions engine;
   /// Default finder worker processes for requests that do not send their own
   /// "workers" field (`tabby serve --workers N`). 0 = in-process finds. With

@@ -34,8 +34,6 @@ class Rng {
   /// Bernoulli draw with probability num/den.
   bool chance(std::uint64_t num, std::uint64_t den) { return next_below(den) < num; }
 
-  double next_unit() { return static_cast<double>(next_u64() >> 11) * (1.0 / 9007199254740992.0); }
-
   /// Pick a uniformly random element. Precondition: !v.empty().
   template <typename T>
   const T& pick(const std::vector<T>& v) {

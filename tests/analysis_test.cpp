@@ -517,7 +517,7 @@ TEST(Interprocedural, SummariesAreCached) {
   Analyzed a = analyze(pb);
   summary_of(a, "t.C", "c1", 1);
   summary_of(a, "t.C", "c2", 1);
-  EXPECT_GE(a.analysis->cache_hits(), 1u);  // leaf analyzed once, hit once
+  EXPECT_EQ(a.analysis->analyzed_count(), 3u);  // c1, leaf, c2: leaf's summary is reused
 }
 
 TEST(Interprocedural, UnknownCalleeReturnUncontrollableByDefault) {

@@ -5,11 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 
 #include "cpg/builder.hpp"
-#include "cpg/export.hpp"
 #include "cpg/schema.hpp"
 #include "cpg/sinks.hpp"
 #include "fixtures.hpp"
@@ -60,7 +57,7 @@ std::vector<std::int64_t> int_list(const std::optional<Value>& v) {
 }
 
 TEST(SinkRegistry, DefaultsCoverTableVII) {
-  SinkRegistry r = SinkRegistry::defaults();
+  const SinkRegistry& r = SinkRegistry::table();
   EXPECT_EQ(r.size(), 38u);  // the paper summarises 38 sink methods
 
   const SinkSpec* exec = r.match("java.lang.Runtime", "exec");
@@ -81,7 +78,7 @@ TEST(SinkRegistry, DefaultsCoverTableVII) {
 }
 
 TEST(SourceRegistry, RecognisesDeserializationEntryPoints) {
-  SourceRegistry r = SourceRegistry::defaults();
+  const SourceRegistry& r = SourceRegistry::table();
   EXPECT_TRUE(r.is_source_name("readObject"));
   EXPECT_TRUE(r.is_source_name("readExternal"));
   EXPECT_TRUE(r.is_source_name("readResolve"));
@@ -231,18 +228,6 @@ TEST(CpgOptionsTest, AliasEdgesCanBeDisabled) {
   EXPECT_EQ(cpg.stats.alias_edges, 0u);
 }
 
-TEST(CpgOptionsTest, JarNameRecordedOnClassNodes) {
-  jir::ProgramBuilder pb;
-  pb.add_class("t.C");
-  jir::Program p = pb.build();
-  CpgOptions options;
-  options.jar_name = "demo.jar";
-  FrozenGraph db = tabby::testing::freeze(build_cpg(p, options).db);
-  auto hits = db.find_nodes(kClassLabel, kPropName, Value{std::string("t.C")});
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(db.node_prop_string(hits[0], kPropJar), "demo.jar");
-}
-
 TEST(CpgOptionsTest, RepeatedCallsMergeIntoOneEdge) {
   jir::ProgramBuilder pb;
   pb.with_core_classes();
@@ -377,55 +362,6 @@ TEST(CpgOptionsTest, SerializabilityMatchesTheHierarchy) {
     EXPECT_GE(serializable, 10u);
     EXPECT_EQ(sources, 6u);  // A, B, F, G, H, L
   }
-}
-
-
-// --- CSV export (neo4j-admin bulk import layout) -------------------------------
-
-TEST(CsvExport, WritesThreeFilesWithCorrectCounts) {
-  jir::Program p = testing::urldns_program();
-  Cpg cpg = build_cpg(p);
-  auto dir = std::filesystem::temp_directory_path() / "tabby_csv_test";
-  std::filesystem::remove_all(dir);
-
-  auto stats = export_csv(tabby::testing::freeze(cpg.db), dir);
-  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_EQ(stats.value().class_rows, cpg.stats.class_nodes);
-  EXPECT_EQ(stats.value().method_rows, cpg.stats.method_nodes);
-  EXPECT_EQ(stats.value().relationship_rows, cpg.stats.relationship_edges);
-
-  // Line counts = rows + header.
-  auto count_lines = [](const std::filesystem::path& file) {
-    std::ifstream in(file);
-    std::string line;
-    std::size_t n = 0;
-    while (std::getline(in, line)) ++n;
-    return n;
-  };
-  EXPECT_EQ(count_lines(dir / "CLASSES.csv"), cpg.stats.class_nodes + 1);
-  EXPECT_EQ(count_lines(dir / "METHODS.csv"), cpg.stats.method_nodes + 1);
-  EXPECT_EQ(count_lines(dir / "RELATIONSHIPS.csv"), cpg.stats.relationship_edges + 1);
-
-  // Spot check: the sink row carries its type and trigger condition.
-  std::ifstream methods(dir / "METHODS.csv");
-  std::string line;
-  bool sink_row_found = false;
-  while (std::getline(methods, line)) {
-    if (line.find("java.net.InetAddress#getByName/1") != std::string::npos) {
-      EXPECT_NE(line.find("SSRF"), std::string::npos);
-      EXPECT_NE(line.find("[1]"), std::string::npos);
-      sink_row_found = true;
-    }
-  }
-  EXPECT_TRUE(sink_row_found);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CsvExport, BadDirectoryFails) {
-  jir::Program p = testing::urldns_program();
-  Cpg cpg = build_cpg(p);
-  auto result = export_csv(tabby::testing::freeze(cpg.db), "/proc/definitely/not/writable");
-  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace

@@ -216,12 +216,8 @@ TEST_F(EngineFixture, TightBudgetEvictsLruAndResultsStayByteIdentical) {
   // Big enough for either analysis alone, too small for both: every switch
   // of tenant evicts the other's idle analysis. Each keeps only its frozen
   // frame resident (about 230 KiB and 250 KiB).
-  std::vector<std::pair<std::uint64_t, std::size_t>> evicted;
   pipeline::EngineOptions options;
   options.memory_budget_bytes = 400 * 1024;
-  options.on_evict = [&](std::uint64_t fingerprint, std::size_t bytes) {
-    evicted.emplace_back(fingerprint, bytes);
-  };
   pipeline::Engine engine(options);
   pipeline::ExecContext ctx;
   pipeline::OpenOptions admit;
@@ -239,12 +235,7 @@ TEST_F(EngineFixture, TightBudgetEvictsLruAndResultsStayByteIdentical) {
 
   pipeline::EngineStats stats = engine.stats();
   EXPECT_GE(stats.evictions, 3u);  // a->b, b->a, a->b at minimum
-  EXPECT_EQ(stats.evictions, evicted.size());
   EXPECT_LE(stats.resident_bytes, options.memory_budget_bytes);
-  for (const auto& [fingerprint, bytes] : evicted) {
-    EXPECT_NE(fingerprint, 0u);
-    EXPECT_GT(bytes, 0u);
-  }
 }
 
 TEST_F(EngineFixture, OverCapacityOpenFailsStructurally) {

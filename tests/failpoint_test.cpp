@@ -163,20 +163,6 @@ TEST(Deadline, GenerousBudgetHasNotExpired) {
   }
 }
 
-TEST(Deadline, CancelTokenReadsAsExpired) {
-  CancelToken token;
-  Deadline d = Deadline::after(1h);
-  d.bind(&token);
-  EXPECT_FALSE(d.expired());
-  token.cancel();
-  EXPECT_TRUE(d.expired());
-  // A bound but unexpired deadline is not "unlimited": it can fire.
-  Deadline bound_only;
-  bound_only.bind(&token);
-  EXPECT_FALSE(bound_only.unlimited());
-  EXPECT_TRUE(bound_only.expired());
-}
-
 TEST(Deadline, TightenedKeepsTheEarlierBound) {
   Deadline loose = Deadline::after(1h);
   Deadline tight = Deadline::after(0ms);

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "corpus/components.hpp"
@@ -260,16 +261,6 @@ TEST_F(PipelineFixture, ExpiredDeadlineDegradesQuarantineAndFailsStrict) {
   EXPECT_FALSE(open_once({jar_path_}, {}, strict).ok());
 }
 
-TEST_F(PipelineFixture, CancelTokenReadsAsAnExpiredDeadline) {
-  util::CancelToken token;
-  token.cancel();
-  ExecContext ctx = with_policy(FailurePolicy::kQuarantine);
-  ctx.cancel = &token;
-  auto result = open_once({jar_path_}, {}, ctx);
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_TRUE(out(result).degradation.deadline_hit);
-}
-
 TEST_F(PipelineFixture, GenerousDeadlineLeavesOutputByteIdentical) {
   ExecContext bounded = with_policy(FailurePolicy::kQuarantine);
   bounded.deadline = util::Deadline::after(std::chrono::hours{1});
@@ -281,35 +272,37 @@ TEST_F(PipelineFixture, GenerousDeadlineLeavesOutputByteIdentical) {
   EXPECT_TRUE(std::ranges::equal(out(a).frozen.frame(), out(b).frozen.frame()));
 }
 
-/// Runs a parallel_for in index order and raises `token` just before index
-/// 1: a load budget that expires, deterministically, after the first
-/// archive's decode.
-class CancelAfterFirst final : public util::Executor {
+/// Runs a parallel_for in index order and, before index 1, waits until
+/// `deadline` has expired: a load budget that runs out, deterministically,
+/// after the first archive's decode.
+class ExpireAfterFirst final : public util::Executor {
  public:
-  explicit CancelAfterFirst(util::CancelToken& token) : token_(token) {}
+  explicit ExpireAfterFirst(const util::Deadline& deadline) : deadline_(deadline) {}
   unsigned concurrency() const override { return 2; }
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) override {
     for (std::size_t i = 0; i < n; ++i) {
-      if (i == 1) token_.cancel();
+      while (i == 1 && !deadline_.expired()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+      }
       fn(i);
     }
   }
 
  private:
-  util::CancelToken& token_;
+  const util::Deadline& deadline_;
 };
 
 TEST_F(PipelineFixture, StrictFailsOnALoadBudgetThatExpiresMidLoad) {
   std::string second = path("rome.tjar");
   ASSERT_TRUE(jar::write_archive_file(corpus::build_component("Rome").jar, second).ok());
   for (FailurePolicy policy : {FailurePolicy::kStrict, FailurePolicy::kQuarantine}) {
-    util::CancelToken token;
-    CancelAfterFirst executor(token);
-    util::Deadline deadline;
-    deadline.bind(&token);
+    std::vector<ArchiveRead> files = read_classpath({jar_path_, second});
+    // Long enough for the first archive's decode, which starts at once.
+    const util::Deadline deadline = util::Deadline::after(std::chrono::milliseconds{200});
+    ExpireAfterFirst executor(deadline);
     DegradationReport report;
-    auto program = load_program(read_classpath({jar_path_, second}), /*with_jdk=*/true,
-                                &executor, policy, &report, deadline);
+    auto program = load_program(std::move(files), /*with_jdk=*/true, &executor, policy, &report,
+                                deadline);
     if (policy == FailurePolicy::kStrict) {
       // The budget was live when the load started, so this is not the
       // up-front failure: the skipped archive fails the load.

@@ -281,7 +281,8 @@ TEST(Vm, TaintGraphMarksEverythingReachable) {
   ObjectPtr root = instantiate(spec);
   Interpreter::taint_graph(root);  // must terminate despite the cycle
   EXPECT_TRUE(root->get_field("s").tainted);
-  const ObjectPtr* b = root->get_field("next").object();
+  VmValue next = root->get_field("next");
+  const ObjectPtr* b = next.object();
   ASSERT_NE(b, nullptr);
   EXPECT_TRUE((*b)->elements()[0].tainted);
   EXPECT_TRUE((*b)->get_field("back").tainted);

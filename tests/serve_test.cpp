@@ -306,12 +306,15 @@ TEST_F(ServeFixture, FailpointKillsOneRequestAndTheDaemonAnswersTheNext) {
 
 TEST_F(ServeFixture, MalformedAndUnknownRequestsGetUsageErrors) {
   start_daemon();
-  auto reply = serve::client_request(socket_, "this is not json");
-  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  auto response = serve::Json::parse(reply.value());
-  ASSERT_TRUE(response.has_value());
-  EXPECT_FALSE(response->flag("ok"));
-  EXPECT_EQ(response->str("kind"), "usage");
+  // Unparsable lines, one of them nested deeper than the parser allows.
+  for (const std::string& line : {std::string("this is not json"), std::string(100'000, '[')}) {
+    auto reply = serve::client_request(socket_, line);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    auto response = serve::Json::parse(reply.value());
+    ASSERT_TRUE(response.has_value());
+    EXPECT_FALSE(response->flag("ok"));
+    EXPECT_EQ(response->str("kind"), "usage");
+  }
 
   serve::Json unknown = request_for("frobnicate");
   unknown.set("id", std::string("req-7"));
@@ -351,6 +354,8 @@ TEST_F(ServeFixture, MalformedAndUnknownRequestsGetUsageErrors) {
       {"explain", serve::Json::number(1)},
       {"no_plan", serve::Json::string("true")},
       {"all", serve::Json::number(1)},
+      {"classpath", serve::Json::array().push(serve::Json::string(jar_a_)).push(
+                        serve::Json::number(7))},
   };
   for (const auto& [field, value] : bad_fields) {
     serve::Json request = request_for("find", {jar_a_});
@@ -451,6 +456,9 @@ TEST(ServeJsonTest, ParserIsStrict) {
   EXPECT_FALSE(serve::Json::parse("{\"a\":").has_value());
   EXPECT_FALSE(serve::Json::parse("{'a':1}").has_value());
   EXPECT_FALSE(serve::Json::parse("").has_value());
+  // Nesting is bounded: a line of 100,000 '[' is rejected, not a stack
+  // overflow.
+  EXPECT_FALSE(serve::Json::parse(std::string(100'000, '[')).has_value());
   auto unicode = serve::Json::parse("{\"a\":\"\\u0041\"}");
   ASSERT_TRUE(unicode.has_value());
   EXPECT_EQ(unicode->str("a"), "A");

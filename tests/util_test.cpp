@@ -100,9 +100,6 @@ TEST(Rng, BoundsRespected) {
     auto v = rng.next_in(-3, 3);
     EXPECT_GE(v, -3);
     EXPECT_LE(v, 3);
-    double u = rng.next_unit();
-    EXPECT_GE(u, 0.0);
-    EXPECT_LT(u, 1.0);
   }
 }
 

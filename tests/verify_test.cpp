@@ -30,6 +30,7 @@
 #include "finder/verify.hpp"
 #include "graph/frozen.hpp"
 #include "jar/archive.hpp"
+#include "jir/builder.hpp"
 #include "serve/json.hpp"
 #include "serve/serve.hpp"
 #include "support/find_output.hpp"
@@ -156,21 +157,43 @@ TEST_F(VerifyFixture, VerdictsAreByteIdenticalAtAnyExecutorAndWorkerCount) {
 }
 
 TEST_F(VerifyFixture, StepBudgetExhaustionDemotesToUnconfirmedBudget) {
-  finder::VerifyOptions options;
-  options.max_steps_per_chain = 1;  // any chain that actually runs exceeds it
-  finder::VerifyReport report = run_verify(options);
+  // readObject spins on an if_cmp back edge that the VM always takes (0 ==
+  // 0), so the replay runs past the VM's default step cap. The analysis
+  // also sees the fall-through to the sink, so the chain is found.
+  jir::ProgramBuilder pb;
+  pb.with_core_classes();
+  auto runtime = pb.add_class("java.lang.Runtime");
+  runtime.method("exec").param("java.lang.String").returns("void").set_native();
+  auto spin = pb.add_class("t.Spin");
+  spin.serializable();
+  spin.field("cmd", "java.lang.String");
+  spin.method("readObject")
+      .param("java.io.ObjectInputStream")
+      .returns("void")
+      .const_int("zero", 0)
+      .mark("head")
+      .if_cmp("zero", jir::CmpOp::Eq, "zero", "head")
+      .field_load("cmd", "@this", "cmd")
+      .new_object("rt", "java.lang.Runtime")
+      .invoke_virtual("", "rt", "java.lang.Runtime", "exec", {"cmd"})
+      .ret();
+  jir::Program program = pb.build();
+  graph::FrozenGraph cpg = tabby::testing::freeze(cpg::build_cpg(program).db);
+  std::vector<finder::GadgetChain> chains = finder::GadgetChainFinder(cpg).find_all().chains;
+  ASSERT_EQ(chains.size(), 1u);
+
+  finder::VerifyReport report =
+      finder::verify_chains(program, finder::AliasView(cpg), chains, finder::VerifyOptions{});
   EXPECT_EQ(report.effective, 0u);
-  ASSERT_GE(report.unconfirmed, 1u);
+  ASSERT_EQ(report.unconfirmed, 1u);
   EXPECT_TRUE(report.degraded());
-  for (std::size_t i = 0; i < report.verdicts.size(); ++i) {
-    const finder::ChainVerdict& v = report.verdicts[i];
-    if (v.verdict != finder::Verdict::Unconfirmed) continue;
-    EXPECT_EQ(v.reason, finder::UnconfirmedReason::Budget);
-    EXPECT_EQ(finder::verdict_line(v), "UNCONFIRMED(budget)");
-    EXPECT_NE(v.detail.find("step budget exceeded"), std::string::npos) << v.detail;
-    EXPECT_NE(finder::degraded_line(world().chains[i], v).find("degraded: [verify-budget] "),
-              std::string::npos);
-  }
+  const finder::ChainVerdict& v = report.verdicts[0];
+  EXPECT_EQ(v.reason, finder::UnconfirmedReason::Budget);
+  EXPECT_EQ(finder::verdict_line(v), "UNCONFIRMED(budget)");
+  EXPECT_NE(v.detail.find("step budget exceeded"), std::string::npos) << v.detail;
+  EXPECT_GT(v.steps, runtime::VmOptions{}.max_steps);
+  EXPECT_NE(finder::degraded_line(chains[0], v).find("degraded: [verify-budget] "),
+            std::string::npos);
 }
 
 TEST_F(VerifyFixture, ExpiredDeadlineDemotesEveryChainWithoutExecuting) {
